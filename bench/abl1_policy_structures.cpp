@@ -1,90 +1,79 @@
-// Ablation 1 (paper §3.1/§4.2 discussion): race the policy-store
-// implementations the paper considers — the shipped 64-entry linear
-// table, sorted-table binary search, the kernel-style red-black tree,
-// the splay tree, the CARAT-CAKE-style single-entry cache, the Bloom
-// front filter and LSH buckets — across region counts and address mixes.
+// Ablation 1 (paper §3.1/§4.2): the cost of one region decision on the
+// structure the guards actually use — the 64-entry table, flattened into
+// the engine's published PolicyFrame and scanned first-match by
+// PolicyEngine::Check — across region counts and address mixes.
 // Host-measured with google-benchmark: this is the one experiment where
 // real cache behaviour is the point ("optimized for cache-friendly
-// search of a small number of regions").
+// search of a small number of regions"). It is the baseline any faster
+// region index has to beat on the same probes.
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <string>
+#include <vector>
 
-#include "kop/policy/cuckoo.hpp"
-#include "kop/policy/lsh_store.hpp"
-#include "kop/policy/rbtree_store.hpp"
-#include "kop/policy/region_table.hpp"
-#include "kop/policy/sorted_table.hpp"
-#include "kop/policy/splay_store.hpp"
-#include "kop/policy/wrappers.hpp"
+#include "kop/kernel/kernel.hpp"
+#include "kop/policy/engine.hpp"
+#include "kop/util/carat_abi.hpp"
 #include "kop/util/rng.hpp"
 
 namespace {
 
 using namespace kop::policy;
-
-enum class StoreKind : int {
-  kLinear = 0,
-  kSorted,
-  kRbTree,
-  kSplay,
-  kCacheLinear,
-  kBloomSorted,
-  kCuckooRb,
-  kLsh,
-};
-
-std::unique_ptr<PolicyStore> MakeStore(StoreKind kind) {
-  switch (kind) {
-    case StoreKind::kLinear: return std::make_unique<RegionTable64>();
-    case StoreKind::kSorted: return std::make_unique<SortedRegionTable>();
-    case StoreKind::kRbTree: return std::make_unique<RbTreeRegionStore>();
-    case StoreKind::kSplay: return std::make_unique<SplayRegionTree>();
-    case StoreKind::kCacheLinear:
-      return std::make_unique<SingleEntryCacheStore>(
-          std::make_unique<RegionTable64>());
-    case StoreKind::kBloomSorted:
-      return std::make_unique<BloomFrontStore>(
-          std::make_unique<SortedRegionTable>());
-    case StoreKind::kCuckooRb:
-      return std::make_unique<CuckooFrontStore>(
-          std::make_unique<RbTreeRegionStore>(), 1 << 16);
-    case StoreKind::kLsh: return std::make_unique<LshBucketStore>();
-  }
-  return nullptr;
-}
-
-/// Fill with n non-overlapping regions (grid layout). The linear table
-/// caps at 64; larger n only runs on the scalable structures.
-void Fill(PolicyStore& store, int n) {
-  for (int i = 0; i < n; ++i) {
-    benchmark::DoNotOptimize(
-        store.Add(Region{0x100000 + uint64_t(i) * 0x10000, 0x8000,
-                         kProtRW}));
-  }
-}
+using kop::kGuardAccessRead;
 
 /// Guard-like probe streams.
 enum class Mix : int {
-  kHotRegion = 0,   // the common case: nearly every access in one region
-  kUniform,         // accesses spread across all regions
-  kMisses,          // accesses that match nothing (default-allow traffic)
+  kHotRegion = 0,  // the common case: nearly every access in one region
+  kUniform,        // accesses spread across all regions
+  kMisses,         // accesses that match nothing (default-allow traffic)
 };
 
+std::vector<uint64_t> MakeProbes(Mix mix, int regions) {
+  kop::Xoshiro256 rng(1234);
+  std::vector<uint64_t> probes(4096);
+  for (uint64_t& probe : probes) {
+    switch (mix) {
+      case Mix::kHotRegion:
+        probe = 0x100000 + (uint64_t(regions) / 2) * 0x10000 +
+                rng.NextBelow(0x8000 - 8);
+        break;
+      case Mix::kUniform:
+        probe = 0x100000 + rng.NextBelow(uint64_t(regions)) * 0x10000 +
+                rng.NextBelow(0x8000 - 8);
+        break;
+      case Mix::kMisses:
+        probe = 0x100000 + rng.NextBelow(uint64_t(regions)) * 0x10000 +
+                0x8000 + rng.NextBelow(0x7000);
+        break;
+    }
+  }
+  return probes;
+}
+
+void BM_Check(benchmark::State& state, Mix mix, int regions) {
+  kop::kernel::Kernel kernel;
+  PolicyEngine engine(&kernel, PolicyMode::kDefaultAllow);
+  // Grid of n non-overlapping regions; misses fall in the gaps.
+  for (int i = 0; i < regions; ++i) {
+    if (!engine.store()
+             .Add(Region{0x100000 + uint64_t(i) * 0x10000, 0x8000, kProtRW})
+             .ok()) {
+      state.SkipWithError("region table refused a grid region");
+      return;
+    }
+  }
+  const std::vector<uint64_t> probes = MakeProbes(mix, regions);
+  // Publish the frame outside the timed loop.
+  benchmark::DoNotOptimize(engine.Check(probes[0], 8, kGuardAccessRead));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Check(probes[i], 8, kGuardAccessRead));
+    i = (i + 1) & (probes.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void RegisterAll() {
-  static const struct {
-    StoreKind kind;
-    const char* name;
-  } kStores[] = {
-      {StoreKind::kLinear, "linear64"},
-      {StoreKind::kSorted, "sorted"},
-      {StoreKind::kRbTree, "rbtree"},
-      {StoreKind::kSplay, "splay"},
-      {StoreKind::kCacheLinear, "cache+linear"},
-      {StoreKind::kBloomSorted, "bloom+sorted"},
-      {StoreKind::kCuckooRb, "cuckoo+rbtree"},
-      {StoreKind::kLsh, "lsh"},
-  };
   static const struct {
     Mix mix;
     const char* name;
@@ -93,51 +82,11 @@ void RegisterAll() {
       {Mix::kUniform, "uniform"},
       {Mix::kMisses, "miss"},
   };
-  for (const auto& store : kStores) {
-    for (const auto& mix : kMixes) {
-      for (int regions : {2, 16, 64, 512, 4096}) {
-        if ((store.kind == StoreKind::kLinear ||
-             store.kind == StoreKind::kCacheLinear) &&
-            regions > 64) {
-          continue;
-        }
-        const std::string name = std::string("Lookup/") + store.name + "/" +
-                                 mix.name + "/n=" +
-                                 std::to_string(regions);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [kind = store.kind, regions, mix = mix.mix](
-                benchmark::State& state) {
-              auto store_ptr = MakeStore(kind);
-              Fill(*store_ptr, regions);
-              kop::Xoshiro256 rng(1234);
-              std::vector<uint64_t> probes(4096);
-              for (uint64_t& probe : probes) {
-                switch (mix) {
-                  case Mix::kHotRegion:
-                    probe = 0x100000 + (uint64_t(regions) / 2) * 0x10000 +
-                            rng.NextBelow(0x8000 - 8);
-                    break;
-                  case Mix::kUniform:
-                    probe = 0x100000 +
-                            rng.NextBelow(uint64_t(regions)) * 0x10000 +
-                            rng.NextBelow(0x8000 - 8);
-                    break;
-                  case Mix::kMisses:
-                    probe = 0x100000 +
-                            rng.NextBelow(uint64_t(regions)) * 0x10000 +
-                            0x8000 + rng.NextBelow(0x7000);
-                    break;
-                }
-              }
-              size_t i = 0;
-              for (auto _ : state) {
-                benchmark::DoNotOptimize(store_ptr->Lookup(probes[i], 8));
-                i = (i + 1) & (probes.size() - 1);
-              }
-              state.SetItemsProcessed(state.iterations());
-            });
-      }
+  for (const auto& mix : kMixes) {
+    for (int regions : {2, 16, 64}) {
+      const std::string name = std::string("Check/linear64/") + mix.name +
+                               "/n=" + std::to_string(regions);
+      benchmark::RegisterBenchmark(name.c_str(), BM_Check, mix.mix, regions);
     }
   }
 }

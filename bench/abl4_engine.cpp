@@ -37,7 +37,6 @@
 #include "kop/kirmods/corpus.hpp"
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/engine.hpp"
-#include "kop/policy/region_table.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/carat_abi.hpp"
 
@@ -195,8 +194,7 @@ struct Harness {
 
     kernel = std::make_unique<kop::kernel::Kernel>();
     policy = std::make_unique<kop::policy::PolicyEngine>(
-        kernel.get(), std::make_unique<kop::policy::RegionTable64>(),
-        kop::policy::PolicyMode::kDefaultAllow);
+        kernel.get(), kop::policy::PolicyMode::kDefaultAllow);
     sink = std::make_unique<kop::nic::CountingSink>();
     device = std::make_unique<kop::nic::E1000Device>(&kernel->mem(),
                                                      sink.get());

@@ -49,7 +49,6 @@
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/engine.hpp"
 #include "kop/policy/policy_module.hpp"
-#include "kop/policy/region_table.hpp"
 #include "kop/signing/signer.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
@@ -214,8 +213,7 @@ struct XmitHarness {
 
     kernel = std::make_unique<Kernel>();
     policy = std::make_unique<kop::policy::PolicyEngine>(
-        kernel.get(), std::make_unique<kop::policy::RegionTable64>(),
-        kop::policy::PolicyMode::kDefaultAllow);
+        kernel.get(), kop::policy::PolicyMode::kDefaultAllow);
     sink = std::make_unique<kop::nic::CountingSink>();
     device =
         std::make_unique<kop::nic::E1000Device>(&kernel->mem(), sink.get());

@@ -34,7 +34,6 @@
 #include "kop/kir/parser.hpp"
 #include "kop/kir/vm.hpp"
 #include "kop/policy/engine.hpp"
-#include "kop/policy/region_table.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/carat_abi.hpp"
@@ -275,8 +274,7 @@ struct XmitHarness {
 
     kernel = std::make_unique<Kernel>();
     policy = std::make_unique<kop::policy::PolicyEngine>(
-        kernel.get(), std::make_unique<kop::policy::RegionTable64>(),
-        kop::policy::PolicyMode::kDefaultAllow);
+        kernel.get(), kop::policy::PolicyMode::kDefaultAllow);
 
     if (cfi) {
       // Insmod's registration step, inlined: attested member names ->

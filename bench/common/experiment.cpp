@@ -1,7 +1,10 @@
 #include "experiment.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -187,6 +190,22 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     }
   }
   return args;
+}
+
+uint64_t PositionalArg(int argc, char** argv, int index, uint64_t fallback,
+                       const char* usage, uint64_t min) {
+  if (index >= argc) return fallback;
+  const char* text = argv[index];
+  char* end = nullptr;
+  errno = 0;
+  const uint64_t value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value < min) {
+    std::fprintf(stderr, "%s: bad argument %d '%s'\nusage: %s %s\n", argv[0],
+                 index, text, argv[0], usage);
+    std::exit(2);
+  }
+  return value;
 }
 
 void WriteResultsFile(const std::string& name, const std::string& content) {

@@ -92,6 +92,14 @@ struct BenchArgs {
   static BenchArgs Parse(int argc, char** argv);
 };
 
+/// Positional numeric argument argv[index], or `fallback` when absent.
+/// Anything but a plain decimal integer >= `min` — a flag such as
+/// --packets=2000, trailing junk, a sign, overflow, or (by default) a
+/// zero count — prints `usage` and exits 2, so a mistyped command line
+/// never runs a silently empty bench.
+uint64_t PositionalArg(int argc, char** argv, int index, uint64_t fallback,
+                       const char* usage, uint64_t min = 1);
+
 /// Write `content` to bench_results/<name> (best effort; prints a note).
 void WriteResultsFile(const std::string& name, const std::string& content);
 

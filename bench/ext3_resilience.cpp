@@ -46,11 +46,13 @@ struct Variant {
   bool journal;
   bool watchdog;
 
-  std::unique_ptr<Kernel> kernel;
-  std::unique_ptr<kop::policy::PolicyModule> policy;
-  std::unique_ptr<ModuleLoader> loader;
-  std::unique_ptr<kop::nic::CountingSink> sink;
-  std::unique_ptr<kop::nic::E1000Device> nic;
+  // Built by Build(); the initializers let the variant table below name
+  // only the three config fields.
+  std::unique_ptr<Kernel> kernel{};
+  std::unique_ptr<kop::policy::PolicyModule> policy{};
+  std::unique_ptr<ModuleLoader> loader{};
+  std::unique_ptr<kop::nic::CountingSink> sink{};
+  std::unique_ptr<kop::nic::E1000Device> nic{};
   LoadedModule* module = nullptr;
   double best_ns = 0.0;
 
@@ -103,8 +105,10 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t sends = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 7;
+  using kop::bench::PositionalArg;
+  const char* usage = "[sends=20000] [rounds=7]";
+  const uint64_t sends = PositionalArg(argc, argv, 1, 20000, usage);
+  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 7, usage));
 
   auto compiled = kop::transform::CompileModuleText(kop::kirmods::KnicSource());
   if (!compiled.ok()) {

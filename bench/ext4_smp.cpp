@@ -206,9 +206,11 @@ Measurement MeasureDirect(Rig& rig, uint64_t calls, uint64_t iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t calls = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200;
-  const uint64_t iters = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500;
-  const int rounds = argc > 3 ? std::atoi(argv[3]) : 3;
+  using kop::bench::PositionalArg;
+  const char* usage = "[calls=200] [iters=500] [rounds=3]";
+  const uint64_t calls = PositionalArg(argc, argv, 1, 200, usage);
+  const uint64_t iters = PositionalArg(argc, argv, 2, 500, usage);
+  const int rounds = static_cast<int>(PositionalArg(argc, argv, 3, 3, usage));
 
   auto compiled = kop::transform::CompileModuleText(kBenchSource);
   if (!compiled.ok()) {

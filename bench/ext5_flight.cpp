@@ -190,9 +190,11 @@ bool CheckBundle(const kop::flight::PostmortemBundle& bundle,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t sends = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 3;
-  const uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  using kop::bench::PositionalArg;
+  const char* usage = "[sends=20000] [rounds=3] [seed=7]";
+  const uint64_t sends = PositionalArg(argc, argv, 1, 20000, usage);
+  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 3, usage));
+  const uint64_t seed = PositionalArg(argc, argv, 3, 7, usage, /*min=*/0);
 
   auto compiled = kop::transform::CompileModuleText(kop::kirmods::KnicSource());
   if (!compiled.ok()) {

@@ -150,10 +150,12 @@ DispatchLeg MeasureDispatch(kop::kir::CoverageMap* sink, uint64_t calls,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using kop::bench::PositionalArg;
+  const char* usage = "[trials=192] [rounds=3] [calls=4000]";
   const uint32_t trials =
-      argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 192;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 3;
-  const uint64_t calls = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 4000;
+      static_cast<uint32_t>(PositionalArg(argc, argv, 1, 192, usage));
+  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 3, usage));
+  const uint64_t calls = PositionalArg(argc, argv, 3, 4000, usage);
   bool failed = false;
   std::string csv = "leg,jobs,trials_per_sec,speedup,identical\n";
 

@@ -180,9 +180,12 @@ bool MeasurePoint(uint32_t queues, uint32_t cpus, uint64_t bursts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t bursts = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 64;
-  uint32_t burst = argc > 2 ? (uint32_t)std::strtoul(argv[2], nullptr, 10) : 16;
-  int rounds = argc > 3 ? std::atoi(argv[3]) : 2;
+  using kop::bench::PositionalArg;
+  const char* usage = "[bursts=64] [burst=16] [rounds=2]";
+  const uint64_t bursts = PositionalArg(argc, argv, 1, 64, usage);
+  const uint32_t burst =
+      static_cast<uint32_t>(PositionalArg(argc, argv, 2, 16, usage));
+  const int rounds = static_cast<int>(PositionalArg(argc, argv, 3, 2, usage));
 
   // KOP_EXT7_GATE overrides the 8-CPU speedup floor (CI smokes run far
   // fewer bursts, where fixed probe cost eats into scaling).

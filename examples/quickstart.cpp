@@ -25,8 +25,7 @@ int main() {
   auto policy = policy::PolicyModule::Insert(
       &kernel, nullptr, policy::PolicyMode::kDefaultDeny);
   if (!policy.ok()) return 1;
-  std::printf("[1] policy module inserted (%s)\n",
-              std::string((*policy)->engine().store().name()).c_str());
+  std::printf("[1] policy module inserted (linear-table-64)\n");
 
   // 2. Compile the ring-buffer module. The compiler inserts a
   //    carat_guard call before every load and store, certifies the

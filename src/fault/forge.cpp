@@ -646,11 +646,14 @@ ParseForgeToken(const std::string& token) {
     if (dot == std::string::npos || dot < 2) {
       return fail("op missing slot.value in '" + op_text + "'");
     }
-    const uint64_t slot =
-        std::strtoull(op_text.substr(1, dot - 1).c_str(), &end, 10);
+    // Named locals: `end` points into them, so they must outlive the
+    // check (a temporary substr would be gone by then).
+    const std::string slot_text = op_text.substr(1, dot - 1);
+    const uint64_t slot = std::strtoull(slot_text.c_str(), &end, 10);
     if (end == nullptr || *end != '\0') return fail("malformed op slot");
     op.slot = static_cast<uint8_t>(slot);
-    op.value = std::strtoull(op_text.substr(dot + 1).c_str(), &end, 16);
+    const std::string value_text = op_text.substr(dot + 1);
+    op.value = std::strtoull(value_text.c_str(), &end, 16);
     if (end == nullptr || *end != '\0') return fail("malformed op value");
     forge_case.trail.push_back(op);
   }

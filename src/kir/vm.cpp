@@ -164,8 +164,12 @@ Result<uint64_t> VM::ExecuteFunction(uint32_t fn_index,
   reg_top_ = base + fn.num_regs;
 
   uint64_t* regs = reg_stack_.data() + base;
-  std::memcpy(regs, fn.frame_template.data(),
-              sizeof(uint64_t) * fn.num_regs);
+  // memcpy from null is undefined even for zero bytes, and a
+  // register-less function's vectors are empty (null).
+  if (fn.num_regs != 0) {
+    std::memcpy(regs, fn.frame_template.data(),
+                sizeof(uint64_t) * fn.num_regs);
+  }
   for (size_t i = 0; i < args.size(); ++i) {
     regs[i] = args[i] & fn.arg_masks[i];
   }

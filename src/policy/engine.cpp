@@ -10,11 +10,8 @@
 
 namespace kop::policy {
 
-PolicyEngine::PolicyEngine(kernel::Kernel* kernel,
-                           std::unique_ptr<PolicyStore> store, PolicyMode mode)
+PolicyEngine::PolicyEngine(kernel::Kernel* kernel, PolicyMode mode)
     : kernel_(kernel),
-      store_(std::move(store)),
-      store_ptr_(store_.get()),
       mode_(mode),
       latency_hist_(
           trace::GlobalMetrics().GetHistogram("guard.latency_cycles")),
@@ -22,11 +19,7 @@ PolicyEngine::PolicyEngine(kernel::Kernel* kernel,
           trace::GlobalMetrics().GetHistogram("policy.lookup_depth")),
       denied_counter_(trace::GlobalMetrics().GetCounter("guard.denied")),
       elided_counter_(trace::GlobalMetrics().GetCounter("guard.elided")),
-      deopt_counter_(trace::GlobalMetrics().GetCounter("guard.deopt")) {
-  // Store mutations tick the engine's combined mutation clock so pinned
-  // inline guards see them with a single generation load.
-  store_->AttachMutationCell(&mutation_gen_);
-}
+      deopt_counter_(trace::GlobalMetrics().GetCounter("guard.deopt")) {}
 
 PolicyEngine::~PolicyEngine() {
   // No guard may be in flight at destruction. Retired frames drain in
@@ -37,8 +30,7 @@ PolicyEngine::~PolicyEngine() {
 const PolicyFrame* PolicyEngine::CurrentFrame() const {
   const PolicyFrame* frame = frame_.load(std::memory_order_acquire);
   if (frame != nullptr &&
-      frame->store_generation ==
-          store_ptr_.load(std::memory_order_acquire)->generation() &&
+      frame->store_generation == table_.generation() &&
       frame->config_generation ==
           config_generation_.load(std::memory_order_acquire)) {
     return frame;
@@ -50,7 +42,7 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   std::lock_guard<Spinlock> guard(writer_lock_);
   // Re-check under the writer lock: the CPU that beat us here may have
   // already published exactly the frame we came to build.
-  const uint64_t store_gen = store_->generation();
+  const uint64_t store_gen = table_.generation();
   const uint64_t config_gen =
       config_generation_.load(std::memory_order_acquire);
   const PolicyFrame* frame = frame_.load(std::memory_order_acquire);
@@ -60,7 +52,7 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   }
 
   auto* fresh = new PolicyFrame;
-  fresh->regions = store_->Snapshot();
+  fresh->regions = table_.Snapshot();
   fresh->store_size = fresh->regions.size();
   fresh->store_generation = store_gen;
   fresh->config_generation = config_gen;
@@ -93,35 +85,6 @@ std::optional<uint32_t> PolicyEngine::FrameLookup(const PolicyFrame& frame,
   }
   *depth = scanned;
   return std::nullopt;
-}
-
-std::unique_ptr<PolicyStore> PolicyEngine::SwapStore(
-    std::unique_ptr<PolicyStore> store) {
-  std::unique_ptr<PolicyStore> old;
-  {
-    std::lock_guard<Spinlock> guard(writer_lock_);
-    old = std::move(store_);
-    store_ = std::move(store);
-    store_ptr_.store(store_.get(), std::memory_order_release);
-    // The outgoing store keeps living in the caller's hands; its future
-    // mutations are no longer policy and must not tick our clock.
-    old->AttachMutationCell(nullptr);
-    store_->AttachMutationCell(&mutation_gen_);
-    // Carry the regions over so a live swap preserves the policy.
-    for (const Region& region : old->Snapshot()) {
-      (void)store_->Add(region);
-    }
-    // The frame's store_generation was drawn from the OLD store's
-    // counter; bumping the config generation forces republish even if
-    // the new store's counter happens to coincide.
-    config_generation_.fetch_add(1, std::memory_order_acq_rel);
-    mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  // Grace period: once every in-flight guard has left its read section,
-  // no CPU can still be comparing generations against the old store, and
-  // the caller may destroy it.
-  rcu_.Synchronize();
-  return old;
 }
 
 bool PolicyEngine::Check(uint64_t addr, uint64_t size,
@@ -460,9 +423,9 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   // Snapshot the mutation clock BEFORE resolving the frame: a mutation
   // that lands between the two reads leaves the snapshot behind the live
   // clock, so the next inline guard deopts and refreshes — a spurious
-  // deopt, never a stale allow. (Store mutators bump their structural
-  // generation before ticking our cell, so a caught-up snapshot implies
-  // CurrentFrame below sees the new store generation too.)
+  // deopt, never a stale allow. (Table mutators bump their own
+  // generation before ticking our clock, so a caught-up snapshot implies
+  // CurrentFrame below sees the new table generation too.)
   pin.mutation_gen = mutation_gen_.load(std::memory_order_acquire);
   // Caller holds the slot's read section, so CurrentFrame's result stays
   // valid for the remainder of the pin even if another CPU republishes.
@@ -483,7 +446,7 @@ bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
   }
   if (pin.mutation_gen !=
       mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    // Policy moved mid-call (store mutation, swap, or config change all
+    // Policy moved mid-call (table mutations and config changes both
     // tick the one clock): refresh so later guards in this call are fast
     // again, and let this one re-decide out of line.
     deopt_counter_->Add();
@@ -727,7 +690,6 @@ void PolicyEngine::ResetStats() {
     slot.cfi_checks.store(0, std::memory_order_relaxed);
     slot.cfi_denied.store(0, std::memory_order_relaxed);
   });
-  store_->ResetStats();
   {
     std::lock_guard<Spinlock> guard(violations_lock_);
     violations_.clear();

@@ -6,12 +6,12 @@
 //
 // SMP read path: guards never take the engine lock. Each guard enters an
 // RCU read section and decides against an immutable PolicyFrame — a
-// flattened copy-published snapshot of the active PolicyStore plus the
-// intrinsic permission sets. Mutators (store Add/Remove/Clear, intrinsic
-// config, store swaps) bump generation counters; the next guard that
-// notices a stale frame republishes a fresh one under the writer lock and
-// retires the old frame to the RCU domain, which frees it only after
-// every in-flight guard that could hold it has left. An in-flight guard
+// flattened copy-published snapshot of the region table plus the
+// intrinsic permission sets. Mutators (table Add/Remove/Clear, intrinsic
+// config) bump generation counters; the next guard that notices a stale
+// frame republishes a fresh one under the writer lock and retires the old
+// frame to the RCU domain, which frees it only after every in-flight
+// guard that could hold it has left. An in-flight guard
 // therefore always decides against a policy that was atomically current
 // at some point during its execution — fully-old-or-fully-new, never a
 // half-applied update. Counters are per-CPU (folded on read), per-site
@@ -28,7 +28,7 @@
 
 #include "kop/kernel/guard_fast.hpp"
 #include "kop/kernel/kernel.hpp"
-#include "kop/policy/store.hpp"
+#include "kop/policy/region_table.hpp"
 #include "kop/smp/percpu.hpp"
 #include "kop/smp/rcu.hpp"
 #include "kop/trace/metrics.hpp"
@@ -129,8 +129,8 @@ struct PolicyFrame {
 
 class PolicyEngine : public kernel::GuardFastOps {
  public:
-  PolicyEngine(kernel::Kernel* kernel, std::unique_ptr<PolicyStore> store,
-               PolicyMode mode = PolicyMode::kDefaultDeny);
+  explicit PolicyEngine(kernel::Kernel* kernel,
+                        PolicyMode mode = PolicyMode::kDefaultDeny);
   ~PolicyEngine();
   PolicyEngine(const PolicyEngine&) = delete;
   PolicyEngine& operator=(const PolicyEngine&) = delete;
@@ -150,17 +150,11 @@ class PolicyEngine : public kernel::GuardFastOps {
     action_.store(action, std::memory_order_release);
   }
 
-  /// The active store. Mutations through this reference are picked up by
-  /// concurrent guards at their next frame-freshness check (the store's
-  /// own generation counter). Must not race SwapStore.
-  PolicyStore& store() { return *store_; }
-  const PolicyStore& store() const { return *store_; }
-
-  /// Swap the policy structure without touching protected modules — the
-  /// point of the single-symbol guard interface (§3.2). Blocks for an
-  /// RCU grace period: when it returns, no in-flight guard references
-  /// pre-swap policy and the returned store is safe to destroy.
-  std::unique_ptr<PolicyStore> SwapStore(std::unique_ptr<PolicyStore> store);
+  /// The region table. Mutations through this reference are picked up by
+  /// concurrent guards at their next frame-freshness check (the table's
+  /// own generation counter).
+  RegionTable64& store() { return table_; }
+  const RegionTable64& store() const { return table_; }
 
   /// Pure decision, no logging/panic/accounting.
   bool Check(uint64_t addr, uint64_t size, uint64_t access_flags) const;
@@ -253,9 +247,9 @@ class PolicyEngine : public kernel::GuardFastOps {
   // other than a proven allow deopts (returns false) to Guard()/
   // GuardRange(), which owns all violation and containment semantics.
   //
-  // Holding the read section for the whole call means SwapStore's grace
-  // period waits for in-flight module calls to finish — the documented
-  // cost of whole-call pinning (updates between calls are unaffected).
+  // Holding the read section for the whole call delays reclamation of
+  // frames retired mid-call until the call returns — the documented cost
+  // of whole-call pinning (updates themselves never wait).
   // ------------------------------------------------------------------
 
   /// Open (or nest) the calling CPU's frame pin. Always succeeds.
@@ -377,31 +371,24 @@ class PolicyEngine : public kernel::GuardFastOps {
   void RecordViolation(const ViolationRecord& record);
 
   kernel::Kernel* kernel_;
-  std::unique_ptr<PolicyStore> store_;
-  // Lock-free alias of store_.get() for the guard path's freshness
-  // check: SwapStore reseats store_ while guards are in flight, so the
-  // pointer read must be atomic. Dereferencing is safe because guards
-  // hold an RCU read section and SwapStore synchronizes before the old
-  // store can be destroyed.
-  std::atomic<PolicyStore*> store_ptr_{nullptr};
   std::atomic<PolicyMode> mode_;
   std::atomic<ViolationAction> action_{ViolationAction::kPanic};
   std::atomic<bool> charge_cycles_{true};
   std::atomic<uint64_t> force_deny_site_{kNoForcedSite};
 
-  // Copy-publish machinery. writer_lock_ serializes republish, store
-  // swaps, and intrinsic-config mutation; config_generation_ covers
-  // everything in the frame that is not the store's own contents.
+  // Copy-publish machinery. writer_lock_ serializes republish and
+  // intrinsic-config mutation; config_generation_ covers everything in
+  // the frame that is not the table's own contents.
   mutable Spinlock writer_lock_;
   mutable std::atomic<const PolicyFrame*> frame_{nullptr};
   mutable smp::RcuDomain rcu_;
   std::atomic<uint64_t> config_generation_{0};
   // Combined mutation clock for the inline fast path: bumped by every
-  // config change here AND by store mutators through the attached cell
-  // (PolicyStore::AttachMutationCell), so a pinned guard validates its
-  // frame with ONE generation load instead of two — the store half of
-  // the old check chased store_ptr_ to reach the store's counter.
+  // config change here AND by the table's mutators (it is handed this
+  // cell at construction), so a pinned guard validates its frame with ONE
+  // generation load instead of two.
   std::atomic<uint64_t> mutation_gen_{0};
+  RegionTable64 table_{mutation_gen_};
   mutable std::atomic<uint64_t> frames_published_{0};
 
   // Intrinsic master sets (guarded by writer_lock_; guards read the

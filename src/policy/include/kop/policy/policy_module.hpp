@@ -5,6 +5,7 @@
 // /dev/carat, and serves ioctls from the policy-manager tool.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "kop/kernel/kernel.hpp"
@@ -15,10 +16,11 @@ namespace kop::policy {
 
 class PolicyModule {
  public:
-  /// Insert the policy module into the kernel. `store` defaults to the
-  /// paper's 64-entry linear table when null.
+  /// Insert the policy module into the kernel. The middle parameter
+  /// accepts only nullptr; it exists so `Insert(kernel, nullptr, mode)`
+  /// callers keep compiling.
   static Result<std::unique_ptr<PolicyModule>> Insert(
-      kernel::Kernel* kernel, std::unique_ptr<PolicyStore> store = nullptr,
+      kernel::Kernel* kernel, std::nullptr_t = nullptr,
       PolicyMode mode = PolicyMode::kDefaultDeny);
 
   /// Unexports the symbols and removes /dev/carat (rmmod).

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "kop/flight/postmortem.hpp"
-#include "kop/policy/region_table.hpp"
 #include "kop/trace/site.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/util/carat_abi.hpp"
@@ -14,12 +13,9 @@ namespace kop::policy {
 PolicyModule::PolicyModule(kernel::Kernel* kernel) : kernel_(kernel) {}
 
 Result<std::unique_ptr<PolicyModule>> PolicyModule::Insert(
-    kernel::Kernel* kernel, std::unique_ptr<PolicyStore> store,
-    PolicyMode mode) {
-  if (store == nullptr) store = std::make_unique<RegionTable64>();
+    kernel::Kernel* kernel, std::nullptr_t, PolicyMode mode) {
   auto module = std::unique_ptr<PolicyModule>(new PolicyModule(kernel));
-  module->engine_ =
-      std::make_unique<PolicyEngine>(kernel, std::move(store), mode);
+  module->engine_ = std::make_unique<PolicyEngine>(kernel, mode);
 
   PolicyEngine* engine = module->engine_.get();
   KOP_RETURN_IF_ERROR(kernel->symbols().ExportFunction(
@@ -97,8 +93,7 @@ Result<std::unique_ptr<PolicyModule>> PolicyModule::Insert(
 
   module->installed_ = true;
   kernel->log().Printk(kernel::KernLevel::kInfo,
-                       "carat_kop: policy module loaded (%s, %s)",
-                       std::string(engine->store().name()).c_str(),
+                       "carat_kop: policy module loaded (linear-table-64, %s)",
                        mode == PolicyMode::kDefaultDeny ? "default-deny"
                                                         : "default-allow");
   return module;

@@ -1,6 +1,7 @@
 #include "kop/policy/region_table.hpp"
 
 #include <cstdio>
+#include <mutex>
 
 namespace kop::policy {
 
@@ -14,11 +15,12 @@ std::string Region::ToString() const {
   return buf;
 }
 
-Status RegionTable64::DoAdd(const Region& region) {
+Status RegionTable64::Add(const Region& region) {
   if (region.len == 0) return InvalidArgument("empty region");
   if (region.base + region.len < region.base) {
     return InvalidArgument("region wraps the address space");
   }
+  std::lock_guard<Spinlock> guard(lock_);
   if (count_ == kMaxRegions) {
     return NoSpace("region table full (" + std::to_string(kMaxRegions) + ")");
   }
@@ -28,34 +30,44 @@ Status RegionTable64::DoAdd(const Region& region) {
     }
   }
   regions_[count_++] = region;
+  BumpGeneration();
   return OkStatus();
 }
 
-Status RegionTable64::DoRemove(uint64_t base) {
+Status RegionTable64::Remove(uint64_t base) {
+  std::lock_guard<Spinlock> guard(lock_);
   for (size_t i = 0; i < count_; ++i) {
     if (regions_[i].base == base) {
-      // Preserve table order (first-match semantics depend on it).
       for (size_t j = i + 1; j < count_; ++j) regions_[j - 1] = regions_[j];
       --count_;
+      BumpGeneration();
       return OkStatus();
     }
   }
   return NotFound("no region with that base");
 }
 
-std::optional<uint32_t> RegionTable64::Lookup(uint64_t addr,
-                                              uint64_t size) const {
-  ++stats_.lookups;
-  // The paper's O(n) walk: branch-predictable, no pointer chasing.
-  for (size_t i = 0; i < count_; ++i) {
-    ++stats_.entries_scanned;
-    if (regions_[i].Contains(addr, size)) return regions_[i].prot;
-  }
-  return std::nullopt;
+void RegionTable64::Clear() {
+  std::lock_guard<Spinlock> guard(lock_);
+  count_ = 0;
+  BumpGeneration();
 }
 
-std::vector<Region> RegionTable64::DoSnapshot() const {
+size_t RegionTable64::Size() const {
+  std::lock_guard<Spinlock> guard(lock_);
+  return count_;
+}
+
+std::vector<Region> RegionTable64::Snapshot() const {
+  std::lock_guard<Spinlock> guard(lock_);
   return std::vector<Region>(regions_.begin(), regions_.begin() + count_);
+}
+
+void RegionTable64::BumpGeneration() {
+  // Table generation first, engine clock second: a pinned guard whose
+  // clock snapshot caught up is guaranteed to see the new generation too.
+  generation_.fetch_add(1, std::memory_order_release);
+  mutation_clock_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace kop::policy

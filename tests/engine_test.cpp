@@ -904,9 +904,7 @@ TEST(ElisionDifferentialTest, ContainmentRollbackIdenticalWithElision) {
 // re-arms the fast path for the rest of the call.
 TEST(ElisionDeoptTest, StoreMutationUnderPinDeoptsOnceThenRecovers) {
   kernel::Kernel kernel;
-  policy::PolicyEngine engine(&kernel,
-                              std::make_unique<policy::RegionTable64>(),
-                              policy::PolicyMode::kDefaultAllow);
+  policy::PolicyEngine engine(&kernel, policy::PolicyMode::kDefaultAllow);
   engine.SetChargeCycles(false);
   trace::Counter* deopts = trace::GlobalMetrics().GetCounter("guard.deopt");
   const uint64_t before = deopts->value();

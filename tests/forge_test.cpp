@@ -155,6 +155,10 @@ TEST(ForgeTest, MalformedTokensAreRejectedNotCrashed) {
       "forge.v1:weak:7:1:q0.5",
       "forge.v1:weak:7:1:a1",
       "forge.v1:weak:7:1:a1.xyz",
+      // Multi-op trails: a malformed slot, then a malformed value, each
+      // behind a well-formed op.
+      "forge.v1:weak:7:1:a1.5;fz3.2",
+      "forge.v1:weak:7:1:a1.5;f3.2q",
   };
   for (const char* token : bad) {
     EXPECT_FALSE(fault::ParseForgeToken(token).ok())

@@ -1,428 +1,182 @@
-// kop::policy: every policy store implementation (parameterized over the
-// common contract), the bloom filter, the engine and the policy module's
-// ioctl surface.
+// kop::policy: the region table (decided through the engine, the only
+// code that scans it), the engine and the policy module's ioctl surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <thread>
 
 #include "kop/kernel/kernel.hpp"
-#include "kop/policy/amq.hpp"
-#include "kop/policy/cuckoo.hpp"
 #include "kop/policy/engine.hpp"
-#include "kop/policy/lsh_store.hpp"
 #include "kop/policy/policy_module.hpp"
-#include "kop/policy/rbtree_store.hpp"
-#include "kop/policy/region_table.hpp"
-#include "kop/policy/sorted_table.hpp"
-#include "kop/policy/splay_store.hpp"
-#include "kop/policy/wrappers.hpp"
+#include "kop/trace/metrics.hpp"
 #include "kop/trace/site.hpp"
 #include "kop/util/rng.hpp"
 
 namespace kop::policy {
 namespace {
 
-using StoreFactory = std::function<std::unique_ptr<PolicyStore>()>;
+// -------------------------------------------------------- region table --
 
-struct StoreParam {
-  std::string name;
-  StoreFactory make;
-  bool supports_overlap;
+// Default-deny engine, so Check(read) answers "does a readable region
+// cover the whole range" and Check(write) the same for writes.
+class RegionTableTest : public ::testing::Test {
+ protected:
+  RegionTableTest() : engine_(&kernel_, PolicyMode::kDefaultDeny) {}
+  RegionTable64& table() { return engine_.store(); }
+  bool Readable(uint64_t addr, uint64_t size) {
+    return engine_.Check(addr, size, kGuardAccessRead);
+  }
+  bool Writable(uint64_t addr, uint64_t size) {
+    return engine_.Check(addr, size, kGuardAccessWrite);
+  }
+  kernel::Kernel kernel_;
+  PolicyEngine engine_;
 };
 
-std::vector<StoreParam> AllStores() {
-  return {
-      {"linear64", [] { return std::unique_ptr<PolicyStore>(
-                            std::make_unique<RegionTable64>()); },
-       true},
-      {"sorted", [] { return std::unique_ptr<PolicyStore>(
-                          std::make_unique<SortedRegionTable>()); },
-       false},
-      {"rbtree", [] { return std::unique_ptr<PolicyStore>(
-                          std::make_unique<RbTreeRegionStore>()); },
-       false},
-      {"splay", [] { return std::unique_ptr<PolicyStore>(
-                         std::make_unique<SplayRegionTree>()); },
-       false},
-      {"lsh", [] { return std::unique_ptr<PolicyStore>(
-                       std::make_unique<LshBucketStore>()); },
-       true},
-      {"cache+linear",
-       [] {
-         return std::unique_ptr<PolicyStore>(
-             std::make_unique<SingleEntryCacheStore>(
-                 std::make_unique<RegionTable64>()));
-       },
-       true},
-      {"bloom+sorted",
-       [] {
-         return std::unique_ptr<PolicyStore>(std::make_unique<BloomFrontStore>(
-             std::make_unique<SortedRegionTable>()));
-       },
-       false},
-      {"cuckoo+rbtree",
-       [] {
-         return std::unique_ptr<PolicyStore>(
-             std::make_unique<CuckooFrontStore>(
-                 std::make_unique<RbTreeRegionStore>()));
-       },
-       false},
-  };
+TEST_F(RegionTableTest, AddCheckRemove) {
+  EXPECT_EQ(table().Size(), 0u);
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x1000, kProtRW}).ok());
+  ASSERT_TRUE(table().Add(Region{0x10000, 0x100, kProtRead}).ok());
+  EXPECT_EQ(table().Size(), 2u);
+
+  EXPECT_TRUE(Readable(0x1800, 8));
+  EXPECT_TRUE(Writable(0x1800, 8));
+  EXPECT_TRUE(Readable(0x10000, 4));
+  EXPECT_FALSE(Writable(0x10000, 4));
+  EXPECT_FALSE(Readable(0x3000, 8));
+
+  ASSERT_TRUE(table().Remove(0x1000).ok());
+  EXPECT_FALSE(Readable(0x1800, 8));
+  EXPECT_EQ(table().Size(), 1u);
+  const Status again = table().Remove(0x1000);
+  EXPECT_EQ(again.code(), ErrorCode::kNotFound);
 }
 
-class StoreContractTest : public ::testing::TestWithParam<StoreParam> {};
-
-TEST_P(StoreContractTest, AddLookupRemove) {
-  auto store = GetParam().make();
-  EXPECT_EQ(store->Size(), 0u);
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x1000, kProtRW}).ok());
-  ASSERT_TRUE(store->Add(Region{0x10000, 0x100, kProtRead}).ok());
-  EXPECT_EQ(store->Size(), 2u);
-
-  auto hit = store->Lookup(0x1800, 8);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, kProtRW);
-  auto ro = store->Lookup(0x10000, 4);
-  ASSERT_TRUE(ro.has_value());
-  EXPECT_EQ(*ro, kProtRead);
-  EXPECT_FALSE(store->Lookup(0x3000, 8).has_value());
-
-  ASSERT_TRUE(store->Remove(0x1000).ok());
-  EXPECT_FALSE(store->Lookup(0x1800, 8).has_value());
-  EXPECT_EQ(store->Size(), 1u);
-  EXPECT_FALSE(store->Remove(0x1000).ok());
+TEST_F(RegionTableTest, ExactBoundaries) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRW}).ok());
+  EXPECT_TRUE(Readable(0x1000, 1));      // first byte
+  EXPECT_TRUE(Readable(0x10ff, 1));      // last byte
+  EXPECT_TRUE(Readable(0x1000, 0x100));  // whole region
+  EXPECT_FALSE(Readable(0x0fff, 1));     // one before
+  EXPECT_FALSE(Readable(0x1100, 1));     // one after
+  // A range extending past the region is not covered.
+  EXPECT_FALSE(Readable(0x10ff, 2));
+  EXPECT_FALSE(Readable(0x1000, 0x101));
 }
 
-TEST_P(StoreContractTest, ExactBoundaries) {
-  auto store = GetParam().make();
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x100, kProtRW}).ok());
-  EXPECT_TRUE(store->Lookup(0x1000, 1).has_value());    // first byte
-  EXPECT_TRUE(store->Lookup(0x10ff, 1).has_value());    // last byte
-  EXPECT_TRUE(store->Lookup(0x1000, 0x100).has_value());  // whole region
-  EXPECT_FALSE(store->Lookup(0x0fff, 1).has_value());   // one before
-  EXPECT_FALSE(store->Lookup(0x1100, 1).has_value());   // one after
-  // Range extending past the region is not covered.
-  EXPECT_FALSE(store->Lookup(0x10ff, 2).has_value());
-  EXPECT_FALSE(store->Lookup(0x1000, 0x101).has_value());
+TEST_F(RegionTableTest, RejectsDegenerateAndIdenticalRegions) {
+  EXPECT_EQ(table().Add(Region{0x1000, 0, kProtRW}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(table().Add(Region{~0ull - 10, 100, kProtRW}).code(),
+            ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRW}).ok());
+  // Same base and length is a duplicate whatever the protection.
+  EXPECT_EQ(table().Add(Region{0x1000, 0x100, kProtRead}).code(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(table().Size(), 1u);
 }
 
-TEST_P(StoreContractTest, RejectsDegenerateRegions) {
-  auto store = GetParam().make();
-  EXPECT_FALSE(store->Add(Region{0x1000, 0, kProtRW}).ok());
-  EXPECT_FALSE(store->Add(Region{~0ull - 10, 100, kProtRW}).ok());
-}
-
-TEST_P(StoreContractTest, ClearEmpties) {
-  auto store = GetParam().make();
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x100, kProtRW}).ok());
-  store->Clear();
-  EXPECT_EQ(store->Size(), 0u);
-  EXPECT_FALSE(store->Lookup(0x1000, 1).has_value());
+TEST_F(RegionTableTest, ClearEmpties) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRW}).ok());
+  EXPECT_TRUE(Readable(0x1000, 1));
+  table().Clear();
+  EXPECT_EQ(table().Size(), 0u);
+  EXPECT_FALSE(Readable(0x1000, 1));
   // Usable after clear.
-  EXPECT_TRUE(store->Add(Region{0x2000, 0x100, kProtRead}).ok());
-  EXPECT_TRUE(store->Lookup(0x2000, 1).has_value());
+  EXPECT_TRUE(table().Add(Region{0x2000, 0x100, kProtRead}).ok());
+  EXPECT_TRUE(Readable(0x2000, 1));
 }
 
-TEST_P(StoreContractTest, SnapshotContainsAllRegions) {
-  auto store = GetParam().make();
-  ASSERT_TRUE(store->Add(Region{0x3000, 0x100, kProtRead}).ok());
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x100, kProtRW}).ok());
-  ASSERT_TRUE(store->Add(Region{0x2000, 0x100, kProtWrite}).ok());
-  const auto snapshot = store->Snapshot();
-  EXPECT_EQ(snapshot.size(), 3u);
-  bool found = false;
-  for (const Region& region : snapshot) {
-    if (region.base == 0x2000) {
-      found = true;
-      EXPECT_EQ(region.prot, kProtWrite);
-    }
+TEST_F(RegionTableTest, SnapshotKeepsInsertionOrder) {
+  ASSERT_TRUE(table().Add(Region{0x3000, 0x100, kProtRead}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRW}).ok());
+  ASSERT_TRUE(table().Add(Region{0x2000, 0x100, kProtWrite}).ok());
+  const std::vector<Region> snapshot = table().Snapshot();
+  ASSERT_EQ(snapshot.size(), 3u);
+  EXPECT_EQ(snapshot[0].base, 0x3000u);
+  EXPECT_EQ(snapshot[1].base, 0x1000u);
+  EXPECT_EQ(snapshot[2].base, 0x2000u);
+  EXPECT_EQ(snapshot[2].prot, kProtWrite);
+  // The frame guards decide against is the same list.
+  const std::vector<Region> frame = engine_.FrameSnapshot();
+  ASSERT_EQ(frame.size(), 3u);
+  for (size_t i = 0; i < frame.size(); ++i) {
+    EXPECT_EQ(frame[i].base, snapshot[i].base) << i;
   }
-  EXPECT_TRUE(found);
 }
 
-TEST_P(StoreContractTest, AdjacentRegionsDoNotBleed) {
-  auto store = GetParam().make();
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x100, kProtRead}).ok());
-  ASSERT_TRUE(store->Add(Region{0x1100, 0x100, kProtWrite}).ok());
-  EXPECT_EQ(*store->Lookup(0x10ff, 1), kProtRead);
-  EXPECT_EQ(*store->Lookup(0x1100, 1), kProtWrite);
+TEST_F(RegionTableTest, AdjacentRegionsDoNotBleed) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRead}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1100, 0x100, kProtWrite}).ok());
+  EXPECT_TRUE(Readable(0x10ff, 1));
+  EXPECT_FALSE(Writable(0x10ff, 1));
+  EXPECT_TRUE(Writable(0x1100, 1));
+  EXPECT_FALSE(Readable(0x1100, 1));
   // A range spanning both is covered by neither alone.
-  EXPECT_FALSE(store->Lookup(0x10f0, 0x20).has_value());
+  EXPECT_FALSE(Readable(0x10f0, 0x20));
+  EXPECT_FALSE(Writable(0x10f0, 0x20));
 }
 
-TEST_P(StoreContractTest, ManyRegionsAgreeWithReferenceModel) {
-  auto store = GetParam().make();
-  // Reference: vector of regions, first-match (insertion order).
-  std::vector<Region> reference;
-  Xoshiro256 rng(99);
-  // Non-overlapping regions (so every store can represent them): grid.
-  for (uint64_t i = 0; i < 48; ++i) {
-    Region region{0x100000 + i * 0x1000,
-                  0x200 + rng.NextBelow(0xe00),
-                  static_cast<uint32_t>(1 + rng.NextBelow(3))};
-    ASSERT_TRUE(store->Add(region).ok());
-    reference.push_back(region);
-  }
-  for (int probe = 0; probe < 4000; ++probe) {
-    const uint64_t addr = 0x100000 + rng.NextBelow(48 * 0x1000 + 0x1000);
-    const uint64_t size = 1 + rng.NextBelow(16);
-    std::optional<uint32_t> expected;
-    for (const Region& region : reference) {
-      if (region.Contains(addr, size)) {
-        expected = region.prot;
-        break;
-      }
-    }
-    EXPECT_EQ(store->Lookup(addr, size), expected)
-        << GetParam().name << " addr=0x" << std::hex << addr << " size="
-        << size;
-  }
+TEST_F(RegionTableTest, OverlapFirstMatchWins) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x1000, kProtRW}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1800, 0x1000, kProtRead}).ok());
+  // In the overlap the earlier (RW) region decides; past it, the later.
+  EXPECT_TRUE(Writable(0x1900, 4));
+  EXPECT_FALSE(Writable(0x2100, 4));
+  EXPECT_TRUE(Readable(0x2100, 4));
+  // A restricting region inserted first shadows a wider grant.
+  table().Clear();
+  ASSERT_TRUE(table().Add(Region{0x1800, 0x100, kProtNone}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x1000, kProtRW}).ok());
+  EXPECT_FALSE(Readable(0x1810, 4));
+  EXPECT_TRUE(Readable(0x1010, 4));
 }
 
-TEST_P(StoreContractTest, OverlapPolicyIsDeclared) {
-  auto store = GetParam().make();
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x1000, kProtRW}).ok());
-  const Status status = store->Add(Region{0x1800, 0x1000, kProtRead});
-  if (GetParam().supports_overlap) {
-    EXPECT_TRUE(status.ok()) << GetParam().name;
-    // First match wins.
-    EXPECT_EQ(*store->Lookup(0x1900, 4), kProtRW);
-  } else {
-    EXPECT_FALSE(status.ok()) << GetParam().name;
+TEST_F(RegionTableTest, CapacityIs64) {
+  for (uint64_t i = 0; i < RegionTable64::kMaxRegions; ++i) {
+    ASSERT_TRUE(table().Add(Region{i * 0x1000, 0x100, kProtRW}).ok()) << i;
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllStores, StoreContractTest, ::testing::ValuesIn(AllStores()),
-    [](const ::testing::TestParamInfo<StoreParam>& info) {
-      std::string name = info.param.name;
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
-
-// ------------------------------------------------- structure specifics --
-
-TEST(RegionTable64Test, CapacityIs64) {
-  RegionTable64 table;
-  for (uint64_t i = 0; i < 64; ++i) {
-    ASSERT_TRUE(table.Add(Region{i * 0x1000, 0x100, kProtRW}).ok()) << i;
-  }
-  const Status status = table.Add(Region{65 * 0x1000, 0x100, kProtRW});
-  ASSERT_FALSE(status.ok());
+  const Status status = table().Add(Region{65 * 0x1000, 0x100, kProtRW});
   EXPECT_EQ(status.code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(table().Size(), 64u);
+  EXPECT_TRUE(Readable(63 * 0x1000, 4));
+  EXPECT_FALSE(Readable(65 * 0x1000, 4));
+  // Removing one frees exactly one slot.
+  ASSERT_TRUE(table().Remove(0).ok());
+  EXPECT_TRUE(table().Add(Region{65 * 0x1000, 0x100, kProtRW}).ok());
+  EXPECT_TRUE(Readable(65 * 0x1000, 4));
 }
 
-TEST(RegionTable64Test, RemovePreservesFirstMatchOrder) {
-  RegionTable64 table;
-  ASSERT_TRUE(table.Add(Region{0x1000, 0x1000, kProtRW}).ok());
-  ASSERT_TRUE(table.Add(Region{0x1800, 0x1000, kProtRead}).ok());  // overlap
-  ASSERT_TRUE(table.Add(Region{0x2000, 0x1000, kProtWrite}).ok()); // overlap
-  ASSERT_TRUE(table.Remove(0x1000).ok());
-  // Now the 0x1800 region is first; a probe in the overlap favors it.
-  EXPECT_EQ(*table.Lookup(0x2100, 4), kProtRead);
+TEST_F(RegionTableTest, RemovePreservesFirstMatchOrder) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x1000, kProtRW}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1800, 0x1000, kProtRead}).ok());  // overlap
+  ASSERT_TRUE(table().Add(Region{0x2000, 0x1000, kProtWrite}).ok()); // overlap
+  EXPECT_TRUE(Writable(0x1900, 4));
+  ASSERT_TRUE(table().Remove(0x1000).ok());
+  // Now the 0x1800 region is first; a probe in its overlap with 0x2000
+  // favors it over the later write-only region.
+  EXPECT_TRUE(Readable(0x2100, 4));
+  EXPECT_FALSE(Writable(0x2100, 4));
 }
 
-TEST(RegionTable64Test, ScanCountsEntries) {
-  RegionTable64 table;
+TEST_F(RegionTableTest, ScanCountsEntries) {
+  engine_.SetViolationAction(ViolationAction::kLogOnly);
   for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(table.Add(Region{i * 0x1000, 0x100, kProtRW}).ok());
+    ASSERT_TRUE(table().Add(Region{i * 0x1000, 0x100, kProtRW}).ok());
   }
-  table.ResetStats();
-  (void)table.Lookup(9 * 0x1000, 4);  // last entry -> 10 scans
-  EXPECT_EQ(table.stats().entries_scanned, 10u);
-  (void)table.Lookup(0, 4);  // first entry -> 1 scan
-  EXPECT_EQ(table.stats().entries_scanned, 11u);
-}
-
-TEST(SplayTest, HotRegionMovesToRoot) {
-  SplayRegionTree tree;
-  for (uint64_t i = 0; i < 64; ++i) {
-    ASSERT_TRUE(tree.Add(Region{i * 0x1000, 0x800, kProtRW}).ok());
-  }
-  const uint64_t hot = 40 * 0x1000 + 16;
-  (void)tree.Lookup(hot, 4);
-  // After splaying, the hot region answers from the root.
-  EXPECT_EQ(tree.ProbeDepth(hot), 1u);
-  // And repeated hot lookups stay O(1) while the tree still answers
-  // everything else correctly.
-  (void)tree.Lookup(hot, 4);
-  EXPECT_EQ(tree.ProbeDepth(hot), 1u);
-  EXPECT_TRUE(tree.Lookup(3 * 0x1000, 4).has_value());
-}
-
-TEST(SplayTest, RemoveKeepsTreeConsistent) {
-  SplayRegionTree tree;
-  for (uint64_t i = 0; i < 32; ++i) {
-    ASSERT_TRUE(tree.Add(Region{i * 0x1000, 0x800, kProtRW}).ok());
-  }
-  for (uint64_t i = 0; i < 32; i += 2) {
-    ASSERT_TRUE(tree.Remove(i * 0x1000).ok());
-  }
-  EXPECT_EQ(tree.Size(), 16u);
-  for (uint64_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(tree.Lookup(i * 0x1000 + 4, 4).has_value(), i % 2 == 1) << i;
-  }
-}
-
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter filter(1 << 12, 3);
-  Xoshiro256 rng(7);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 200; ++i) keys.push_back(rng.Next());
-  for (uint64_t key : keys) filter.Insert(key);
-  for (uint64_t key : keys) EXPECT_TRUE(filter.MaybeContains(key));
-}
-
-TEST(BloomFilterTest, FalsePositiveRateReasonable) {
-  BloomFilter filter(1 << 14, 3);
-  Xoshiro256 rng(8);
-  for (int i = 0; i < 500; ++i) filter.Insert(rng.Next());
-  int false_positives = 0;
-  const int probes = 20000;
-  for (int i = 0; i < probes; ++i) {
-    if (filter.MaybeContains(rng.Next() | (1ull << 63))) ++false_positives;
-  }
-  const double rate = static_cast<double>(false_positives) / probes;
-  EXPECT_LT(rate, 0.05);
-  EXPECT_LT(filter.EstimatedFalsePositiveRate(), 0.05);
-}
-
-TEST(BloomFrontTest, NegativeLookupSkipsInner) {
-  auto store = std::make_unique<BloomFrontStore>(
-      std::make_unique<SortedRegionTable>());
-  ASSERT_TRUE(store->Add(Region{0x100000, 0x1000, kProtRW}).ok());
-  store->ResetStats();
-  // Far-away address: filter answers definitively.
-  EXPECT_FALSE(store->Lookup(0x900000000ull, 8).has_value());
-  EXPECT_EQ(store->stats().fast_path_hits, 1u);
-}
-
-TEST(BloomFrontTest, RemoveRebuildsFilter) {
-  auto store = std::make_unique<BloomFrontStore>(
-      std::make_unique<SortedRegionTable>());
-  ASSERT_TRUE(store->Add(Region{0x100000, 0x1000, kProtRW}).ok());
-  ASSERT_TRUE(store->Add(Region{0x300000, 0x1000, kProtRead}).ok());
-  ASSERT_TRUE(store->Remove(0x100000).ok());
-  EXPECT_FALSE(store->Lookup(0x100800, 8).has_value());
-  EXPECT_TRUE(store->Lookup(0x300800, 8).has_value());
-}
-
-TEST(CuckooFilterTest, InsertContainsDelete) {
-  CuckooFilter filter(1024);
-  Xoshiro256 rng(3);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 400; ++i) keys.push_back(rng.Next());
-  for (uint64_t key : keys) ASSERT_TRUE(filter.Insert(key));
-  for (uint64_t key : keys) EXPECT_TRUE(filter.Contains(key));
-  EXPECT_EQ(filter.Size(), 400u);
-  // Delete half; the rest must remain, the deleted must (mostly) vanish.
-  for (size_t i = 0; i < keys.size(); i += 2) {
-    EXPECT_TRUE(filter.Delete(keys[i]));
-  }
-  for (size_t i = 1; i < keys.size(); i += 2) {
-    EXPECT_TRUE(filter.Contains(keys[i])) << i;
-  }
-  EXPECT_EQ(filter.Size(), 200u);
-}
-
-TEST(CuckooFilterTest, DuplicateInsertsSurviveOneDelete) {
-  CuckooFilter filter(256);
-  ASSERT_TRUE(filter.Insert(42));
-  ASSERT_TRUE(filter.Insert(42));
-  ASSERT_TRUE(filter.Delete(42));
-  EXPECT_TRUE(filter.Contains(42));  // second copy still present
-  ASSERT_TRUE(filter.Delete(42));
-  EXPECT_FALSE(filter.Contains(42));
-}
-
-TEST(CuckooFilterTest, FalsePositiveRateLow) {
-  CuckooFilter filter(1 << 12);
-  Xoshiro256 rng(4);
-  for (int i = 0; i < 1000; ++i) filter.Insert(rng.Next());
-  int false_positives = 0;
-  const int probes = 20000;
-  for (int i = 0; i < probes; ++i) {
-    if (filter.Contains(rng.Next() | (1ull << 63))) ++false_positives;
-  }
-  EXPECT_LT(static_cast<double>(false_positives) / probes, 0.02);
-}
-
-TEST(CuckooFilterTest, RefusesWhenOverfull) {
-  CuckooFilter filter(64);  // tiny
-  Xoshiro256 rng(5);
-  bool refused = false;
-  for (int i = 0; i < 200 && !refused; ++i) {
-    refused = !filter.Insert(rng.Next());
-  }
-  EXPECT_TRUE(refused);
-  EXPECT_GT(filter.LoadFactor(), 0.85);  // refuses only when nearly full
-}
-
-TEST(CuckooFrontTest, RemoveKeepsSharedPagesVisible) {
-  auto store = std::make_unique<CuckooFrontStore>(
-      std::make_unique<RegionTable64>());
-  // Two regions share the 0x100000 page.
-  ASSERT_TRUE(store->Add(Region{0x100000, 0x200, kProtRW}).ok());
-  ASSERT_TRUE(store->Add(Region{0x100800, 0x200, kProtRead}).ok());
-  ASSERT_TRUE(store->Remove(0x100000).ok());
-  // The second region on the shared page must still be found.
-  EXPECT_TRUE(store->Lookup(0x100900, 8).has_value());
-  EXPECT_FALSE(store->Lookup(0x100000, 8).has_value());
-}
-
-TEST(CuckooFrontTest, NegativeLookupSkipsInner) {
-  auto store = std::make_unique<CuckooFrontStore>(
-      std::make_unique<RegionTable64>());
-  ASSERT_TRUE(store->Add(Region{0x100000, 0x1000, kProtRW}).ok());
-  store->ResetStats();
-  EXPECT_FALSE(store->Lookup(0x900000000ull, 8).has_value());
-  EXPECT_EQ(store->stats().fast_path_hits, 1u);
-}
-
-TEST(CacheStoreTest, RepeatHitsUseCache) {
-  auto store = std::make_unique<SingleEntryCacheStore>(
-      std::make_unique<RegionTable64>());
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x1000, kProtRW}).ok());
-  (void)store->Lookup(0x1100, 8);
-  store->ResetStats();
-  for (int i = 0; i < 10; ++i) (void)store->Lookup(0x1200, 8);
-  EXPECT_EQ(store->stats().fast_path_hits, 10u);
-  // Inner store untouched during cached hits.
-  EXPECT_EQ(store->inner().stats().lookups, 1u);
-}
-
-TEST(CacheStoreTest, MutationInvalidatesCache) {
-  auto store = std::make_unique<SingleEntryCacheStore>(
-      std::make_unique<RegionTable64>());
-  ASSERT_TRUE(store->Add(Region{0x1000, 0x1000, kProtRW}).ok());
-  (void)store->Lookup(0x1100, 8);
-  ASSERT_TRUE(store->Remove(0x1000).ok());
-  EXPECT_FALSE(store->Lookup(0x1100, 8).has_value());
-}
-
-TEST(LshStoreTest, RegionsSpanningBucketsFound) {
-  LshBucketStore store(/*bucket_shift=*/12);  // 4 KiB buckets
-  // Region spanning three buckets.
-  ASSERT_TRUE(store.Add(Region{0x1800, 0x2000, kProtRW}).ok());
-  EXPECT_TRUE(store.Lookup(0x1900, 8).has_value());
-  EXPECT_TRUE(store.Lookup(0x2800, 8).has_value());
-  EXPECT_TRUE(store.Lookup(0x3700, 8).has_value());
-  EXPECT_FALSE(store.Lookup(0x3800, 8).has_value());
-  EXPECT_GE(store.BucketCount(), 3u);
-}
-
-TEST(LshStoreTest, FirstMatchOrderAcrossOverlaps) {
-  LshBucketStore store(12);
-  ASSERT_TRUE(store.Add(Region{0x1000, 0x2000, kProtRW}).ok());
-  ASSERT_TRUE(store.Add(Region{0x1800, 0x2000, kProtRead}).ok());
-  EXPECT_EQ(*store.Lookup(0x1900, 4), kProtRW);  // earlier insertion wins
-  ASSERT_TRUE(store.Remove(0x1000).ok());
-  EXPECT_EQ(*store.Lookup(0x1900, 4), kProtRead);
+  const trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const uint64_t count0 = depth->count();
+  const double sum0 = depth->sum();
+  EXPECT_TRUE(engine_.Guard(9 * 0x1000, 4, kGuardAccessRead));  // last: 10
+  EXPECT_EQ(depth->count(), count0 + 1);
+  EXPECT_EQ(depth->sum(), sum0 + 10);
+  EXPECT_TRUE(engine_.Guard(0, 4, kGuardAccessRead));  // first: 1
+  EXPECT_EQ(depth->sum(), sum0 + 11);
+  EXPECT_FALSE(engine_.Guard(0x50000, 4, kGuardAccessRead));  // miss: all 10
+  EXPECT_EQ(depth->count(), count0 + 3);
+  EXPECT_EQ(depth->sum(), sum0 + 21);
 }
 
 // ------------------------------------------------------------- engine --
@@ -430,8 +184,7 @@ TEST(LshStoreTest, FirstMatchOrderAcrossOverlaps) {
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest()
-      : engine_(&kernel_, std::make_unique<RegionTable64>(),
-                PolicyMode::kDefaultDeny) {
+      : engine_(&kernel_, PolicyMode::kDefaultDeny) {
     engine_.SetViolationAction(ViolationAction::kLogOnly);
   }
   kernel::Kernel kernel_;
@@ -486,13 +239,6 @@ TEST_F(EngineTest, PanicActionThrows) {
   EXPECT_THROW((void)engine_.Guard(0x5000, 8, kGuardAccessRead),
                kernel::KernelPanic);
   EXPECT_TRUE(kernel_.panicked());
-}
-
-TEST_F(EngineTest, SwapStorePreservesPolicy) {
-  ASSERT_TRUE(engine_.store().Add(Region{0x1000, 0x100, kProtRW}).ok());
-  auto old = engine_.SwapStore(std::make_unique<SplayRegionTree>());
-  EXPECT_EQ(engine_.store().name(), "splay-tree");
-  EXPECT_TRUE(engine_.Check(0x1000, 8, kGuardAccessRead));
 }
 
 TEST_F(EngineTest, IntrinsicTableThreeStates) {

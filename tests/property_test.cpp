@@ -2,6 +2,7 @@
 // invariants across modules rather than single behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "kop/e1000e/driver.hpp"
@@ -13,11 +14,7 @@
 #include "kop/net/packet_gun.hpp"
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/policy_module.hpp"
-#include "kop/policy/region_table.hpp"
-#include "kop/policy/rbtree_store.hpp"
 #include "kop/policy/rules.hpp"
-#include "kop/policy/splay_store.hpp"
-#include "kop/policy/sorted_table.hpp"
 #include "kop/signing/sha256.hpp"
 #include "kop/signing/signer.hpp"
 #include "kop/transform/compiler.hpp"
@@ -176,48 +173,82 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(kir::TypeName(info.param.type));
     });
 
-// --------------------------------- differential policy store sequences --
+// ------------------------------- differential region-table sequences --
 
-TEST(PolicyDifferentialProperty, RandomOpsAgreeAcrossStores) {
-  // Drive the linear table (reference) and the non-overlapping stores
-  // through the same random add/remove/lookup sequence built from a
-  // non-overlapping region grid so every store can represent it.
+TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
+  // Drive the engine's table and an in-test reference list through the
+  // same random add/remove/clear/check sequence. Regions sit on a
+  // quarter-page grid with lengths up to four pages, so overlaps are the
+  // norm and first-match order decides; the table also fills to its cap.
+  kernel::Kernel kernel;
+  policy::PolicyEngine engine(&kernel);
+  engine.SetChargeCycles(false);
+  std::vector<policy::Region> reference;  // first-match (insertion) order
   Xoshiro256 rng(2024);
-  policy::RegionTable64 reference;
-  policy::SortedRegionTable sorted;
-  policy::RbTreeRegionStore rbtree;
-  policy::SplayRegionTree splay;
-  std::map<uint64_t, bool> present;  // slot -> in stores
+  auto same_region = [](const policy::Region& a, const policy::Region& b) {
+    return a.base == b.base && a.len == b.len;
+  };
 
-  auto slot_base = [](uint64_t slot) { return 0x40000 + slot * 0x1000; };
-
-  for (int step = 0; step < 3000; ++step) {
-    const uint64_t slot = rng.NextBelow(48);
-    const int action = static_cast<int>(rng.NextBelow(3));
-    if (action == 0 && !present[slot]) {
-      const policy::Region region{slot_base(slot),
-                                  0x400 + rng.NextBelow(0xc00),
-                                  static_cast<uint32_t>(1 + rng.NextBelow(3))};
-      ASSERT_TRUE(reference.Add(region).ok());
-      ASSERT_TRUE(sorted.Add(region).ok());
-      ASSERT_TRUE(rbtree.Add(region).ok());
-      ASSERT_TRUE(splay.Add(region).ok());
-      present[slot] = true;
-    } else if (action == 1 && present[slot]) {
-      ASSERT_TRUE(reference.Remove(slot_base(slot)).ok());
-      ASSERT_TRUE(sorted.Remove(slot_base(slot)).ok());
-      ASSERT_TRUE(rbtree.Remove(slot_base(slot)).ok());
-      ASSERT_TRUE(splay.Remove(slot_base(slot)).ok());
-      present[slot] = false;
+  uint64_t cap_hits = 0;
+  uint64_t overlapped_checks = 0;  // probes more than one region covers
+  for (int step = 0; step < 6000; ++step) {
+    const uint64_t roll = rng.NextBelow(1000);
+    if (roll < 400) {
+      const policy::Region region{0x40000 + rng.NextBelow(64) * 0x400,
+                                  0x100 + rng.NextBelow(0x4000),
+                                  static_cast<uint32_t>(rng.NextBelow(4))};
+      ErrorCode expected = ErrorCode::kOk;
+      if (reference.size() == policy::RegionTable64::kMaxRegions) {
+        expected = ErrorCode::kNoSpace;
+        ++cap_hits;
+      } else {
+        for (const policy::Region& have : reference) {
+          if (same_region(have, region)) expected = ErrorCode::kAlreadyExists;
+        }
+      }
+      ASSERT_EQ(engine.store().Add(region).code(), expected) << step;
+      if (expected == ErrorCode::kOk) reference.push_back(region);
+    } else if (roll < 550) {
+      // Remove by base: the earliest region with that base goes.
+      const uint64_t base = 0x40000 + rng.NextBelow(64) * 0x400;
+      auto it = std::find_if(
+          reference.begin(), reference.end(),
+          [base](const policy::Region& r) { return r.base == base; });
+      const bool present = it != reference.end();
+      ASSERT_EQ(engine.store().Remove(base).ok(), present) << step;
+      if (present) reference.erase(it);
+    } else if (roll < 551) {
+      engine.store().Clear();
+      reference.clear();
+    } else if (roll < 570) {
+      engine.SetMode(engine.mode() == policy::PolicyMode::kDefaultDeny
+                         ? policy::PolicyMode::kDefaultAllow
+                         : policy::PolicyMode::kDefaultDeny);
     } else {
-      const uint64_t addr = 0x40000 + rng.NextBelow(49 * 0x1000);
-      const uint64_t size = 1 + rng.NextBelow(32);
-      const auto expected = reference.Lookup(addr, size);
-      EXPECT_EQ(sorted.Lookup(addr, size), expected) << step;
-      EXPECT_EQ(rbtree.Lookup(addr, size), expected) << step;
-      EXPECT_EQ(splay.Lookup(addr, size), expected) << step;
+      const uint64_t addr = 0x40000 + rng.NextBelow(0x14000);
+      const uint64_t size = 1 + rng.NextBelow(64);
+      const uint64_t flags = 1 + rng.NextBelow(3);  // r, w or rw
+      bool expected = engine.mode() == policy::PolicyMode::kDefaultAllow;
+      int covering = 0;
+      for (const policy::Region& region : reference) {
+        if (region.Contains(addr, size) && covering++ == 0) {
+          expected = region.Allows(flags);
+        }
+      }
+      if (covering > 1) ++overlapped_checks;
+      EXPECT_EQ(engine.Check(addr, size, flags), expected)
+          << "step " << step << " addr=0x" << std::hex << addr
+          << " size=0x" << size << " flags=" << flags;
+    }
+    const std::vector<policy::Region> snapshot = engine.store().Snapshot();
+    ASSERT_EQ(snapshot.size(), reference.size()) << step;
+    for (size_t i = 0; i < snapshot.size(); ++i) {
+      ASSERT_TRUE(same_region(snapshot[i], reference[i])) << step;
     }
   }
+  // The sequence must actually exercise the cap and overlap resolution.
+  EXPECT_GT(cap_hits, 0u);
+  EXPECT_GT(overlapped_checks, 100u);
 }
 
 // -------------------------------------------------- kmalloc invariants --
@@ -405,8 +436,7 @@ TEST(RobustnessProperty, RandomRuleFilesNeverCrashParser) {
     auto spec = policy::ParsePolicyRules(text, names);
     if (spec.ok()) {
       // Whatever parses must apply cleanly to a fresh engine.
-      policy::PolicyEngine engine(&kernel,
-                                  std::make_unique<policy::RegionTable64>());
+      policy::PolicyEngine engine(&kernel);
       (void)policy::ApplyPolicySpec(*spec, engine);
     }
   }

@@ -206,19 +206,19 @@ TEST(SmpTest, PerCpuGuardCountsSumToGlobalExactly) {
   }
 }
 
-// --------------------------------------- inline-guard deopt under swap
+// ---------------------------------- inline-guard deopt under mutation
 
-// Store structure swaps mid-workload must deopt the pinned inline fast
-// path, never corrupt verdicts or counts. Worker CPUs hammer bump()
-// back-to-back while CPU 0 swaps the policy store repeatedly; each swap
-// republishes a frame with a fresh generation while workers hold pins
-// from before the swap, so their next inline guard bails to the slow
-// path (counted once there — totals stay exact) and repins.
-TEST(SmpTest, StoreSwapMidWorkloadDeoptsInlineGuardsAndStaysExact) {
+// Policy mutations mid-workload must deopt the pinned inline fast path,
+// never corrupt verdicts or counts. Worker CPUs hammer bump()
+// back-to-back while CPU 0 adds regions to the table in rounds; each
+// round moves the mutation clock while workers hold pins from before it,
+// so their next inline guard bails to the slow path (counted once there
+// — totals stay exact) and repins.
+TEST(SmpTest, PolicyMutationMidWorkloadDeoptsInlineGuardsAndStaysExact) {
   constexpr uint32_t kCpus = 4;
-  constexpr uint64_t kIters = 20000;  // long calls, so swaps land mid-call
+  constexpr uint64_t kIters = 20000;  // long calls, so mutations land mid-call
   constexpr uint64_t kCallsPerCpu = 12;
-  constexpr int kSwaps = 4;
+  constexpr int kRounds = 4;
   constexpr uint64_t kWorkerCalls = (kCpus - 1) * kCallsPerCpu;
   for (ExecEngine engine : kEngines) {
     Rig rig(engine);
@@ -228,21 +228,22 @@ TEST(SmpTest, StoreSwapMidWorkloadDeoptsInlineGuardsAndStaysExact) {
         trace::GlobalMetrics().GetCounter("guard.deopt")->value();
 
     std::atomic<uint64_t> completed{0};
+    std::atomic<uint64_t> in_flight{0};
     smp::RunOnCpus(kCpus, [&](uint32_t cpu) {
       if (cpu == 0) {
         uint64_t next_sliver = 0x1000;
-        for (int swap = 0; swap < kSwaps; ++swap) {
-          // SwapStore blocks for the RCU grace period, which in-flight
-          // pinned calls hold for their whole duration — so every swap
-          // overlaps the workers' calls by construction.
-          (void)rig.policy->engine().SwapStore(
-              std::make_unique<policy::RegionTable64>());
-          // Distinct per-swap Add counts keep the new store's generation
-          // from ever aliasing a worker's pinned generation (ABA). The
-          // slivers sit in already-denied user space the workload never
-          // touches; bases are globally unique because SwapStore carries
-          // regions over and identical regions are rejected.
-          for (int add = 0; add <= swap; ++add) {
+        for (int round = 0; round < kRounds; ++round) {
+          // Mutate only while some worker holds a pinned call open, so
+          // every round overlaps a call (a round that lands after the
+          // workload drained is harmless but proves nothing).
+          while (in_flight.load(std::memory_order_acquire) == 0 &&
+                 completed.load(std::memory_order_acquire) < kWorkerCalls) {
+            std::this_thread::yield();
+          }
+          // The slivers sit in already-denied user space the workload
+          // never touches; bases are unique because identical regions
+          // are rejected.
+          for (int add = 0; add <= round; ++add) {
             ASSERT_TRUE(rig.policy->engine()
                             .store()
                             .Add(policy::Region{next_sliver, 0x8,
@@ -250,7 +251,7 @@ TEST(SmpTest, StoreSwapMidWorkloadDeoptsInlineGuardsAndStaysExact) {
                             .ok());
             next_sliver += 0x10;
           }
-          // Pace the swaps across the workload: wait for another worker
+          // Pace the rounds across the workload: wait for another worker
           // call to retire (or the whole workload to drain) first.
           const uint64_t seen = completed.load(std::memory_order_acquire);
           while (completed.load(std::memory_order_acquire) == seen &&
@@ -262,9 +263,11 @@ TEST(SmpTest, StoreSwapMidWorkloadDeoptsInlineGuardsAndStaysExact) {
       }
       // Fixed call count (the engine budget is engine-lifetime, not
       // per-call) and no early return: `completed` must always reach
-      // kWorkerCalls or the swapper's pacing wait would never drain.
+      // kWorkerCalls or the mutator's pacing wait would never drain.
       for (uint64_t call = 0; call < kCallsPerCpu; ++call) {
+        in_flight.fetch_add(1, std::memory_order_acq_rel);
         auto result = rig.module->Call("bump", {rig.ScratchSlot(cpu), kIters});
+        in_flight.fetch_sub(1, std::memory_order_acq_rel);
         if (result.ok()) {
           EXPECT_EQ(*result, kIters) << "cpu " << cpu;
         } else {
@@ -279,7 +282,7 @@ TEST(SmpTest, StoreSwapMidWorkloadDeoptsInlineGuardsAndStaysExact) {
     }
 
     // Deopted guards are re-decided (and counted) out of line exactly
-    // once, so the global total stays exact across every swap.
+    // once, so the global total stays exact across every mutation.
     const policy::GuardStats total = rig.policy->engine().stats();
     EXPECT_EQ(total.guard_calls, kWorkerCalls * kIters * 2);
     EXPECT_EQ(total.denied, 0u);
@@ -291,18 +294,16 @@ TEST(SmpTest, StoreSwapMidWorkloadDeoptsInlineGuardsAndStaysExact) {
 
 // ------------------------------------------- policy update atomicity
 
-// A writer CPU rewrites the policy (Clear + Adds, plus periodic
-// SwapStore structure swaps) while reader CPUs sample the frame the
-// guard path decides against. Every sampled frame must equal a store
-// state that existed at some instant of the mutation history — {},
-// {a1}, {a1,a2}, or {b1} — never a state that never existed (old/new
-// unions, reordered subsets). Destroying the swapped-out store while
-// readers are mid-frame must be safe (the grace period; ASan/TSan turn
-// a violation into a hard failure).
+// A writer CPU rewrites the policy (Clear + Adds) while reader CPUs
+// sample the frame the guard path decides against. Every sampled frame
+// must equal a table state that existed at some instant of the mutation
+// history — {}, {a1}, {a1,a2}, or {b1} — never a state that never
+// existed (old/new unions, reordered subsets). Frames retired while
+// readers are mid-frame must stay valid until they leave (the RCU grace
+// period; ASan/TSan turn a violation into a hard failure).
 TEST(SmpTest, ConcurrentPolicyRewritePublishesFullyOldOrFullyNew) {
   Kernel kernel(SmallKernel());
-  policy::PolicyEngine engine(&kernel,
-                              std::make_unique<policy::RegionTable64>());
+  policy::PolicyEngine engine(&kernel);
   engine.SetMode(policy::PolicyMode::kDefaultDeny);
   engine.SetChargeCycles(false);
 
@@ -342,13 +343,6 @@ TEST(SmpTest, ConcurrentPolicyRewritePublishesFullyOldOrFullyNew) {
           engine.store().Clear();
           ASSERT_TRUE(engine.store().Add(a1).ok());
           ASSERT_TRUE(engine.store().Add(a2).ok());
-        }
-        if (i % 16 == 0) {
-          // Structure swap (carries content). The returned old store is
-          // destroyed here, immediately — legal only because SwapStore
-          // blocked for the grace period.
-          (void)engine.SwapStore(
-              std::make_unique<policy::RegionTable64>());
         }
       }
       done.store(true, std::memory_order_release);
