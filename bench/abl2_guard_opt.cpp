@@ -7,14 +7,11 @@
 // counts, dynamic guard executions and simulated cycles.
 #include <cstdio>
 
-#include "kop/kernel/kernel.hpp"
-#include "kop/kernel/module_loader.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
 #include "kop/transform/compiler.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
@@ -36,39 +33,19 @@ Outcome RunVariant(const Variant& variant, uint64_t iterations) {
   kop::transform::CompileOptions options;
   options.coalesce_guards = variant.coalesce;
   options.dominate_guards = variant.dominate;
-  auto compiled = kop::transform::CompileModuleText(
-      kop::kirmods::MemcopySource(), options);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile: %s\n",
-                 compiled.status().ToString().c_str());
-    std::abort();
-  }
-  const auto image = kop::signing::SignModule(
-      compiled->text, compiled->attestation,
-      kop::signing::SigningKey::DevelopmentKey());
-
-  kop::kernel::Kernel kernel;
-  kop::signing::Keyring keyring;
-  keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-  kop::kernel::ModuleLoader loader(&kernel, keyring);
-  auto policy = kop::policy::PolicyModule::Insert(
-      &kernel, nullptr, kop::policy::PolicyMode::kDefaultAllow);
-  auto loaded = loader.Insmod(image);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "insmod: %s\n", loaded.status().ToString().c_str());
-    std::abort();
-  }
+  kop::bench::ModuleRig rig;
+  kop::kernel::LoadedModule* module =
+      rig.Load(kop::kirmods::MemcopySource(), options);
 
   Outcome outcome;
-  outcome.static_guards = compiled->attestation.guard_count;
-  const double start = kernel.clock().NowCycles();
-  (void)(*loaded)->Call("fill", {iterations, 7});
-  auto copied = (*loaded)->Call("copy", {iterations});
-  auto checksum = (*loaded)->Call("checksum", {iterations});
-  outcome.cycles = kernel.clock().NowCycles() - start;
-  outcome.dynamic_guards = (*policy)->engine().stats().guard_calls;
-  outcome.copy_result = copied.ok() ? *copied : 0;
-  outcome.checksum_result = checksum.ok() ? *checksum : 0;
+  outcome.static_guards = module->attestation().guard_count;
+  const double start = rig.kernel().clock().NowCycles();
+  kop::bench::MustCall(*module, "fill", {iterations, 7});
+  outcome.copy_result = kop::bench::MustCall(*module, "copy", {iterations});
+  outcome.checksum_result =
+      kop::bench::MustCall(*module, "checksum", {iterations});
+  outcome.cycles = rig.kernel().clock().NowCycles() - start;
+  outcome.dynamic_guards = rig.policy().stats().guard_calls;
   return outcome;
 }
 

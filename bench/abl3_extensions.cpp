@@ -11,12 +11,11 @@
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/transform/privileged.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
@@ -46,12 +45,6 @@ int main() {
   {
     kop::transform::CompileOptions options;
     options.wrap_privileged_intrinsics = true;
-    auto compiled = kop::transform::CompileModuleText(
-        kop::kirmods::PrivuserSource(), options);
-    if (!compiled.ok()) return 1;
-    const auto image = kop::signing::SignModule(
-        compiled->text, compiled->attestation,
-        kop::signing::SigningKey::DevelopmentKey());
 
     const IntrinsicCase cases[] = {
         {"write_msr", {0x1b, 0xfee00000}, {PrivilegedIntrinsic::kWrmsr}},
@@ -62,23 +55,17 @@ int main() {
     };
     for (bool allowed : {true, false}) {
       for (const IntrinsicCase& c : cases) {
-        kop::kernel::Kernel kernel;
-        kop::signing::Keyring keyring;
-        keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-        kop::kernel::ModuleLoader loader(&kernel, keyring);
-        auto policy = kop::policy::PolicyModule::Insert(
-            &kernel, nullptr, kop::policy::PolicyMode::kDefaultAllow);
+        kop::bench::ModuleRig rig;
         if (allowed) {
           for (PrivilegedIntrinsic intrinsic : c.intrinsics) {
-            (*policy)->engine().AllowIntrinsic(
-                static_cast<uint64_t>(intrinsic));
+            rig.policy().AllowIntrinsic(static_cast<uint64_t>(intrinsic));
           }
         }
-        auto loaded = loader.Insmod(image);
-        if (!loaded.ok()) return 1;
+        kop::kernel::LoadedModule* module =
+            rig.Load(kop::kirmods::PrivuserSource(), options);
         const char* outcome;
         try {
-          auto result = (*loaded)->Call(c.entry_point, c.args);
+          auto result = module->Call(c.entry_point, c.args);
           outcome = result.ok() ? "executed" : "error";
         } catch (const kop::kernel::KernelPanic&) {
           outcome = "BLOCKED (panic)";
@@ -96,12 +83,8 @@ int main() {
   // ---- (b) file/IPC kernel-object protection --------------------------
   std::printf("\n(b) kernel-object protection: inode table & IPC queues\n");
   {
-    kop::kernel::Kernel kernel;
-    kop::signing::Keyring keyring;
-    keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-    kop::kernel::ModuleLoader loader(&kernel, keyring);
-    auto policy = kop::policy::PolicyModule::Insert(
-        &kernel, nullptr, kop::policy::PolicyMode::kDefaultAllow);
+    kop::bench::ModuleRig rig;
+    kop::kernel::Kernel& kernel = rig.kernel();
 
     // Carve out simulated kernel objects in the direct map.
     auto inode_table = kernel.heap().Kmalloc(4096, 64);
@@ -110,18 +93,13 @@ int main() {
     if (!inode_table.ok() || !msg_queue.ok() || !scratch.ok()) return 1;
 
     // Policy: inode table read-only to modules, IPC queue untouchable.
-    (void)(*policy)->engine().store().Add(
+    (void)rig.policy().store().Add(
         kop::policy::Region{*inode_table, 4096, kop::policy::kProtRead});
-    (void)(*policy)->engine().store().Add(
+    (void)rig.policy().store().Add(
         kop::policy::Region{*msg_queue, 1024, kop::policy::kProtNone});
 
-    auto compiled = kop::transform::CompileModuleText(
-        kop::kirmods::ScribblerSource());
-    if (!compiled.ok()) return 1;
-    auto loaded = loader.Insmod(kop::signing::SignModule(
-        compiled->text, compiled->attestation,
-        kop::signing::SigningKey::DevelopmentKey()));
-    if (!loaded.ok()) return 1;
+    kop::kernel::LoadedModule* module =
+        rig.Load(kop::kirmods::ScribblerSource());
 
     struct ObjectCase {
       const char* label;
@@ -140,7 +118,7 @@ int main() {
     for (const ObjectCase& c : cases) {
       const char* outcome;
       try {
-        auto result = (*loaded)->Call(c.entry_point, c.args);
+        auto result = module->Call(c.entry_point, c.args);
         outcome = result.ok() ? "allowed" : "error";
       } catch (const kop::kernel::KernelPanic&) {
         outcome = "blocked";

@@ -4,10 +4,12 @@
 // wall-clock time (not simulated cycles — both engines charge the virtual
 // clock identically) for the knic xmit hot path under both engines,
 // guarded and unguarded. An unguarded module can never pass the insmod
-// validator (attestation must certify guard completeness), so the bench
-// wires the engines directly the way the loader does — kernel address
-// space, module-area globals, real policy engine behind carat_guard —
-// which also lets all four variants share one harness.
+// validator (attestation must certify guard completeness), so every
+// variant runs on a bare engine from the loader's own slot builder
+// (bench::ModuleRig::LoadBare): kernel-backed memory, the kernel
+// resolver, carat_guard_range and the policy module's inline fast path,
+// the guarded images validated first. All four variants share that one
+// call path, so the ratios compare guards, not harnesses.
 //
 // Two kinds of numbers come out:
 //  - end-to-end ns/send on the xmit path: what a driver call costs. Both
@@ -23,24 +25,17 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
-#include "kop/kernel/kernel.hpp"
-#include "kop/kir/bytecode.hpp"
+#include "kop/kernel/module_loader.hpp"
 #include "kop/kir/engine.hpp"
-#include "kop/kir/interp.hpp"
-#include "kop/kir/parser.hpp"
-#include "kop/kir/vm.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/nic/e1000_device.hpp"
-#include "kop/policy/engine.hpp"
 #include "kop/transform/compiler.hpp"
-#include "kop/util/carat_abi.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
@@ -74,167 +69,34 @@ out:
 }
 )";
 
-/// kir memory over the kernel address space, charging the machine model
-/// like the module loader's adapter does.
-class KernelMemory final : public kop::kir::MemoryInterface {
- public:
-  explicit KernelMemory(kop::kernel::Kernel* kernel) : kernel_(kernel) {}
-
-  kop::Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  kop::Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1:
-        return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2:
-        return kernel_->mem().Write16(addr, static_cast<uint16_t>(value));
-      case 4:
-        return kernel_->mem().Write32(addr, static_cast<uint32_t>(value));
-      default:
-        return kernel_->mem().Write64(addr, value);
-    }
-  }
-
- private:
-  kop::kernel::Kernel* kernel_;
-};
-
-/// Guard calls go to the real policy engine; nothing else is resolvable
-/// (knic imports no kernel symbols). Supports both the interpreter's
-/// name-keyed path and the VM's bind-once path.
-class GuardResolver final : public kop::kir::ExternalResolver {
- public:
-  explicit GuardResolver(kop::policy::PolicyEngine* engine)
-      : engine_(engine) {}
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args)
-      override {
-    return CallExternal(name, args, 0);
-  }
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t /*call_ordinal*/) override {
-    if (name == kop::kCaratGuardSymbol && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratIntrinsicGuardSymbol && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    return kop::NotFound("undefined symbol in bench harness: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (name == kop::kCaratGuardSymbol) return uint64_t{0};
-    if (name == kop::kCaratIntrinsicGuardSymbol) return uint64_t{1};
-    return std::nullopt;
-  }
-
-  kop::Result<uint64_t> CallBound(uint64_t handle,
-                                  const std::vector<uint64_t>& args,
-                                  uint64_t /*call_ordinal*/) override {
-    if (handle == 0 && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (handle == 1 && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    return kop::Internal("bad bound handle in bench harness");
-  }
-
- private:
-  kop::policy::PolicyEngine* engine_;
-};
-
-/// One engine wired to its own kernel + device + policy, the way insmod
-/// lays a module out. Kept alive across interleaved timing rounds.
+/// One variant on its own rig (kernel + NIC + policy), kept alive across
+/// interleaved timing rounds.
 struct Harness {
   const char* label;
   bool bytecode;
   bool guards;
 
-  std::unique_ptr<kop::kir::Module> module;  // interpreter walks the IR live
-  std::unique_ptr<kop::kernel::Kernel> kernel;
-  std::unique_ptr<kop::policy::PolicyEngine> policy;
-  std::unique_ptr<kop::nic::CountingSink> sink;
-  std::unique_ptr<kop::nic::E1000Device> device;
-  std::unique_ptr<KernelMemory> memory;
-  std::unique_ptr<GuardResolver> resolver;
-  std::unique_ptr<kop::kir::ExecutionEngine> engine;
-
+  std::unique_ptr<kop::bench::ModuleRig> rig{};
+  kop::kir::ExecutionEngine* engine = nullptr;
   double best_ns = 0.0;
 
-  void Build(const std::string& text) {
-    auto parsed = kop::kir::ParseModule(text);
-    if (!parsed.ok()) std::abort();
-    module = std::move(*parsed);
+  void Build(std::string_view source) {
+    rig = std::make_unique<kop::bench::ModuleRig>(/*with_nic=*/true);
+    kop::transform::CompileOptions options;
+    options.inject_guards = guards;
+    engine = &rig->LoadBare(source, options,
+                            bytecode ? kop::kernel::ExecEngine::kBytecode
+                                     : kop::kernel::ExecEngine::kInterp);
+  }
 
-    kernel = std::make_unique<kop::kernel::Kernel>();
-    policy = std::make_unique<kop::policy::PolicyEngine>(
-        kernel.get(), kop::policy::PolicyMode::kDefaultAllow);
-    sink = std::make_unique<kop::nic::CountingSink>();
-    device = std::make_unique<kop::nic::E1000Device>(&kernel->mem(),
-                                                     sink.get());
-    if (!device->MapAt(kop::kernel::kVmallocBase).ok()) std::abort();
-
-    // Globals and the alloca stack live in the module area, like insmod
-    // lays them out.
-    std::unordered_map<std::string, uint64_t> globals;
-    for (const auto& global : module->globals()) {
-      auto addr = kernel->module_area().Kmalloc(
-          std::max<uint64_t>(global->size_bytes(), 8));
-      if (!addr.ok()) std::abort();
-      globals[global->name()] = *addr;
-    }
-    auto stack = kernel->module_area().Kmalloc(64 * 1024);
-    if (!stack.ok()) std::abort();
-    kop::kir::InterpConfig config;
-    config.stack_base = *stack;
-    config.stack_size = 64 * 1024;
-    config.max_steps = ~uint64_t{0};
-
-    memory = std::make_unique<KernelMemory>(kernel.get());
-    resolver = std::make_unique<GuardResolver>(policy.get());
-    if (bytecode) {
-      auto compiled = kop::kir::CompileToBytecode(*module);
-      if (!compiled.ok()) std::abort();
-      auto vm = kop::kir::VM::Create(std::move(*compiled), *memory,
-                                     *resolver, globals, config);
-      if (!vm.ok()) std::abort();
-      engine = std::move(*vm);
-    } else {
-      engine = std::make_unique<kop::kir::Interpreter>(
-          *module, *memory, *resolver, globals, config);
-    }
+  uint64_t Call(const std::string& fn, const std::vector<uint64_t>& args) {
+    return kop::bench::MustCall(*engine, fn, args);
   }
 
   double TimeCall(const std::string& fn, const std::vector<uint64_t>& args,
                   uint64_t calls) {
     const auto start = Clock::now();
-    for (uint64_t i = 0; i < calls; ++i) (void)engine->Call(fn, args);
+    for (uint64_t i = 0; i < calls; ++i) Call(fn, args);
     return std::chrono::duration<double, std::nano>(Clock::now() - start)
         .count();
   }
@@ -243,19 +105,6 @@ struct Harness {
     best_ns = best_ns == 0.0 ? ns : std::min(best_ns, ns);
   }
 };
-
-std::string GuardedKnic(bool guards) {
-  kop::transform::CompileOptions options;
-  options.inject_guards = guards;
-  auto compiled = kop::transform::CompileModuleText(
-      kop::kirmods::KnicSource(), options);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile: %s\n",
-                 compiled.status().ToString().c_str());
-    std::abort();
-  }
-  return compiled->text;
-}
 
 }  // namespace
 
@@ -275,18 +124,16 @@ int main(int argc, char** argv) {
           std::to_string(rounds) + " interleaved rounds, host wall clock");
 
   Harness variants[4] = {
-      {"interp-guarded", false, true, {}, {}, {}, {}, {}, {}, {}, {}, 0.0},
-      {"interp-unguarded", false, false, {}, {}, {}, {}, {}, {}, {}, {}, 0.0},
-      {"bytecode-guarded", true, true, {}, {}, {}, {}, {}, {}, {}, {}, 0.0},
-      {"bytecode-unguarded", true, false, {}, {}, {}, {}, {}, {}, {}, {}, 0.0},
+      {"interp-guarded", false, true},
+      {"interp-unguarded", false, false},
+      {"bytecode-guarded", true, true},
+      {"bytecode-unguarded", true, false},
   };
-  const std::string guarded_text = GuardedKnic(true);
-  const std::string unguarded_text = GuardedKnic(false);
   const uint64_t mmio = kop::kernel::kVmallocBase;
   for (Harness& h : variants) {
-    h.Build(h.guards ? guarded_text : unguarded_text);
-    (void)h.engine->Call("knic_init", {mmio});
-    (void)h.engine->Call("knic_fill", {64, 0x20});
+    h.Build(kop::kirmods::KnicSource());
+    h.Call("knic_init", {mmio});
+    h.Call("knic_fill", {64, 0x20});
     (void)h.TimeCall("knic_send", {mmio, 64}, sends / 4 + 1);  // warmup
   }
   for (int r = 0; r < rounds; ++r) {
@@ -300,10 +147,9 @@ int main(int argc, char** argv) {
   // module code and must hit each engine the same number of times.
   uint64_t sent[4];
   for (int i = 0; i < 4; ++i) {
-    auto result = variants[i].engine->Call("knic_sent_hw", {mmio});
-    sent[i] = result.ok() ? *result : 0;
-    if (sent[i] != sent[0] ||
-        variants[i].sink->packets() != variants[0].sink->packets()) {
+    sent[i] = variants[i].Call("knic_sent_hw", {mmio});
+    if (sent[i] == 0 || sent[i] != sent[0] ||
+        variants[i].rig->wire_packets() != variants[0].rig->wire_packets()) {
       std::fprintf(stderr, "variant %s changed module behaviour!\n",
                    variants[i].label);
       return 1;
@@ -317,17 +163,15 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 4; ++i) {
     Harness& h = variants[i];
     const double ns_per_send = h.best_ns / static_cast<double>(sends);
+    const auto guard_calls = static_cast<unsigned long long>(
+        h.rig->policy().stats().guard_calls);
+    const auto steps = static_cast<unsigned long long>(h.engine->stats().steps);
     std::printf("%-20s %14.1f %12llu %12llu %10llu\n", h.label, ns_per_send,
-                static_cast<unsigned long long>(h.policy->stats().guard_calls),
-                static_cast<unsigned long long>(h.engine->stats().steps),
-                static_cast<unsigned long long>(sent[i]));
+                guard_calls, steps, static_cast<unsigned long long>(sent[i]));
     char line[192];
     std::snprintf(line, sizeof(line), "xmit,%s,%s,ns_per_send,%.1f,%llu,%llu\n",
                   h.bytecode ? "bytecode" : "interp", h.guards ? "on" : "off",
-                  ns_per_send,
-                  static_cast<unsigned long long>(
-                      h.policy->stats().guard_calls),
-                  static_cast<unsigned long long>(h.engine->stats().steps));
+                  ns_per_send, guard_calls, steps);
     csv += line;
   }
 
@@ -335,8 +179,8 @@ int main(int argc, char** argv) {
   const uint64_t spin_iters = 200000;
   const double spin_steps = 8.0 * static_cast<double>(spin_iters);
   Harness dispatch[2] = {
-      {"interp-dispatch", false, false, {}, {}, {}, {}, {}, {}, {}, {}, 0.0},
-      {"bytecode-dispatch", true, false, {}, {}, {}, {}, {}, {}, {}, {}, 0.0},
+      {"interp-dispatch", false, false},
+      {"bytecode-dispatch", true, false},
   };
   for (Harness& h : dispatch) {
     h.Build(kDispatchSource);

@@ -14,11 +14,10 @@
 #include "kop/analysis/static_verifier.hpp"
 #include "kop/kir/parser.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/signing/signer.hpp"
 #include "kop/signing/validator.hpp"
-#include "kop/transform/compiler.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
@@ -44,22 +43,15 @@ struct Row {
 
 Row Measure(const std::string& name, const std::string& source,
             uint32_t runs) {
-  auto compiled = kop::transform::CompileModuleText(source);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile %s: %s\n", name.c_str(),
-                 compiled.status().ToString().c_str());
-    std::abort();
-  }
-  const auto image = kop::signing::SignModule(
-      compiled->text, compiled->attestation,
-      kop::signing::SigningKey::DevelopmentKey());
-  kop::signing::Keyring keyring;
-  keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
+  const auto image = kop::bench::SignSource(source, {});
+  const kop::signing::Keyring keyring = kop::bench::DevelopmentKeyring();
+  auto parsed = kop::kir::ParseModule(image.module_text);
+  if (!parsed.ok()) kop::bench::Die("parse " + name, parsed.status());
 
   Row row;
   row.name = name;
-  row.insts = compiled->module->InstructionCount();
-  row.accesses = compiled->module->MemoryAccessCount();
+  row.insts = (*parsed)->InstructionCount();
+  row.accesses = (*parsed)->MemoryAccessCount();
 
   // Attestation-only path: the full insmod-time validator (signature,
   // attestation cross-checks, parse + verify).

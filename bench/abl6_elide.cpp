@@ -5,12 +5,14 @@
 //
 // Two parts come out of one binary:
 //
-//  - xmit ratio: the abl4 harness (direct-wired engines over a shared
-//    kernel/NIC/policy floor) extended with the inline-guard fast path:
-//    the resolver forwards PinGuardFrame / FastGuard / FastGuardRange to
-//    the real PolicyEngine exactly the way the module loader's resolver
-//    does, so recognized guard calls run as a pinned-frame range check
-//    inside the engine and only deopts pay the external-call slow path.
+//  - xmit ratio: abl4's harness — every variant on a bare engine from
+//    the loader's own slot builder (bench::ModuleRig::LoadBare), so the
+//    kernel resolver routes recognized guard calls to the policy
+//    module's inline fast path (a pinned-frame range check inside the
+//    engine) and only deopts pay the external-call slow path. The
+//    unguarded baseline cannot pass insmod, and LoadedModule::Call's
+//    transaction would add tens of ns per send to one side of the ratio
+//    only, so guarded and unguarded variants share the bare call path.
 //    Variants: {interp, bytecode} x {unguarded, guarded KOP_ELIDE=off,
 //    guarded KOP_ELIDE=on}. The acceptance ratio is guarded-elide /
 //    unguarded per engine.
@@ -30,228 +32,61 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
-#include "kop/kir/bytecode.hpp"
 #include "kop/kir/engine.hpp"
-#include "kop/kir/interp.hpp"
-#include "kop/kir/parser.hpp"
-#include "kop/kir/vm.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/nic/e1000_device.hpp"
 #include "kop/policy/engine.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
-#include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
-#include "kop/trace/metrics.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
-#include "kop/util/carat_abi.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using kop::bench::ModuleRig;
 using kop::kernel::ExecEngine;
-using kop::kernel::Kernel;
 using kop::kernel::LoadedModule;
-using kop::kernel::ModuleLoader;
 
 // ------------------------------------------------------------ xmit part --
 
-/// kir memory over the kernel address space, charging the machine model
-/// like the module loader's adapter does (same as abl4).
-class KernelMemory final : public kop::kir::MemoryInterface {
- public:
-  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
-
-  kop::Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  kop::Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1:
-        return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2:
-        return kernel_->mem().Write16(addr, static_cast<uint16_t>(value));
-      case 4:
-        return kernel_->mem().Write32(addr, static_cast<uint32_t>(value));
-      default:
-        return kernel_->mem().Write64(addr, value);
-    }
-  }
-
- private:
-  Kernel* kernel_;
-};
-
-/// Guard calls go to the real policy engine. Unlike abl4's resolver this
-/// one also wires the inline fast path: PinGuardFrame / FastGuard /
-/// FastGuardRange forward straight to the engine (PolicyEngine implements
-/// GuardFastOps), so the engines execute kGuardInline / kGuardRange as
-/// pinned-frame checks and only deopts land in CallExternal/CallBound.
-class FastGuardResolver final : public kop::kir::ExternalResolver {
- public:
-  explicit FastGuardResolver(kop::policy::PolicyEngine* engine)
-      : engine_(engine) {}
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args)
-      override {
-    return CallExternal(name, args, 0);
-  }
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t /*call_ordinal*/) override {
-    if (name == kop::kCaratGuardSymbol && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratGuardRangeSymbol && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratIntrinsicGuardSymbol && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    return kop::NotFound("undefined symbol in bench harness: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (name == kop::kCaratGuardSymbol) return uint64_t{0};
-    if (name == kop::kCaratIntrinsicGuardSymbol) return uint64_t{1};
-    if (name == kop::kCaratGuardRangeSymbol) return uint64_t{2};
-    return std::nullopt;
-  }
-
-  kop::Result<uint64_t> CallBound(uint64_t handle,
-                                  const std::vector<uint64_t>& args,
-                                  uint64_t /*call_ordinal*/) override {
-    if (handle == 0 && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (handle == 1 && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    if (handle == 2 && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    return kop::Internal("bad bound handle in bench harness");
-  }
-
-  bool PinGuardFrame() override { return engine_->PinFrame(); }
-  void UnpinGuardFrame() override { engine_->UnpinFrame(); }
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                 uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuard(addr, size, flags, 0);
-  }
-  bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
-                      uint64_t elided, uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuardRange(addr, size, flags, elided, 0);
-  }
-
- private:
-  kop::policy::PolicyEngine* engine_;
-};
-
-/// One engine wired to its own kernel + device + policy (same layout as
-/// abl4's harness; kept alive across interleaved timing rounds).
+/// One variant on its own rig (kernel + NIC + policy), kept alive across
+/// interleaved timing rounds.
 struct XmitHarness {
   const char* label;
   bool bytecode;
   bool guards;
   bool elide;
 
-  std::unique_ptr<kop::kir::Module> module{};
-  std::unique_ptr<Kernel> kernel{};
-  std::unique_ptr<kop::policy::PolicyEngine> policy{};
-  std::unique_ptr<kop::nic::CountingSink> sink{};
-  std::unique_ptr<kop::nic::E1000Device> device{};
-  std::unique_ptr<KernelMemory> memory{};
-  std::unique_ptr<FastGuardResolver> resolver{};
-  std::unique_ptr<kop::kir::ExecutionEngine> engine{};
-
+  std::unique_ptr<ModuleRig> rig{};
+  kop::kir::ExecutionEngine* engine = nullptr;
   double best_ns = 0.0;
 
-  void Build(const std::string& text) {
-    auto parsed = kop::kir::ParseModule(text);
-    if (!parsed.ok()) std::abort();
-    module = std::move(*parsed);
+  void Build() {
+    rig = std::make_unique<ModuleRig>(/*with_nic=*/true);
+    kop::transform::CompileOptions options;
+    options.inject_guards = guards;
+    options.elide_guards = elide;
+    engine = &rig->LoadBare(kop::kirmods::KnicSource(), options,
+                            bytecode ? ExecEngine::kBytecode
+                                     : ExecEngine::kInterp);
+  }
 
-    kernel = std::make_unique<Kernel>();
-    policy = std::make_unique<kop::policy::PolicyEngine>(
-        kernel.get(), kop::policy::PolicyMode::kDefaultAllow);
-    sink = std::make_unique<kop::nic::CountingSink>();
-    device =
-        std::make_unique<kop::nic::E1000Device>(&kernel->mem(), sink.get());
-    if (!device->MapAt(kop::kernel::kVmallocBase).ok()) std::abort();
-
-    std::unordered_map<std::string, uint64_t> globals;
-    for (const auto& global : module->globals()) {
-      auto addr = kernel->module_area().Kmalloc(
-          std::max<uint64_t>(global->size_bytes(), 8));
-      if (!addr.ok()) std::abort();
-      globals[global->name()] = *addr;
-    }
-    auto stack = kernel->module_area().Kmalloc(64 * 1024);
-    if (!stack.ok()) std::abort();
-    kop::kir::InterpConfig config;
-    config.stack_base = *stack;
-    config.stack_size = 64 * 1024;
-    config.max_steps = ~uint64_t{0};
-
-    memory = std::make_unique<KernelMemory>(kernel.get());
-    resolver = std::make_unique<FastGuardResolver>(policy.get());
-    if (bytecode) {
-      auto compiled = kop::kir::CompileToBytecode(*module);
-      if (!compiled.ok()) std::abort();
-      auto vm = kop::kir::VM::Create(std::move(*compiled), *memory, *resolver,
-                                     globals, config);
-      if (!vm.ok()) std::abort();
-      engine = std::move(*vm);
-    } else {
-      engine = std::make_unique<kop::kir::Interpreter>(
-          *module, *memory, *resolver, globals, config);
-    }
+  uint64_t Call(const std::string& fn, const std::vector<uint64_t>& args) {
+    return kop::bench::MustCall(*engine, fn, args);
   }
 
   double TimeCall(const std::string& fn, const std::vector<uint64_t>& args,
                   uint64_t calls) {
     const auto start = Clock::now();
-    for (uint64_t i = 0; i < calls; ++i) (void)engine->Call(fn, args);
+    for (uint64_t i = 0; i < calls; ++i) Call(fn, args);
     return std::chrono::duration<double, std::nano>(Clock::now() - start)
         .count();
   }
@@ -260,19 +95,6 @@ struct XmitHarness {
     best_ns = best_ns == 0.0 ? ns : std::min(best_ns, ns);
   }
 };
-
-std::string CompileKnic(bool guards, bool elide) {
-  kop::transform::CompileOptions options;
-  options.inject_guards = guards;
-  options.elide_guards = elide;
-  auto compiled =
-      kop::transform::CompileModuleText(kop::kirmods::KnicSource(), options);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile: %s\n", compiled.status().ToString().c_str());
-    std::abort();
-  }
-  return compiled->text;
-}
 
 // ------------------------------------------------------------- smp part --
 
@@ -306,45 +128,28 @@ out:
 constexpr uint32_t kMaxCpus = 8;
 constexpr uint64_t kStripeBytes = 512;
 
+/// A rig with one module-area stripe per CPU allowed in the policy,
+/// then the module loaded and `cpus` execution contexts prepared.
 struct SmpRig {
-  std::unique_ptr<Kernel> kernel;
-  std::unique_ptr<kop::policy::PolicyModule> policy;
-  std::unique_ptr<ModuleLoader> loader;
+  ModuleRig rig;
   LoadedModule* module = nullptr;
   uint64_t stripes[kMaxCpus] = {};
 
-  bool Build(ExecEngine engine, uint32_t cpus,
-             const kop::signing::SignedModule& image) {
-    kernel = std::make_unique<Kernel>();
-    auto inserted = kop::policy::PolicyModule::Insert(
-        kernel.get(), nullptr, kop::policy::PolicyMode::kDefaultAllow);
-    if (!inserted.ok()) return false;
-    policy = std::move(*inserted);
+  SmpRig(ExecEngine engine, uint32_t cpus, bool elide) {
     for (uint32_t cpu = 0; cpu < kMaxCpus; ++cpu) {
-      auto addr = kernel->heap().Kmalloc(kStripeBytes, 64);
-      if (!addr.ok()) return false;
+      auto addr = rig.kernel().heap().Kmalloc(kStripeBytes, 64);
+      if (!addr.ok()) kop::bench::Die("stripe", addr.status());
       stripes[cpu] = *addr;
-      if (!policy->engine()
-               .store()
-               .Add({*addr, kStripeBytes, kop::policy::kProtRW})
-               .ok()) {
-        return false;
-      }
+      kop::Status added = rig.policy().store().Add(
+          {*addr, kStripeBytes, kop::policy::kProtRW});
+      if (!added.ok()) kop::bench::Die("stripe region", added);
     }
-    kop::signing::Keyring keyring;
-    keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-    loader = std::make_unique<ModuleLoader>(kernel.get(), std::move(keyring));
-    loader->set_engine(engine);
-    auto loaded = loader->Insmod(image);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "insmod failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return false;
-    }
-    module = *loaded;
-    if (cpus > 1 && !loader->PrepareCpus(cpus).ok()) return false;
+    kop::transform::CompileOptions options;
+    options.elide_guards = elide;
+    module = rig.Load(kSmpSource, options, engine);
+    kop::Status prepared = rig.loader().PrepareCpus(cpus);
+    if (!prepared.ok()) kop::bench::Die("prepare cpus", prepared);
     kop::trace::GlobalTracer().ring().SetShards(cpus);
-    return true;
   }
 };
 
@@ -361,53 +166,31 @@ struct SmpMeasurement {
   }
 };
 
-bool RunSmpCalls(LoadedModule* module, uint64_t stripe, uint64_t calls,
+void RunSmpCalls(LoadedModule* module, uint64_t stripe, uint64_t calls,
                  uint64_t iters) {
   for (uint64_t c = 0; c < calls; ++c) {
-    auto result = module->Call("pump", {stripe, iters});
-    if (!result.ok()) {
-      std::fprintf(stderr, "pump failed: %s\n",
-                   result.status().ToString().c_str());
-      return false;
-    }
+    kop::bench::MustCall(*module, "pump", {stripe, iters});
   }
-  return true;
 }
 
 SmpMeasurement MeasureSmp(SmpRig& rig, uint32_t cpus, uint64_t calls,
                           uint64_t iters) {
-  auto& engine = rig.policy->engine();
-  auto& clock = rig.kernel->clock();
+  auto& engine = rig.rig.policy();
+  auto& clock = rig.rig.kernel().clock();
   const kop::policy::GuardStats before = engine.stats();
   const double max_before = clock.MaxCycles();
   const auto start = Clock::now();
-  std::vector<bool> ok(cpus, false);
   kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-    ok[cpu] = RunSmpCalls(rig.module, rig.stripes[cpu], calls, iters);
+    RunSmpCalls(rig.module, rig.stripes[cpu], calls, iters);
   });
   SmpMeasurement m;
   m.wall_ns =
       std::chrono::duration<double, std::nano>(Clock::now() - start).count();
-  for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
-    if (!ok[cpu]) return m;  // guards = 0 marks the failure
-  }
   const kop::policy::GuardStats after = engine.stats();
   m.guards = after.guard_calls - before.guard_calls;
   m.elided = after.elided - before.elided;
   m.max_cycles = clock.MaxCycles() - max_before;
   return m;
-}
-
-kop::signing::SignedModule SignSmp(bool elide) {
-  kop::transform::CompileOptions options;
-  options.elide_guards = elide;
-  auto compiled = kop::transform::CompileModuleText(kSmpSource, options);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile: %s\n", compiled.status().ToString().c_str());
-    std::abort();
-  }
-  return kop::signing::SignModule(compiled->text, compiled->attestation,
-                                  kop::signing::SigningKey::DevelopmentKey());
 }
 
 }  // namespace
@@ -439,9 +222,9 @@ int main(int argc, char** argv) {
   };
   const uint64_t mmio = kop::kernel::kVmallocBase;
   for (XmitHarness& h : variants) {
-    h.Build(CompileKnic(h.guards, h.elide));
-    (void)h.engine->Call("knic_init", {mmio});
-    (void)h.engine->Call("knic_fill", {64, 0x20});
+    h.Build();
+    h.Call("knic_init", {mmio});
+    h.Call("knic_fill", {64, 0x20});
     (void)h.TimeCall("knic_send", {mmio, 64}, sends / 4 + 1);  // warmup
   }
   // Interleaved rounds, min kept: a noisy co-tenant burst lands on every
@@ -454,10 +237,10 @@ int main(int argc, char** argv) {
   // Correctness anchor: every variant moved the same frames.
   uint64_t sent0 = 0;
   for (XmitHarness& h : variants) {
-    auto result = h.engine->Call("knic_sent_hw", {mmio});
-    const uint64_t sent = result.ok() ? *result : 0;
+    const uint64_t sent = h.Call("knic_sent_hw", {mmio});
     if (sent0 == 0) sent0 = sent;
-    if (sent != sent0 || h.sink->packets() != variants[0].sink->packets()) {
+    if (sent != sent0 ||
+        h.rig->wire_packets() != variants[0].rig->wire_packets()) {
       std::fprintf(stderr, "variant %s changed module behaviour!\n", h.label);
       return 1;
     }
@@ -470,7 +253,7 @@ int main(int argc, char** argv) {
       "workload,engine,elide,guards,cpus,unit,value,guard_calls,elided\n";
   for (XmitHarness& h : variants) {
     const double ns_per_send = h.best_ns / static_cast<double>(sends);
-    const auto stats = h.policy->stats();
+    const auto stats = h.rig->policy().stats();
     std::printf("%-20s %14.1f %12llu %12llu\n", h.label, ns_per_send,
                 static_cast<unsigned long long>(stats.guard_calls),
                 static_cast<unsigned long long>(stats.elided));
@@ -505,18 +288,14 @@ int main(int argc, char** argv) {
   for (ExecEngine engine : engines) {
     const std::string engine_str(kop::kernel::ExecEngineName(engine));
     for (int elide = 0; elide < 2; ++elide) {
-      const auto image = SignSmp(elide != 0);
       for (uint32_t cpus : cpu_points) {
-        SmpRig rig;
-        if (!rig.Build(engine, cpus, image)) return 1;
+        SmpRig rig(engine, cpus, elide != 0);
         kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-          (void)RunSmpCalls(rig.module, rig.stripes[cpu], calls / 4 + 1,
-                            iters);
+          RunSmpCalls(rig.module, rig.stripes[cpu], calls / 4 + 1, iters);
         });
         SmpMeasurement best;
         for (int r = 0; r < smp_rounds; ++r) {
           SmpMeasurement m = MeasureSmp(rig, cpus, calls, iters);
-          if (m.guards == 0) return 1;
           if (best.guards == 0 || m.wall_ns < best.wall_ns) best = m;
         }
         std::printf("%-9s %-6s %4u %12llu %10llu %16.3f\n",
@@ -548,11 +327,7 @@ int main(int argc, char** argv) {
   // Acceptance: bytecode guarded-with-elision within 1.3x of unguarded.
   // KOP_ABL6_GATE loosens the wall-clock gate for noisy shared runners
   // (CI smoke); the default 1.3 is the paper-facing local acceptance.
-  double gate = 1.3;
-  if (const char* env = std::getenv("KOP_ABL6_GATE")) {
-    gate = std::atof(env);
-    if (gate <= 0.0) gate = 1.3;
-  }
+  const double gate = GateEnv("KOP_ABL6_GATE", 1.3);
   if (bytecode_ratio_on > gate) {
     std::fprintf(stderr,
                  "ACCEPTANCE MISS: bytecode guarded/unguarded ratio %.3f > "

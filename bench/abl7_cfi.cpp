@@ -3,12 +3,12 @@
 // the bytecode engine versus the same guarded module compiled with
 // KOP_CFI=off.
 //
-// Harness shape follows abl6's xmit half: direct-wired engines over a
-// shared kernel/policy floor, resolver forwarding both the guard fast
-// ops and the CFI fast op (FastCfiCheck) to the real PolicyEngine, so a
-// recognized kCfiCheck runs as a pinned-frame binary search and only
-// deopts pay the external-call slow path — exactly the module loader's
-// wiring. The workload is an indirect-dispatch transmit: every xmit
+// Both legs pass insmod, so every variant is a signed module loaded
+// through bench::ModuleRig and timed through LoadedModule::Call: insmod
+// registers the attested legal-target sets, and the kernel resolver
+// routes a recognized kCfiCheck to the policy module's inline fast path
+// (a pinned-frame binary search); only deopts pay the external-call slow
+// path. The workload is an indirect-dispatch transmit: every xmit
 // resolves its op handler through a vtable (one icall, one CFI check
 // when gating is on) and the handler fills the tx buffer with a guarded
 // store loop (~64 guards). That 1:64 check-to-guard density is the knic
@@ -19,159 +19,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "kop/kernel/kernel.hpp"
-#include "kop/kir/bytecode.hpp"
-#include "kop/kir/engine.hpp"
-#include "kop/kir/interp.hpp"
-#include "kop/kir/module.hpp"
-#include "kop/kir/parser.hpp"
-#include "kop/kir/vm.hpp"
-#include "kop/policy/engine.hpp"
+#include "kop/kernel/module_loader.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/transform/compiler.hpp"
-#include "kop/util/carat_abi.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using kop::kernel::Kernel;
-
-/// kir memory over the kernel address space, charging the machine model
-/// like the module loader's adapter does (same as abl4/abl6).
-class KernelMemory final : public kop::kir::MemoryInterface {
- public:
-  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
-
-  kop::Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  kop::Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1:
-        return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2:
-        return kernel_->mem().Write16(addr, static_cast<uint16_t>(value));
-      case 4:
-        return kernel_->mem().Write32(addr, static_cast<uint32_t>(value));
-      default:
-        return kernel_->mem().Write64(addr, value);
-    }
-  }
-
- private:
-  Kernel* kernel_;
-};
-
-/// Guard and CFI calls go to the real policy engine, fast paths
-/// included: PinGuardFrame / FastGuard / FastGuardRange / FastCfiCheck
-/// forward straight to the engine the way the module loader's resolver
-/// does, so kCfiCheck resolves as a pinned-frame membership test and
-/// only deopts land in CallExternal/CallBound.
-class CfiGuardResolver final : public kop::kir::ExternalResolver {
- public:
-  explicit CfiGuardResolver(kop::policy::PolicyEngine* engine)
-      : engine_(engine) {}
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args)
-      override {
-    return CallExternal(name, args, 0);
-  }
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t /*call_ordinal*/) override {
-    if (name == kop::kCaratGuardSymbol && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratGuardRangeSymbol && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratIntrinsicGuardSymbol && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratCfiCheckSymbol && args.size() == 2) {
-      return uint64_t{engine_->CfiCheck(args[0], args[1]) ? 1u : 0u};
-    }
-    return kop::NotFound("undefined symbol in bench harness: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (name == kop::kCaratGuardSymbol) return uint64_t{0};
-    if (name == kop::kCaratIntrinsicGuardSymbol) return uint64_t{1};
-    if (name == kop::kCaratGuardRangeSymbol) return uint64_t{2};
-    if (name == kop::kCaratCfiCheckSymbol) return uint64_t{3};
-    return std::nullopt;
-  }
-
-  kop::Result<uint64_t> CallBound(uint64_t handle,
-                                  const std::vector<uint64_t>& args,
-                                  uint64_t /*call_ordinal*/) override {
-    if (handle == 0 && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (handle == 1 && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    if (handle == 2 && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    if (handle == 3 && args.size() == 2) {
-      return uint64_t{engine_->CfiCheck(args[0], args[1]) ? 1u : 0u};
-    }
-    return kop::Internal("bad bound handle in bench harness");
-  }
-
-  bool PinGuardFrame() override { return engine_->PinFrame(); }
-  void UnpinGuardFrame() override { engine_->UnpinFrame(); }
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                 uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuard(addr, size, flags, 0);
-  }
-  bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
-                      uint64_t elided, uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuardRange(addr, size, flags, elided, 0);
-  }
-  bool FastCfiCheck(uint64_t target, uint64_t set_id,
-                    uint64_t /*call_ordinal*/) override {
-    return engine_->FastCfiCheck(target, set_id, 0);
-  }
-
- private:
-  kop::policy::PolicyEngine* engine_;
-};
 
 /// Indirect-dispatch transmit: xmit resolves the op handler through a
 /// vtable (the icall the CFI pass gates) and @op_copy fills the tx
@@ -240,95 +100,32 @@ entry:
 }
 )";
 
-/// One engine wired to its own kernel + policy (kept alive across
-/// interleaved timing rounds). CFI-on legs register the attested
-/// legal-target sets with the engine the way insmod does: member names
-/// resolve to simulated function addresses through the module's own
-/// function table.
+/// One variant on its own rig, kept alive across interleaved timing
+/// rounds.
 struct XmitHarness {
   const char* label;
   bool bytecode;
   bool cfi;
 
-  std::unique_ptr<kop::kir::Module> module{};
-  std::unique_ptr<Kernel> kernel{};
-  std::unique_ptr<kop::policy::PolicyEngine> policy{};
-  std::unique_ptr<KernelMemory> memory{};
-  std::unique_ptr<CfiGuardResolver> resolver{};
-  std::unique_ptr<kop::kir::ExecutionEngine> engine{};
-
+  std::unique_ptr<kop::bench::ModuleRig> rig{};
+  kop::kernel::LoadedModule* module = nullptr;
   double best_ns = 0.0;
 
   void Build() {
+    rig = std::make_unique<kop::bench::ModuleRig>();
     kop::transform::CompileOptions options;
     options.inject_cfi_checks = cfi;
-    auto compiled = kop::transform::CompileModuleText(kKnicSource, options);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "compile: %s\n",
-                   compiled.status().ToString().c_str());
-      std::abort();
-    }
-    auto parsed = kop::kir::ParseModule(compiled->text);
-    if (!parsed.ok()) std::abort();
-    module = std::move(*parsed);
-
-    kernel = std::make_unique<Kernel>();
-    policy = std::make_unique<kop::policy::PolicyEngine>(
-        kernel.get(), kop::policy::PolicyMode::kDefaultAllow);
-
-    if (cfi) {
-      // Insmod's registration step, inlined: attested member names ->
-      // simulated function addresses -> engine-global set table. A
-      // fresh engine rebases to 0, which matches the set ids the
-      // compiler burned into the checks.
-      std::vector<std::vector<uint64_t>> sets;
-      for (const auto& set : compiled->attestation.cfi_sets) {
-        std::vector<uint64_t> members;
-        for (const std::string& name : set.members) {
-          const int index = module->FunctionIndex(name);
-          if (index < 0) std::abort();
-          members.push_back(kop::kir::FunctionAddressForIndex(
-              static_cast<size_t>(index)));
-        }
-        sets.push_back(std::move(members));
-      }
-      if (policy->RegisterCfiSets(sets) != 0) std::abort();
-    }
-
-    std::unordered_map<std::string, uint64_t> globals;
-    for (const auto& global : module->globals()) {
-      auto addr = kernel->module_area().Kmalloc(
-          std::max<uint64_t>(global->size_bytes(), 8));
-      if (!addr.ok()) std::abort();
-      globals[global->name()] = *addr;
-    }
-    auto stack = kernel->module_area().Kmalloc(64 * 1024);
-    if (!stack.ok()) std::abort();
-    kop::kir::InterpConfig config;
-    config.stack_base = *stack;
-    config.stack_size = 64 * 1024;
-    config.max_steps = ~uint64_t{0};
-
-    memory = std::make_unique<KernelMemory>(kernel.get());
-    resolver = std::make_unique<CfiGuardResolver>(policy.get());
-    if (bytecode) {
-      auto bc = kop::kir::CompileToBytecode(*module);
-      if (!bc.ok()) std::abort();
-      auto vm = kop::kir::VM::Create(std::move(*bc), *memory, *resolver,
-                                     globals, config);
-      if (!vm.ok()) std::abort();
-      engine = std::move(*vm);
-    } else {
-      engine = std::make_unique<kop::kir::Interpreter>(
-          *module, *memory, *resolver, globals, config);
-    }
+    module = rig->Load(kKnicSource, options,
+                       bytecode ? kop::kernel::ExecEngine::kBytecode
+                                : kop::kernel::ExecEngine::kInterp);
   }
 
   double TimeCall(uint64_t calls) {
+    // The engine's step budget spans its lifetime; a round starts afresh.
+    module->ResetExecStats();
     const auto start = Clock::now();
     for (uint64_t i = 0; i < calls; ++i) {
-      auto result = engine->Call("knic_xmit", {0, 64, 0x5A});
-      if (!result.ok() || *result != 64) {
+      if (kop::bench::MustCall(*module, "knic_xmit", {0, 64, 0x5A}) != 64) {
         std::fprintf(stderr, "%s: xmit failed\n", label);
         std::abort();
       }
@@ -368,12 +165,7 @@ int main(int argc, char** argv) {
   };
   for (XmitHarness& h : variants) {
     h.Build();
-    auto init = h.engine->Call("knic_init", {});
-    if (!init.ok()) {
-      std::fprintf(stderr, "%s: init failed: %s\n", h.label,
-                   init.status().ToString().c_str());
-      return 1;
-    }
+    MustCall(*h.module, "knic_init", {});
     (void)h.TimeCall(sends / 4 + 1);  // warmup
   }
   for (int r = 0; r < rounds; ++r) {
@@ -385,8 +177,7 @@ int main(int argc, char** argv) {
   // honest module — every variant transmitted the same frame count.
   uint64_t sent0 = 0;
   for (XmitHarness& h : variants) {
-    auto result = h.engine->Call("knic_sent", {});
-    const uint64_t sent = result.ok() ? *result : 0;
+    const uint64_t sent = MustCall(*h.module, "knic_sent", {});
     if (sent0 == 0) sent0 = sent;
     if (sent == 0 || sent != sent0) {
       std::fprintf(stderr, "variant %s changed module behaviour!\n", h.label);
@@ -401,9 +192,9 @@ int main(int argc, char** argv) {
       "workload,engine,cfi,unit,value,guard_calls,cfi_checks,cfi_denied\n";
   for (XmitHarness& h : variants) {
     const double ns_per_xmit = h.best_ns / static_cast<double>(sends);
-    const auto stats = h.policy->stats();
-    // Any denial here is a harness bug: the module is honest and the
-    // sets were registered, so checks must all pass.
+    const auto stats = h.rig->policy().stats();
+    // Any denial here is a bug: the module is honest and insmod
+    // registered its sets, so checks must all pass.
     if (stats.cfi_denied != 0) {
       std::fprintf(stderr, "%s: unexpected CFI denial\n", h.label);
       return 1;
@@ -441,11 +232,7 @@ int main(int argc, char** argv) {
   // Acceptance: bytecode CFI overhead on guarded xmit <= 5%.
   // KOP_ABL7_GATE loosens the wall-clock gate for noisy shared runners
   // (CI smoke); the default 1.05 is the paper-facing local acceptance.
-  double gate = 1.05;
-  if (const char* env = std::getenv("KOP_ABL7_GATE")) {
-    gate = std::atof(env);
-    if (gate <= 0.0) gate = 1.05;
-  }
+  const double gate = GateEnv("KOP_ABL7_GATE", 1.05);
   if (bytecode_ratio > gate) {
     std::fprintf(stderr,
                  "ACCEPTANCE MISS: bytecode cfi-on/cfi-off ratio %.3f > "

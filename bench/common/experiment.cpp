@@ -30,6 +30,20 @@ kernel::KernelConfig BenchKernelConfig(const sim::MachineModel& machine) {
   return config;
 }
 
+/// Strict count parse shared by BenchArgs and PositionalArg.
+bool ParseCount(const char* text, uint64_t min, uint64_t max,
+                uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const uint64_t value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 Rig::Rig(const RigConfig& config) : config_(config) {
@@ -182,11 +196,22 @@ void PrintFigureHeader(const std::string& figure, const std::string& title,
 BenchArgs BenchArgs::Parse(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      args.trials = static_cast<uint32_t>(std::strtoul(argv[i] + 9,
-                                                       nullptr, 10));
-    } else if (std::strncmp(argv[i], "--packets=", 10) == 0) {
-      args.packets = std::strtoull(argv[i] + 10, nullptr, 10);
+    const char* arg = argv[i];
+    uint64_t value = 0;
+    bool ok = false;
+    if (std::strncmp(arg, "--trials=", 9) == 0) {
+      ok = ParseCount(arg + 9, 1, UINT32_MAX, &value);
+      args.trials = static_cast<uint32_t>(value);
+    } else if (std::strncmp(arg, "--packets=", 10) == 0) {
+      ok = ParseCount(arg + 10, 1, UINT64_MAX, &value);
+      args.packets = value;
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "%s: bad argument '%s'\n"
+                   "usage: %s [--trials=N] [--packets=N]\n",
+                   argv[0], arg, argv[0]);
+      std::exit(2);
     }
   }
   return args;
@@ -195,14 +220,23 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
 uint64_t PositionalArg(int argc, char** argv, int index, uint64_t fallback,
                        const char* usage, uint64_t min) {
   if (index >= argc) return fallback;
-  const char* text = argv[index];
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t value = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE || value < min) {
+  uint64_t value = 0;
+  if (!ParseCount(argv[index], min, UINT64_MAX, &value)) {
     std::fprintf(stderr, "%s: bad argument %d '%s'\nusage: %s %s\n", argv[0],
-                 index, text, argv[0], usage);
+                 index, argv[index], argv[0], usage);
+    std::exit(2);
+  }
+  return value;
+}
+
+double GateEnv(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  char* end = nullptr;
+  const double value = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+    std::fprintf(stderr, "bad %s='%s': want a finite number > 0\n", name,
+                 env);
     std::exit(2);
   }
   return value;

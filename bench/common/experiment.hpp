@@ -84,8 +84,10 @@ std::string RenderCdfTable(const std::vector<CdfSeries>& series,
 void PrintFigureHeader(const std::string& figure, const std::string& title,
                        const std::string& setup);
 
-/// Parse "--trials=N --packets=N" style overrides (very small parser for
-/// the bench binaries; unknown flags are ignored).
+/// "--trials=N --packets=N" overrides. Each value goes through the same
+/// check as PositionalArg (a plain decimal integer >= 1 that fits); an
+/// unknown flag, junk, a sign, overflow or a zero count prints a usage
+/// line and exits 2.
 struct BenchArgs {
   uint32_t trials = 31;
   uint64_t packets = 20000;
@@ -99,6 +101,11 @@ struct BenchArgs {
 /// never runs a silently empty bench.
 uint64_t PositionalArg(int argc, char** argv, int index, uint64_t fallback,
                        const char* usage, uint64_t min = 1);
+
+/// Wall-clock gate from environment variable `name`, or `fallback` when
+/// unset. A value that is not a finite number > 0 exits 2: a mistyped
+/// gate must not silently disable (or tighten) an acceptance check.
+double GateEnv(const char* name, double fallback);
 
 /// Write `content` to bench_results/<name> (best effort; prints a note).
 void WriteResultsFile(const std::string& name, const std::string& content);

@@ -17,6 +17,7 @@
 // single-digit-percent overhead for the full stack — the journal records
 // only RAM stores (a handful per send) and the watchdog is one counter
 // compare per step.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -26,20 +27,15 @@
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/nic/e1000_device.hpp"
-#include "kop/nic/packet_sink.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
-#include "kop/transform/compiler.hpp"
+#include "kop/resilience/recovery.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using kop::kernel::Kernel;
 using kop::kernel::LoadedModule;
-using kop::kernel::ModuleLoader;
 
 struct Variant {
   const char* label;
@@ -48,57 +44,31 @@ struct Variant {
 
   // Built by Build(); the initializers let the variant table below name
   // only the three config fields.
-  std::unique_ptr<Kernel> kernel{};
-  std::unique_ptr<kop::policy::PolicyModule> policy{};
-  std::unique_ptr<ModuleLoader> loader{};
-  std::unique_ptr<kop::nic::CountingSink> sink{};
-  std::unique_ptr<kop::nic::E1000Device> nic{};
+  std::unique_ptr<kop::bench::ModuleRig> rig{};
   LoadedModule* module = nullptr;
   double best_ns = 0.0;
 
-  bool Build(const kop::signing::SignedModule& image) {
-    kernel = std::make_unique<Kernel>();
-    auto inserted = kop::policy::PolicyModule::Insert(
-        kernel.get(), nullptr, kop::policy::PolicyMode::kDefaultAllow);
-    if (!inserted.ok()) return false;
-    policy = std::move(*inserted);
-    kop::signing::Keyring keyring;
-    keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-    loader = std::make_unique<ModuleLoader>(kernel.get(), std::move(keyring));
-    loader->set_engine(kop::kernel::ExecEngine::kBytecode);
-    sink = std::make_unique<kop::nic::CountingSink>();
-    nic = std::make_unique<kop::nic::E1000Device>(&kernel->mem(), sink.get());
-    if (!nic->MapAt(kop::kernel::kVmallocBase).ok()) return false;
-    auto loaded = loader->Insmod(image);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s: insmod failed: %s\n", label,
-                   loaded.status().ToString().c_str());
-      return false;
-    }
-    module = *loaded;
+  void Build() {
+    rig = std::make_unique<kop::bench::ModuleRig>(/*with_nic=*/true);
+    module = rig->Load(kop::kirmods::KnicSource(), {},
+                       kop::kernel::ExecEngine::kBytecode);
     module->set_journaling_enabled(journal);
     module->set_watchdog_steps(watchdog ? kop::resilience::DefaultWatchdogSteps()
                                         : 0);
-    return true;
   }
 
   double TimeSends(uint64_t sends) {
     const uint64_t mmio = kop::kernel::kVmallocBase;
     const auto start = Clock::now();
     for (uint64_t i = 0; i < sends; ++i) {
-      auto result = module->Call("knic_send", {mmio, 64});
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s: send failed: %s\n", label,
-                     result.status().ToString().c_str());
-        return -1.0;
-      }
+      kop::bench::MustCall(*module, "knic_send", {mmio, 64});
     }
     return std::chrono::duration<double, std::nano>(Clock::now() - start)
         .count();
   }
 
   void KeepBest(double ns) {
-    if (ns > 0 && (best_ns == 0.0 || ns < best_ns)) best_ns = ns;
+    best_ns = best_ns == 0.0 ? ns : std::min(best_ns, ns);
   }
 };
 
@@ -110,16 +80,6 @@ int main(int argc, char** argv) {
   const uint64_t sends = PositionalArg(argc, argv, 1, 20000, usage);
   const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 7, usage));
 
-  auto compiled = kop::transform::CompileModuleText(kop::kirmods::KnicSource());
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile failed: %s\n",
-                 compiled.status().ToString().c_str());
-    return 1;
-  }
-  const auto image = kop::signing::SignModule(
-      compiled->text, compiled->attestation,
-      kop::signing::SigningKey::DevelopmentKey());
-
   Variant variants[] = {
       {"pr2-baseline", false, false},
       {"watchdog-only", false, true},
@@ -128,9 +88,9 @@ int main(int argc, char** argv) {
   };
   const uint64_t mmio = kop::kernel::kVmallocBase;
   for (Variant& v : variants) {
-    if (!v.Build(image)) return 1;
-    (void)v.module->Call("knic_init", {mmio});
-    (void)v.module->Call("knic_fill", {64, 0x20});
+    v.Build();
+    kop::bench::MustCall(*v.module, "knic_init", {mmio});
+    kop::bench::MustCall(*v.module, "knic_fill", {64, 0x20});
     (void)v.TimeSends(sends / 4 + 1);  // warmup
   }
   for (int r = 0; r < rounds; ++r) {
@@ -141,7 +101,7 @@ int main(int argc, char** argv) {
   // the journaling variants committed one transaction per call with no
   // rollbacks (this is the fault-free path).
   for (const Variant& v : variants) {
-    if (v.sink->packets() != variants[0].sink->packets()) {
+    if (v.rig->wire_packets() != variants[0].rig->wire_packets()) {
       std::fprintf(stderr, "%s changed module behaviour!\n", v.label);
       return 1;
     }

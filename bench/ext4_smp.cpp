@@ -22,29 +22,25 @@
 // <= 2% regression of the 1-CPU SMP dispatch vs baseline-direct.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/trace.hpp"
-#include "kop/transform/compiler.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
 using WallClock = std::chrono::steady_clock;
+using kop::bench::Die;
 using kop::kernel::ExecEngine;
-using kop::kernel::Kernel;
 using kop::kernel::LoadedModule;
-using kop::kernel::ModuleLoader;
 
 constexpr uint32_t kMaxCpus = 8;
 constexpr uint64_t kStripeBytes = 512;
@@ -87,98 +83,66 @@ struct Measurement {
   }
 };
 
-// One kernel + policy + loader + module, with per-CPU target stripes
-// carved out of the kernel heap.
+// One module rig with per-CPU target stripes carved out of the kernel
+// heap, the module loaded and `cpus` execution contexts prepared.
 struct Rig {
-  std::unique_ptr<Kernel> kernel;
-  std::unique_ptr<kop::policy::PolicyModule> policy;
-  std::unique_ptr<ModuleLoader> loader;
+  kop::bench::ModuleRig rig;
   LoadedModule* module = nullptr;
   uint64_t stripes[kMaxCpus] = {};
 
-  bool Build(ExecEngine engine, const Shape& shape, uint32_t cpus,
-             const kop::signing::SignedModule& image) {
-    kernel = std::make_unique<Kernel>();
-    auto inserted = kop::policy::PolicyModule::Insert(
-        kernel.get(), nullptr, kop::policy::PolicyMode::kDefaultAllow);
-    if (!inserted.ok()) return false;
-    policy = std::move(*inserted);
+  Rig(ExecEngine engine, const Shape& shape, uint32_t cpus) {
+    kop::kernel::Kernel& kernel = rig.kernel();
+    auto& table = rig.policy().store();
     // The table shape is fixed across CPU counts so only concurrency
     // varies between sweep points.
     if (shape.partitioned) {
       for (uint32_t cpu = 0; cpu < kMaxCpus; ++cpu) {
-        auto addr = kernel->heap().Kmalloc(kStripeBytes, 64);
-        if (!addr.ok()) return false;
+        auto addr = kernel.heap().Kmalloc(kStripeBytes, 64);
+        if (!addr.ok()) Die("stripe", addr.status());
         stripes[cpu] = *addr;
-        if (!policy->engine()
-                 .store()
-                 .Add({*addr, kStripeBytes, kop::policy::kProtRW})
-                 .ok()) {
-          return false;
-        }
+        kop::Status added =
+            table.Add({*addr, kStripeBytes, kop::policy::kProtRW});
+        if (!added.ok()) Die("stripe region", added);
       }
     } else {
-      auto block = kernel->heap().Kmalloc(kStripeBytes * kMaxCpus, 64);
-      if (!block.ok()) return false;
+      auto block = kernel.heap().Kmalloc(kStripeBytes * kMaxCpus, 64);
+      if (!block.ok()) Die("stripes", block.status());
       for (uint32_t cpu = 0; cpu < kMaxCpus; ++cpu) {
         stripes[cpu] = *block + cpu * kStripeBytes;
       }
-      if (!policy->engine()
-               .store()
-               .Add({*block, kStripeBytes * kMaxCpus, kop::policy::kProtRW})
-               .ok()) {
-        return false;
-      }
+      kop::Status added = table.Add(
+          {*block, kStripeBytes * kMaxCpus, kop::policy::kProtRW});
+      if (!added.ok()) Die("stripe region", added);
     }
-    kop::signing::Keyring keyring;
-    keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-    loader = std::make_unique<ModuleLoader>(kernel.get(), std::move(keyring));
-    loader->set_engine(engine);
-    auto loaded = loader->Insmod(image);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "insmod failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return false;
-    }
-    module = *loaded;
-    if (cpus > 1 && !loader->PrepareCpus(cpus).ok()) return false;
+    module = rig.Load(kBenchSource, {}, engine);
+    kop::Status prepared = rig.loader().PrepareCpus(cpus);
+    if (!prepared.ok()) Die("prepare cpus", prepared);
     kop::trace::GlobalTracer().ring().SetShards(cpus);
-    return true;
   }
 };
 
-bool RunCalls(LoadedModule* module, uint64_t stripe, uint64_t calls,
+void RunCalls(LoadedModule* module, uint64_t stripe, uint64_t calls,
               uint64_t iters) {
   for (uint64_t c = 0; c < calls; ++c) {
-    auto result = module->Call("bump", {stripe, iters});
-    if (!result.ok()) {
-      std::fprintf(stderr, "bump failed: %s\n",
-                   result.status().ToString().c_str());
-      return false;
-    }
+    kop::bench::MustCall(*module, "bump", {stripe, iters});
   }
-  return true;
 }
 
 Measurement MeasureSmp(Rig& rig, uint32_t cpus, uint64_t calls,
                        uint64_t iters) {
-  auto& engine = rig.policy->engine();
-  auto& clock = rig.kernel->clock();
+  auto& engine = rig.rig.policy();
+  auto& clock = rig.rig.kernel().clock();
   const uint64_t guards_before = engine.stats().guard_calls;
   const double max_before = clock.MaxCycles();
   const double total_before = clock.TotalCycles();
   const auto start = WallClock::now();
-  std::vector<bool> ok(cpus, false);
   kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-    ok[cpu] = RunCalls(rig.module, rig.stripes[cpu], calls, iters);
+    RunCalls(rig.module, rig.stripes[cpu], calls, iters);
   });
   Measurement m;
   m.wall_ns =
       std::chrono::duration<double, std::nano>(WallClock::now() - start)
           .count();
-  for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
-    if (!ok[cpu]) return m;  // guards = 0 marks the failure
-  }
   m.guards = engine.stats().guard_calls - guards_before;
   m.max_cycles = clock.MaxCycles() - max_before;
   m.total_cycles = clock.TotalCycles() - total_before;
@@ -186,17 +150,16 @@ Measurement MeasureSmp(Rig& rig, uint32_t cpus, uint64_t calls,
 }
 
 Measurement MeasureDirect(Rig& rig, uint64_t calls, uint64_t iters) {
-  auto& engine = rig.policy->engine();
-  auto& clock = rig.kernel->clock();
+  auto& engine = rig.rig.policy();
+  auto& clock = rig.rig.kernel().clock();
   const uint64_t guards_before = engine.stats().guard_calls;
   const double max_before = clock.MaxCycles();
   const auto start = WallClock::now();
-  const bool ok = RunCalls(rig.module, rig.stripes[0], calls, iters);
+  RunCalls(rig.module, rig.stripes[0], calls, iters);
   Measurement m;
   m.wall_ns =
       std::chrono::duration<double, std::nano>(WallClock::now() - start)
           .count();
-  if (!ok) return m;
   m.guards = engine.stats().guard_calls - guards_before;
   m.max_cycles = clock.MaxCycles() - max_before;
   m.total_cycles = m.max_cycles;
@@ -211,16 +174,6 @@ int main(int argc, char** argv) {
   const uint64_t calls = PositionalArg(argc, argv, 1, 200, usage);
   const uint64_t iters = PositionalArg(argc, argv, 2, 500, usage);
   const int rounds = static_cast<int>(PositionalArg(argc, argv, 3, 3, usage));
-
-  auto compiled = kop::transform::CompileModuleText(kBenchSource);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile failed: %s\n",
-                 compiled.status().ToString().c_str());
-    return 1;
-  }
-  const auto image = kop::signing::SignModule(
-      compiled->text, compiled->attestation,
-      kop::signing::SigningKey::DevelopmentKey());
 
   const ExecEngine engines[] = {ExecEngine::kBytecode, ExecEngine::kInterp};
   const Shape shapes[] = {{"partitioned", true}, {"contended", false}};
@@ -245,12 +198,10 @@ int main(int argc, char** argv) {
     // minimum; virtual cycles are deterministic so one round would do.
     Measurement direct;
     for (const Shape& shape : shapes) {
-      Rig rig;
-      if (!rig.Build(engine, shape, 1, image)) return 1;
-      (void)RunCalls(rig.module, rig.stripes[0], calls / 4 + 1, iters);
+      Rig rig(engine, shape, 1);
+      RunCalls(rig.module, rig.stripes[0], calls / 4 + 1, iters);
       for (int r = 0; r < rounds; ++r) {
         Measurement m = MeasureDirect(rig, calls, iters);
-        if (m.guards == 0) return 1;
         if (direct.guards == 0 || m.wall_ns < direct.wall_ns) {
           if (shape.partitioned) direct = m;
         }
@@ -271,16 +222,14 @@ int main(int argc, char** argv) {
     for (const Shape& shape : shapes) {
       double base_throughput = 0;
       for (uint32_t cpus : cpu_points) {
-        Rig rig;
-        if (!rig.Build(engine, shape, cpus, image)) return 1;
+        Rig rig(engine, shape, cpus);
         // Warmup primes every CPU's context and publishes the frame.
         kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-          (void)RunCalls(rig.module, rig.stripes[cpu], calls / 4 + 1, iters);
+          RunCalls(rig.module, rig.stripes[cpu], calls / 4 + 1, iters);
         });
         Measurement best;
         for (int r = 0; r < rounds; ++r) {
           Measurement m = MeasureSmp(rig, cpus, calls, iters);
-          if (m.guards == 0) return 1;
           if (best.guards == 0 || m.wall_ns < best.wall_ns) best = m;
         }
         const double throughput = best.GuardsPerKcycle();

@@ -24,7 +24,6 @@
 // engine name — the one sanctioned difference — is normalized.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,72 +33,39 @@
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
 #include "kop/kirmods/corpus.hpp"
-#include "kop/nic/e1000_device.hpp"
-#include "kop/nic/packet_sink.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
-#include "kop/transform/compiler.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
 using WallClock = std::chrono::steady_clock;
 using kop::kernel::ExecEngine;
-using kop::kernel::Kernel;
 using kop::kernel::LoadedModule;
-using kop::kernel::ModuleLoader;
 
 // One independent guarded-knic testbed per CPU: the SMP leg measures
 // instrumentation under concurrency, not cross-CPU sharing, so each CPU
 // gets its own kernel + NIC + policy and its own virtual clock.
 struct CpuRig {
-  std::unique_ptr<Kernel> kernel;
-  std::unique_ptr<kop::policy::PolicyModule> policy;
-  std::unique_ptr<ModuleLoader> loader;
-  std::unique_ptr<kop::nic::CountingSink> sink;
-  std::unique_ptr<kop::nic::E1000Device> nic;
+  std::unique_ptr<kop::bench::ModuleRig> rig;
   LoadedModule* module = nullptr;
 
-  bool Build(ExecEngine engine, const kop::signing::SignedModule& image) {
-    kernel = std::make_unique<Kernel>();
-    auto inserted = kop::policy::PolicyModule::Insert(
-        kernel.get(), nullptr, kop::policy::PolicyMode::kDefaultAllow);
-    if (!inserted.ok()) return false;
-    policy = std::move(*inserted);
-    kop::signing::Keyring keyring;
-    keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-    loader = std::make_unique<ModuleLoader>(kernel.get(), std::move(keyring));
-    loader->set_engine(engine);
-    sink = std::make_unique<kop::nic::CountingSink>();
-    nic = std::make_unique<kop::nic::E1000Device>(&kernel->mem(), sink.get());
-    if (!nic->MapAt(kop::kernel::kVmallocBase).ok()) return false;
-    auto loaded = loader->Insmod(image);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "insmod failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return false;
-    }
-    module = *loaded;
-    (void)module->Call("knic_init", {kop::kernel::kVmallocBase});
-    (void)module->Call("knic_fill", {64, 0x20});
-    return true;
+  void Build(ExecEngine engine) {
+    rig = std::make_unique<kop::bench::ModuleRig>(/*with_nic=*/true);
+    module = rig->Load(kop::kirmods::KnicSource(), {}, engine);
+    kop::bench::MustCall(*module, "knic_init", {kop::kernel::kVmallocBase});
+    kop::bench::MustCall(*module, "knic_fill", {64, 0x20});
   }
 
-  bool Sends(uint64_t sends) {
+  void Sends(uint64_t sends) {
     for (uint64_t i = 0; i < sends; ++i) {
-      auto result = module->Call("knic_send", {kop::kernel::kVmallocBase, 64});
-      if (!result.ok()) {
-        std::fprintf(stderr, "send failed: %s\n",
-                     result.status().ToString().c_str());
-        return false;
-      }
+      kop::bench::MustCall(*module, "knic_send",
+                           {kop::kernel::kVmallocBase, 64});
     }
-    return true;
   }
 };
 
@@ -112,20 +78,17 @@ struct Measurement {
 Measurement Measure(std::vector<CpuRig>& rigs, uint32_t cpus, uint64_t sends) {
   std::vector<double> before(cpus);
   for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
-    before[cpu] = rigs[cpu].kernel->clock().MaxCycles();
+    before[cpu] = rigs[cpu].rig->kernel().clock().MaxCycles();
   }
-  std::vector<bool> ok(cpus, false);
   const auto start = WallClock::now();
-  kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-    ok[cpu] = rigs[cpu].Sends(sends);
-  });
+  kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) { rigs[cpu].Sends(sends); });
   const double wall_ns =
       std::chrono::duration<double, std::nano>(WallClock::now() - start)
           .count();
   Measurement m;
   for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
-    if (!ok[cpu]) return m;
-    const double cycles = rigs[cpu].kernel->clock().MaxCycles() - before[cpu];
+    const double cycles =
+        rigs[cpu].rig->kernel().clock().MaxCycles() - before[cpu];
     m.cycles_per_send =
         std::max(m.cycles_per_send, cycles / static_cast<double>(sends));
   }
@@ -196,16 +159,6 @@ int main(int argc, char** argv) {
   const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 3, usage));
   const uint64_t seed = PositionalArg(argc, argv, 3, 7, usage, /*min=*/0);
 
-  auto compiled = kop::transform::CompileModuleText(kop::kirmods::KnicSource());
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile failed: %s\n",
-                 compiled.status().ToString().c_str());
-    return 1;
-  }
-  const auto image = kop::signing::SignModule(
-      compiled->text, compiled->attestation,
-      kop::signing::SigningKey::DevelopmentKey());
-
   const ExecEngine engines[] = {ExecEngine::kBytecode, ExecEngine::kInterp};
   const uint32_t cpu_points[] = {1, 8};
 
@@ -229,18 +182,15 @@ int main(int argc, char** argv) {
       Measurement off, on;
       for (const bool spans_on : {false, true}) {
         std::vector<CpuRig> rigs(cpus);
-        for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
-          if (!rigs[cpu].Build(engine, image)) return 1;
-        }
+        for (CpuRig& rig : rigs) rig.Build(engine);
         kop::trace::GlobalTracer().ring().SetShards(cpus);
         kop::trace::GlobalSpans().SetEnabled(spans_on);
         kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-          (void)rigs[cpu].Sends(sends / 4 + 1);  // warmup
+          rigs[cpu].Sends(sends / 4 + 1);  // warmup
         });
         Measurement& leg = spans_on ? on : off;
         for (int r = 0; r < rounds; ++r) {
           Measurement m = Measure(rigs, cpus, sends);
-          if (!m.ok) return 1;
           if (!leg.ok) {
             leg = m;
           } else if (m.wall_ns_per_send < leg.wall_ns_per_send) {

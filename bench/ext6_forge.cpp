@@ -27,8 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,11 +36,9 @@
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
 #include "kop/kir/coverage.hpp"
-#include "kop/policy/policy_module.hpp"
-#include "kop/signing/signer.hpp"
-#include "kop/transform/compiler.hpp"
 
 #include "common/experiment.hpp"
+#include "common/module_rig.hpp"
 
 namespace {
 
@@ -50,18 +46,10 @@ using WallClock = std::chrono::steady_clock;
 using kop::fault::ForgeConfig;
 using kop::fault::ForgeReport;
 using kop::fault::PolicyFamily;
+using kop::bench::GateEnv;
+using kop::bench::MustCall;
 using kop::kernel::ExecEngine;
-using kop::kernel::Kernel;
 using kop::kernel::LoadedModule;
-using kop::kernel::ModuleLoader;
-
-double GateEnv(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double value = std::atof(env);
-    if (value > 0.0) return value;
-  }
-  return fallback;
-}
 
 double Seconds(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
@@ -70,48 +58,19 @@ double Seconds(WallClock::time_point start) {
 /// One guarded testbed around the forge target module, bytecode engine
 /// (the only engine with coverage hooks).
 struct DispatchRig {
-  std::unique_ptr<Kernel> kernel;
-  std::unique_ptr<kop::policy::PolicyModule> policy;
-  std::unique_ptr<ModuleLoader> loader;
-  LoadedModule* module = nullptr;
+  kop::bench::ModuleRig rig;
+  LoadedModule* module = rig.Load(kop::fault::ForgeTargetSource(), {},
+                                  ExecEngine::kBytecode);
 
-  bool Build() {
-    kernel = std::make_unique<Kernel>();
-    auto inserted = kop::policy::PolicyModule::Insert(
-        kernel.get(), nullptr, kop::policy::PolicyMode::kDefaultAllow);
-    if (!inserted.ok()) return false;
-    policy = std::move(*inserted);
-    kop::signing::Keyring keyring;
-    keyring.Trust(kop::signing::SigningKey::DevelopmentKey());
-    loader = std::make_unique<ModuleLoader>(kernel.get(), std::move(keyring));
-    loader->set_engine(ExecEngine::kBytecode);
-    auto compiled =
-        kop::transform::CompileModuleText(kop::fault::ForgeTargetSource());
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "compile failed: %s\n",
-                   compiled.status().ToString().c_str());
-      return false;
-    }
-    auto loaded = loader->Insmod(kop::signing::SignModule(
-        compiled->text, compiled->attestation,
-        kop::signing::SigningKey::DevelopmentKey()));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "insmod failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return false;
-    }
-    module = *loaded;
-    return module->Call("fg_init", {}).ok();
-  }
+  DispatchRig() { MustCall(*module, "fg_init", {}); }
 
   // The branchy loop: fg_mix takes 8 iterations with a data-dependent
   // branch each, so every call crosses ~20 control-flow edges — the
   // densest coverage traffic the target offers.
-  bool Calls(uint64_t calls) {
+  void Calls(uint64_t calls) {
     for (uint64_t i = 0; i < calls; ++i) {
-      if (!module->Call("fg_mix", {i * 3 + 1, 0xa5}).ok()) return false;
+      MustCall(*module, "fg_mix", {i * 3 + 1, 0xa5});
     }
-    return true;
   }
 };
 
@@ -125,19 +84,18 @@ DispatchLeg MeasureDispatch(kop::kir::CoverageMap* sink, uint64_t calls,
                             int rounds) {
   DispatchLeg leg;
   DispatchRig rig;
-  if (!rig.Build()) return leg;
-  if (!rig.Calls(calls / 4 + 1)) return leg;  // warmup
+  rig.Calls(calls / 4 + 1);  // warmup
   kop::kir::ScopedCoverage arm(sink);
   // Cycles from round 1 (deterministic, directly comparable across
   // legs and builds); later rounds only chase the best wall time.
   for (int r = 0; r < rounds; ++r) {
-    const double cycles_before = rig.kernel->clock().MaxCycles();
+    const double cycles_before = rig.rig.kernel().clock().MaxCycles();
     const auto start = WallClock::now();
-    if (!rig.Calls(calls)) return leg;
+    rig.Calls(calls);
     const double wall_ns = Seconds(start) * 1e9 / calls;
     if (!leg.ok) {
       leg.cycles_per_call =
-          (rig.kernel->clock().MaxCycles() - cycles_before) / calls;
+          (rig.rig.kernel().clock().MaxCycles() - cycles_before) / calls;
       leg.wall_ns_per_call = wall_ns;
       leg.ok = true;
     } else {
@@ -221,10 +179,6 @@ int main(int argc, char** argv) {
   kop::kir::CoverageMap map;
   const DispatchLeg disarmed = MeasureDispatch(nullptr, calls, rounds);
   const DispatchLeg armed = MeasureDispatch(&map, calls, rounds);
-  if (!disarmed.ok || !armed.ok) {
-    std::fprintf(stderr, "dispatch measurement failed\n");
-    return 1;
-  }
   const double overhead_pct =
       (armed.wall_ns_per_call - disarmed.wall_ns_per_call) /
       disarmed.wall_ns_per_call * 100.0;

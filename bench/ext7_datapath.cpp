@@ -26,7 +26,6 @@
 //   - guarded/raw elapsed-cycles ratio <= 1.3x at every point
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -189,10 +188,7 @@ int main(int argc, char** argv) {
 
   // KOP_EXT7_GATE overrides the 8-CPU speedup floor (CI smokes run far
   // fewer bursts, where fixed probe cost eats into scaling).
-  double min_speedup = 6.0;
-  if (const char* gate = std::getenv("KOP_EXT7_GATE")) {
-    min_speedup = std::atof(gate);
-  }
+  const double min_speedup = kop::bench::GateEnv("KOP_EXT7_GATE", 6.0);
 
   const uint32_t queue_points[] = {1, 4, 8};
   const uint32_t cpu_points[] = {1, 2, 4, 8};

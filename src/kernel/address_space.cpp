@@ -16,9 +16,12 @@ std::string HexRange(uint64_t base, uint64_t size) {
   return buf;
 }
 
+bool ValidAccessSize(uint64_t size) {
+  return size == 1 || size == 2 || size == 4 || size == 8;
+}
+
 bool ValidMmioAccess(uint64_t addr, uint64_t size) {
-  return (size == 1 || size == 2 || size == 4 || size == 8) &&
-         IsAligned(addr, size);
+  return ValidAccessSize(size) && IsAligned(addr, size);
 }
 
 }  // namespace
@@ -190,6 +193,24 @@ Status AddressSpace::Write32(uint64_t addr, uint32_t value) {
 }
 Status AddressSpace::Write64(uint64_t addr, uint64_t value) {
   return Write(addr, &value, sizeof(value));
+}
+
+Result<uint64_t> AddressSpace::Load(uint64_t addr, uint32_t size) const {
+  if (!ValidAccessSize(size)) {
+    return InvalidArgument("load of " + std::to_string(size) +
+                           " bytes must be a 1/2/4/8-byte unit");
+  }
+  uint64_t value = 0;  // little-endian host: the low bytes are the value
+  KOP_RETURN_IF_ERROR(Read(addr, &value, size));
+  return value;
+}
+
+Status AddressSpace::Store(uint64_t addr, uint64_t value, uint32_t size) {
+  if (!ValidAccessSize(size)) {
+    return InvalidArgument("store of " + std::to_string(size) +
+                           " bytes must be a 1/2/4/8-byte unit");
+  }
+  return Write(addr, &value, size);
 }
 
 Status AddressSpace::Memset(uint64_t addr, uint8_t value, uint64_t size) {

@@ -75,6 +75,13 @@ class AddressSpace {
   Status Write32(uint64_t addr, uint32_t value);
   Status Write64(uint64_t addr, uint64_t value);
 
+  /// Sized access for load/store instructions: `size` must be 1, 2, 4 or
+  /// 8 (kInvalidArgument otherwise). Load zero-extends; Store writes the
+  /// low `size` bytes of `value`. Same map, permission and MMIO rules as
+  /// Read/Write.
+  Result<uint64_t> Load(uint64_t addr, uint32_t size) const;
+  Status Store(uint64_t addr, uint64_t value, uint32_t size);
+
   /// Zero-fill a RAM range.
   Status Memset(uint64_t addr, uint8_t value, uint64_t size);
 

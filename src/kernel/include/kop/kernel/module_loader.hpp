@@ -130,6 +130,52 @@ struct HeapLedger {
   smp::PerCpu<std::vector<uint64_t>> call_new_;  // per-CPU open-call subset
 };
 
+/// One simulated CPU's execution context for a module: kernel-backed
+/// memory wrapped in the write journal, the kernel resolver (exported
+/// symbols, guard-site attribution, the registered GuardFastOps fast
+/// path), a private frame stack and an engine. Module globals, the
+/// kernel heap and the exported-symbol table are shared across slots.
+struct ModuleSlot {
+  std::unique_ptr<kir::MemoryInterface> memory;
+  std::unique_ptr<resilience::JournaledMemory> journaled;
+  std::unique_ptr<kir::ExternalResolver> resolver;
+  std::unique_ptr<kir::ExecutionEngine> engine;
+  uint32_t call_depth = 0;  // re-entry via exported module symbols
+};
+
+/// What every slot of one module is built from.
+struct SlotRecipe {
+  const kir::Module* ir = nullptr;  // must outlive the slot
+  ExecEngine engine = ExecEngine::kBytecode;
+  /// Global name -> simulated address (see LayoutGlobals).
+  std::unordered_map<std::string, uint64_t> addresses;
+  /// Module-wide call ordinal -> registered guard-site token.
+  std::unordered_map<uint64_t, uint64_t> site_tokens;
+  /// Engine-global base the module-local CFI set ids are rebased by.
+  uint64_t cfi_base = 0;
+  HeapLedger* ledger = nullptr;                 // kmalloc/kfree ownership
+  const std::atomic<bool>* stop_flag = nullptr;  // cross-CPU stop request
+  /// Stack fields are ignored: every slot gets its own frame stack.
+  kir::InterpConfig config;
+};
+
+/// Lay `ir`'s globals out in the module area: one zeroed block per global
+/// (at least 8 bytes, 16-aligned) holding its initializer. Every block is
+/// appended to `allocations`; returns global name -> address.
+Result<std::unordered_map<std::string, uint64_t>> LayoutGlobals(
+    Kernel* kernel, const kir::Module& ir, std::vector<uint64_t>* allocations);
+
+/// The loader's one slot builder: Insmod builds slot 0 and PrepareCpus
+/// every later slot through it, and it is the only place kernel-backed
+/// memory is paired with the kernel resolver. The slot's frame stack is
+/// allocated from the module area and appended to `allocations`. The
+/// returned engine is bare — calling it directly opens no transaction and
+/// runs no containment (that is LoadedModule::Call's job) — which is how
+/// benches time an unguarded baseline that Insmod refuses to load.
+Result<std::unique_ptr<ModuleSlot>> BuildModuleSlot(
+    Kernel* kernel, const SlotRecipe& recipe,
+    std::vector<uint64_t>* allocations);
+
 class LoadedModule {
  public:
   ~LoadedModule();
@@ -277,21 +323,9 @@ class LoadedModule {
   friend class ModuleLoader;
   LoadedModule() = default;
 
-  /// One simulated CPU's execution context. Engine, frame stack, write
-  /// journal and resolver are private to the CPU; module globals, the
-  /// kernel heap, and the exported-symbol table are shared across slots.
-  /// Slot 0 is built by Insmod (the boot CPU); PrepareCpus adds the rest.
-  struct CpuSlot {
-    std::unique_ptr<kir::MemoryInterface> memory;
-    std::unique_ptr<resilience::JournaledMemory> journaled;
-    std::unique_ptr<kir::ExternalResolver> resolver;
-    std::unique_ptr<kir::ExecutionEngine> engine;
-    uint32_t call_depth = 0;  // re-entry via exported module symbols
-  };
-
   /// The calling CPU's slot; CPUs beyond prepared_cpus() fall back to
   /// slot 0 (callers must PrepareCpus before fanning out).
-  CpuSlot& MySlot() {
+  ModuleSlot& MySlot() {
     const uint32_t cpu = smp::CurrentCpu();
     return cpu < slots_.size() ? *slots_[cpu] : *slots_[0];
   }
@@ -303,7 +337,7 @@ class LoadedModule {
   /// in-flight call aborts at its next memory access and unwinds on its
   /// own CPU); losers report the violation and return without touching
   /// the state machine. `violation` is non-null for guard violations.
-  Result<uint64_t> Contain(CpuSlot& slot, resilience::RollbackReason reason,
+  Result<uint64_t> Contain(ModuleSlot& slot, resilience::RollbackReason reason,
                            const std::string& what,
                            const GuardViolation* violation);
 
@@ -314,7 +348,7 @@ class LoadedModule {
   /// module already restarted return Ok without consuming budget.
   Status TryRestart();
 
-  size_t RollbackJournal(CpuSlot& slot, resilience::RollbackReason reason);
+  size_t RollbackJournal(ModuleSlot& slot, resilience::RollbackReason reason);
 
   /// Stamp the LastEvent pair (`reason` must be a string literal — the
   /// pointer is stored as-is and read lock-free by procfs).
@@ -324,7 +358,7 @@ class LoadedModule {
   /// to the global store. Fired at the containment seams: the Contain
   /// winner (before recovery runs), the in-module panic unwind, and
   /// restart-budget exhaustion.
-  void CapturePostmortem(CpuSlot& slot, const char* reason,
+  void CapturePostmortem(ModuleSlot& slot, const char* reason,
                          const std::string& what,
                          const GuardViolation* violation,
                          const char* recovery);
@@ -342,19 +376,13 @@ class LoadedModule {
   Kernel* kernel_ = nullptr;
   std::unique_ptr<kir::Module> ir_;
   transform::AttestationRecord attestation_;
-  std::map<std::string, uint64_t> global_addresses_;
   std::vector<uint64_t> allocations_;  // module-area blocks to free
   std::vector<uint64_t> site_tokens_;  // guard-site tokens by site id
-  std::vector<std::unique_ptr<CpuSlot>> slots_;
+  std::vector<std::unique_ptr<ModuleSlot>> slots_;
 
-  // Saved by Insmod so PrepareCpus can stamp out more slots.
-  ExecEngine engine_kind_ = ExecEngine::kBytecode;
-  kir::InterpConfig base_config_;
-  std::unordered_map<uint64_t, uint64_t> site_token_map_;
-  std::unordered_map<std::string, uint64_t> address_map_;
-  /// Engine-global base the module's local CFI set ids are rebased by
-  /// (RegisterCfiSets' return at insmod; 0 for un-gated modules).
-  uint64_t cfi_base_ = 0;
+  /// Saved by Insmod so PrepareCpus can stamp out more slots; its
+  /// `addresses` are the module's global addresses.
+  SlotRecipe recipe_;
 
   // Cross-CPU containment protocol (see Contain).
   std::atomic<bool> stop_requested_{false};

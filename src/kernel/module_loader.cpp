@@ -32,37 +32,12 @@ class KernelMemory final : public kir::MemoryInterface {
 
   Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
     kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
+    return kernel_->mem().Load(addr, size);
   }
 
   Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
     kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1: return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2: return kernel_->mem().Write16(addr,
-                                            static_cast<uint16_t>(value));
-      case 4: return kernel_->mem().Write32(addr,
-                                            static_cast<uint32_t>(value));
-      default: return kernel_->mem().Write64(addr, value);
-    }
+    return kernel_->mem().Store(addr, value, size);
   }
 
  private:
@@ -368,7 +343,79 @@ class KernelResolver final : public kir::ExternalResolver {
   uint32_t pin_depth_ = 0;
 };
 
+/// Zero a global's block and write its initializer (insmod and restart).
+Status InitGlobal(Kernel* kernel, const kir::GlobalVariable& global,
+                  uint64_t addr) {
+  KOP_RETURN_IF_ERROR(kernel->mem().Memset(addr, 0, global.size_bytes()));
+  if (global.init_bytes().empty()) return OkStatus();
+  return kernel->mem().Write(addr, global.init_bytes().data(),
+                             global.init_bytes().size());
+}
+
 }  // namespace
+
+Result<std::unordered_map<std::string, uint64_t>> LayoutGlobals(
+    Kernel* kernel, const kir::Module& ir,
+    std::vector<uint64_t>* allocations) {
+  std::unordered_map<std::string, uint64_t> addresses;
+  for (const auto& global : ir.globals()) {
+    KOP_ASSIGN_OR_RETURN(const uint64_t addr,
+                         kernel->module_area().Kmalloc(
+                             std::max<uint64_t>(global->size_bytes(), 8), 16));
+    allocations->push_back(addr);
+    addresses[global->name()] = addr;
+    KOP_RETURN_IF_ERROR(InitGlobal(kernel, *global, addr));
+  }
+  return addresses;
+}
+
+Result<std::unique_ptr<ModuleSlot>> BuildModuleSlot(
+    Kernel* kernel, const SlotRecipe& recipe,
+    std::vector<uint64_t>* allocations) {
+  // Kernel-backed memory wrapped in the resilience journal, so every
+  // module call can be a transaction (interpreter and VM journal
+  // identically — they share this seam).
+  auto slot = std::make_unique<ModuleSlot>();
+  slot->memory = std::make_unique<KernelMemory>(kernel);
+  slot->journaled = std::make_unique<resilience::JournaledMemory>(
+      slot->memory.get(), [kernel](uint64_t addr, uint32_t size) {
+        return kernel->mem().RawHostPointer(addr, size) != nullptr;
+      });
+  slot->journaled->SetStopFlag(recipe.stop_flag);
+  slot->resolver = std::make_unique<KernelResolver>(
+      kernel, recipe.site_tokens, recipe.ledger, recipe.cfi_base);
+
+  // Each CPU runs on its own frame stack; everything else the config
+  // carries (watchdog budget) is shared policy.
+  KOP_ASSIGN_OR_RETURN(const uint64_t stack,
+                       kernel->module_area().Kmalloc(kStackBytes, 64));
+  allocations->push_back(stack);
+  kir::InterpConfig config = recipe.config;
+  config.stack_base = stack;
+  config.stack_size = kStackBytes;
+
+  if (recipe.engine == ExecEngine::kBytecode) {
+    KOP_ASSIGN_OR_RETURN(kir::BytecodeModule bytecode,
+                         kir::CompileToBytecode(*recipe.ir));
+    // Lowering must preserve every guard site's attribution: the table
+    // reconstructed from the bytecode has to equal the one enumerated
+    // from the verified IR (which the attestation was checked against).
+    if (transform::EnumerateGuardSites(bytecode) !=
+        transform::EnumerateGuardSites(*recipe.ir)) {
+      return Internal("bytecode guard-site table diverges from IR for '" +
+                      recipe.ir->name() + "'");
+    }
+    KOP_ASSIGN_OR_RETURN(
+        slot->engine,
+        kir::VM::Create(std::move(bytecode), *slot->journaled,
+                        *slot->resolver, recipe.addresses, config));
+  } else {
+    slot->engine = std::make_unique<kir::Interpreter>(
+        *recipe.ir, *slot->journaled, *slot->resolver, recipe.addresses,
+        config);
+  }
+  return slot;
+}
 
 std::string_view ExecEngineName(ExecEngine engine) {
   switch (engine) {
@@ -416,7 +463,7 @@ LoadedModule::~LoadedModule() {
 
 Result<uint64_t> LoadedModule::Call(const std::string& function,
                                     const std::vector<uint64_t>& args) {
-  CpuSlot& slot = MySlot();
+  ModuleSlot& slot = MySlot();
   if (quarantined()) {
     return PermissionDenied("module '" + name_ +
                             "' is quarantined: " + quarantine_reason());
@@ -538,7 +585,7 @@ Result<uint64_t> LoadedModule::Call(const std::string& function,
   return result;
 }
 
-Result<uint64_t> LoadedModule::Contain(CpuSlot& slot,
+Result<uint64_t> LoadedModule::Contain(ModuleSlot& slot,
                                        resilience::RollbackReason reason,
                                        const std::string& what,
                                        const GuardViolation* violation) {
@@ -621,7 +668,7 @@ Result<uint64_t> LoadedModule::Contain(CpuSlot& slot,
 }
 
 Status LoadedModule::TryRestart() {
-  CpuSlot& slot = MySlot();
+  ModuleSlot& slot = MySlot();
   std::lock_guard<std::mutex> lock(restart_lock_);
   // Concurrent CPUs race here at call entry; whoever lost the lock may
   // find the module already back up (or quarantined meanwhile).
@@ -720,7 +767,7 @@ Status LoadedModule::TryRestart() {
                           std::to_string(attempt) + " failed: " + failure);
 }
 
-size_t LoadedModule::RollbackJournal(CpuSlot& slot,
+size_t LoadedModule::RollbackJournal(ModuleSlot& slot,
                                      resilience::RollbackReason reason) {
   resilience::WriteJournal& journal = slot.journaled->journal();
   if (!journal.active()) return 0;
@@ -763,15 +810,9 @@ void LoadedModule::UnexportSymbols() {
 
 Status LoadedModule::ResetGlobals() {
   for (const auto& global : ir_->globals()) {
-    auto it = global_addresses_.find(global->name());
-    if (it == global_addresses_.end()) continue;
-    KOP_RETURN_IF_ERROR(
-        kernel_->mem().Memset(it->second, 0, global->size_bytes()));
-    if (!global->init_bytes().empty()) {
-      KOP_RETURN_IF_ERROR(kernel_->mem().Write(it->second,
-                                               global->init_bytes().data(),
-                                               global->init_bytes().size()));
-    }
+    auto it = recipe_.addresses.find(global->name());
+    if (it == recipe_.addresses.end()) continue;
+    KOP_RETURN_IF_ERROR(InitGlobal(kernel_, *global, it->second));
   }
   return OkStatus();
 }
@@ -782,7 +823,7 @@ void LoadedModule::NoteEvent(const char* reason) {
   last_event_reason_.store(reason, std::memory_order_release);
 }
 
-void LoadedModule::CapturePostmortem(CpuSlot& slot, const char* reason,
+void LoadedModule::CapturePostmortem(ModuleSlot& slot, const char* reason,
                                      const std::string& what,
                                      const GuardViolation* violation,
                                      const char* recovery) {
@@ -849,47 +890,18 @@ void LoadedModule::Quarantine(const std::string& reason,
 Status LoadedModule::PrepareCpus(uint32_t cpus) {
   if (cpus == 0) cpus = 1;
   if (cpus > smp::kMaxCpus) cpus = smp::kMaxCpus;
+  recipe_.config.watchdog_steps = watchdog_steps_;
   while (slots_.size() < cpus) {
-    auto slot = std::make_unique<CpuSlot>();
-    slot->memory = std::make_unique<KernelMemory>(kernel_);
-    Kernel* kernel = kernel_;
-    slot->journaled = std::make_unique<resilience::JournaledMemory>(
-        slot->memory.get(), [kernel](uint64_t addr, uint32_t size) {
-          return kernel->mem().RawHostPointer(addr, size) != nullptr;
-        });
-    slot->journaled->SetStopFlag(&stop_requested_);
-    slot->resolver = std::make_unique<KernelResolver>(kernel_, site_token_map_,
-                                                      &heap_ledger_, cfi_base_);
-
-    // Each CPU runs on its own frame stack; everything else the config
-    // carries (watchdog budget) is shared policy.
-    kir::InterpConfig config = base_config_;
-    auto stack = kernel_->module_area().Kmalloc(kStackBytes, 64);
-    if (!stack.ok()) return stack.status();
-    allocations_.push_back(*stack);
-    config.stack_base = *stack;
-    config.stack_size = kStackBytes;
-    config.watchdog_steps = watchdog_steps_;
-
-    if (engine_kind_ == ExecEngine::kBytecode) {
-      auto bytecode = kir::CompileToBytecode(*ir_);
-      if (!bytecode.ok()) return bytecode.status();
-      auto vm = kir::VM::Create(std::move(*bytecode), *slot->journaled,
-                                *slot->resolver, address_map_, config);
-      if (!vm.ok()) return vm.status();
-      slot->engine = std::move(*vm);
-    } else {
-      slot->engine = std::make_unique<kir::Interpreter>(
-          *ir_, *slot->journaled, *slot->resolver, address_map_, config);
-    }
+    KOP_ASSIGN_OR_RETURN(std::unique_ptr<ModuleSlot> slot,
+                         BuildModuleSlot(kernel_, recipe_, &allocations_));
     slots_.push_back(std::move(slot));
   }
   return OkStatus();
 }
 
 Result<uint64_t> LoadedModule::GlobalAddress(const std::string& global) const {
-  auto it = global_addresses_.find(global);
-  if (it == global_addresses_.end()) {
+  auto it = recipe_.addresses.find(global);
+  if (it == recipe_.addresses.end()) {
     return NotFound("module " + name_ + " has no global @" + global);
   }
   return it->second;
@@ -960,38 +972,18 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
   loaded->watchdog_steps_ = watchdog_steps_;
 
   // 3. Lay out globals in the module area.
-  for (const auto& global : ir->globals()) {
-    auto addr = kernel_->module_area().Kmalloc(
-        std::max<uint64_t>(global->size_bytes(), 8), 16);
-    if (!addr.ok()) return addr.status();
-    loaded->allocations_.push_back(*addr);
-    loaded->global_addresses_[global->name()] = *addr;
-    KOP_RETURN_IF_ERROR(
-        kernel_->mem().Memset(*addr, 0, global->size_bytes()));
-    if (!global->init_bytes().empty()) {
-      KOP_RETURN_IF_ERROR(kernel_->mem().Write(*addr,
-                                               global->init_bytes().data(),
-                                               global->init_bytes().size()));
-    }
-  }
+  KOP_ASSIGN_OR_RETURN(loaded->recipe_.addresses,
+                       LayoutGlobals(kernel_, *ir, &loaded->allocations_));
 
-  // 4. Module text footprint + interpreter stack in the module area.
-  //    (Text bytes are symbolic — the IR is the code — but the footprint
-  //    is allocated so the memory map reflects a loaded module.)
+  // 4. Module text footprint in the module area. (Text bytes are
+  //    symbolic — the IR is the code — but the footprint is allocated so
+  //    the memory map reflects a loaded module.) The frame stack follows
+  //    with slot 0 in step 6.
   const uint64_t text_bytes =
       AlignUp(std::max<uint64_t>(ir->InstructionCount() * 8, 64), 64);
   auto text = kernel_->module_area().Kmalloc(text_bytes, 64);
   if (!text.ok()) return text.status();
   loaded->allocations_.push_back(*text);
-
-  auto stack = kernel_->module_area().Kmalloc(kStackBytes, 64);
-  if (!stack.ok()) return stack.status();
-  loaded->allocations_.push_back(*stack);
-
-  kir::InterpConfig config;
-  config.stack_base = *stack;
-  config.stack_size = kStackBytes;
-  config.watchdog_steps = watchdog_steps_;
 
   // 5. Register this module's guard sites for runtime attribution. The
   //    signed attestation carries the table; older records without one
@@ -1076,59 +1068,26 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
       site_tokens[static_cast<uint64_t>(site.check_ordinal)] = token;
     }
   }
-  loaded->cfi_base_ = cfi_base;
 
-  // 6. The memory stack both engines execute against: kernel-backed
-  //    memory, wrapped in the resilience journal so every module call is
-  //    a transaction (interpreter and VM journal identically — they
-  //    share this seam). This becomes CPU slot 0 (the boot CPU);
-  //    PrepareCpus stamps out more slots from the saved inputs.
-  auto slot0 = std::make_unique<LoadedModule::CpuSlot>();
-  slot0->memory = std::make_unique<KernelMemory>(kernel_);
-  Kernel* kernel = kernel_;
-  slot0->journaled = std::make_unique<resilience::JournaledMemory>(
-      slot0->memory.get(), [kernel](uint64_t addr, uint32_t size) {
-        return kernel->mem().RawHostPointer(addr, size) != nullptr;
-      });
-  slot0->journaled->SetStopFlag(&loaded->stop_requested_);
-  slot0->resolver = std::make_unique<KernelResolver>(
-      kernel_, site_tokens, &loaded->heap_ledger_, cfi_base);
-  std::unordered_map<std::string, uint64_t> addresses(
-      loaded->global_addresses_.begin(), loaded->global_addresses_.end());
+  // 6. CPU slot 0 (the boot CPU). The recipe is kept so PrepareCpus can
+  //    stamp out more slots from the same inputs.
   loaded->ir_ = std::move(ir);
-  loaded->engine_kind_ = engine_;
-  loaded->base_config_ = config;
-  loaded->site_token_map_ = site_tokens;
-  loaded->address_map_ = addresses;
-
-  if (engine_ == ExecEngine::kBytecode) {
-    auto bytecode = kir::CompileToBytecode(*loaded->ir_);
-    if (!bytecode.ok()) {
-      kernel_->log().Printk(KernLevel::kErr,
-                            "insmod: %s: bytecode compile failed: %s",
-                            name.c_str(),
-                            bytecode.status().ToString().c_str());
-      return bytecode.status();
-    }
-    // Lowering must preserve every guard site's attribution: the table
-    // reconstructed from the bytecode has to equal the one enumerated
-    // from the verified IR (which the attestation was checked against).
-    const std::vector<transform::GuardSite> lowered =
-        transform::EnumerateGuardSites(*bytecode);
-    if (lowered != transform::EnumerateGuardSites(*loaded->ir_)) {
-      return Internal("bytecode guard-site table diverges from IR for '" +
-                      name + "'");
-    }
-    auto vm = kir::VM::Create(std::move(*bytecode), *slot0->journaled,
-                              *slot0->resolver, addresses, config);
-    if (!vm.ok()) return vm.status();
-    slot0->engine = std::move(*vm);
-  } else {
-    slot0->engine = std::make_unique<kir::Interpreter>(
-        *loaded->ir_, *slot0->journaled, *slot0->resolver,
-        std::move(addresses), config);
+  SlotRecipe& recipe = loaded->recipe_;
+  recipe.ir = loaded->ir_.get();
+  recipe.engine = engine_;
+  recipe.site_tokens = std::move(site_tokens);
+  recipe.cfi_base = cfi_base;
+  recipe.ledger = &loaded->heap_ledger_;
+  recipe.stop_flag = &loaded->stop_requested_;
+  recipe.config.watchdog_steps = watchdog_steps_;
+  auto slot0 = BuildModuleSlot(kernel_, recipe, &loaded->allocations_);
+  if (!slot0.ok()) {
+    kernel_->log().Printk(KernLevel::kErr,
+                          "insmod: %s: cannot build execution slot: %s",
+                          name.c_str(), slot0.status().ToString().c_str());
+    return slot0.status();
   }
-  loaded->slots_.push_back(std::move(slot0));
+  loaded->slots_.push_back(std::move(*slot0));
 
   // 7. Restart recovery re-runs @init after teardown when the module
   //    defines a zero-arg one (modules with parameterized inits register

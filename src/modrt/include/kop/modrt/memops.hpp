@@ -60,19 +60,19 @@ class RawMemOps {
   Result<uint64_t> Load(uint64_t addr, uint32_t size) {
     ++stats_.Mine().loads;
     kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    return DoLoad(addr, size);
+    return kernel_->mem().Load(addr, size);
   }
 
   Status Store(uint64_t addr, uint64_t value, uint32_t size) {
     ++stats_.Mine().stores;
     kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    return DoStore(addr, value, size);
+    return kernel_->mem().Store(addr, value, size);
   }
 
   Result<uint32_t> MmioRead32(uint64_t addr) {
     ++stats_.Mine().mmio_reads;
     kernel_->clock().Advance(kernel_->machine().mmio_read_cycles);
-    auto value = DoLoad(addr, 4);
+    auto value = kernel_->mem().Load(addr, 4);
     if (!value.ok()) return value.status();
     return static_cast<uint32_t>(*value);
   }
@@ -80,19 +80,19 @@ class RawMemOps {
   Status MmioWrite32(uint64_t addr, uint32_t value) {
     ++stats_.Mine().mmio_writes;
     kernel_->clock().Advance(kernel_->machine().mmio_write_cycles);
-    return DoStore(addr, value, 4);
+    return kernel_->mem().Store(addr, value, 4);
   }
 
   Result<uint64_t> MmioRead64(uint64_t addr) {
     ++stats_.Mine().mmio_reads;
     kernel_->clock().Advance(kernel_->machine().mmio_read_cycles);
-    return DoLoad(addr, 8);
+    return kernel_->mem().Load(addr, 8);
   }
 
   Status MmioWrite64(uint64_t addr, uint64_t value) {
     ++stats_.Mine().mmio_writes;
     kernel_->clock().Advance(kernel_->machine().mmio_write_cycles);
-    return DoStore(addr, value, 8);
+    return kernel_->mem().Store(addr, value, 8);
   }
 
   /// Store on a rarely executed path (the short-frame pad/bounce loop).
@@ -126,39 +126,6 @@ class RawMemOps {
   }
 
  protected:
-  Result<uint64_t> DoLoad(uint64_t addr, uint32_t size) {
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  Status DoStore(uint64_t addr, uint64_t value, uint32_t size) {
-    switch (size) {
-      case 1: return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2: return kernel_->mem().Write16(addr,
-                                            static_cast<uint16_t>(value));
-      case 4: return kernel_->mem().Write32(addr,
-                                            static_cast<uint32_t>(value));
-      default: return kernel_->mem().Write64(addr, value);
-    }
-  }
-
   kernel::Kernel* kernel_;
   smp::PerCpu<MemOpsStats> stats_;
 };

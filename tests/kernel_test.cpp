@@ -37,6 +37,21 @@ TEST(AddressSpaceTest, MapReadWrite) {
   auto zero = mem.Read64(0x1200);
   ASSERT_TRUE(zero.ok());
   EXPECT_EQ(*zero, 0u);
+  // Sized access: each unit stores the low `size` bytes and loads them
+  // back zero-extended, leaving the neighbouring bytes alone.
+  for (uint32_t size : {1u, 2u, 4u, 8u}) {
+    const uint64_t addr = 0x1300 + 0x10 * size;
+    ASSERT_TRUE(mem.Store(addr, 0x8877665544332211ull, size).ok());
+    auto loaded = mem.Load(addr, size);
+    ASSERT_TRUE(loaded.ok());
+    const uint64_t mask = size == 8 ? ~0ull : (1ull << (8 * size)) - 1;
+    EXPECT_EQ(*loaded, 0x8877665544332211ull & mask) << "size " << size;
+    auto next = mem.Read8(addr + size);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(*next, 0u) << "size " << size;
+  }
+  EXPECT_EQ(mem.Load(0x1300, 3).status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(mem.Store(0x1300, 0, 16).code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(AddressSpaceTest, RejectsOverlappingMappings) {
@@ -61,6 +76,12 @@ TEST(AddressSpaceTest, UnmappedAccessFails) {
   // Access straddling the end of the region fails.
   EXPECT_FALSE(mem.Read64(0x10fc).ok());
   EXPECT_TRUE(mem.Read32(0x10fc).ok());
+  for (uint32_t size : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(mem.Load(0x0fff, size).status().code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(mem.Store(0x1100, 0, size).code(), ErrorCode::kOutOfRange);
+  }
+  EXPECT_EQ(mem.Load(0x10fc, 8).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_TRUE(mem.Load(0x10fc, 4).ok());
 }
 
 TEST(AddressSpaceTest, ReadOnlyRegionRejectsWrites) {
@@ -70,6 +91,10 @@ TEST(AddressSpaceTest, ReadOnlyRegionRejectsWrites) {
   const Status status = mem.Write32(0x1000, 1);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kPermissionDenied);
+  for (uint32_t size : {1u, 2u, 4u, 8u}) {
+    EXPECT_TRUE(mem.Load(0x1000, size).ok());
+    EXPECT_EQ(mem.Store(0x1000, 1, size).code(), ErrorCode::kPermissionDenied);
+  }
 }
 
 TEST(AddressSpaceTest, UnmapRemovesRegion) {
@@ -143,6 +168,19 @@ TEST(AddressSpaceTest, MmioDispatchesToDevice) {
   EXPECT_EQ(device.reads[0], (std::pair<uint64_t, uint32_t>{0x10, 4}));
   ASSERT_EQ(device.writes.size(), 1u);
   EXPECT_EQ(device.writes[0], (std::pair<uint64_t, uint64_t>{0x20, 42}));
+  // Sized access reaches the device as one unit of exactly that size.
+  for (uint32_t size : {1u, 2u, 4u, 8u}) {
+    const uint64_t offset = 0x100 + 0x10 * size;
+    auto loaded = mem.Load(0x10000 + offset, size);
+    ASSERT_TRUE(loaded.ok());
+    const uint64_t mask = size == 8 ? ~0ull : (1ull << (8 * size)) - 1;
+    EXPECT_EQ(*loaded, (0x12345678 + offset) & mask) << "size " << size;
+    EXPECT_EQ(device.reads.back(),
+              (std::pair<uint64_t, uint32_t>{offset, size}));
+    ASSERT_TRUE(mem.Store(0x10000 + offset, size, size).ok());
+    EXPECT_EQ(device.writes.back(),
+              (std::pair<uint64_t, uint64_t>{offset, size}));
+  }
 }
 
 TEST(AddressSpaceTest, MmioRequiresAlignedPowerOfTwoAccess) {
@@ -152,6 +190,7 @@ TEST(AddressSpaceTest, MmioRequiresAlignedPowerOfTwoAccess) {
   uint8_t buf[3];
   EXPECT_FALSE(mem.Read(0x10000, buf, 3).ok());   // size 3
   EXPECT_FALSE(mem.Read32(0x10002).ok());          // misaligned
+  EXPECT_EQ(mem.Load(0x10002, 4).status().code(), ErrorCode::kInvalidArgument);
   EXPECT_TRUE(mem.Read16(0x10002).ok());
   EXPECT_EQ(mem.RawHostPointer(0x10000, 4), nullptr);
 }
