@@ -159,6 +159,11 @@ int RunCommands(kernel::Kernel& kernel, PolicyModule& policy,
           std::printf("  #%llu intrinsic %llu denied\n",
                       static_cast<unsigned long long>(record.sequence),
                       static_cast<unsigned long long>(record.addr));
+        } else if (record.cfi != 0) {
+          std::printf("  #%llu indirect call to 0x%llx (set %llu) denied\n",
+                      static_cast<unsigned long long>(record.sequence),
+                      static_cast<unsigned long long>(record.addr),
+                      static_cast<unsigned long long>(record.size));
         } else {
           std::printf("  #%llu %s 0x%llx size %llu denied\n",
                       static_cast<unsigned long long>(record.sequence),

@@ -395,7 +395,7 @@ std::string PostmortemBundle::ToText() const {
 }
 
 void PostmortemStore::Capture(PostmortemBundle bundle) {
-  uint64_t incidents = 0;
+  [[maybe_unused]] uint64_t incidents = 0;
   {
     std::lock_guard<Spinlock> guard(lock_);
     ++incidents_;

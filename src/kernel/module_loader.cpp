@@ -767,8 +767,8 @@ Status LoadedModule::TryRestart() {
                           std::to_string(attempt) + " failed: " + failure);
 }
 
-size_t LoadedModule::RollbackJournal(ModuleSlot& slot,
-                                     resilience::RollbackReason reason) {
+size_t LoadedModule::RollbackJournal(
+    ModuleSlot& slot, [[maybe_unused]] resilience::RollbackReason reason) {
   resilience::WriteJournal& journal = slot.journaled->journal();
   if (!journal.active()) return 0;
   const uint64_t bytes = journal.bytes();
@@ -862,8 +862,9 @@ void LoadedModule::CapturePostmortem(ModuleSlot& slot, const char* reason,
   flight::GlobalPostmortems().Capture(std::move(bundle));
 }
 
-void LoadedModule::Quarantine(const std::string& reason,
-                              const GuardViolation* violation) {
+void LoadedModule::Quarantine(
+    const std::string& reason,
+    [[maybe_unused]] const GuardViolation* violation) {
   NoteEvent("quarantine");
   {
     std::lock_guard<Spinlock> guard(state_lock_);

@@ -87,8 +87,12 @@ struct CaratViolationArg {
   uint64_t access_flags = 0;
   uint64_t sequence = 0;
   uint32_t intrinsic = 0;
-  uint32_t pad = 0;
+  /// 1 for a CFI denial: `addr` is the rejected indirect-call target,
+  /// `size` the target-set id, `access_flags` 0. Was a zero pad word, so
+  /// readers that ignore it see the same layout.
+  uint32_t cfi = 0;
 };
+static_assert(sizeof(CaratViolationArg) == 40, "userspace ABI layout");
 
 struct CaratViolationsArg {
   static constexpr uint32_t kMax = 64;

@@ -183,7 +183,8 @@ Status PolicyModule::HandleIoctl(uint32_t cmd, std::vector<uint8_t>& arg) {
         reply.records[reply.count++] =
             CaratViolationArg{record.addr, record.size, record.access_flags,
                               record.sequence,
-                              record.intrinsic ? 1u : 0u, 0};
+                              record.intrinsic ? 1u : 0u,
+                              record.cfi ? 1u : 0u};
       }
       arg = PackArg(reply);
       return OkStatus();

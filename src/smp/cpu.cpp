@@ -1,13 +1,7 @@
 #include "kop/smp/cpu.hpp"
 
 namespace kop::smp {
-namespace {
-
-thread_local uint32_t t_current_cpu = 0;
-
-}  // namespace
-
-uint32_t CurrentCpu() { return t_current_cpu; }
+using detail::t_current_cpu;
 
 ScopedCpu::ScopedCpu(uint32_t cpu) : prev_(t_current_cpu) {
   t_current_cpu = cpu < kMaxCpus ? cpu : kMaxCpus - 1;

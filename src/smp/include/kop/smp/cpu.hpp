@@ -15,9 +15,14 @@ namespace kop::smp {
 /// 1→8-CPU scaling experiments with headroom.
 inline constexpr uint32_t kMaxCpus = 16;
 
+namespace detail {
+inline thread_local uint32_t t_current_cpu = 0;
+}  // namespace detail
+
 /// The simulated CPU this host thread is bound to (0 when never bound —
-/// the boot CPU, and the only CPU in single-threaded runs).
-uint32_t CurrentCpu();
+/// the boot CPU, and the only CPU in single-threaded runs). Inline: every
+/// per-CPU slot lookup on the guard and tracing paths reads it.
+inline uint32_t CurrentCpu() { return detail::t_current_cpu; }
 
 /// RAII CPU binding. The SMP executor binds each worker thread for the
 /// duration of its workload; tests can bind ad hoc. Bindings nest (the

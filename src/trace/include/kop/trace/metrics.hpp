@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "kop/smp/percpu.hpp"
 #include "kop/util/spinlock.hpp"
 
 namespace kop::trace {
@@ -53,31 +54,56 @@ class Gauge {
   std::atomic<int64_t> max_{0};
 };
 
-/// Power-of-two bucket histogram: bucket 0 holds values < 1, bucket k
-/// holds [2^(k-1), 2^k). 64 buckets cover the full uint64 range, so a
-/// cycle-latency histogram never saturates.
-class Log2Histogram {
+/// One writer's power-of-two buckets: bucket 0 holds values < 1, bucket
+/// k holds [2^(k-1), 2^k). 64 buckets cover the full uint64 range, so a
+/// cycle-latency histogram never saturates. Observe bumps one bucket and
+/// the sum with a relaxed load+store each — no lock prefix, no CAS loop —
+/// so it is exact under one writer (one simulated CPU) and readable from
+/// any thread. SpanRecorder keeps one set per CPU per span kind.
+class Log2Buckets {
  public:
   static constexpr size_t kBuckets = 64;
 
   void Observe(double value);
 
   /// Every observation lands in exactly one bucket, so the count is the
-  /// bucket sum — read-side work that keeps Observe down to one counter
-  /// bump plus the sum accumulation.
+  /// bucket sum — read-side work that keeps Observe to one bucket bump
+  /// plus the sum.
   uint64_t count() const {
     uint64_t n = 0;
     for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
     return n;
   }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t bucket(size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
+  void Reset();
+
+ private:
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+};
+
+/// A shared log2 histogram: one Log2Buckets per simulated CPU, each
+/// written only by its CPU, folded on read (as the policy engine's
+/// CpuStats are). Host threads that share a CPU id may lose updates to
+/// each other; nothing but the statistic depends on them.
+class Log2Histogram {
+ public:
+  static constexpr size_t kBuckets = Log2Buckets::kBuckets;
+
+  void Observe(double value);
+
+  uint64_t count() const;
+  /// Per-CPU sums added in CPU order; a single-CPU run reads its own sum
+  /// back exactly.
+  double sum() const;
   double mean() const {
     const uint64_t n = count();
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
   }
-  uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  uint64_t bucket(size_t i) const;
   /// Lower edge of bucket i (0 for bucket 0, else 2^(i-1)).
   static double BucketLo(size_t i);
 
@@ -97,8 +123,7 @@ class Log2Histogram {
   void Reset();
 
  private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<double> sum_{0.0};
+  smp::PerCpu<Log2Buckets> sets_;
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };

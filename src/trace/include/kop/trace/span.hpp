@@ -4,7 +4,7 @@
 // fixed-size SpanEvent into an always-on per-CPU last-N ring (the
 // "flight recorder": it survives containment, so the moments before a
 // quarantine are always available to a postmortem bundle). Every span
-// also feeds a per-CPU per-kind Log2Histogram, folded exactly on read
+// also feeds a per-CPU per-kind Log2Buckets set, folded exactly on read
 // for interpolated p50/p90/p99/p999 queries. Like tracepoints, spans
 // never charge simulated cycles, and the whole layer compiles out when
 // the build sets KOP_SPANS_ENABLED=0.
@@ -20,7 +20,7 @@
 
 #include "kop/smp/cpu.hpp"
 #include "kop/trace/metrics.hpp"
-#include "kop/util/spinlock.hpp"
+#include "kop/trace/stamped_ring.hpp"
 
 namespace kop::trace {
 
@@ -72,8 +72,13 @@ struct SpanStats {
 
 /// Per-CPU span rings plus per-CPU per-kind duration histograms. The
 /// write path touches only the recording CPU's cache-line-padded slot
-/// (one spinlock that is never contended when CPUs stay on their own
-/// ring); all cross-CPU folding happens on the read side.
+/// and takes no lock: the nesting depth, ring count and histogram are
+/// single-writer fields bumped with relaxed load+store, the ring slot is
+/// written under its reservation stamp (StampedRing), and the global
+/// completion `seq` is the one read-modify-write per span. All cross-CPU
+/// folding happens on the read side; readers validate each slot's stamp
+/// and may run concurrently with writers. One writer per simulated CPU
+/// is the contract: host threads sharing a CPU id may lose or mix spans.
 class SpanRecorder {
  public:
   /// `per_cpu_capacity` rounded up to a power of two (min 64).
@@ -122,20 +127,21 @@ class SpanRecorder {
 
  private:
   struct alignas(64) Cpu {
-    mutable Spinlock lock;
-    std::vector<SpanEvent> slots;
-    uint64_t count = 0;  // spans recorded on this CPU, ever
-    uint16_t depth = 0;  // currently open spans (write path only)
-    std::array<Log2Histogram, kSpanKindCount> hist;
+    explicit Cpu(size_t capacity) : slots(capacity) {}
+    std::atomic<uint64_t> count{0};  // spans recorded on this CPU, ever
+    std::atomic<uint16_t> depth{0};  // currently open spans
+    StampedRing<SpanEvent> slots;
+    std::array<Log2Buckets, kSpanKindCount> hist;
   };
 
   Cpu& Mine();
 
   size_t per_cpu_capacity_;
-  uint64_t mask_;
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{0};
   std::array<std::unique_ptr<Cpu>, smp::kMaxCpus> cpus_;
+  // Every CPU's fetch_add lands here: keep it off the line that holds
+  // the read-mostly fields above.
+  alignas(64) std::atomic<uint64_t> next_seq_{0};
 };
 
 /// The recorder every KOP_SPAN scope records into.

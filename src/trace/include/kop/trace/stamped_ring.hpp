@@ -1,0 +1,96 @@
+// StampedRing<T>: the fixed-size flight-recorder ring behind TraceRing
+// shards and SpanRecorder's per-CPU rings. Writes take no lock and run
+// no read-modify-write: the caller hands in a reservation index `n`
+// (its own per-CPU count, or a shared fetch_add where writers share a
+// ring), and slot `n & mask` is written under a stamp that encodes `n` —
+// odd (2n+1) while the words are being stored, 2n+2 once they are all
+// in. Readers copy a slot between two stamp loads and keep it only if
+// both read 2n+2 for the reservation they wanted, so a record that is
+// mid-write or already overwritten by a later lap is skipped, never
+// returned torn. Every word is a relaxed atomic (plain movs on x86), so
+// concurrent readers are race-free under TSan as well as correct.
+//
+// Contract: one writer per reservation. Two host threads that write the
+// same reservation (threads sharing a simulated CPU id) may leave a
+// mixed record behind; nothing outside the flight recorder reads it.
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <type_traits>
+#include <vector>
+
+namespace kop::trace {
+
+template <typename T>
+class StampedRing {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(sizeof(T) % sizeof(uint64_t) == 0);
+  static constexpr size_t kWords = sizeof(T) / sizeof(uint64_t);
+
+ public:
+  /// `capacity` must be a power of two.
+  explicit StampedRing(size_t capacity)
+      : slots_(std::make_unique<Slot[]>(capacity)), mask_(capacity - 1) {}
+
+  size_t capacity() const { return mask_ + 1; }
+
+  /// Publish `value` as reservation `n` (seqlock writer side).
+  void Write(uint64_t n, const T& value) {
+    Slot& slot = slots_[n & mask_];
+    uint64_t words[kWords];
+    std::memcpy(words, &value, sizeof(T));
+    slot.stamp.store(2 * n + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    for (size_t i = 0; i < kWords; ++i) {
+      slot.words[i].store(words[i], std::memory_order_relaxed);
+    }
+    slot.stamp.store(2 * n + 2, std::memory_order_release);
+  }
+
+  /// Append to `out`, oldest first, the retained records among the
+  /// newest `limit` of reservations [0, reserved). Slots mid-write or
+  /// overwritten by a later lap are skipped.
+  void ReadTail(uint64_t reserved, uint64_t limit, std::vector<T>* out) const {
+    const uint64_t n = std::min({reserved, limit, uint64_t{capacity()}});
+    for (uint64_t r = reserved - n; r < reserved; ++r) {
+      const Slot& slot = slots_[r & mask_];
+      const uint64_t want = 2 * r + 2;
+      if (slot.stamp.load(std::memory_order_acquire) != want) continue;
+      uint64_t words[kWords];
+      for (size_t i = 0; i < kWords; ++i) {
+        words[i] = slot.words[i].load(std::memory_order_relaxed);
+      }
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (slot.stamp.load(std::memory_order_relaxed) != want) continue;
+      T value;
+      std::memcpy(&value, words, sizeof(T));
+      out->push_back(value);
+    }
+  }
+
+  /// Zero every slot. Not safe against concurrent Write.
+  void Clear() {
+    for (size_t s = 0; s <= mask_; ++s) {
+      slots_[s].stamp.store(0, std::memory_order_relaxed);
+      for (auto& word : slots_[s].words) {
+        word.store(0, std::memory_order_relaxed);
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    std::atomic<uint64_t> stamp{0};
+    std::array<std::atomic<uint64_t>, kWords> words{};
+  };
+
+  std::unique_ptr<Slot[]> slots_;
+  uint64_t mask_;
+};
+
+}  // namespace kop::trace

@@ -1,8 +1,9 @@
 // kop::trace — the ftrace analogue for the simulated kernel. Static
 // tracepoints (`KOP_TRACE(event, args...)`) record fixed-size records
 // (virtual-cycle timestamp, event id, up to four integer args) into a
-// lock-free fixed ring. Tracepoints compile out entirely when the build
-// sets KOP_TRACE_ENABLED=0, so the hot seams (guards, descriptor
+// fixed ring of stamped slots: no lock, and no read-modify-write beyond
+// the global sequence number. Tracepoints compile out entirely when the
+// build sets KOP_TRACE_ENABLED=0, so the hot seams (guards, descriptor
 // fetches, ioctls) carry zero code when observability is off. All
 // timestamps come from the virtual clock — instrumentation never charges
 // simulated cycles, so enabling tracing cannot perturb an experiment.
@@ -17,7 +18,8 @@
 
 #include "kop/sim/clock.hpp"
 #include "kop/smp/cpu.hpp"
-#include "kop/util/spinlock.hpp"
+#include "kop/smp/percpu.hpp"
+#include "kop/trace/stamped_ring.hpp"
 
 namespace kop::trace {
 
@@ -77,13 +79,14 @@ struct TraceRecord {
 };
 
 /// Sharded fixed ring of TraceRecords, ftrace's per-cpu ring buffers.
-/// Each shard holds `capacity` slots behind its own spinlock; a writer
-/// takes one global fetch_add for its seq, then appends to the shard for
-/// its simulated CPU — shards never contend when CPUs stay on their own.
-/// The newest `capacity` records per shard survive, oldest are
-/// overwritten (ftrace overwrite mode). The default single shard makes
-/// single-threaded runs record the exact slot/seq sequence the unsharded
-/// ring did.
+/// Each shard is a StampedRing of `capacity` slots. A writer takes one
+/// global fetch_add for its seq; with one shard that seq is also the
+/// slot reservation, so the default ring records the exact slot/seq
+/// sequence of a single ordered log. With several shards, CPU c writes
+/// shard c % shards, which CPUs c and c + shards share, so a per-shard
+/// fetch_add reserves the slot — uncontended while CPUs keep to their
+/// own shard. No writer takes a lock. The newest `capacity` records per
+/// shard survive, oldest are overwritten (ftrace overwrite mode).
 class TraceRing {
  public:
   /// `capacity` (per shard) is rounded up to a power of two (min 64).
@@ -111,7 +114,8 @@ class TraceRing {
   /// virtual-clock timestamp (seq breaks ties), so an SMP run exports a
   /// monotonic timeline instead of shard-concatenation order. Per-CPU
   /// virtual clocks are monotone, so within a shard this degenerates to
-  /// the append (seq) order the single-CPU ring always had.
+  /// the append (seq) order the single-CPU ring always had. Safe against
+  /// concurrent Append: records still being written are left out.
   std::vector<TraceRecord> Snapshot() const;
 
   /// Not safe against concurrent Append; fine for the simulator.
@@ -119,17 +123,19 @@ class TraceRing {
 
  private:
   struct alignas(64) Shard {
-    mutable Spinlock lock;
-    std::vector<TraceRecord> slots;
-    uint64_t count = 0;  // appends into this shard, ever
+    explicit Shard(size_t capacity) : slots(capacity) {}
+    std::atomic<uint64_t> reserved{0};  // multi-shard reservations, ever
+    StampedRing<TraceRecord> slots;
   };
 
-  Shard& MyShard();
+  /// Reservations made in `shard` so far (the global seq with one shard).
+  uint64_t Reserved(const Shard& shard) const;
 
   size_t per_shard_capacity_;
-  uint64_t mask_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> next_{0};
+  // Every CPU's fetch_add lands here: keep it off the line that holds
+  // the read-mostly fields above.
+  alignas(64) std::atomic<uint64_t> next_{0};
 };
 
 /// The process-wide tracer: the ring, an enable switch, per-event
@@ -160,10 +166,8 @@ class Tracer {
   TraceRing& ring() { return ring_; }
   const TraceRing& ring() const { return ring_; }
 
-  /// Lifetime firings per event id (index by EventId value).
-  uint64_t event_count(EventId id) const {
-    return counts_[static_cast<size_t>(id)].load(std::memory_order_relaxed);
-  }
+  /// Lifetime firings per event id, folded over the per-CPU counts.
+  uint64_t event_count(EventId id) const;
 
   /// Clear the ring and per-event counters (clock and enable kept).
   void Reset();
@@ -172,7 +176,8 @@ class Tracer {
   std::atomic<bool> enabled_{true};
   std::atomic<const sim::VirtualClock*> clock_{nullptr};
   TraceRing ring_;
-  std::array<std::atomic<uint64_t>, kEventCount> counts_{};
+  // One writer per CPU: bumped with a relaxed load+store, folded on read.
+  smp::PerCpu<std::array<std::atomic<uint64_t>, kEventCount>> counts_;
 };
 
 /// The tracer every KOP_TRACE site records into.

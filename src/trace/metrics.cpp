@@ -8,21 +8,50 @@
 
 namespace kop::trace {
 
-void Log2Histogram::Observe(double value) {
+void Log2Buckets::Observe(double value) {
   // Bucket edges are powers of two, so for v in [1, 2^62) the bucket is
   // bit_width(floor(v)) — no libm on the guard hot path. Anything at or
   // above 2^62 lands in the clamp bucket either way.
-  size_t bucket = 0;
+  size_t index = 0;
   if (value >= 1.0) {
-    bucket = value >= 0x1p62
-                 ? kBuckets - 1
-                 : static_cast<size_t>(
-                       std::bit_width(static_cast<uint64_t>(value)));
+    index = value >= 0x1p62
+                ? kBuckets - 1
+                : static_cast<size_t>(
+                      std::bit_width(static_cast<uint64_t>(value)));
   }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  // fetch_add on atomic<double> is C++20; relaxed is fine, the sum is a
-  // statistic, not a synchronization point.
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  // One writer per set: a load+store is an exact increment, and neither
+  // needs a locked instruction. Readers see each field torn-free.
+  std::atomic<uint64_t>& bucket = buckets_[index];
+  bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  sum_.store(sum_.load(std::memory_order_relaxed) + value,
+             std::memory_order_relaxed);
+}
+
+void Log2Buckets::Reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+}
+
+void Log2Histogram::Observe(double value) { sets_.Mine().Observe(value); }
+
+uint64_t Log2Histogram::count() const {
+  uint64_t n = 0;
+  sets_.ForEach([&n](uint32_t, const Log2Buckets& set) { n += set.count(); });
+  return n;
+}
+
+double Log2Histogram::sum() const {
+  double total = 0.0;
+  sets_.ForEach(
+      [&total](uint32_t, const Log2Buckets& set) { total += set.sum(); });
+  return total;
+}
+
+uint64_t Log2Histogram::bucket(size_t i) const {
+  uint64_t n = 0;
+  sets_.ForEach([&](uint32_t, const Log2Buckets& set) { n += set.bucket(i); });
+  return n;
 }
 
 double Log2Histogram::BucketLo(size_t i) {
@@ -71,8 +100,7 @@ size_t Log2Histogram::NonZeroBuckets() const {
 }
 
 void Log2Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+  sets_.ForEach([](uint32_t, Log2Buckets& set) { set.Reset(); });
 }
 
 namespace {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 
 #include "kop/sim/clock.hpp"
 #include "kop/trace/trace.hpp"
@@ -37,25 +36,18 @@ uint64_t NowTsc() {
 std::string_view SpanKindName(SpanKind kind) { return kSpanKinds[Index(kind)]; }
 
 SpanRecorder::SpanRecorder(size_t per_cpu_capacity)
-    : per_cpu_capacity_(RoundUpPow2(per_cpu_capacity)),
-      mask_(per_cpu_capacity_ - 1) {
-  for (auto& cpu : cpus_) {
-    cpu = std::make_unique<Cpu>();
-    cpu->slots.resize(per_cpu_capacity_);
-  }
+    : per_cpu_capacity_(RoundUpPow2(per_cpu_capacity)) {
+  for (auto& cpu : cpus_) cpu = std::make_unique<Cpu>(per_cpu_capacity_);
 }
 
 SpanRecorder::Cpu& SpanRecorder::Mine() {
-  const uint32_t cpu = smp::CurrentCpu();
-  return *cpus_[cpu < cpus_.size() ? cpu : cpu % cpus_.size()];
+  return *cpus_[smp::CurrentCpu() % cpus_.size()];
 }
 
 uint64_t SpanRecorder::BeginSpan() {
   Cpu& cpu = Mine();
-  {
-    std::lock_guard<Spinlock> guard(cpu.lock);
-    ++cpu.depth;
-  }
+  cpu.depth.store(cpu.depth.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   return NowTsc();
 }
 
@@ -63,28 +55,26 @@ void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
   SpanEvent event;
   event.begin_tsc = begin_tsc;
   event.end_tsc = NowTsc();
-  event.seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
+  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   event.arg = arg;
   event.kind = kind;
   event.cpu = static_cast<uint16_t>(smp::CurrentCpu());
   Cpu& cpu = Mine();
-  std::lock_guard<Spinlock> guard(cpu.lock);
-  if (cpu.depth > 0) --cpu.depth;
-  event.depth = cpu.depth;
-  cpu.slots[cpu.count & mask_] = event;
-  ++cpu.count;
+  uint16_t depth = cpu.depth.load(std::memory_order_relaxed);
+  if (depth > 0) --depth;
+  cpu.depth.store(depth, std::memory_order_relaxed);
+  event.depth = depth;
+  const uint64_t n = cpu.count.load(std::memory_order_relaxed);
+  cpu.slots.Write(n, event);
+  cpu.count.store(n + 1, std::memory_order_release);
   cpu.hist[Index(kind)].Observe(static_cast<double>(event.duration()));
 }
 
 std::vector<SpanEvent> SpanRecorder::Snapshot() const {
   std::vector<SpanEvent> out;
   for (const auto& cpu : cpus_) {
-    std::lock_guard<Spinlock> guard(cpu->lock);
-    const uint64_t retained =
-        std::min<uint64_t>(cpu->count, per_cpu_capacity_);
-    for (uint64_t i = cpu->count - retained; i < cpu->count; ++i) {
-      out.push_back(cpu->slots[i & mask_]);
-    }
+    cpu->slots.ReadTail(cpu->count.load(std::memory_order_acquire),
+                        per_cpu_capacity_, &out);
   }
   std::sort(out.begin(), out.end(), [](const SpanEvent& a, const SpanEvent& b) {
     return a.begin_tsc != b.begin_tsc ? a.begin_tsc < b.begin_tsc
@@ -97,12 +87,7 @@ std::vector<SpanEvent> SpanRecorder::Tail(uint32_t cpu_index, size_t n) const {
   std::vector<SpanEvent> out;
   if (cpu_index >= cpus_.size()) return out;
   const Cpu& cpu = *cpus_[cpu_index];
-  std::lock_guard<Spinlock> guard(cpu.lock);
-  uint64_t retained = std::min<uint64_t>(cpu.count, per_cpu_capacity_);
-  retained = std::min<uint64_t>(retained, n);
-  for (uint64_t i = cpu.count - retained; i < cpu.count; ++i) {
-    out.push_back(cpu.slots[i & mask_]);
-  }
+  cpu.slots.ReadTail(cpu.count.load(std::memory_order_acquire), n, &out);
   return out;
 }
 
@@ -111,7 +96,7 @@ SpanStats SpanRecorder::Stats(SpanKind kind) const {
   SpanStats stats;
   const size_t k = Index(kind);
   for (const auto& cpu : cpus_) {
-    const Log2Histogram& hist = cpu->hist[k];
+    const Log2Buckets& hist = cpu->hist[k];
     for (size_t i = 0; i < Log2Histogram::kBuckets; ++i) {
       folded[i] += hist.bucket(i);
     }
@@ -176,10 +161,9 @@ std::string SpanRecorder::RenderPrometheus() const {
 void SpanRecorder::Reset() {
   next_seq_.store(0, std::memory_order_release);
   for (const auto& cpu : cpus_) {
-    std::lock_guard<Spinlock> guard(cpu->lock);
-    cpu->count = 0;
-    cpu->depth = 0;
-    std::fill(cpu->slots.begin(), cpu->slots.end(), SpanEvent{});
+    cpu->count.store(0, std::memory_order_relaxed);
+    cpu->depth.store(0, std::memory_order_relaxed);
+    cpu->slots.Clear();
     for (auto& hist : cpu->hist) hist.Reset();
   }
 }

@@ -1,7 +1,6 @@
 #include "kop/trace/trace.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 namespace kop::trace {
 namespace {
@@ -58,8 +57,7 @@ std::array<const char*, 4> EventArgNames(EventId id) {
 }
 
 TraceRing::TraceRing(size_t capacity)
-    : per_shard_capacity_(RoundUpPow2(capacity)),
-      mask_(per_shard_capacity_ - 1) {
+    : per_shard_capacity_(RoundUpPow2(capacity)) {
   SetShards(1);
 }
 
@@ -68,32 +66,32 @@ void TraceRing::SetShards(uint32_t shards) {
   if (shards > smp::kMaxCpus) shards = smp::kMaxCpus;
   shards_.clear();
   for (uint32_t i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->slots.resize(per_shard_capacity_);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(per_shard_capacity_));
   }
   next_.store(0, std::memory_order_release);
 }
 
-TraceRing::Shard& TraceRing::MyShard() {
-  const uint32_t cpu = smp::CurrentCpu();
-  return *shards_[cpu < shards_.size() ? cpu : cpu % shards_.size()];
+uint64_t TraceRing::Reserved(const Shard& shard) const {
+  return shards_.size() == 1 ? next_.load(std::memory_order_acquire)
+                             : shard.reserved.load(std::memory_order_acquire);
 }
 
 void TraceRing::Append(TraceRecord record) {
-  record.seq = next_.fetch_add(1, std::memory_order_acq_rel);
-  Shard& shard = MyShard();
-  std::lock_guard<Spinlock> guard(shard.lock);
-  shard.slots[shard.count & mask_] = record;
-  ++shard.count;
+  record.seq = next_.fetch_add(1, std::memory_order_relaxed);
+  if (shards_.size() == 1) {
+    shards_[0]->slots.Write(record.seq, record);
+    return;
+  }
+  Shard& shard = *shards_[smp::CurrentCpu() % shards_.size()];
+  shard.slots.Write(shard.reserved.fetch_add(1, std::memory_order_relaxed),
+                    record);
 }
 
 uint64_t TraceRing::dropped() const {
   const uint64_t total = total_appended();
   uint64_t retained = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<Spinlock> guard(shard->lock);
-    retained += std::min<uint64_t>(shard->count, per_shard_capacity_);
+    retained += std::min<uint64_t>(Reserved(*shard), per_shard_capacity_);
   }
   return total > retained ? total - retained : 0;
 }
@@ -101,12 +99,7 @@ uint64_t TraceRing::dropped() const {
 std::vector<TraceRecord> TraceRing::Snapshot() const {
   std::vector<TraceRecord> out;
   for (const auto& shard : shards_) {
-    std::lock_guard<Spinlock> guard(shard->lock);
-    const uint64_t retained =
-        std::min<uint64_t>(shard->count, per_shard_capacity_);
-    for (uint64_t i = shard->count - retained; i < shard->count; ++i) {
-      out.push_back(shard->slots[i & mask_]);
-    }
+    shard->slots.ReadTail(Reserved(*shard), per_shard_capacity_, &out);
   }
   std::sort(out.begin(), out.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
@@ -118,20 +111,22 @@ std::vector<TraceRecord> TraceRing::Snapshot() const {
 void TraceRing::Clear() {
   next_.store(0, std::memory_order_release);
   for (const auto& shard : shards_) {
-    std::lock_guard<Spinlock> guard(shard->lock);
-    shard->count = 0;
-    std::fill(shard->slots.begin(), shard->slots.end(), TraceRecord{});
+    shard->reserved.store(0, std::memory_order_relaxed);
+    shard->slots.Clear();
   }
 }
 
 void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
                     uint64_t a3) {
   if (!enabled()) return;
-  counts_[Index(event)].fetch_add(1, std::memory_order_relaxed);
+  const uint32_t cpu = smp::CurrentCpu();
+  std::atomic<uint64_t>& count = counts_.Get(cpu)[Index(event)];
+  count.store(count.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
   TraceRecord record;
   const sim::VirtualClock* clock = clock_.load(std::memory_order_acquire);
   record.tsc = clock != nullptr ? clock->ReadTsc() : 0;
-  record.cpu = static_cast<uint16_t>(smp::CurrentCpu());
+  record.cpu = static_cast<uint16_t>(cpu);
   record.event = event;
   record.args[0] = a0;
   record.args[1] = a1;
@@ -140,9 +135,19 @@ void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
   ring_.Append(record);
 }
 
+uint64_t Tracer::event_count(EventId id) const {
+  uint64_t total = 0;
+  counts_.ForEach([&](uint32_t, const auto& counts) {
+    total += counts[Index(id)].load(std::memory_order_relaxed);
+  });
+  return total;
+}
+
 void Tracer::Reset() {
   ring_.Clear();
-  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
+  counts_.ForEach([](uint32_t, auto& counts) {
+    for (auto& count : counts) count.store(0, std::memory_order_relaxed);
+  });
 }
 
 Tracer& GlobalTracer() {

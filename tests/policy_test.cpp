@@ -546,6 +546,32 @@ TEST_F(PolicyModuleTest, IoctlGetViolations) {
   EXPECT_EQ(reply.records[1].size, 2u);
 }
 
+TEST_F(PolicyModuleTest, IoctlGetViolationsFlagsCfiDenials) {
+  // One memory denial and one CFI miss, both logged (kLogOnly): userspace
+  // must tell them apart by the cfi flag, not by guessing from the size.
+  PolicyEngine& engine = module_->engine();
+  const uint64_t set = engine.RegisterCfiSets({{0x4000}});
+  EXPECT_FALSE(engine.Guard(0x1234, 8, kGuardAccessWrite));
+  EXPECT_FALSE(engine.CfiCheck(0x5000, set));
+  CaratViolationsArg reply;
+  auto arg = PackArg(reply);
+  ASSERT_TRUE(Ioctl(KOP_IOCTL_GET_VIOLATIONS, arg).ok());
+  ASSERT_TRUE(UnpackArg(arg, &reply));
+  ASSERT_EQ(reply.count, 2u);
+  const CaratViolationArg& memory = reply.records[0];
+  EXPECT_EQ(memory.cfi, 0u);
+  EXPECT_EQ(memory.intrinsic, 0u);
+  EXPECT_EQ(memory.addr, 0x1234u);
+  EXPECT_EQ(memory.size, 8u);
+  EXPECT_EQ(memory.access_flags, kGuardAccessWrite);
+  const CaratViolationArg& cfi = reply.records[1];
+  EXPECT_EQ(cfi.cfi, 1u);
+  EXPECT_EQ(cfi.intrinsic, 0u);
+  EXPECT_EQ(cfi.addr, 0x5000u);
+  EXPECT_EQ(cfi.size, set);
+  EXPECT_EQ(cfi.access_flags, 0u);
+}
+
 TEST_F(PolicyModuleTest, IoctlRejectsBadInput) {
   std::vector<uint8_t> tiny(2);
   EXPECT_FALSE(Ioctl(KOP_IOCTL_ADD_REGION, tiny).ok());

@@ -15,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "kop/smp/executor.hpp"
 #include "kop/smp/rcu.hpp"
 #include "kop/trace/metrics.hpp"
+#include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 
@@ -621,6 +623,162 @@ TEST(SmpTest, ConcurrentKmallocAndSymbolChurnStaysConsistent) {
   const kernel::KmallocStats after = kernel.heap().Stats();
   EXPECT_EQ(after.allocated_bytes, live_before);
   EXPECT_EQ(after.total_allocs, after.total_frees + after.allocation_count);
+}
+
+// ------------------------------------------- lock-free flight recorder
+
+// A record's payload checksum: a reader that returned a torn slot (words
+// from two different writes) fails it.
+uint64_t Mix(uint64_t cpu, uint64_t i) {
+  uint64_t x = (cpu << 32) ^ i ^ 0x9e3779b97f4a7c15ull;
+  x ^= x >> 31;
+  x *= 0xbf58476d1ce4e5b9ull;
+  return x ^ (x >> 29);
+}
+
+// Span arg layout: cpu in the top byte, the per-CPU ordinal below it.
+uint64_t SpanArg(uint64_t cpu, uint64_t i) { return (cpu << 56) | i; }
+
+void ExpectConsistentTrace(const trace::TraceRecord& r) {
+  const uint64_t cpu = r.args[0];
+  const uint64_t i = r.args[1];
+  EXPECT_EQ(r.event, trace::EventId::kGuardCheck);
+  EXPECT_EQ(r.cpu, cpu);
+  EXPECT_EQ(r.args[2], Mix(cpu, i)) << "torn trace record";
+  EXPECT_EQ(r.args[3], ~Mix(cpu, i)) << "torn trace record";
+}
+
+void ExpectConsistentSpan(const trace::SpanEvent& e, uint32_t cpu) {
+  const uint64_t i = e.arg & ((uint64_t{1} << 56) - 1);
+  EXPECT_EQ(e.arg >> 56, cpu);
+  EXPECT_EQ(e.cpu, cpu);
+  EXPECT_EQ(e.kind, trace::SpanKind::kGuardDecision);
+  EXPECT_EQ(e.begin_tsc, Mix(cpu, i)) << "torn span event";
+  EXPECT_EQ(e.depth, 0u);
+}
+
+// CPUs 0-3 record tracepoints and spans while CPU 4 reads both rings in
+// a loop. Writers take no lock, so every record a reader gets back must
+// be whole (its checksum matches), carry a unique seq, and keep each
+// CPU's program order; after the join every count is exact and each
+// CPU's tail holds its newest spans. Both ring shapes: one shard (the
+// global seq reserves the slot) and one shard per writer CPU.
+TEST(SmpTest, FlightRecorderReadersSeeWholeRecordsUnderConcurrentWriters) {
+  constexpr uint32_t kWriters = 4;
+  constexpr uint64_t kRecords = 20000;  // wraps the 16Ki-slot trace ring
+  // Readers ask for the whole span ring, whose oldest slot is the one
+  // its writer is rewriting.
+  constexpr size_t kTail = 64;
+  for (const uint32_t shards : {1u, kWriters}) {
+    trace::Tracer tracer;
+    tracer.ring().SetShards(shards);
+    trace::SpanRecorder spans(kTail);
+    std::atomic<uint32_t> writing{kWriters};
+    std::atomic<bool> reading{false};
+    smp::RunOnCpus(kWriters + 1, [&](uint32_t cpu) {
+      if (cpu < kWriters) {
+        // Start only once the reader runs, so the two always overlap.
+        while (!reading.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        for (uint64_t i = 0; i < kRecords; ++i) {
+          tracer.Record(trace::EventId::kGuardCheck, cpu, i, Mix(cpu, i),
+                        ~Mix(cpu, i));
+          (void)spans.BeginSpan();
+          spans.EndSpan(trace::SpanKind::kGuardDecision, Mix(cpu, i),
+                        SpanArg(cpu, i));
+        }
+        writing.fetch_sub(1, std::memory_order_release);
+        return;
+      }
+      reading.store(true, std::memory_order_release);
+      do {
+        std::set<uint64_t> seqs;
+        std::array<uint64_t, kWriters> last{};
+        std::array<bool, kWriters> seen{};
+        for (const trace::TraceRecord& r : tracer.ring().Snapshot()) {
+          ExpectConsistentTrace(r);
+          EXPECT_TRUE(seqs.insert(r.seq).second) << "duplicate seq " << r.seq;
+          const uint64_t w = r.args[0] % kWriters;
+          // No clock is registered, so the merge is in seq order, which
+          // is each CPU's program order.
+          if (seen[w]) {
+            EXPECT_GT(r.args[1], last[w]);
+          }
+          seen[w] = true;
+          last[w] = r.args[1];
+        }
+        for (uint32_t w = 0; w < kWriters; ++w) {
+          uint64_t prev = 0;
+          bool first = true;
+          for (const trace::SpanEvent& e : spans.Tail(w, kTail)) {
+            ExpectConsistentSpan(e, w);
+            const uint64_t i = e.arg & ((uint64_t{1} << 56) - 1);
+            if (!first) {
+              EXPECT_GT(i, prev);
+            }
+            first = false;
+            prev = i;
+          }
+        }
+      } while (writing.load(std::memory_order_acquire) != 0 &&
+               !::testing::Test::HasFailure());
+    });
+
+    EXPECT_EQ(tracer.ring().total_appended(), kWriters * kRecords);
+    EXPECT_EQ(tracer.event_count(trace::EventId::kGuardCheck),
+              kWriters * kRecords);
+    EXPECT_EQ(spans.total_recorded(), kWriters * kRecords);
+    for (uint32_t cpu = 0; cpu <= kWriters; ++cpu) {
+      EXPECT_EQ(spans.CpuCount(cpu, trace::SpanKind::kGuardDecision),
+                cpu < kWriters ? kRecords : 0u)
+          << "cpu " << cpu;
+    }
+    const std::vector<trace::TraceRecord> records = tracer.ring().Snapshot();
+    EXPECT_EQ(records.size(), std::min<size_t>(kWriters * kRecords,
+                                               tracer.ring().capacity()));
+    std::set<uint64_t> seqs;
+    for (const trace::TraceRecord& r : records) {
+      ExpectConsistentTrace(r);
+      EXPECT_TRUE(seqs.insert(r.seq).second);
+    }
+    for (uint32_t w = 0; w < kWriters; ++w) {
+      const std::vector<trace::SpanEvent> tail = spans.Tail(w, kTail);
+      ASSERT_EQ(tail.size(), kTail) << "cpu " << w;
+      for (size_t k = 0; k < kTail; ++k) {
+        ExpectConsistentSpan(tail[k], w);
+        EXPECT_EQ(tail[k].arg, SpanArg(w, kRecords - kTail + k));
+      }
+    }
+  }
+}
+
+// The guard latency and lookup-depth histograms are sharded per CPU and
+// folded on read: over a 4-CPU run of out-of-line guards (the native
+// driver path), each gains exactly one observation per guard call.
+TEST(SmpTest, ShardedGuardHistogramsFoldToGuardCallsExactly) {
+  constexpr uint32_t kCpus = 4;
+  constexpr int kGuards = 500;
+  Rig rig(ExecEngine::kBytecode);
+  policy::PolicyEngine& engine = rig.policy->engine();
+  trace::Log2Histogram* latency =
+      trace::GlobalMetrics().GetHistogram("guard.latency_cycles");
+  trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const uint64_t calls0 = engine.stats().guard_calls;
+  const uint64_t latency0 = latency->count();
+  const uint64_t depth0 = depth->count();
+
+  smp::RunOnCpus(kCpus, [&](uint32_t cpu) {
+    for (int i = 0; i < kGuards; ++i) {
+      ASSERT_TRUE(engine.Guard(rig.ScratchSlot(cpu), 8, kGuardAccessRead));
+    }
+  });
+
+  const uint64_t calls = engine.stats().guard_calls - calls0;
+  EXPECT_EQ(calls, uint64_t{kCpus} * kGuards);
+  EXPECT_EQ(latency->count() - latency0, calls);
+  EXPECT_EQ(depth->count() - depth0, calls);
 }
 
 // --------------------------------------------------- RCU grace period
