@@ -16,9 +16,11 @@
 // Throughput is packets per second on the virtual clock: the elapsed
 // time of an SMP run is MaxCycles() (CPUs advance in parallel), so
 // pps = packets / (MaxCycles / freq). Per-point NAPI latency comes from
-// the kNapiPoll span histogram (p50/p99 in virtual cycles). Wall-clock
-// ns is reported as the noisy host-side sanity number; the virtual
-// clock is the contract.
+// the kNapiPoll span histogram (p50/p99 in virtual cycles). Each row also
+// carries its cost relative to the raw build at the same point, in both
+// currencies: elapsed virtual cycles (cycles_vs_raw, gated) and host
+// wall-clock ns (wall_vs_raw, reported, not gated — host time is noisy
+// on shared machines, and the virtual clock is the contract).
 //
 // Acceptance (gates checked at the end, per technique):
 //   - >= 6x pps going 1 -> 8 CPUs on the 8-queue sweep (>= 4 queues in
@@ -197,17 +199,19 @@ int main(int argc, char** argv) {
       "ext7_datapath: multi-queue NAPI datapath, %llu bursts x %u frames "
       "per queue, %d round(s)\n",
       (unsigned long long)bursts, burst, rounds);
-  std::printf("%-8s %3s %5s %9s %14s %12s %9s %9s %9s\n", "tech", "q", "cpus",
-              "packets", "max_cycles", "pps_virtual", "speedup", "napi_p50",
-              "napi_p99");
+  std::printf("%-8s %3s %5s %9s %14s %12s %9s %9s %9s %8s %8s\n", "tech",
+              "q", "cpus", "packets", "max_cycles", "pps_virtual", "speedup",
+              "napi_p50", "napi_p99", "cyc/raw", "wall/raw");
 
   std::string csv =
       "technique,queues,cpus,packets,max_cycles,total_cycles,pps_virtual,"
-      "speedup_vs_1cpu,napi_p50_cycles,napi_p99_cycles,wall_ns\n";
+      "speedup_vs_1cpu,napi_p50_cycles,napi_p99_cycles,wall_ns,"
+      "cycles_vs_raw,wall_vs_raw\n";
 
   bool failed = false;
   double speedup_8cpu[2] = {0, 0};  // [raw, guarded] on the 8-queue sweep
   double worst_overhead = 0;        // max guarded/raw elapsed-cycle ratio
+  double worst_wall_overhead = 0;   // max guarded/raw host wall-ns ratio
 
   for (uint32_t queues : queue_points) {
     double base_pps[2] = {0, 0};
@@ -237,29 +241,42 @@ int main(int argc, char** argv) {
                                   ? pts[1].max_cycles / pts[0].max_cycles
                                   : 0;
       if (overhead > worst_overhead) worst_overhead = overhead;
+      const double wall_overhead =
+          pts[0].wall_ns > 0 ? pts[1].wall_ns / pts[0].wall_ns : 0;
+      if (wall_overhead > worst_wall_overhead) {
+        worst_wall_overhead = wall_overhead;
+      }
       for (int t = 0; t < 2; ++t) {
         const Point& m = pts[t];
         if (cpus == 1) base_pps[t] = m.pps;
         const double speedup = base_pps[t] > 0 ? m.pps / base_pps[t] : 0;
         if (queues == 8 && cpus == 8) speedup_8cpu[t] = speedup;
+        const double cycles_vs_raw = t == 0 ? 1.0 : overhead;
+        const double wall_vs_raw = t == 0 ? 1.0 : wall_overhead;
         char line[256];
-        std::snprintf(line, sizeof(line),
-                      "%s,%u,%u,%llu,%.1f,%.1f,%.0f,%.3f,%.1f,%.1f,%.0f\n",
-                      names[t], queues, cpus, (unsigned long long)m.packets,
-                      m.max_cycles, m.total_cycles, m.pps, speedup,
-                      m.napi_p50, m.napi_p99, m.wall_ns);
+        std::snprintf(
+            line, sizeof(line),
+            "%s,%u,%u,%llu,%.1f,%.1f,%.0f,%.3f,%.1f,%.1f,%.0f,%.3f,%.3f\n",
+            names[t], queues, cpus, (unsigned long long)m.packets,
+            m.max_cycles, m.total_cycles, m.pps, speedup, m.napi_p50,
+            m.napi_p99, m.wall_ns, cycles_vs_raw, wall_vs_raw);
         csv += line;
-        std::printf("%-8s %3u %5u %9llu %14.1f %12.3e %8.2fx %9.1f %9.1f\n",
-                    names[t], queues, cpus, (unsigned long long)m.packets,
-                    m.max_cycles, m.pps, speedup, m.napi_p50, m.napi_p99);
+        std::printf(
+            "%-8s %3u %5u %9llu %14.1f %12.3e %8.2fx %9.1f %9.1f %7.3fx "
+            "%7.2fx\n",
+            names[t], queues, cpus, (unsigned long long)m.packets,
+            m.max_cycles, m.pps, speedup, m.napi_p50, m.napi_p99,
+            cycles_vs_raw, wall_vs_raw);
       }
     }
   }
 
   std::printf(
       "guarded 8-queue 8-CPU speedup %.2fx (need >= %.2fx), raw %.2fx; "
-      "worst guarded/raw elapsed ratio %.3fx (need <= 1.3x)\n",
-      speedup_8cpu[1], min_speedup, speedup_8cpu[0], worst_overhead);
+      "worst guarded/raw elapsed ratio %.3fx (need <= 1.3x); worst host "
+      "wall ratio %.2fx (reported, not gated)\n",
+      speedup_8cpu[1], min_speedup, speedup_8cpu[0], worst_overhead,
+      worst_wall_overhead);
   if (speedup_8cpu[1] < min_speedup) failed = true;
   if (worst_overhead > 1.3) failed = true;
 

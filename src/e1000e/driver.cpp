@@ -193,6 +193,7 @@ Result<uint32_t> Driver<Ops>::CleanTxRing() {
 
 template <typename Ops>
 Result<uint32_t> Driver<Ops>::CleanTxOn(uint64_t qadapter) {
+  EntryPin<Ops> pin(ops_);
   // e1000_clean_tx_irq: walk from next_to_clean, reclaim DD descriptors.
   KOP_ASSIGN_OR_RETURN(uint64_t ring,
                        ops_.Load(qadapter + adapter::kTxRingBase, 8));
@@ -241,6 +242,7 @@ Status Driver<Ops>::XmitFrame(uint64_t frame_addr, uint32_t len) {
 template <typename Ops>
 Status Driver<Ops>::XmitOn(uint64_t qadapter, uint64_t tdt_reg,
                            uint64_t frame_addr, uint32_t len) {
+  EntryPin<Ops> pin(ops_);
   if (len == 0 || len > kEthFrameLen) {
     return InvalidArgument("frame length out of range");
   }
@@ -342,6 +344,7 @@ Result<bool> Driver<Ops>::ReceiveFrame(std::vector<uint8_t>* out) {
 template <typename Ops>
 Result<bool> Driver<Ops>::ReceiveOn(uint64_t qadapter, uint64_t rdt_reg,
                                     std::vector<uint8_t>* out) {
+  EntryPin<Ops> pin(ops_);
   KOP_ASSIGN_OR_RETURN(uint64_t rx_ring,
                        ops_.Load(qadapter + adapter::kRxRingBase, 8));
   KOP_ASSIGN_OR_RETURN(uint64_t count64,
@@ -395,6 +398,7 @@ Result<DriverCounters> Driver<Ops>::Counters() {
 
 template <typename Ops>
 Result<DriverCounters> Driver<Ops>::CountersOn(uint32_t queue) {
+  EntryPin<Ops> pin(ops_);
   if (queue >= num_queues_) return InvalidArgument("no such queue");
   const uint64_t qadapter = queue_adapter_[queue];
   DriverCounters out;
@@ -561,6 +565,7 @@ Result<bool> Driver<Ops>::ReceiveFrameFrom(uint32_t queue,
 template <typename Ops>
 Status Driver<Ops>::XmitBatch(uint32_t queue, const TxFrame* frames,
                               uint32_t count, uint32_t* queued) {
+  EntryPin<Ops> pin(ops_);
   if (queued != nullptr) *queued = 0;
   if (queue >= num_queues_) return InvalidArgument("no such queue");
   if (count == 0) return OkStatus();
@@ -646,6 +651,7 @@ Status Driver<Ops>::XmitBatch(uint32_t queue, const TxFrame* frames,
 template <typename Ops>
 Result<uint32_t> Driver<Ops>::NapiPoll(uint32_t queue, uint32_t budget,
                                        std::vector<std::vector<uint8_t>>* frames) {
+  EntryPin<Ops> pin(ops_);
   if (queue >= num_queues_) return InvalidArgument("no such queue");
   KOP_SPAN(kNapiPoll, queue);
   const uint64_t qadapter = queue_adapter_[queue];

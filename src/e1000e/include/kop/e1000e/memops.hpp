@@ -6,6 +6,7 @@
 #include "kop/modrt/memops.hpp"  // IWYU pragma: export
 
 namespace kop::e1000e {
+using modrt::EntryPin;
 using modrt::GuardedMemOps;
 using modrt::MemOpsStats;
 using modrt::RawMemOps;

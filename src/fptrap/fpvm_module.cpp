@@ -42,6 +42,7 @@ Status FpvmModule<Ops>::Remove() {
 
 template <typename Ops>
 Status FpvmModule<Ops>::HandleTrap(uint64_t frame_addr) {
+  modrt::EntryPin<Ops> pin(ops_);
   // Read the faulting instruction's description (guarded loads).
   KOP_ASSIGN_OR_RETURN(uint64_t opcode,
                        ops_.Load(frame_addr + frame::kOpcode, 8));

@@ -47,6 +47,7 @@ template <typename Ops>
 Status HeartbeatModule<Ops>::Isr() {
   // The heartbeat fast path: ack the interrupt, read the time, account
   // the beat, detect overruns (we were late by more than a period).
+  modrt::EntryPin<Ops> pin(ops_);
   KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
                        ops_.Load(state_ + hb::kTimerBase, 8));
   KOP_RETURN_IF_ERROR(ops_.MmioWrite32(mmio_base + REG_ISR, ISR_T0));

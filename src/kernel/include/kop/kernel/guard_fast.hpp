@@ -6,10 +6,12 @@
 //
 // Protocol (DESIGN.md §15):
 //  - PinFrame/UnpinFrame bracket one outermost LoadedModule::Call on the
-//    calling CPU. A pin captures the RCU-published PolicyFrame pointer
-//    plus its store/config generations once, so every inline guard in the
-//    call decides against an immutable region index without re-entering
-//    the RCU read lock per guard. Pins nest (module-to-module calls).
+//    calling CPU (natively-built drivers pin the policy engine directly,
+//    once per driver entry point: modrt::EntryPin). A pin captures the
+//    RCU-published PolicyFrame pointer plus its store/config generations
+//    once, so every inline guard in the call decides against an immutable
+//    region index without re-entering the RCU read lock per guard. Pins
+//    nest (module-to-module calls, nested driver entries).
 //  - FastGuard/FastGuardRange return true only when the access was proven
 //    allowed against the pinned frame AND fully accounted (counters,
 //    per-site attribution, virtual-clock charge). Any other outcome —

@@ -4,14 +4,19 @@
 // GuardedMemOps the CARAT KOP build — "we built two versions of the
 // driver, one with the CARAT KOP transformation applied, the other
 // without it. In both cases, the same compiler was used... No code was
-// modified in the driver." (§4.1). Used by the e1000e driver and the
-// heartbeat module.
+// modified in the driver." (§4.1). Used by the e1000e driver, the
+// heartbeat module and the FPVM trap handler.
 //
-// GuardedMemOps invokes the policy module's guard before every load and
-// store — including MMIO, which on Linux is just a load/store to an
-// ioremapped address — then performs the access and charges the machine
-// model's access cost on the virtual clock. The guard itself charges the
-// machine's guard cost (see PolicyEngine::Guard).
+// GuardedMemOps guards every load and store — including MMIO, which on
+// Linux is just a load/store to an ioremapped address — then performs the
+// access and charges the machine model's access cost on the virtual
+// clock. It shares the KIR engines' one guard path: each driver entry
+// point opens an EntryPin, which pins the policy frame on the calling CPU
+// once, and every access inside decides inline against that frame
+// (PolicyEngine::FastGuard). Anything but a proven allow — no pin, a
+// stale frame, fault injection, a denial — re-decides out of line in
+// PolicyEngine::Guard, which owns violation, panic and quarantine
+// semantics. Either way the guard charges the machine's guard cost.
 #pragma once
 
 #include <cstdint>
@@ -24,17 +29,36 @@
 
 namespace kop::modrt {
 
-/// Synthetic guard-site for natively-built driver code, one per access
-/// category. Native modules have no IR to derive per-instruction sites
-/// from, so their guards attribute at category granularity ("the guarded
-/// MMIO writes") instead of per call site. Registered process-wide on
-/// first use.
-inline uint64_t NativeCategorySite(const char* category) {
-  trace::SiteInfo info;
-  info.module_name = "native";
-  info.function = category;
-  info.detail = "native-build access category";
-  return trace::GlobalSites().Register(std::move(info));
+/// Synthetic guard-site tokens for natively-built driver code, one per
+/// access category. Native modules have no IR to derive per-instruction
+/// sites from, so their guards attribute at category granularity ("the
+/// guarded MMIO writes") instead of per call site. Registered
+/// process-wide on first use, so every native module and every access
+/// width of a category share one token (one HotSites row per label).
+struct NativeSites {
+  uint64_t load = 0;
+  uint64_t store = 0;
+  uint64_t mmio_read = 0;
+  uint64_t mmio_write = 0;
+};
+
+inline const NativeSites& NativeCategorySites() {
+  static const NativeSites sites = [] {
+    auto category = [](const char* function) {
+      trace::SiteInfo info;
+      info.module_name = "native";
+      info.function = function;
+      info.detail = "native-build access category";
+      return trace::GlobalSites().Register(std::move(info));
+    };
+    NativeSites out;
+    out.load = category("load");
+    out.store = category("store");
+    out.mmio_read = category("mmio_read");
+    out.mmio_write = category("mmio_write");
+    return out;
+  }();
+  return sites;
 }
 
 struct MemOpsStats {
@@ -107,6 +131,10 @@ class RawMemOps {
     return Load(addr, size);
   }
 
+  /// Entry-point pin (see EntryPin): nothing to pin without guards.
+  void PinFrame() {}
+  void UnpinFrame() {}
+
   kernel::Kernel* kernel() { return kernel_; }
 
   /// All-CPU fold of the access counters. Call only while no CPU is
@@ -130,7 +158,7 @@ class RawMemOps {
   smp::PerCpu<MemOpsStats> stats_;
 };
 
-/// CARAT KOP build: every access is preceded by a guard call into the
+/// CARAT KOP build: every access is preceded by a guard decision of the
 /// policy module, resolved at "insmod" by handing the driver the engine
 /// behind the kernel's carat_guard export.
 class GuardedMemOps : public RawMemOps {
@@ -138,47 +166,40 @@ class GuardedMemOps : public RawMemOps {
   static constexpr bool kGuarded = true;
 
   GuardedMemOps(kernel::Kernel* kernel, policy::PolicyEngine* engine)
-      : RawMemOps(kernel), engine_(engine) {}
+      : RawMemOps(kernel), engine_(engine), sites_(&NativeCategorySites()) {}
+
+  /// Pin the policy frame on the calling CPU for one driver entry (pins
+  /// nest). Balanced by UnpinFrame; EntryPin does both.
+  void PinFrame() { engine_->PinFrame(); }
+  void UnpinFrame() { engine_->UnpinFrame(); }
 
   Result<uint64_t> Load(uint64_t addr, uint32_t size) {
-    static const uint64_t site = NativeCategorySite("load");
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, size, kGuardAccessRead);  // panics on violation
+    GuardAccess(addr, size, kGuardAccessRead, sites_->load);
     return RawMemOps::Load(addr, size);
   }
 
   Status Store(uint64_t addr, uint64_t value, uint32_t size) {
-    static const uint64_t site = NativeCategorySite("store");
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, size, kGuardAccessWrite);
+    GuardAccess(addr, size, kGuardAccessWrite, sites_->store);
     return RawMemOps::Store(addr, value, size);
   }
 
   Result<uint32_t> MmioRead32(uint64_t addr) {
-    static const uint64_t site = NativeCategorySite("mmio_read");
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, 4, kGuardAccessRead);
+    GuardAccess(addr, 4, kGuardAccessRead, sites_->mmio_read);
     return RawMemOps::MmioRead32(addr);
   }
 
   Status MmioWrite32(uint64_t addr, uint32_t value) {
-    static const uint64_t site = NativeCategorySite("mmio_write");
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, 4, kGuardAccessWrite);
+    GuardAccess(addr, 4, kGuardAccessWrite, sites_->mmio_write);
     return RawMemOps::MmioWrite32(addr, value);
   }
 
   Result<uint64_t> MmioRead64(uint64_t addr) {
-    static const uint64_t site = NativeCategorySite("mmio_read");
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, 8, kGuardAccessRead);
+    GuardAccess(addr, 8, kGuardAccessRead, sites_->mmio_read);
     return RawMemOps::MmioRead64(addr);
   }
 
   Status MmioWrite64(uint64_t addr, uint64_t value) {
-    static const uint64_t site = NativeCategorySite("mmio_write");
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, 8, kGuardAccessWrite);
+    GuardAccess(addr, 8, kGuardAccessWrite, sites_->mmio_write);
     return RawMemOps::MmioWrite64(addr, value);
   }
 
@@ -197,7 +218,34 @@ class GuardedMemOps : public RawMemOps {
   policy::PolicyEngine* engine() { return engine_; }
 
  private:
+  /// The one access path: decide inline against the pinned frame; on a
+  /// deopt, re-decide out of line with the category's site pinned for
+  /// attribution (panics or throws on a violation, per the engine's
+  /// ViolationAction).
+  void GuardAccess(uint64_t addr, uint64_t size, uint64_t flags,
+                   uint64_t site) {
+    if (engine_->FastGuard(addr, size, flags, site)) [[likely]] return;
+    trace::ScopedGuardSite scope(site);
+    engine_->Guard(addr, size, flags);
+  }
+
   policy::PolicyEngine* engine_;
+  const NativeSites* sites_;
+};
+
+/// RAII entry pin: opened at the top of every driver entry point, it pins
+/// the policy frame once for all the entry's guarded accesses (a no-op on
+/// the raw build) and unpins on every exit, unwinds included.
+template <typename Ops>
+class EntryPin {
+ public:
+  explicit EntryPin(Ops& ops) : ops_(ops) { ops_.PinFrame(); }
+  ~EntryPin() { ops_.UnpinFrame(); }
+  EntryPin(const EntryPin&) = delete;
+  EntryPin& operator=(const EntryPin&) = delete;
+
+ private:
+  Ops& ops_;
 };
 
 }  // namespace kop::modrt

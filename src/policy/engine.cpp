@@ -181,64 +181,7 @@ void PolicyEngine::RecordViolation(const ViolationRecord& record) {
 
 bool PolicyEngine::Guard(uint64_t addr, uint64_t size,
                          uint64_t access_flags) {
-  KOP_SPAN(kGuardDecision, addr);
-  const uint64_t site = trace::CurrentGuardSite();
-  bool allowed;
-  {
-    smp::RcuDomain::ReadGuard rcu(rcu_);
-    const PolicyFrame* frame = CurrentFrame();
-    CpuStats& my = cpu_stats_.Mine();
-    my.guard_calls.fetch_add(1, std::memory_order_relaxed);
-    const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->store_size));
-    if (charge_cycles_.load(std::memory_order_relaxed)) {
-      kernel_->clock().Advance(guard_cycles);
-    }
-    latency_hist_->Observe(guard_cycles);
-
-    uint64_t depth = 0;
-    const std::optional<uint32_t> prot =
-        FrameLookup(*frame, addr, size, &depth);
-    lookup_depth_hist_->Observe(static_cast<double>(depth));
-    KOP_TRACE(kPolicyLookup, depth, frame->store_size);
-
-    allowed = prot.has_value()
-                  ? (*prot & access_flags) == access_flags
-                  : mode() == PolicyMode::kDefaultAllow;
-    if (site == force_deny_site_.load(std::memory_order_relaxed))
-        [[unlikely]] {
-      allowed = false;
-    }
-    NoteSite(site, allowed);
-    if (allowed) {
-      my.allowed.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      my.denied.fetch_add(1, std::memory_order_relaxed);
-      RecordViolation(ViolationRecord{addr, size, access_flags,
-                                      FoldGuardCalls(), false, site, false});
-    }
-  }
-  KOP_TRACE(kGuardCheck, addr, size, access_flags, site);
-  if (allowed) return true;
-  KOP_TRACE(kGuardDeny, addr, size, access_flags, site);
-  denied_counter_->Add();
-  const char* kind =
-      (access_flags & kGuardAccessWrite)
-          ? ((access_flags & kGuardAccessRead) ? "read-write" : "write")
-          : "read";
-  kernel_->log().Printk(
-      kernel::KernLevel::kAlert,
-      "CARAT KOP: forbidden %s access to 0x%llx (size %llu) blocked by policy",
-      kind, static_cast<unsigned long long>(addr),
-      static_cast<unsigned long long>(size));
-  const ViolationAction action = violation_action();
-  if (action == ViolationAction::kPanic) {
-    kernel_->Panic("CARAT KOP guard violation");  // throws KernelPanic
-  }
-  if (action == ViolationAction::kQuarantine) {
-    throw GuardViolation(addr, size, access_flags, site);
-  }
-  return false;
+  return GuardRange(addr, size, access_flags, 0);
 }
 
 bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
@@ -395,12 +338,17 @@ bool PolicyEngine::PinFrame() {
   PinSlot& pin = pin_slots_.Mine();
   if (pin.depth++ == 0) {
     pin.rcu.emplace(rcu_);
-    // Resolve the CPU-slot pointers once: every inline guard in the call
-    // then runs without a per-guard CPU-slot lookup.
-    pin.stats = &cpu_stats_.Mine();
-    pin.sites = &site_shards_.Mine();
-    pin.clock_cell = &kernel_->clock().MyCell();
-    pin.spans = &trace::GlobalSpans();
+    // Resolve the CPU-slot pointers once per slot: every inline guard then
+    // runs without a per-guard CPU-slot lookup, and since a pin slot
+    // belongs to one CPU, so do the slots it points at.
+    if (pin.stats == nullptr) {
+      pin.stats = &cpu_stats_.Mine();
+      pin.sites = &site_shards_.Mine();
+      pin.clock_cell = &kernel_->clock().MyCell();
+      pin.spans = &trace::GlobalSpans();
+      pin.latency = &latency_hist_->Mine();
+      pin.lookup_depth = &lookup_depth_hist_->Mine();
+    }
     RefreshPin(pin);
   }
   return true;
@@ -410,6 +358,7 @@ void PolicyEngine::UnpinFrame() {
   PinSlot& pin = pin_slots_.Mine();
   if (pin.depth == 0) return;  // unbalanced close: tolerate, stay slow
   if (--pin.depth == 0) {
+    FlushLatency(pin);
     if (pin.elided_batch != 0) {
       elided_counter_->Add(pin.elided_batch);
       pin.elided_batch = 0;
@@ -420,6 +369,9 @@ void PolicyEngine::UnpinFrame() {
 }
 
 void PolicyEngine::RefreshPin(PinSlot& pin) {
+  // Batched latencies belong to the outgoing guard_cycles, and must land
+  // before the deopting guard observes the new frame's out of line.
+  FlushLatency(pin);
   // Snapshot the mutation clock BEFORE resolving the frame: a mutation
   // that lands between the two reads leaves the snapshot behind the live
   // clock, so the next inline guard deopts and refreshes — a spurious
@@ -438,25 +390,48 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   pin.default_allow = mode() == PolicyMode::kDefaultAllow;
 }
 
-bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
-                             uint64_t access_flags, uint64_t site) {
+void PolicyEngine::ChargePinned(PinSlot& pin) {
+  if (charge_cycles_.load(std::memory_order_relaxed)) {
+    pin.clock_cell->store(
+        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
+        std::memory_order_relaxed);
+  }
+  ++pin.latency_batch;
+}
+
+void PolicyEngine::FlushLatency(PinSlot& pin) {
+  if (pin.latency_batch == 0) return;
+  pin.latency->ObserveN(pin.guard_cycles, pin.latency_batch);
+  pin.latency_batch = 0;
+}
+
+PolicyEngine::PinSlot* PolicyEngine::PinForInline(uint64_t site) {
   PinSlot& pin = pin_slots_.Mine();
   if (pin.depth == 0) [[unlikely]] {
-    return false;  // not pinned: fast path unavailable, not a deopt
+    return nullptr;  // not pinned: fast path unavailable, not a deopt
   }
   if (pin.mutation_gen !=
       mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
     // Policy moved mid-call (table mutations and config changes both
-    // tick the one clock): refresh so later guards in this call are fast
+    // tick the one clock): refresh so later checks in this call are fast
     // again, and let this one re-decide out of line.
     deopt_counter_->Add();
     RefreshPin(pin);
-    return false;
+    return nullptr;
   }
   if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
     deopt_counter_->Add();
-    return false;  // fault injection: slow path owns the spurious denial
+    return nullptr;  // fault injection: slow path owns the spurious denial
   }
+  return &pin;
+}
+
+bool PolicyEngine::PinnedGuard(uint64_t addr, uint64_t size,
+                               uint64_t access_flags, uint64_t elided,
+                               uint64_t site) {
+  PinSlot* const slot = PinForInline(site);
+  if (slot == nullptr) return false;
+  PinSlot& pin = *slot;
   // The flight recorder sees inline decisions too: the span opens after
   // the deopt checks, so a deopted guard is recorded once, by Guard().
   // Hand-rolled (vs KOP_SPAN) to use the pinned recorder pointer: a
@@ -482,82 +457,32 @@ bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
   }
   BumpRelaxed(pin.stats->guard_calls);
   BumpRelaxed(pin.stats->allowed);
-  NoteSiteIn(*pin.sites, site, true, 0);
-  if (charge_cycles_.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
-  }
-  return true;
-}
-
-bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
-                                  uint64_t access_flags, uint64_t elided,
-                                  uint64_t site) {
-  PinSlot& pin = pin_slots_.Mine();
-  if (pin.depth == 0) [[unlikely]] {
-    return false;
-  }
-  if (pin.mutation_gen !=
-      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    deopt_counter_->Add();
-    RefreshPin(pin);
-    return false;
-  }
-  if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;
-  }
-#if KOP_SPANS_ENABLED
-  const bool span_active = pin.spans->enabled();
-  const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
-#endif
-  uint64_t depth = 0;
-  const std::optional<uint32_t> prot =
-      FrameLookup(*pin.frame, addr, size, &depth);
-  const bool allowed = prot.has_value()
-                           ? (*prot & access_flags) == access_flags
-                           : pin.default_allow;
-#if KOP_SPANS_ENABLED
-  if (span_active) {
-    pin.spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, addr);
-  }
-#endif
-  if (!allowed) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;
-  }
-  BumpRelaxed(pin.stats->guard_calls);
-  BumpRelaxed(pin.stats->allowed);
   NoteSiteIn(*pin.sites, site, true, elided);
   if (elided != 0) {
     BumpRelaxed(pin.stats->elided, elided);
     pin.elided_batch += elided;
   }
-  if (charge_cycles_.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
-  }
+  ChargePinned(pin);
+  pin.lookup_depth->Observe(static_cast<double>(depth));
   return true;
+}
+
+bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
+                             uint64_t access_flags, uint64_t site) {
+  return PinnedGuard(addr, size, access_flags, 0, site);
+}
+
+bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
+                                  uint64_t access_flags, uint64_t elided,
+                                  uint64_t site) {
+  return PinnedGuard(addr, size, access_flags, elided, site);
 }
 
 bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
                                 uint64_t site) {
-  PinSlot& pin = pin_slots_.Mine();
-  if (pin.depth == 0) [[unlikely]] {
-    return false;  // not pinned: fast path unavailable, not a deopt
-  }
-  if (pin.mutation_gen !=
-      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    deopt_counter_->Add();
-    RefreshPin(pin);
-    return false;
-  }
-  if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;  // fault injection: slow path owns the spurious denial
-  }
+  PinSlot* const slot = PinForInline(site);
+  if (slot == nullptr) return false;
+  PinSlot& pin = *slot;
 #if KOP_SPANS_ENABLED
   const bool span_active = pin.spans->enabled();
   const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
@@ -577,11 +502,7 @@ bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
   }
   BumpRelaxed(pin.stats->cfi_checks);
   NoteSiteIn(*pin.sites, site, true, 0);
-  if (charge_cycles_.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
-  }
+  ChargePinned(pin);  // as CfiCheck(): latency, no lookup depth
   return true;
 }
 

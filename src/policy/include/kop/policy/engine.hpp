@@ -4,9 +4,10 @@
 // "we currently do not cleanly handle forbidden accesses, and instead log
 // that they occur and cause a kernel panic").
 //
-// SMP read path: guards never take the engine lock. Each guard enters an
-// RCU read section and decides against an immutable PolicyFrame — a
-// flattened copy-published snapshot of the region table plus the
+// SMP read path: guards never take the engine lock. Each guard runs in
+// an RCU read section (its own out of line, its caller's pin inline) and
+// decides against an immutable PolicyFrame — a flattened
+// copy-published snapshot of the region table plus the
 // intrinsic permission sets. Mutators (table Add/Remove/Clear, intrinsic
 // config) bump generation counters; the next guard that notices a stale
 // frame republishes a fresh one under the writer lock and retires the old
@@ -160,7 +161,9 @@ class PolicyEngine : public kernel::GuardFastOps {
   bool Check(uint64_t addr, uint64_t size, uint64_t access_flags) const;
 
   /// The guard itself: carat_guard(addr, size, access_flags). Returns
-  /// true when allowed; on denial logs and (by default) panics.
+  /// true when allowed; on denial logs and (by default) panics. The
+  /// out-of-line decision every inline deopt lands in; it attributes to
+  /// trace::CurrentGuardSite() and traces each decision.
   bool Guard(uint64_t addr, uint64_t size, uint64_t access_flags);
 
   /// carat_guard_range(addr, size, access_flags, elided): the covering
@@ -169,6 +172,7 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// member accesses are credited to guard.elided (global counter,
   /// per-CPU stats slice, and the cover's hot-site row). A denial is
   /// attributed to the cover site with the interval's address and span.
+  /// Guard() is the elided = 0 case.
   bool GuardRange(uint64_t addr, uint64_t size, uint64_t access_flags,
                   uint64_t elided);
 
@@ -238,14 +242,18 @@ class PolicyEngine : public kernel::GuardFastOps {
   std::vector<Region> FrameSnapshot() const;
 
   // ------------------------------------------------------------------
-  // Inline-guard fast path (kernel::GuardFastOps, DESIGN.md §15). A pin
-  // captures the published PolicyFrame once per outermost module call on
-  // the calling CPU: one RCU read section held for the call, the frame
-  // pointer, both generations, and the precomputed guard-cycle charge.
+  // Inline-guard fast path (kernel::GuardFastOps, DESIGN.md §15), the one
+  // guard path of every module: the KIR engines pin once per outermost
+  // module call, natively-built drivers (modrt::GuardedMemOps) once per
+  // driver entry point. A pin captures the published PolicyFrame on the
+  // calling CPU: one RCU read section held for the call, the frame
+  // pointer, the mutation clock, and the precomputed guard-cycle charge.
   // Every inline check then runs against the immutable region index with
-  // no RCU entry, no histogram updates, and no trace events. Any outcome
-  // other than a proven allow deopts (returns false) to Guard()/
-  // GuardRange(), which owns all violation and containment semantics.
+  // no RCU entry and no trace events, and an allow is accounted exactly
+  // as Guard() accounts it (per-CPU stats, site row, clock charge, both
+  // guard histograms, guard-decision span). Any outcome other than a
+  // proven allow deopts (returns false) to Guard()/GuardRange(), which
+  // owns all violation and containment semantics and traces the decision.
   //
   // Holding the read section for the whole call delays reclamation of
   // frames retired mid-call until the call returns — the documented cost
@@ -253,28 +261,28 @@ class PolicyEngine : public kernel::GuardFastOps {
   // ------------------------------------------------------------------
 
   /// Open (or nest) the calling CPU's frame pin. Always succeeds.
-  bool PinFrame() override;
+  bool PinFrame() final;
   /// Close one nesting level; outermost close leaves the read section.
-  void UnpinFrame() override;
+  void UnpinFrame() final;
   /// True = allowed against the pinned frame and fully accounted.
   /// False = deopt: not pinned, frame generation moved (the pin is
   /// refreshed so later guards in the call are fast again), the
   /// fault-injection forced-deny is armed, or the check failed.
   bool FastGuard(uint64_t addr, uint64_t size, uint64_t access_flags,
-                 uint64_t site) override;
+                 uint64_t site) final;
   bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t access_flags,
-                      uint64_t elided, uint64_t site) override;
+                      uint64_t elided, uint64_t site) final;
   /// Append a module's attested legal-target sets (insmod time). Each set
   /// is sorted on registration; the returned base rebases the module's
   /// local set ids to engine-global ids. Sets are never unregistered —
   /// ids stay stable and stale frames stay decidable — matching the
   /// append-only guard-site token space.
   uint64_t RegisterCfiSets(
-      const std::vector<std::vector<uint64_t>>& sets) override;
+      const std::vector<std::vector<uint64_t>>& sets) final;
   /// Inline CFI membership check against the pinned frame. Same deopt
   /// ladder as FastGuard; false sends the caller to CfiCheck(), which
   /// owns violation semantics.
-  bool FastCfiCheck(uint64_t target, uint64_t set_id, uint64_t site) override;
+  bool FastCfiCheck(uint64_t target, uint64_t set_id, uint64_t site) final;
 
  private:
   struct CpuStats {
@@ -315,11 +323,12 @@ class PolicyEngine : public kernel::GuardFastOps {
   };
 
   /// One CPU's frame pin. `rcu` holds the read section open for the
-  /// whole outermost module call so `frame` stays valid; the captured
-  /// mutation clock tells FastGuard when the pinned frame went stale
-  /// (deopt + refresh). `depth` counts nesting (module-to-module calls).
-  /// The stats / sites / clock / span fields are resolved once per pin so
-  /// the inline path runs no per-guard CPU-slot lookups; `default_allow`
+  /// whole outermost module call or driver entry so `frame` stays valid;
+  /// the captured mutation clock tells FastGuard when the pinned frame
+  /// went stale (deopt + refresh). `depth` counts nesting. The stats /
+  /// sites / clock / span / histogram pointers are resolved on the slot's
+  /// first pin (they are this CPU's for good) so the inline path runs no
+  /// per-guard CPU-slot lookups; `default_allow`
   /// may go stale only together with `mutation_gen` (SetMode bumps it),
   /// which deopts the guard first.
   struct PinSlot {
@@ -331,13 +340,21 @@ class PolicyEngine : public kernel::GuardFastOps {
     bool default_allow = false;
     CpuStats* stats = nullptr;
     SiteShard* sites = nullptr;
-    // This CPU's clock accumulator, resolved once at pin time so inline
+    // This CPU's clock accumulator, resolved once so inline
     // guards charge cycles with one load+store instead of a slot lookup.
     std::atomic<double>* clock_cell = nullptr;
     // The global span recorder, cached so the fast path's guard-decision
     // span costs one relaxed enabled-load instead of an out-of-line
     // GlobalSpans() call per guard.
     trace::SpanRecorder* spans = nullptr;
+    // This CPU's bucket sets of the two guard histograms: an inline
+    // allow observes them as Guard() does, minus the CPU-slot lookup.
+    // Its latency is the pin's constant guard_cycles, so those
+    // observations batch in latency_batch and flush whenever
+    // guard_cycles may change (refresh) and at unpin.
+    trace::Log2Buckets* latency = nullptr;
+    trace::Log2Buckets* lookup_depth = nullptr;
+    uint64_t latency_batch = 0;
     // Elision credits accumulated over the pinned call and flushed to the
     // global guard.elided counter at unpin: one fetch_add per call instead
     // of one per covering guard. Per-CPU stats stay exact per cover.
@@ -362,6 +379,20 @@ class PolicyEngine : public kernel::GuardFastOps {
   void NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
                   uint64_t elided);
   static void GrowSiteTable(SiteShard& shard, uint64_t site);
+  /// The calling CPU's pin when an inline check may use it; nullptr (a
+  /// deopt, counted unless simply unpinned) when the CPU is not pinned,
+  /// the pinned frame went stale (the pin is refreshed), or `site` is the
+  /// fault-injection forced-deny site.
+  PinSlot* PinForInline(uint64_t site);
+  /// The shared body of FastGuard/FastGuardRange (elided = 0 for a
+  /// single access).
+  bool PinnedGuard(uint64_t addr, uint64_t size, uint64_t access_flags,
+                   uint64_t elided, uint64_t site);
+  /// Account one inline decision's guard cost: the clock charge and its
+  /// (batched) guard.latency_cycles observation.
+  void ChargePinned(PinSlot& pin);
+  /// Observe the pin's batched latencies into guard.latency_cycles.
+  static void FlushLatency(PinSlot& pin);
   /// Re-capture the pinned frame after its generations moved (called
   /// with the slot's read section still open, which keeps the refresh
   /// race-free against reclamation).

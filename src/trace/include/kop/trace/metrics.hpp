@@ -10,6 +10,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -64,7 +65,19 @@ class Log2Buckets {
  public:
   static constexpr size_t kBuckets = 64;
 
-  void Observe(double value);
+  /// Inline: guard paths observe on every decision.
+  void Observe(double value) {
+    // One writer per set: a load+store is an exact increment, and neither
+    // needs a locked instruction. Readers see each field torn-free.
+    std::atomic<uint64_t>& bucket = buckets_[Index(value)];
+    bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    sum_.store(sum_.load(std::memory_order_relaxed) + value,
+               std::memory_order_relaxed);
+  }
+  /// `n` observations of one value: the same buckets and the same sum,
+  /// bit for bit, as `n` Observe(value) calls in a row.
+  void ObserveN(double value, uint64_t n);
 
   /// Every observation lands in exactly one bucket, so the count is the
   /// bucket sum — read-side work that keeps Observe to one bucket bump
@@ -81,6 +94,16 @@ class Log2Buckets {
   void Reset();
 
  private:
+  // Bucket edges are powers of two, so for v in [1, 2^62) the bucket is
+  // bit_width(floor(v)) — no libm on the guard hot path. Anything at or
+  // above 2^62 lands in the clamp bucket either way.
+  static size_t Index(double value) {
+    if (value < 1.0) return 0;
+    return value >= 0x1p62 ? kBuckets - 1
+                           : static_cast<size_t>(std::bit_width(
+                                 static_cast<uint64_t>(value)));
+  }
+
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<double> sum_{0.0};
 };
@@ -94,6 +117,10 @@ class Log2Histogram {
   static constexpr size_t kBuckets = Log2Buckets::kBuckets;
 
   void Observe(double value);
+
+  /// The calling CPU's bucket set. Pinned hot paths resolve it once per
+  /// pin and observe into it directly, skipping the per-call CPU lookup.
+  Log2Buckets& Mine() { return sets_.Mine(); }
 
   uint64_t count() const;
   /// Per-CPU sums added in CPU order; a single-CPU run reads its own sum

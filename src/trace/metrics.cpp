@@ -1,31 +1,21 @@
 #include "kop/trace/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
 
 namespace kop::trace {
 
-void Log2Buckets::Observe(double value) {
-  // Bucket edges are powers of two, so for v in [1, 2^62) the bucket is
-  // bit_width(floor(v)) — no libm on the guard hot path. Anything at or
-  // above 2^62 lands in the clamp bucket either way.
-  size_t index = 0;
-  if (value >= 1.0) {
-    index = value >= 0x1p62
-                ? kBuckets - 1
-                : static_cast<size_t>(
-                      std::bit_width(static_cast<uint64_t>(value)));
-  }
-  // One writer per set: a load+store is an exact increment, and neither
-  // needs a locked instruction. Readers see each field torn-free.
-  std::atomic<uint64_t>& bucket = buckets_[index];
-  bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+void Log2Buckets::ObserveN(double value, uint64_t n) {
+  std::atomic<uint64_t>& bucket = buckets_[Index(value)];
+  bucket.store(bucket.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
-  sum_.store(sum_.load(std::memory_order_relaxed) + value,
-             std::memory_order_relaxed);
+  // Added one at a time, not as n * value: floating-point addition
+  // rounds at every step, and the sum must match unbatched observation.
+  double sum = sum_.load(std::memory_order_relaxed);
+  for (uint64_t i = 0; i < n; ++i) sum += value;
+  sum_.store(sum, std::memory_order_relaxed);
 }
 
 void Log2Buckets::Reset() {

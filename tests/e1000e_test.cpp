@@ -4,12 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "kop/e1000e/driver.hpp"
+#include "kop/hpet/heartbeat.hpp"
+#include "kop/hpet/timer_device.hpp"
 #include "kop/kernel/kernel.hpp"
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/policy_module.hpp"
 #include "kop/policy/region_table.hpp"
+#include "kop/trace/metrics.hpp"
+#include "kop/trace/site.hpp"
+#include "kop/trace/trace.hpp"
 
 namespace kop::e1000e {
 namespace {
@@ -599,6 +606,127 @@ TEST_F(DriverTest, GuardedProbeDeniedByPolicyPanics) {
   EXPECT_THROW((void)CaratDriver::Probe(
                    GuardedMemOps(&kernel_, &policy_->engine()), kMmio),
                kernel::KernelPanic);
+}
+
+// ------------------------------------- one guard path: pinned entries --
+
+TEST_F(DriverTest, PinnedEntryDecidesInlineWithoutPerAccessTracepoints) {
+  policy::PolicyEngine& engine = policy_->engine();
+  auto driver = CaratDriver::Probe(GuardedMemOps(&kernel_, &engine), kMmio);
+  ASSERT_TRUE(driver.ok());
+  const uint64_t frame = StageFrame(128);
+  const trace::Counter* deopt =
+      trace::GlobalMetrics().GetCounter("guard.deopt");
+  const uint64_t deopts_before = deopt->value();
+  const uint64_t checks_before =
+      trace::GlobalTracer().event_count(trace::EventId::kGuardCheck);
+  const uint64_t lookups_before =
+      trace::GlobalTracer().event_count(trace::EventId::kPolicyLookup);
+  engine.ResetStats();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(driver->XmitFrame(frame, 128).ok());
+  }
+  // Same guards and accounting as ever (17 per packet), every one allowed
+  // inline against the entry's pin: no deopt, no per-access tracepoint.
+  EXPECT_EQ(engine.stats().guard_calls, 10u * 17);
+  EXPECT_EQ(engine.stats().allowed, 10u * 17);
+  EXPECT_EQ(deopt->value(), deopts_before);
+  EXPECT_EQ(trace::GlobalTracer().event_count(trace::EventId::kGuardCheck),
+            checks_before);
+  EXPECT_EQ(trace::GlobalTracer().event_count(trace::EventId::kPolicyLookup),
+            lookups_before);
+
+  // Outside any entry point the accesses fall back to Guard(), which
+  // traces each decision as it always has.
+  ASSERT_TRUE(driver->HwGoodPacketsTransmitted().ok());
+  EXPECT_EQ(engine.stats().guard_calls, 10u * 17 + 2);
+#if KOP_TRACE_ENABLED
+  EXPECT_EQ(trace::GlobalTracer().event_count(trace::EventId::kGuardCheck),
+            checks_before + 2);
+#endif
+}
+
+TEST_F(DriverTest, ForcedDenyInPinnedXmitIsDecidedOutOfLine) {
+  policy::PolicyEngine& engine = policy_->engine();
+  auto driver = CaratDriver::Probe(GuardedMemOps(&kernel_, &engine), kMmio);
+  ASSERT_TRUE(driver.ok());
+  const uint64_t frame = StageFrame(128);
+  const uint64_t store_site = modrt::NativeCategorySites().store;
+  const trace::Counter* deopt =
+      trace::GlobalMetrics().GetCounter("guard.deopt");
+
+  // Quarantine: the first store of the pinned xmit is forced to deny.
+  // The inline check deopts once, Guard() re-decides, records and throws
+  // with the store's site, and the unwind releases the entry's pin.
+  engine.SetViolationAction(policy::ViolationAction::kQuarantine);
+  engine.ResetStats();
+  uint64_t deopts_before = deopt->value();
+  engine.ForceDenyAtSite(store_site);
+  bool contained = false;
+  try {
+    (void)driver->XmitFrame(frame, 128);
+  } catch (const kernel::GuardViolation& violation) {
+    contained = true;
+    EXPECT_EQ(violation.site, store_site);
+    EXPECT_EQ(violation.access_flags, kGuardAccessWrite);
+  }
+  engine.ForceDenyAtSite(policy::PolicyEngine::kNoForcedSite);
+  EXPECT_TRUE(contained);
+  EXPECT_EQ(engine.stats().denied, 1u);
+  auto violations = engine.RecentViolations();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.back().site, store_site);
+  EXPECT_EQ(deopt->value() - deopts_before, 1u);
+  EXPECT_FALSE(engine.FastGuard(frame, 8, kGuardAccessRead, 0))
+      << "the xmit's pin outlived its unwind";
+
+  // Log-only: the xmit runs to completion and every one of its 8 stores
+  // is denied by Guard() — one deopt and one violation record each.
+  engine.SetViolationAction(policy::ViolationAction::kLogOnly);
+  engine.ResetStats();
+  deopts_before = deopt->value();
+  engine.ForceDenyAtSite(store_site);
+  EXPECT_TRUE(driver->XmitFrame(frame, 128).ok());
+  engine.ForceDenyAtSite(policy::PolicyEngine::kNoForcedSite);
+  EXPECT_EQ(engine.stats().denied, 8u);
+  EXPECT_EQ(engine.stats().guard_calls, 17u);
+  violations = engine.RecentViolations();
+  ASSERT_EQ(violations.size(), 8u);
+  for (const policy::ViolationRecord& record : violations) {
+    EXPECT_EQ(record.site, store_site);
+  }
+  EXPECT_EQ(deopt->value() - deopts_before, 8u);
+  EXPECT_FALSE(engine.FastGuard(frame, 8, kGuardAccessRead, 0));
+}
+
+TEST_F(DriverTest, NativeModulesShareOneHotSiteRowPerCategory) {
+  policy::PolicyEngine& engine = policy_->engine();
+  auto driver = CaratDriver::Probe(GuardedMemOps(&kernel_, &engine), kMmio);
+  ASSERT_TRUE(driver.ok());
+  hpet::TimerDevice timer;
+  ASSERT_TRUE(timer.MapAt(&kernel_.mem(), kMmio + 0x100000).ok());
+  auto heartbeat = hpet::CaratHeartbeat::Probe(
+      GuardedMemOps(&kernel_, &engine), kMmio + 0x100000, 100);
+  ASSERT_TRUE(heartbeat.ok());
+  engine.ResetStats();
+
+  // 32-bit MMIO reads and writes from the NIC driver, a 64-bit MMIO read
+  // and 32-bit writes from the heartbeat ISR, loads and stores from both.
+  const uint64_t frame = StageFrame(128);
+  ASSERT_TRUE(driver->XmitFrame(frame, 128).ok());
+  ASSERT_TRUE(driver->HwGoodPacketsTransmitted().ok());
+  ASSERT_TRUE(heartbeat->Isr().ok());
+
+  std::map<std::string, int> rows_per_label;
+  for (const policy::HotSite& row : engine.HotSites()) {
+    auto info = trace::GlobalSites().Find(row.site);
+    ASSERT_TRUE(info.has_value());
+    if (info->module_name == "native") ++rows_per_label[info->Label()];
+  }
+  ASSERT_EQ(rows_per_label.size(), 4u);
+  for (const auto& [label, rows] : rows_per_label) {
+    EXPECT_EQ(rows, 1) << label;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "kop/e1000e/driver.hpp"
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
 #include "kop/kernel/procfs.hpp"
@@ -126,6 +127,76 @@ TEST_F(ObservabilityTest, GuardLatencyHistogramFills) {
   const std::string proc = policy::ProcGuardStats(policy_->engine());
   EXPECT_NE(proc.find("guard.latency_cycles"), std::string::npos);
   EXPECT_NE(proc.find("denied:"), std::string::npos);
+}
+
+// One accounting path: the pinned inline guards of native drivers and KIR
+// modules feed both guard histograms exactly as the out-of-line Guard()
+// does, so each histogram counts every guard call on either path.
+TEST(GuardHistogramTest, CountsEqualGuardCallsForNativeAndKirModules) {
+  const trace::Log2Histogram* latency =
+      trace::GlobalMetrics().GetHistogram("guard.latency_cycles");
+  const trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const trace::Counter* deopt =
+      trace::GlobalMetrics().GetCounter("guard.deopt");
+
+  {  // Native e1000e: pinned XmitFrame / XmitBatch / NapiPoll entries.
+    Kernel kernel;
+    nic::CountingSink sink;
+    nic::E1000Device device(&kernel.mem(), &sink);
+    ASSERT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
+    auto policy =
+        PolicyModule::Insert(&kernel, nullptr, PolicyMode::kDefaultAllow);
+    ASSERT_TRUE(policy.ok());
+    policy::PolicyEngine& engine = (*policy)->engine();
+    auto driver = e1000e::CaratDriver::Probe(
+        e1000e::GuardedMemOps(&kernel, &engine), kernel::kVmallocBase);
+    ASSERT_TRUE(driver.ok());
+    auto frame = kernel.heap().Kmalloc(2048, 64);
+    ASSERT_TRUE(frame.ok());
+    trace::GlobalMetrics().Reset();
+    engine.ResetStats();
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(driver->XmitFrame(*frame, 128).ok());
+    }
+    std::vector<e1000e::TxFrame> batch(4, e1000e::TxFrame{*frame, 128});
+    uint32_t queued = 0;
+    ASSERT_TRUE(driver->XmitBatch(0, batch.data(), 4, &queued).ok());
+    ASSERT_TRUE(driver->NapiPoll(0, 8, nullptr).ok());
+    const uint64_t guards = engine.stats().guard_calls;
+    EXPECT_GT(guards, 16u * 17);
+    EXPECT_EQ(deopt->value(), 0u);
+    EXPECT_EQ(latency->count(), guards);
+    EXPECT_EQ(depth->count(), guards);
+  }
+
+  {  // KIR kop_knic through the loader: the engines' pinned inline path.
+    Kernel kernel;
+    ModuleLoader loader(&kernel, TrustedKeyring());
+    nic::CountingSink sink;
+    nic::E1000Device device(&kernel.mem(), &sink);
+    ASSERT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
+    auto policy =
+        PolicyModule::Insert(&kernel, nullptr, PolicyMode::kDefaultAllow);
+    ASSERT_TRUE(policy.ok());
+    policy::PolicyEngine& engine = (*policy)->engine();
+    auto knic = loader.Insmod(CompileAndSign(kirmods::KnicSource()));
+    ASSERT_TRUE(knic.ok()) << knic.status().ToString();
+    ASSERT_TRUE((*knic)->Call("knic_init", {kernel::kVmallocBase}).ok());
+    ASSERT_TRUE((*knic)->Call("knic_fill", {64, 0x20}).ok());
+    trace::GlobalMetrics().Reset();
+    engine.ResetStats();
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(
+          (*knic)->Call("knic_send", {kernel::kVmallocBase, 64}).ok());
+    }
+    EXPECT_EQ(sink.packets(), 8u);
+    const uint64_t guards = engine.stats().guard_calls;
+    EXPECT_GT(guards, 0u);
+    EXPECT_EQ(deopt->value(), 0u);
+    EXPECT_EQ(latency->count(), guards);
+    EXPECT_EQ(depth->count(), guards);
+  }
 }
 
 #if KOP_TRACE_ENABLED
