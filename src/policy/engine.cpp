@@ -52,8 +52,7 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   }
 
   auto* fresh = new PolicyFrame;
-  fresh->regions = table_.Snapshot();
-  fresh->store_size = fresh->regions.size();
+  fresh->regions = table_.Index();
   fresh->store_generation = store_gen;
   fresh->config_generation = config_gen;
   fresh->intrinsic_allowed.assign(intrinsic_allowed_.begin(),
@@ -72,19 +71,68 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   return fresh;
 }
 
+namespace {
+/// True when an entry ending at `end` (exclusive) can hold
+/// [addr, addr + span), given its base is at or below addr. Written
+/// without addr + span, which may wrap.
+inline bool EndHolds(uint64_t end, uint64_t addr, uint64_t span) {
+  return end > addr && end - addr >= span;
+}
+
+constexpr uint32_t kNoMatch = ~uint32_t{0};
+
+/// A frame's index back in table order.
+std::vector<Region> InTableOrder(const RegionIndex& index) {
+  std::vector<Region> regions(index.size);
+  for (size_t k = 0; k < index.size; ++k) {
+    const IndexedRegion& entry = index.entries[k];
+    regions[entry.index] =
+        Region{entry.base, entry.end - entry.base, entry.prot};
+  }
+  return regions;
+}
+}  // namespace
+
 std::optional<uint32_t> PolicyEngine::FrameLookup(const PolicyFrame& frame,
                                                   uint64_t addr, uint64_t size,
                                                   uint64_t* depth) {
-  uint64_t scanned = 0;
-  for (const Region& region : frame.regions) {
-    ++scanned;
-    if (region.Contains(addr, size)) {
-      *depth = scanned;
-      return region.prot;
+  const IndexedRegion* const entries = frame.regions.entries.get();
+  const size_t n = frame.regions.size;
+  *depth = n;
+  const uint64_t span = size == 0 ? 1 : size;
+  // Outside [lowest base, highest end) nothing can contain the access:
+  // a miss without searching.
+  if (n == 0 || addr < entries[0].base ||
+      !EndHolds(entries[n - 1].max_end, addr, span)) {
+    return std::nullopt;
+  }
+  // Branch-free binary search for the last region based at or below
+  // addr (entries[0] is, by the check above): entries[0, below) are the
+  // only regions that can contain the access.
+  const IndexedRegion* last = entries;
+  for (size_t len = n; len > 1;) {
+    const size_t half = len / 2;
+    last = last[half].base <= addr ? last + half : last;
+    len -= half;
+  }
+  size_t below = static_cast<size_t>(last - entries) + 1;
+  // Walk down while some entry at or before this one still reaches past
+  // the access. Every container is in that stretch; the first match is
+  // the container earliest in table order, wherever its base sits.
+  uint32_t first = kNoMatch;
+  uint32_t prot = kProtNone;
+  for (; below > 0 && EndHolds(entries[below - 1].max_end, addr, span);
+       --below) {
+    const IndexedRegion& entry = entries[below - 1];
+    if (entry.index < first && EndHolds(entry.end, addr, span)) {
+      first = entry.index;
+      prot = entry.prot;
     }
   }
-  *depth = scanned;
-  return std::nullopt;
+  if (first == kNoMatch) return std::nullopt;
+  // The paper's scan depth: the match's position in table order.
+  *depth = first + 1;
+  return prot;
 }
 
 bool PolicyEngine::Check(uint64_t addr, uint64_t size,
@@ -195,7 +243,7 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
     CpuStats& my = cpu_stats_.Mine();
     my.guard_calls.fetch_add(1, std::memory_order_relaxed);
     const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->store_size));
+        static_cast<uint32_t>(frame->regions.size));
     if (charge_cycles_.load(std::memory_order_relaxed)) {
       kernel_->clock().Advance(guard_cycles);
     }
@@ -205,7 +253,7 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
     const std::optional<uint32_t> prot =
         FrameLookup(*frame, addr, size, &depth);
     lookup_depth_hist_->Observe(static_cast<double>(depth));
-    KOP_TRACE(kPolicyLookup, depth, frame->store_size);
+    KOP_TRACE(kPolicyLookup, depth, frame->regions.size);
 
     allowed = prot.has_value()
                   ? (*prot & access_flags) == access_flags
@@ -270,7 +318,7 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
     // latency histogram, so CFI-on vs CFI-off deltas are visible in the
     // virtual clock the benches read.
     const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->store_size));
+        static_cast<uint32_t>(frame->regions.size));
     if (charge_cycles_.load(std::memory_order_relaxed)) {
       kernel_->clock().Advance(guard_cycles);
     }
@@ -384,7 +432,7 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   const PolicyFrame* frame = CurrentFrame();
   pin.frame = frame;
   pin.guard_cycles = kernel_->machine().GuardCycles(
-      static_cast<uint32_t>(frame->store_size));
+      static_cast<uint32_t>(frame->regions.size));
   // Mode is config: SetMode bumps the mutation clock, so this snapshot
   // can only go stale together with a clock mismatch.
   pin.default_allow = mode() == PolicyMode::kDefaultAllow;
@@ -638,7 +686,7 @@ std::vector<ViolationRecord> PolicyEngine::RecentViolations() const {
 
 std::vector<Region> PolicyEngine::FrameSnapshot() const {
   smp::RcuDomain::ReadGuard rcu(rcu_);
-  return CurrentFrame()->regions;
+  return InTableOrder(CurrentFrame()->regions);
 }
 
 std::vector<HotSite> PolicyEngine::HotSites() const {

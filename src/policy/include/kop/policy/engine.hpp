@@ -6,9 +6,9 @@
 //
 // SMP read path: guards never take the engine lock. Each guard runs in
 // an RCU read section (its own out of line, its caller's pin inline) and
-// decides against an immutable PolicyFrame — a flattened
-// copy-published snapshot of the region table plus the
-// intrinsic permission sets. Mutators (table Add/Remove/Clear, intrinsic
+// decides against an immutable PolicyFrame — a copy-published,
+// base-sorted index of the region table plus the intrinsic permission
+// sets. Mutators (table Add/Remove/Clear, intrinsic
 // config) bump generation counters; the next guard that notices a stale
 // frame republishes a fresh one under the writer lock and retires the old
 // frame to the RCU domain, which frees it only after every in-flight
@@ -109,13 +109,15 @@ struct HotSite {
 };
 
 /// Immutable snapshot the lock-free guard path decides against. Regions
-/// are flattened into first-match scan order (the linear table's
-/// semantics: overlaps resolve to the earliest insertion), intrinsic
-/// permissions into sorted vectors for binary search. Published via an
-/// atomic pointer, reclaimed through the RCU domain.
+/// are held once, in the table's base-sorted index (one allocation):
+/// FrameLookup binary-searches the bases and walks back only while an
+/// entry's running max end can still hold the access, returning the
+/// container earliest in table order — the linear table's first-match
+/// semantics, overlaps included. Intrinsic permissions are sorted vectors
+/// for binary search. Published via an atomic pointer, reclaimed through
+/// the RCU domain.
 struct PolicyFrame {
-  std::vector<Region> regions;
-  size_t store_size = 0;
+  RegionIndex regions;
   uint64_t store_generation = 0;
   uint64_t config_generation = 0;
   std::vector<uint64_t> intrinsic_allowed;  // sorted
@@ -234,10 +236,10 @@ class PolicyEngine : public kernel::GuardFastOps {
     return frames_published_.load(std::memory_order_acquire);
   }
 
-  /// Copy of the region list in the frame a guard running right now
-  /// would decide against (taken inside an RCU read section). The
-  /// concurrency battery uses this to prove policy updates land
-  /// fully-old-or-fully-new: every snapshot equals one published
+  /// Copy of the region list, in table order, in the frame a guard
+  /// running right now would decide against (taken inside an RCU read
+  /// section). The concurrency battery uses this to prove policy updates
+  /// land fully-old-or-fully-new: every snapshot equals one published
   /// configuration in its entirety, never a mix.
   std::vector<Region> FrameSnapshot() const;
 
@@ -366,8 +368,9 @@ class PolicyEngine : public kernel::GuardFastOps {
   const PolicyFrame* CurrentFrame() const;
   const PolicyFrame* RepublishFrame() const;
 
-  /// First-match linear scan, the linear table's exact semantics (depth
-  /// counts every entry examined, including the match).
+  /// First match over the frame's base-sorted index. `depth` is the
+  /// paper's scan depth: the match's position in table order (index + 1),
+  /// or the region count on a miss — not the number of entries probed.
   static std::optional<uint32_t> FrameLookup(const PolicyFrame& frame,
                                              uint64_t addr, uint64_t size,
                                              uint64_t* depth);

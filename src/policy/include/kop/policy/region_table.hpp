@@ -1,18 +1,24 @@
-// The paper's policy structure: a fixed table of at most 64 regions,
-// scanned linearly. "A table was chosen in order to minimize pointer
+// The paper's policy structure: a fixed table of at most 64 regions with
+// first-match semantics. "A table was chosen in order to minimize pointer
 // chasing ... optimized for cache-friendly search of a small number of
 // regions" (§3.1, §4.2). First match wins, so overlapping regions are
-// representable and their order matters.
+// representable and their order (insertion order, "table order")
+// matters.
 //
 // The table only stores; it never decides. Guards decide against the
-// engine's immutable PolicyFrame copy of Snapshot() (PolicyEngine::
-// FrameLookup), so the table's job is to serialize mutators and tell
-// the engine, through generation(), that the published frame went stale.
+// engine's immutable PolicyFrame copy of Index(): the regions sorted by
+// base, each tagged with its table-order position and the running
+// maximum end, which PolicyEngine::FrameLookup binary-searches. Add and
+// Remove keep a base-order permutation of the table up to date under the
+// table lock, O(n) each, so building the index is one copying pass with
+// no sort. The table's job is to serialize mutators and tell the engine,
+// through generation(), that the published frame went stale.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "kop/policy/region.hpp"
@@ -21,9 +27,30 @@
 
 namespace kop::policy {
 
+/// One region of the base-sorted index. Trivial, so an index buffer can
+/// be allocated without zeroing it first.
+struct IndexedRegion {
+  uint64_t base;
+  /// base + len, exclusive. Add rejects wrapping regions, so it fits.
+  uint64_t end;
+  /// Largest `end` of this entry and every entry before it in base order:
+  /// no entry at or before this one can contain an access ending past it.
+  uint64_t max_end;
+  uint32_t prot;
+  /// Position in table (first-match) order.
+  uint32_t index;
+};
+
+/// A base-sorted index as one allocation.
+struct RegionIndex {
+  std::unique_ptr<IndexedRegion[]> entries;
+  size_t size = 0;
+};
+
 class RegionTable64 {
  public:
   static constexpr size_t kMaxRegions = 64;
+  static_assert(kMaxRegions <= 256, "by_base_ holds positions as uint8_t");
 
   /// `mutation_clock` is ticked by every successful mutator, after the
   /// table's own generation. The engine passes its combined mutation
@@ -38,14 +65,18 @@ class RegionTable64 {
   /// an empty, wrapping or identical region is rejected, and a full
   /// table answers kNoSpace.
   Status Add(const Region& region);
-  /// Remove the region with this exact base, keeping the order of the
-  /// rest (first-match semantics depend on it). kNotFound when absent.
+  /// Remove the earliest region (in table order) with this exact base,
+  /// keeping the order of the rest (first-match semantics depend on it).
+  /// kNotFound when absent.
   Status Remove(uint64_t base);
   void Clear();
 
   size_t Size() const;
-  /// All regions, in first-match order.
+  /// All regions, in table (first-match) order.
   std::vector<Region> Snapshot() const;
+  /// All regions sorted by base (equal bases in table order), with
+  /// max_end filled in: the index the engine publishes for guards.
+  RegionIndex Index() const;
 
   /// Monotonic mutation counter. A policy frame published at generation G
   /// is current while generation() == G; guards republish on mismatch.
@@ -58,8 +89,11 @@ class RegionTable64 {
   void BumpGeneration();
 
   mutable Spinlock lock_;
-  std::array<Region, kMaxRegions> regions_{};  // guarded by lock_
-  size_t count_ = 0;                           // guarded by lock_
+  // All guarded by lock_. by_base_ holds the table positions of
+  // regions_ sorted by base, equal bases in table order.
+  std::array<Region, kMaxRegions> regions_{};
+  std::array<uint8_t, kMaxRegions> by_base_{};
+  size_t count_ = 0;
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t>& mutation_clock_;
 };

@@ -1,5 +1,6 @@
 #include "kop/policy/region_table.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 
@@ -24,11 +25,20 @@ Status RegionTable64::Add(const Region& region) {
   if (count_ == kMaxRegions) {
     return NoSpace("region table full (" + std::to_string(kMaxRegions) + ")");
   }
-  for (size_t i = 0; i < count_; ++i) {
-    if (regions_[i].base == region.base && regions_[i].len == region.len) {
+  uint8_t* const first = by_base_.data();
+  uint8_t* const last = first + count_;
+  // After every equal base: the new region is last in table order.
+  uint8_t* const at = std::upper_bound(
+      first, last, region.base,
+      [this](uint64_t key, uint8_t i) { return key < regions_[i].base; });
+  for (const uint8_t* it = at;
+       it != first && regions_[it[-1]].base == region.base; --it) {
+    if (regions_[it[-1]].len == region.len) {
       return AlreadyExists("identical region already present");
     }
   }
+  std::copy_backward(at, last, last + 1);
+  *at = static_cast<uint8_t>(count_);
   regions_[count_++] = region;
   BumpGeneration();
   return OkStatus();
@@ -36,15 +46,26 @@ Status RegionTable64::Add(const Region& region) {
 
 Status RegionTable64::Remove(uint64_t base) {
   std::lock_guard<Spinlock> guard(lock_);
-  for (size_t i = 0; i < count_; ++i) {
-    if (regions_[i].base == base) {
-      for (size_t j = i + 1; j < count_; ++j) regions_[j - 1] = regions_[j];
-      --count_;
-      BumpGeneration();
-      return OkStatus();
-    }
+  uint8_t* const first = by_base_.data();
+  uint8_t* const last = first + count_;
+  // Equal bases are in table order, so the first is the earliest.
+  uint8_t* const at = std::lower_bound(
+      first, last, base,
+      [this](uint8_t i, uint64_t key) { return regions_[i].base < key; });
+  if (at == last || regions_[*at].base != base) {
+    return NotFound("no region with that base");
   }
-  return NotFound("no region with that base");
+  const uint8_t removed = *at;
+  std::copy(at + 1, last, at);
+  std::copy(regions_.begin() + removed + 1, regions_.begin() + count_,
+            regions_.begin() + removed);
+  --count_;
+  // Every later table position moved down by one.
+  for (size_t i = 0; i < count_; ++i) {
+    by_base_[i] -= by_base_[i] > removed ? 1 : 0;
+  }
+  BumpGeneration();
+  return OkStatus();
 }
 
 void RegionTable64::Clear() {
@@ -61,6 +82,21 @@ size_t RegionTable64::Size() const {
 std::vector<Region> RegionTable64::Snapshot() const {
   std::lock_guard<Spinlock> guard(lock_);
   return std::vector<Region>(regions_.begin(), regions_.begin() + count_);
+}
+
+RegionIndex RegionTable64::Index() const {
+  std::lock_guard<Spinlock> guard(lock_);
+  RegionIndex index{
+      std::unique_ptr<IndexedRegion[]>(new IndexedRegion[count_]), count_};
+  uint64_t max_end = 0;
+  for (size_t k = 0; k < count_; ++k) {
+    const Region& region = regions_[by_base_[k]];
+    const uint64_t end = region.base + region.len;
+    max_end = std::max(max_end, end);
+    index.entries[k] = IndexedRegion{region.base, end, max_end, region.prot,
+                                     by_base_[k]};
+  }
+  return index;
 }
 
 void RegionTable64::BumpGeneration() {

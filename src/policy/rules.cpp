@@ -1,6 +1,8 @@
 #include "kop/policy/rules.hpp"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "kop/transform/privileged.hpp"
@@ -25,10 +27,14 @@ std::vector<std::string> Tokenize(const std::string& line) {
 }
 
 bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
+  // Digits only: strtoull alone would skip leading whitespace, negate a
+  // leading '-' into the top of the address space and saturate on
+  // overflow.
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoull(text.c_str(), &end, 0);
-  return end != nullptr && *end == '\0';
+  return errno != ERANGE && end != nullptr && *end == '\0';
 }
 
 /// Parse one or two tokens into a range: "<name>" | "<base> +<len>" |

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "kop/kernel/kernel.hpp"
+#include "kop/kernel/memory_map.hpp"
 #include "kop/policy/engine.hpp"
 #include "kop/policy/policy_module.hpp"
 #include "kop/trace/metrics.hpp"
@@ -177,6 +178,134 @@ TEST_F(RegionTableTest, ScanCountsEntries) {
   EXPECT_FALSE(engine_.Guard(0x50000, 4, kGuardAccessRead));  // miss: all 10
   EXPECT_EQ(depth->count(), count0 + 3);
   EXPECT_EQ(depth->sum(), sum0 + 21);
+}
+
+// Edge cases of the base-sorted index: each decision and its table-order
+// depth must be what the paper's first-match scan gives.
+class RegionIndexTest : public RegionTableTest {
+ protected:
+  RegionIndexTest() { engine_.SetViolationAction(ViolationAction::kLogOnly); }
+  /// policy.lookup_depth recorded by one Guard() of the access.
+  uint64_t GuardDepth(uint64_t addr, uint64_t size, uint64_t flags) {
+    const trace::Log2Histogram* depth =
+        trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+    const double sum0 = depth->sum();
+    (void)engine_.Guard(addr, size, flags);
+    return static_cast<uint64_t>(depth->sum() - sum0);
+  }
+};
+
+TEST_F(RegionIndexTest, SizeZeroChecksOneByte) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRead}).ok());
+  EXPECT_TRUE(Readable(0x1000, 0));
+  EXPECT_TRUE(Readable(0x10ff, 0));
+  EXPECT_FALSE(Readable(0x1100, 0));
+  EXPECT_FALSE(Readable(0x0fff, 0));
+  EXPECT_EQ(GuardDepth(0x10ff, 0, kGuardAccessRead), 1u);
+}
+
+TEST_F(RegionIndexTest, AccessRunningPastTheEndFallsToALaterContainer) {
+  // Nearest base first: the access starts in [0x2000, +0x100) and runs
+  // past its end, so only the later, lower-based long region holds it.
+  ASSERT_TRUE(table().Add(Region{0x2000, 0x100, kProtNone}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x2000, kProtRW}).ok());
+  EXPECT_FALSE(Readable(0x20f8, 8));
+  EXPECT_TRUE(Readable(0x20f8, 9));
+  EXPECT_EQ(GuardDepth(0x20f8, 8, kGuardAccessRead), 1u);
+  EXPECT_EQ(GuardDepth(0x20f8, 9, kGuardAccessRead), 2u);
+  // Past the long region's end too: a miss over both.
+  EXPECT_FALSE(Readable(0x2ff8, 9));
+  EXPECT_EQ(GuardDepth(0x2ff8, 9, kGuardAccessRead), 2u);
+}
+
+TEST_F(RegionIndexTest, EarlierShortRegionNestedInALaterLongOne) {
+  ASSERT_TRUE(table().Add(Region{0x1800, 0x100, kProtRead}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x1000, kProtRW}).ok());
+  // Inside the short one: it is first in table order and decides.
+  EXPECT_FALSE(Writable(0x1810, 4));
+  EXPECT_EQ(GuardDepth(0x1810, 4, kGuardAccessWrite), 1u);
+  // Starting inside the short one but running past its end: only the
+  // long one contains the access, so it decides.
+  EXPECT_TRUE(Writable(0x18f8, 0x10));
+  EXPECT_EQ(GuardDepth(0x18f8, 0x10, kGuardAccessWrite), 2u);
+  // Around it, the long one.
+  EXPECT_TRUE(Writable(0x1000, 8));
+  EXPECT_TRUE(Writable(0x1900, 8));
+  EXPECT_EQ(GuardDepth(0x1900, 8, kGuardAccessWrite), 2u);
+}
+
+TEST_F(RegionIndexTest, RegionEndingAtTheTopOfTheAddressSpace) {
+  const uint64_t top = ~uint64_t{0};
+  // kernel-half: [0xffff800000000000, 2^64 - 1), as the rules name it.
+  ASSERT_TRUE(
+      table().Add(Region{kernel::kKernelHalfBase,
+                         top - kernel::kKernelHalfBase, kProtRead})
+          .ok());
+  EXPECT_TRUE(Readable(kernel::kKernelHalfBase, 8));
+  EXPECT_TRUE(Readable(top - 8, 8));   // the last 8 bytes
+  EXPECT_TRUE(Readable(top - 1, 0));   // the last byte
+  EXPECT_FALSE(Readable(top - 7, 8));  // covers 2^64 - 1
+  EXPECT_FALSE(Readable(top, 0));
+  EXPECT_FALSE(Readable(top - 8, 16));  // addr + size wraps
+  EXPECT_FALSE(Readable(kernel::kKernelHalfBase, top));
+  EXPECT_FALSE(Readable(kernel::kKernelHalfBase - 1, 8));
+  EXPECT_EQ(GuardDepth(top - 8, 8, kGuardAccessRead), 1u);
+}
+
+TEST_F(RegionIndexTest, IdenticalBasesRemoveTheEarliest) {
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x100, kProtRead}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x1000, kProtWrite}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x80, kProtRW}).ok());
+  EXPECT_TRUE(Readable(0x1010, 4));
+  EXPECT_FALSE(Writable(0x1010, 4));
+  EXPECT_EQ(GuardDepth(0x1010, 4, kGuardAccessRead), 1u);
+  EXPECT_EQ(GuardDepth(0x1800, 4, kGuardAccessWrite), 2u);
+
+  ASSERT_TRUE(table().Remove(0x1000).ok());  // the read-only one
+  ASSERT_EQ(table().Snapshot().size(), 2u);
+  EXPECT_EQ(table().Snapshot()[0].len, 0x1000u);
+  EXPECT_TRUE(Writable(0x1010, 4));
+  EXPECT_FALSE(Readable(0x1010, 4));
+  EXPECT_EQ(GuardDepth(0x1010, 4, kGuardAccessWrite), 1u);
+
+  ASSERT_TRUE(table().Remove(0x1000).ok());  // the write-only one
+  EXPECT_TRUE(Readable(0x1010, 4));
+  EXPECT_FALSE(Readable(0x1100, 4));
+  EXPECT_EQ(GuardDepth(0x1010, 4, kGuardAccessRead), 1u);
+  ASSERT_TRUE(table().Remove(0x1000).ok());
+  EXPECT_EQ(table().Remove(0x1000).code(), ErrorCode::kNotFound);
+}
+
+TEST_F(RegionIndexTest, ProbesOutsideEveryRegionMissAtFullDepth) {
+  for (uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        table().Add(Region{0x10000 + i * 0x1000, 0x800, kProtRW}).ok());
+  }
+  for (const uint64_t addr :
+       {uint64_t{0}, uint64_t{0xfff8}, uint64_t{0x17800}, uint64_t{0x20000},
+        ~uint64_t{0} - 8}) {
+    EXPECT_FALSE(Readable(addr, 8)) << std::hex << addr;
+    EXPECT_EQ(GuardDepth(addr, 8, kGuardAccessRead), 8u) << std::hex << addr;
+  }
+  EXPECT_TRUE(Readable(0x17000, 8));
+  EXPECT_EQ(GuardDepth(0x17000, 8, kGuardAccessRead), 8u);
+  EXPECT_EQ(GuardDepth(0x10000, 8, kGuardAccessRead), 1u);
+}
+
+TEST_F(RegionIndexTest, ClearEmptiesTheIndex) {
+  ASSERT_TRUE(table().Add(Region{0x3000, 0x1000, kProtRW}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x4000, kProtRead}).ok());
+  EXPECT_TRUE(Writable(0x3000, 8));
+  table().Clear();
+  EXPECT_FALSE(Readable(0x3000, 8));
+  EXPECT_EQ(GuardDepth(0x3000, 8, kGuardAccessRead), 0u);
+  EXPECT_TRUE(engine_.FrameSnapshot().empty());
+  // A cleared table indexes new regions from scratch: no stale running
+  // max end from the long region lets a later probe match.
+  ASSERT_TRUE(table().Add(Region{0x8000, 0x100, kProtRead}).ok());
+  EXPECT_FALSE(Readable(0x3000, 8));
+  EXPECT_TRUE(Readable(0x8000, 8));
+  EXPECT_EQ(GuardDepth(0x8000, 8, kGuardAccessRead), 1u);
 }
 
 // ------------------------------------------------------------- engine --

@@ -17,6 +17,7 @@
 #include "kop/policy/rules.hpp"
 #include "kop/signing/sha256.hpp"
 #include "kop/signing/signer.hpp"
+#include "kop/trace/metrics.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/rng.hpp"
 
@@ -180,9 +181,16 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
   // same random add/remove/clear/check sequence. Regions sit on a
   // quarter-page grid with lengths up to four pages, so overlaps are the
   // norm and first-match order decides; the table also fills to its cap.
+  // The reference is the paper's linear first-match scan; every probe
+  // checks the engine's index against it three ways: the decision
+  // (Check), the scan depth (the policy.lookup_depth a Guard() records)
+  // and the inline decision under a frame pin (FastGuard).
   kernel::Kernel kernel;
   policy::PolicyEngine engine(&kernel);
   engine.SetChargeCycles(false);
+  engine.SetViolationAction(policy::ViolationAction::kLogOnly);
+  const trace::Log2Histogram* depth_hist =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
   std::vector<policy::Region> reference;  // first-match (insertion) order
   Xoshiro256 rng(2024);
   auto same_region = [](const policy::Region& a, const policy::Region& b) {
@@ -191,6 +199,7 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
 
   uint64_t cap_hits = 0;
   uint64_t overlapped_checks = 0;  // probes more than one region covers
+  uint64_t deep_matches = 0;       // first match not the nearest base
   for (int step = 0; step < 6000; ++step) {
     const uint64_t roll = rng.NextBelow(1000);
     if (roll < 400) {
@@ -226,19 +235,39 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
                          : policy::PolicyMode::kDefaultDeny);
     } else {
       const uint64_t addr = 0x40000 + rng.NextBelow(0x14000);
-      const uint64_t size = 1 + rng.NextBelow(64);
+      const uint64_t size = rng.NextBelow(65);  // 0 checks one byte
       const uint64_t flags = 1 + rng.NextBelow(3);  // r, w or rw
       bool expected = engine.mode() == policy::PolicyMode::kDefaultAllow;
+      uint64_t expected_depth = reference.size();
+      uint64_t nearest_base = 0;
       int covering = 0;
-      for (const policy::Region& region : reference) {
-        if (region.Contains(addr, size) && covering++ == 0) {
+      for (size_t i = 0; i < reference.size(); ++i) {
+        const policy::Region& region = reference[i];
+        if (!region.Contains(addr, size)) continue;
+        if (covering++ == 0) {
           expected = region.Allows(flags);
+          expected_depth = i + 1;
         }
+        nearest_base = std::max(nearest_base, region.base);
       }
       if (covering > 1) ++overlapped_checks;
+      if (covering > 0 && reference[expected_depth - 1].base != nearest_base) {
+        ++deep_matches;
+      }
       EXPECT_EQ(engine.Check(addr, size, flags), expected)
           << "step " << step << " addr=0x" << std::hex << addr
           << " size=0x" << size << " flags=" << flags;
+
+      const double depth0 = depth_hist->sum();
+      EXPECT_EQ(engine.Guard(addr, size, flags), expected) << step;
+      EXPECT_EQ(depth_hist->sum() - depth0,
+                static_cast<double>(expected_depth))
+          << "step " << step << " addr=0x" << std::hex << addr
+          << " size=0x" << size;
+
+      ASSERT_TRUE(engine.PinFrame());
+      EXPECT_EQ(engine.FastGuard(addr, size, flags, 0), expected) << step;
+      engine.UnpinFrame();
     }
     const std::vector<policy::Region> snapshot = engine.store().Snapshot();
     ASSERT_EQ(snapshot.size(), reference.size()) << step;
@@ -246,9 +275,11 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
       ASSERT_TRUE(same_region(snapshot[i], reference[i])) << step;
     }
   }
-  // The sequence must actually exercise the cap and overlap resolution.
+  // The sequence must actually exercise the cap, overlap resolution, and
+  // first matches the nearest base would get wrong.
   EXPECT_GT(cap_hits, 0u);
   EXPECT_GT(overlapped_checks, 100u);
+  EXPECT_GT(deep_matches, 100u);
 }
 
 // -------------------------------------------------- kmalloc invariants --

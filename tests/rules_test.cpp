@@ -116,6 +116,24 @@ TEST_F(RulesTest, RejectsMalformedRanges) {
   EXPECT_FALSE(Parse("intrinsic allow levitate\n").ok());
 }
 
+TEST_F(RulesTest, RejectsSignedAndOverflowingNumbers) {
+  // strtoull would read these as 0xfffffffffffff000, a length of
+  // 0xfffffffffffffff0 and a saturated 0xffffffffffffffff.
+  EXPECT_FALSE(Parse("allow -4096 +16 r\n").ok());
+  EXPECT_FALSE(Parse("allow 0x1000 +-16 r\n").ok());
+  EXPECT_FALSE(Parse("allow 0x1000 +99999999999999999999999 r\n").ok());
+  EXPECT_FALSE(Parse("allow 0x1000-+0x2000 r\n").ok());
+  EXPECT_FALSE(Parse("allow 0x1000 ++16 r\n").ok());
+  EXPECT_FALSE(Parse("intrinsic allow -1\n").ok());
+  // The largest values that fit still parse.
+  auto top = Parse("allow 0xfffffffffffff000 +4095 r\n");
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->regions.size(), 1u);
+  EXPECT_EQ(top->regions[0].base, 0xfffffffffffff000u);
+  EXPECT_EQ(top->regions[0].len, 4095u);
+  EXPECT_TRUE(Parse("allow 0x1000 +18446744073709547519 r\n").ok());
+}
+
 TEST_F(RulesTest, ApplyConfiguresEngine) {
   auto spec = Parse(
       "mode allow\n"
