@@ -42,7 +42,6 @@
 #include "kop/policy/engine.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/span.hpp"
-#include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 
 #include "common/experiment.hpp"
@@ -149,7 +148,6 @@ struct SmpRig {
     module = rig.Load(kSmpSource, options, engine);
     kop::Status prepared = rig.loader().PrepareCpus(cpus);
     if (!prepared.ok()) kop::bench::Die("prepare cpus", prepared);
-    kop::trace::GlobalTracer().ring().SetShards(cpus);
   }
 };
 

@@ -1,8 +1,9 @@
-// Extension 5: what the flight recorder costs. Every module call now
-// runs under KOP_SPAN scopes (call -> dispatch -> guard -> commit) that
-// feed per-CPU span rings and latency histograms, and every guard
-// decision stamps the always-on flight recorder. This bench prices that
-// on the guarded knic xmit hot path at 1 and 8 CPUs, on both engines:
+// Extension 5: what the flight recorder costs. Every module call runs
+// under KOP_SPAN scopes (call -> dispatch -> journal commit) that feed
+// per-CPU span rings and latency histograms; guard decisions record no
+// span (they are counted exactly by the guard histograms instead). This
+// bench prices the recorder on the guarded knic xmit hot path at 1 and
+// 8 CPUs, on both engines:
 //
 //   spans-off   trace::GlobalSpans().SetEnabled(false) — each KOP_SPAN
 //               site costs one relaxed load and a branch
@@ -13,10 +14,12 @@
 // it does not advance it), so cycles/send must be IDENTICAL between the
 // legs — the acceptance gate is <= 2% and the expected delta is exactly
 // 0 on both engines at both CPU counts. The recording cost itself shows
-// in host time: wall-ns/send (best of `rounds`) and wall_overhead_pct,
-// the spans-on leg's host cost over spans-off. That column is reported,
-// not gated — the recorder is always on, so a tight host budget waits on
-// sampled or armed spans.
+// in host time. The two legs run as alternating rounds on their own
+// rigs, so host drift hits both alike: wall-ns/send is each leg's median
+// over `rounds`, and wall_overhead_pct is the median over rounds of the
+// on leg's host cost over the off leg's in the same round. On the 1-CPU
+// rows that overhead is gated at KOP_EXT5_GATE percent (default 15); the
+// 8-CPU rows share the host's cores with each other and are reported.
 // When the build sets -DKOP_SPANS_ENABLED=OFF both legs compile to the
 // same object code and the delta is 0% by construction.
 //
@@ -25,6 +28,7 @@
 // is schema-valid, names the triggering guard site, carries per-CPU
 // flight-recorder tails, and is byte-identical across engines once the
 // engine name — the one sanctioned difference — is normalized.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -39,7 +43,6 @@
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/span.hpp"
-#include "kop/trace/trace.hpp"
 
 #include "common/experiment.hpp"
 #include "common/module_rig.hpp"
@@ -75,7 +78,6 @@ struct CpuRig {
 struct Measurement {
   double cycles_per_send = 0.0;  // busiest CPU, virtual clock
   double wall_ns_per_send = 0.0;
-  bool ok = false;
 };
 
 Measurement Measure(std::vector<CpuRig>& rigs, uint32_t cpus, uint64_t sends) {
@@ -96,14 +98,13 @@ Measurement Measure(std::vector<CpuRig>& rigs, uint32_t cpus, uint64_t sends) {
         std::max(m.cycles_per_send, cycles / static_cast<double>(sends));
   }
   m.wall_ns_per_send = wall_ns / static_cast<double>(sends);
-  m.ok = true;
   return m;
 }
 
 // The documented bundle schema, as `kopcc postmortem --check-schema`
 // pins it (DESIGN.md §14).
 const char* const kSchemaKeys[] = {
-    "\"schema\":\"kop.flight.postmortem/v1\"",
+    "\"schema\":\"kop.flight.postmortem/v2\"",
     "\"module\":",
     "\"engine\":",
     "\"reason\":",
@@ -153,14 +154,28 @@ bool CheckBundle(const kop::flight::PostmortemBundle& bundle,
   return ok;
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+double Pct(double on_value, double off_value) {
+  return off_value > 0 ? (on_value - off_value) / off_value * 100.0 : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using kop::bench::PositionalArg;
-  const char* usage = "[sends=20000] [rounds=3] [seed=7]";
+  const char* usage = "[sends=20000] [rounds=7] [seed=7]";
   const uint64_t sends = PositionalArg(argc, argv, 1, 20000, usage);
-  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 3, usage));
+  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 7, usage));
   const uint64_t seed = PositionalArg(argc, argv, 3, 7, usage, /*min=*/0);
+
+  // KOP_EXT5_GATE overrides the 1-CPU host-overhead budget (shared CI
+  // runners swing far more than the recorder costs).
+  const double wall_gate = kop::bench::GateEnv("KOP_EXT5_GATE", 15.0);
 
   const ExecEngine engines[] = {ExecEngine::kBytecode, ExecEngine::kInterp};
   const uint32_t cpu_points[] = {1, 8};
@@ -176,42 +191,43 @@ int main(int argc, char** argv) {
   for (const ExecEngine engine : engines) {
     const std::string engine_str(kop::kernel::ExecEngineName(engine));
     for (const uint32_t cpus : cpu_points) {
-      // Each leg gets freshly built rigs, so both start from the exact
-      // same machine state (the knic TX ring's per-send cost depends on
-      // ring phase — interleaving legs on shared rigs would compare
-      // different phases, not span cost). Cycles come from round 1 of
-      // each leg — same construction + same warmup means the readings
-      // are directly comparable and deterministic; later rounds only
-      // chase the best wall time.
-      Measurement off, on;
-      for (const bool spans_on : {false, true}) {
-        std::vector<CpuRig> rigs(cpus);
-        for (CpuRig& rig : rigs) rig.Build(engine);
-        kop::trace::GlobalTracer().ring().SetShards(cpus);
-        kop::trace::GlobalSpans().SetEnabled(spans_on);
+      // Each leg gets its own freshly built rigs, so both start from the
+      // exact same machine state (the knic TX ring's per-send cost
+      // depends on ring phase — sharing rigs would compare different
+      // phases, not span cost). Cycles come from round 1 of each leg —
+      // same construction + same warmup means the readings are directly
+      // comparable and deterministic; every round adds a wall sample.
+      std::vector<CpuRig> rigs[2] = {std::vector<CpuRig>(cpus),
+                                     std::vector<CpuRig>(cpus)};
+      for (auto& leg_rigs : rigs) {
+        for (CpuRig& rig : leg_rigs) rig.Build(engine);
         kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
-          rigs[cpu].Sends(sends / 4 + 1);  // warmup
+          leg_rigs[cpu].Sends(sends / 4 + 1);  // warmup
         });
-        Measurement& leg = spans_on ? on : off;
-        for (int r = 0; r < rounds; ++r) {
-          Measurement m = Measure(rigs, cpus, sends);
-          if (!leg.ok) {
-            leg = m;
-          } else if (m.wall_ns_per_send < leg.wall_ns_per_send) {
-            leg.wall_ns_per_send = m.wall_ns_per_send;
-          }
-        }
-        kop::trace::GlobalSpans().SetEnabled(true);
       }
+      Measurement legs_m[2];
+      std::vector<double> wall[2], wall_pct;
+      for (int r = 0; r < rounds; ++r) {
+        // Off first on even rounds, on first on odd ones, so neither leg
+        // always runs second.
+        for (const bool second : {false, true}) {
+          const bool spans_on = second != (r % 2 == 1);
+          kop::trace::GlobalSpans().SetEnabled(spans_on);
+          const Measurement m = Measure(rigs[spans_on], cpus, sends);
+          if (r == 0) legs_m[spans_on] = m;
+          wall[spans_on].push_back(m.wall_ns_per_send);
+        }
+        wall_pct.push_back(Pct(wall[1].back(), wall[0].back()));
+      }
+      kop::trace::GlobalSpans().SetEnabled(true);
+      Measurement& off = legs_m[0];
+      Measurement& on = legs_m[1];
+      off.wall_ns_per_send = Median(wall[0]);
+      on.wall_ns_per_send = Median(wall[1]);
 
-      auto pct = [](double on_value, double off_value) {
-        return off_value > 0 ? (on_value - off_value) / off_value * 100.0
-                             : 0.0;
-      };
       const double overhead_pct =
-          pct(on.cycles_per_send, off.cycles_per_send);
-      const double wall_overhead_pct =
-          pct(on.wall_ns_per_send, off.wall_ns_per_send);
+          Pct(on.cycles_per_send, off.cycles_per_send);
+      const double wall_overhead_pct = Median(wall_pct);
       struct Leg {
         const char* label;
         const Measurement& m;
@@ -235,6 +251,13 @@ int main(int argc, char** argv) {
                      "%s @ %u cpus: span overhead %.2f%% exceeds the 2%% "
                      "budget\n",
                      engine_str.c_str(), cpus, overhead_pct);
+        failed = true;
+      }
+      if (cpus == 1 && wall_overhead_pct > wall_gate) {
+        std::fprintf(stderr,
+                     "%s @ 1 cpu: span host overhead %.2f%% exceeds the "
+                     "%.4g%% budget (KOP_EXT5_GATE)\n",
+                     engine_str.c_str(), wall_overhead_pct, wall_gate);
         failed = true;
       }
     }

@@ -40,7 +40,6 @@
 #include "kop/smp/affinity.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/span.hpp"
-#include "kop/trace/trace.hpp"
 
 #include "common/experiment.hpp"
 
@@ -111,7 +110,6 @@ bool MeasurePoint(uint32_t queues, uint32_t cpus, uint64_t bursts,
       }
     }
 
-    kop::trace::GlobalTracer().ring().SetShards(cpus);
     kop::trace::GlobalSpans().Reset();
 
     auto& clock = kernel.clock();

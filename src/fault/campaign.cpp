@@ -253,7 +253,6 @@ Result<flight::PostmortemBundle> RunPostmortemDemo(
   // determinism contract (same seed -> same bundle, any process) needs
   // the recorder surfaces cleared of whatever ran before us.
   trace::GlobalTracer().Reset();
-  trace::GlobalTracer().ring().SetShards(1);
   trace::GlobalSpans().Reset();
   const TrialResult trial = RunTrial(config, plan, nullptr);
   flight::PostmortemBundle bundle;

@@ -174,7 +174,7 @@ void FillEnvironment(PostmortemBundle* bundle, size_t tail_len) {
 }
 
 std::string PostmortemBundle::ToJson() const {
-  std::string out = "{\"schema\":\"kop.flight.postmortem/v1\",";
+  std::string out = "{\"schema\":\"kop.flight.postmortem/v2\",";
   AppendKeyString(&out, "module", module);
   out += ',';
   AppendKeyString(&out, "engine", engine);

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "kop/trace/site.hpp"
-#include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/util/carat_abi.hpp"
 
@@ -234,7 +233,6 @@ bool PolicyEngine::Guard(uint64_t addr, uint64_t size,
 
 bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
                               uint64_t access_flags, uint64_t elided) {
-  KOP_SPAN(kGuardDecision, addr);
   const uint64_t site = trace::CurrentGuardSite();
   bool allowed;
   {
@@ -306,7 +304,6 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
 }
 
 bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
-  KOP_SPAN(kGuardDecision, target);
   const uint64_t site = trace::CurrentGuardSite();
   bool allowed;
   {
@@ -393,7 +390,6 @@ bool PolicyEngine::PinFrame() {
       pin.stats = &cpu_stats_.Mine();
       pin.sites = &site_shards_.Mine();
       pin.clock_cell = &kernel_->clock().MyCell();
-      pin.spans = &trace::GlobalSpans();
       pin.latency = &latency_hist_->Mine();
       pin.lookup_depth = &lookup_depth_hist_->Mine();
     }
@@ -480,25 +476,12 @@ bool PolicyEngine::PinnedGuard(uint64_t addr, uint64_t size,
   PinSlot* const slot = PinForInline(site);
   if (slot == nullptr) return false;
   PinSlot& pin = *slot;
-  // The flight recorder sees inline decisions too: the span opens after
-  // the deopt checks, so a deopted guard is recorded once, by Guard().
-  // Hand-rolled (vs KOP_SPAN) to use the pinned recorder pointer: a
-  // disabled recorder costs one relaxed load, no out-of-line call.
-#if KOP_SPANS_ENABLED
-  const bool span_active = pin.spans->enabled();
-  const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
-#endif
   uint64_t depth = 0;
   const std::optional<uint32_t> prot =
       FrameLookup(*pin.frame, addr, size, &depth);
   const bool allowed = prot.has_value()
                            ? (*prot & access_flags) == access_flags
                            : pin.default_allow;
-#if KOP_SPANS_ENABLED
-  if (span_active) {
-    pin.spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, addr);
-  }
-#endif
   if (!allowed) [[unlikely]] {
     deopt_counter_->Add();
     return false;  // slow path re-decides with full violation semantics
@@ -531,19 +514,10 @@ bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
   PinSlot* const slot = PinForInline(site);
   if (slot == nullptr) return false;
   PinSlot& pin = *slot;
-#if KOP_SPANS_ENABLED
-  const bool span_active = pin.spans->enabled();
-  const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
-#endif
   const std::vector<std::vector<uint64_t>>& sets = pin.frame->cfi_sets;
   const bool allowed =
       set_id < sets.size() &&
       std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
-#if KOP_SPANS_ENABLED
-  if (span_active) {
-    pin.spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, target);
-  }
-#endif
   if (!allowed) [[unlikely]] {
     deopt_counter_->Add();
     return false;  // slow path re-decides with full violation semantics

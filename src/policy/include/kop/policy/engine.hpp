@@ -33,7 +33,6 @@
 #include "kop/smp/percpu.hpp"
 #include "kop/smp/rcu.hpp"
 #include "kop/trace/metrics.hpp"
-#include "kop/trace/span.hpp"
 #include "kop/util/ring_buffer.hpp"
 #include "kop/util/spinlock.hpp"
 
@@ -253,7 +252,7 @@ class PolicyEngine : public kernel::GuardFastOps {
   // Every inline check then runs against the immutable region index with
   // no RCU entry and no trace events, and an allow is accounted exactly
   // as Guard() accounts it (per-CPU stats, site row, clock charge, both
-  // guard histograms, guard-decision span). Any outcome other than a
+  // guard histograms). Any outcome other than a
   // proven allow deopts (returns false) to Guard()/GuardRange(), which
   // owns all violation and containment semantics and traces the decision.
   //
@@ -328,7 +327,7 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// whole outermost module call or driver entry so `frame` stays valid;
   /// the captured mutation clock tells FastGuard when the pinned frame
   /// went stale (deopt + refresh). `depth` counts nesting. The stats /
-  /// sites / clock / span / histogram pointers are resolved on the slot's
+  /// sites / clock / histogram pointers are resolved on the slot's
   /// first pin (they are this CPU's for good) so the inline path runs no
   /// per-guard CPU-slot lookups; `default_allow`
   /// may go stale only together with `mutation_gen` (SetMode bumps it),
@@ -345,10 +344,6 @@ class PolicyEngine : public kernel::GuardFastOps {
     // This CPU's clock accumulator, resolved once so inline
     // guards charge cycles with one load+store instead of a slot lookup.
     std::atomic<double>* clock_cell = nullptr;
-    // The global span recorder, cached so the fast path's guard-decision
-    // span costs one relaxed enabled-load instead of an out-of-line
-    // GlobalSpans() call per guard.
-    trace::SpanRecorder* spans = nullptr;
     // This CPU's bucket sets of the two guard histograms: an inline
     // allow observes them as Guard() does, minus the CPU-slot lookup.
     // Its latency is the pin's constant guard_cycles, so those

@@ -105,7 +105,7 @@ struct CaratViolationsArg {
 /// trace::TraceRecord without the C++ enum).
 struct CaratTraceRecordArg {
   uint64_t tsc = 0;
-  uint64_t seq = 0;
+  uint64_t seq = 0;    // index in `cpu`'s trace ring; (cpu, seq) is unique
   uint32_t event = 0;  // trace::EventId value
   uint32_t cpu = 0;    // simulated CPU the record was appended on
   uint64_t args[4] = {};
@@ -115,7 +115,7 @@ struct CaratTraceArg {
   static constexpr uint32_t kMax = 64;
   uint32_t count = 0;
   uint32_t pad = 0;
-  uint64_t total = 0;    // records ever appended
+  uint64_t total = 0;    // records ever appended, summed over CPUs
   uint64_t dropped = 0;  // overwritten before this read
   CaratTraceRecordArg records[kMax] = {};  // newest kMax, oldest first
 };

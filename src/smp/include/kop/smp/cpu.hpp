@@ -1,6 +1,6 @@
 // kop::smp — the simulated multi-CPU substrate. A "CPU" is a host thread
 // that has bound itself to a simulated CPU id: every per-CPU structure in
-// the tree (virtual-clock slots, trace-ring shards, policy-engine stats,
+// the tree (virtual-clock slots, trace rings, policy-engine stats,
 // module execution contexts) indexes by CurrentCpu(). The single-threaded
 // configuration is CPU 0 everywhere, so code that never binds a CPU runs
 // exactly as it did before SMP existed — the seam costs nothing unused.

@@ -29,7 +29,6 @@ namespace kop::trace {
 enum class SpanKind : uint8_t {
   kModuleCall = 0,   // LoadedModule::Call, end to end
   kEngineDispatch,   // the engine executing module code
-  kGuardDecision,    // one policy guard check
   kJournalCommit,    // committing the call's write journal
   kJournalRollback,  // undoing the journal after containment
   kRecovery,         // containment + recovery (quarantine/restart)
@@ -41,12 +40,13 @@ enum class SpanKind : uint8_t {
 inline constexpr size_t kSpanKindCount =
     static_cast<size_t>(SpanKind::kSpanKindCount);
 
-/// Stable wire name, e.g. "span.guard_decision".
+/// Stable wire name, e.g. "span.module_call".
 std::string_view SpanKindName(SpanKind kind);
 
 /// One completed span. `begin_tsc`/`end_tsc` are virtual cycles on the
 /// recording CPU's clock; `depth` is the span-nesting depth at begin
-/// (module call = 0); `seq` is the global completion ordinal.
+/// (module call = 0); `seq` is the span's index in its CPU's ring, in
+/// completion order. (cpu, seq) names a span uniquely.
 struct SpanEvent {
   uint64_t begin_tsc = 0;
   uint64_t end_tsc = 0;
@@ -72,13 +72,13 @@ struct SpanStats {
 
 /// Per-CPU span rings plus per-CPU per-kind duration histograms. The
 /// write path touches only the recording CPU's cache-line-padded slot
-/// and takes no lock: the nesting depth, ring count and histogram are
-/// single-writer fields bumped with relaxed load+store, the ring slot is
-/// written under its reservation stamp (StampedRing), and the global
-/// completion `seq` is the one read-modify-write per span. All cross-CPU
-/// folding happens on the read side; readers validate each slot's stamp
-/// and may run concurrently with writers. One writer per simulated CPU
-/// is the contract: host threads sharing a CPU id may lose or mix spans.
+/// and takes no lock and no read-modify-write: the nesting depth and
+/// histogram are single-writer fields bumped with relaxed load+store,
+/// and the span goes into the CPU's own StampedRing under its index. All
+/// cross-CPU folding happens on the read side; readers validate each
+/// slot's stamp and may run concurrently with writers. One writer per
+/// simulated CPU is the contract: host threads sharing a CPU id may lose
+/// or mix spans.
 class SpanRecorder {
  public:
   /// `per_cpu_capacity` rounded up to a power of two (min 64).
@@ -98,7 +98,8 @@ class SpanRecorder {
   /// Close a span opened by BeginSpan on the same CPU.
   void EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg);
 
-  /// All retained spans merged across CPUs, ordered by (begin_tsc, seq).
+  /// All retained spans merged across CPUs, ordered by (begin_tsc, cpu,
+  /// per-CPU index).
   std::vector<SpanEvent> Snapshot() const;
 
   /// The newest `n` spans recorded on `cpu`, oldest first — the flight-
@@ -112,9 +113,8 @@ class SpanRecorder {
   /// Lifetime spans recorded on `cpu` for `kind` (0 = all kinds).
   uint64_t CpuCount(uint32_t cpu, SpanKind kind) const;
 
-  uint64_t total_recorded() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  /// Lifetime spans recorded, the sum of the per-CPU counts.
+  uint64_t total_recorded() const;
 
   /// Human-readable per-kind latency table.
   std::string RenderText() const;
@@ -128,7 +128,6 @@ class SpanRecorder {
  private:
   struct alignas(64) Cpu {
     explicit Cpu(size_t capacity) : slots(capacity) {}
-    std::atomic<uint64_t> count{0};  // spans recorded on this CPU, ever
     std::atomic<uint16_t> depth{0};  // currently open spans
     StampedRing<SpanEvent> slots;
     std::array<Log2Buckets, kSpanKindCount> hist;
@@ -139,9 +138,6 @@ class SpanRecorder {
   size_t per_cpu_capacity_;
   std::atomic<bool> enabled_{true};
   std::array<std::unique_ptr<Cpu>, smp::kMaxCpus> cpus_;
-  // Every CPU's fetch_add lands here: keep it off the line that holds
-  // the read-mostly fields above.
-  alignas(64) std::atomic<uint64_t> next_seq_{0};
 };
 
 /// The recorder every KOP_SPAN scope records into.
@@ -152,16 +148,20 @@ SpanRecorder& GlobalSpans();
 class SpanScope {
  public:
   explicit SpanScope(SpanKind kind, uint64_t arg = 0)
-      : kind_(kind), arg_(arg), active_(GlobalSpans().enabled()) {
-    if (active_) begin_ = GlobalSpans().BeginSpan();
+      : recorder_(GlobalSpans()),
+        kind_(kind),
+        arg_(arg),
+        active_(recorder_.enabled()) {
+    if (active_) begin_ = recorder_.BeginSpan();
   }
   ~SpanScope() {
-    if (active_) GlobalSpans().EndSpan(kind_, begin_, arg_);
+    if (active_) recorder_.EndSpan(kind_, begin_, arg_);
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
  private:
+  SpanRecorder& recorder_;
   SpanKind kind_;
   uint64_t arg_;
   uint64_t begin_ = 0;

@@ -1,18 +1,19 @@
-// StampedRing<T>: the fixed-size flight-recorder ring behind TraceRing
-// shards and SpanRecorder's per-CPU rings. Writes take no lock and run
-// no read-modify-write: the caller hands in a reservation index `n`
-// (its own per-CPU count, or a shared fetch_add where writers share a
-// ring), and slot `n & mask` is written under a stamp that encodes `n` —
-// odd (2n+1) while the words are being stored, 2n+2 once they are all
-// in. Readers copy a slot between two stamp loads and keep it only if
-// both read 2n+2 for the reservation they wanted, so a record that is
+// StampedRing<T>: the fixed-size flight-recorder ring behind each CPU's
+// TraceRing and SpanRecorder ring. A ring has exactly one writer — the
+// simulated CPU it belongs to — so appending takes no lock and no
+// read-modify-write: record n (the ring's own append count, which the
+// writer alone advances) goes to slot `n & mask` under a stamp that
+// encodes n — odd (2n+1) while the words are being stored, 2n+2 once
+// they are all in — and the count is then published with a release
+// store. Readers copy a slot between two stamp loads and keep it only if
+// both read 2n+2 for the record they wanted, so a record that is
 // mid-write or already overwritten by a later lap is skipped, never
 // returned torn. Every word is a relaxed atomic (plain movs on x86), so
 // concurrent readers are race-free under TSan as well as correct.
 //
-// Contract: one writer per reservation. Two host threads that write the
-// same reservation (threads sharing a simulated CPU id) may leave a
-// mixed record behind; nothing outside the flight recorder reads it.
+// Contract: one writer per ring. Two host threads that append to the
+// same ring (threads sharing a simulated CPU id) may lose or mix
+// records; nothing outside the flight recorder reads them.
 #pragma once
 
 #include <algorithm>
@@ -26,8 +27,10 @@
 
 namespace kop::trace {
 
+// Cache-line aligned: the count is stored on every append, so two CPUs'
+// rings must not share its line.
 template <typename T>
-class StampedRing {
+class alignas(64) StampedRing {
   static_assert(std::is_trivially_copyable_v<T>);
   static_assert(sizeof(T) % sizeof(uint64_t) == 0);
   static constexpr size_t kWords = sizeof(T) / sizeof(uint64_t);
@@ -39,8 +42,14 @@ class StampedRing {
 
   size_t capacity() const { return mask_ + 1; }
 
-  /// Publish `value` as reservation `n` (seqlock writer side).
-  void Write(uint64_t n, const T& value) {
+  /// Records ever appended, including overwritten ones. The index the
+  /// next Append publishes under.
+  uint64_t appended() const { return count_.load(std::memory_order_acquire); }
+
+  /// Publish `value` as record appended() (seqlock writer side). Only
+  /// the ring's owning CPU may call this.
+  void Append(const T& value) {
+    const uint64_t n = count_.load(std::memory_order_relaxed);
     Slot& slot = slots_[n & mask_];
     uint64_t words[kWords];
     std::memcpy(words, &value, sizeof(T));
@@ -50,14 +59,16 @@ class StampedRing {
       slot.words[i].store(words[i], std::memory_order_relaxed);
     }
     slot.stamp.store(2 * n + 2, std::memory_order_release);
+    count_.store(n + 1, std::memory_order_release);
   }
 
   /// Append to `out`, oldest first, the retained records among the
-  /// newest `limit` of reservations [0, reserved). Slots mid-write or
-  /// overwritten by a later lap are skipped.
-  void ReadTail(uint64_t reserved, uint64_t limit, std::vector<T>* out) const {
-    const uint64_t n = std::min({reserved, limit, uint64_t{capacity()}});
-    for (uint64_t r = reserved - n; r < reserved; ++r) {
+  /// newest `limit` appended. Slots mid-write or overwritten by a later
+  /// lap are skipped.
+  void ReadTail(uint64_t limit, std::vector<T>* out) const {
+    const uint64_t appended_now = appended();
+    const uint64_t n = std::min({appended_now, limit, uint64_t{capacity()}});
+    for (uint64_t r = appended_now - n; r < appended_now; ++r) {
       const Slot& slot = slots_[r & mask_];
       const uint64_t want = 2 * r + 2;
       if (slot.stamp.load(std::memory_order_acquire) != want) continue;
@@ -73,8 +84,9 @@ class StampedRing {
     }
   }
 
-  /// Zero every slot. Not safe against concurrent Write.
+  /// Zero every slot and the count. Not safe against concurrent Append.
   void Clear() {
+    count_.store(0, std::memory_order_relaxed);
     for (size_t s = 0; s <= mask_; ++s) {
       slots_[s].stamp.store(0, std::memory_order_relaxed);
       for (auto& word : slots_[s].words) {
@@ -89,6 +101,7 @@ class StampedRing {
     std::array<std::atomic<uint64_t>, kWords> words{};
   };
 
+  std::atomic<uint64_t> count_{0};
   std::unique_ptr<Slot[]> slots_;
   uint64_t mask_;
 };

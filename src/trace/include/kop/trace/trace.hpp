@@ -1,8 +1,8 @@
 // kop::trace — the ftrace analogue for the simulated kernel. Static
 // tracepoints (`KOP_TRACE(event, args...)`) record fixed-size records
 // (virtual-cycle timestamp, event id, up to four integer args) into a
-// fixed ring of stamped slots: no lock, and no read-modify-write beyond
-// the global sequence number. Tracepoints compile out entirely when the
+// per-CPU ring of stamped slots: no lock, and no read-modify-write — each
+// CPU writes only its own ring. Tracepoints compile out entirely when the
 // build sets KOP_TRACE_ENABLED=0, so the hot seams (guards, descriptor
 // fetches, ioctls) carry zero code when observability is off. All
 // timestamps come from the virtual clock — instrumentation never charges
@@ -12,7 +12,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -66,9 +65,10 @@ std::string_view EventCategory(EventId id);
 /// Display names of the four args (nullptr-terminated early when fewer).
 std::array<const char*, 4> EventArgNames(EventId id);
 
-/// One tracepoint firing. Fixed size; `seq` is the global firing ordinal
-/// (monotonic even after the ring wraps); `cpu` is the simulated CPU the
-/// tracepoint fired on (thread id in Chrome-trace exports).
+/// One tracepoint firing. Fixed size; `cpu` is the simulated CPU the
+/// tracepoint fired on (thread id in Chrome-trace exports) and `seq` is
+/// the record's index in that CPU's ring — dense from 0 and monotonic
+/// even after the ring wraps. (cpu, seq) names a record uniquely.
 struct TraceRecord {
   uint64_t tsc = 0;   // virtual cycles at firing time
   uint64_t seq = 0;
@@ -78,64 +78,51 @@ struct TraceRecord {
   uint64_t args[4] = {0, 0, 0, 0};
 };
 
-/// Sharded fixed ring of TraceRecords, ftrace's per-cpu ring buffers.
-/// Each shard is a StampedRing of `capacity` slots. A writer takes one
-/// global fetch_add for its seq; with one shard that seq is also the
-/// slot reservation, so the default ring records the exact slot/seq
-/// sequence of a single ordered log. With several shards, CPU c writes
-/// shard c % shards, which CPUs c and c + shards share, so a per-shard
-/// fetch_add reserves the slot — uncontended while CPUs keep to their
-/// own shard. No writer takes a lock. The newest `capacity` records per
-/// shard survive, oldest are overwritten (ftrace overwrite mode).
+/// Per-CPU fixed rings of TraceRecords, ftrace's per-cpu ring buffers.
+/// Every simulated CPU appends to its own StampedRing of `capacity`
+/// slots, so each ring has exactly one writer: no lock, no fetch_add, no
+/// CAS, and no counter shared between CPUs. A CPU's ring is allocated on
+/// its first Append and published with a release store, so a run pays
+/// memory only for the CPUs that trace. The newest `capacity` records
+/// per CPU survive, oldest are overwritten (ftrace overwrite mode).
 class TraceRing {
  public:
-  /// `capacity` (per shard) is rounded up to a power of two (min 64).
+  /// `capacity` (per CPU) is rounded up to a power of two (min 64).
   explicit TraceRing(size_t capacity = 1 << 14);
+  ~TraceRing();
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Reshape to `shards` shards (clamped to [1, smp::kMaxCpus]) and
-  /// clear. NOT safe against concurrent Append — call at topology-setup
-  /// time, before workers start.
-  void SetShards(uint32_t shards);
-  uint32_t shards() const { return static_cast<uint32_t>(shards_.size()); }
-
+  /// Append to the calling CPU's ring, stamping the record's `cpu` and
+  /// `seq` (its index in that ring).
   void Append(TraceRecord record);
 
-  /// Total retained slots across shards.
-  size_t capacity() const { return per_shard_capacity_ * shards_.size(); }
-  /// Total records ever appended (including overwritten ones).
-  uint64_t total_appended() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  /// Retained slots per CPU.
+  size_t capacity() const { return capacity_; }
+  /// Total records ever appended (including overwritten ones): the sum
+  /// of the per-CPU counts.
+  uint64_t total_appended() const;
   uint64_t dropped() const;
+  /// Whether `cpu` has appended since construction (its ring exists).
+  bool allocated(uint32_t cpu) const;
 
-  /// Retained records merged across shards into one stream ordered by
-  /// virtual-clock timestamp (seq breaks ties), so an SMP run exports a
-  /// monotonic timeline instead of shard-concatenation order. Per-CPU
-  /// virtual clocks are monotone, so within a shard this degenerates to
-  /// the append (seq) order the single-CPU ring always had. Safe against
-  /// concurrent Append: records still being written are left out.
+  /// Retained records of every CPU merged into one stream ordered by
+  /// (virtual tsc, cpu, per-CPU index), so an SMP run exports a
+  /// monotonic timeline. With one CPU this is that CPU's ring in the
+  /// order its clock stamped it — append order whenever the clock only
+  /// moved forward. Safe against concurrent Append: records still being
+  /// written are left out.
   std::vector<TraceRecord> Snapshot() const;
 
   /// Not safe against concurrent Append; fine for the simulator.
   void Clear();
 
  private:
-  struct alignas(64) Shard {
-    explicit Shard(size_t capacity) : slots(capacity) {}
-    std::atomic<uint64_t> reserved{0};  // multi-shard reservations, ever
-    StampedRing<TraceRecord> slots;
-  };
+  using Ring = StampedRing<TraceRecord>;
 
-  /// Reservations made in `shard` so far (the global seq with one shard).
-  uint64_t Reserved(const Shard& shard) const;
-
-  size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Every CPU's fetch_add lands here: keep it off the line that holds
-  // the read-mostly fields above.
-  alignas(64) std::atomic<uint64_t> next_{0};
+  size_t capacity_;
+  // Written once per CPU (its first Append), read by every reader.
+  std::array<std::atomic<Ring*>, smp::kMaxCpus> rings_{};
 };
 
 /// The process-wide tracer: the ring, an enable switch, per-event

@@ -10,9 +10,9 @@ namespace kop::trace {
 namespace {
 
 constexpr const char* kSpanKinds[kSpanKindCount] = {
-    "span.module_call",   "span.engine_dispatch", "span.guard_decision",
-    "span.journal_commit", "span.journal_rollback", "span.recovery",
-    "span.napi_poll",     "span.xmit_batch",
+    "span.module_call",    "span.engine_dispatch", "span.journal_commit",
+    "span.journal_rollback", "span.recovery",       "span.napi_poll",
+    "span.xmit_batch",
 };
 
 size_t RoundUpPow2(size_t n) {
@@ -55,7 +55,6 @@ void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
   SpanEvent event;
   event.begin_tsc = begin_tsc;
   event.end_tsc = NowTsc();
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   event.arg = arg;
   event.kind = kind;
   event.cpu = static_cast<uint16_t>(smp::CurrentCpu());
@@ -64,21 +63,18 @@ void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
   if (depth > 0) --depth;
   cpu.depth.store(depth, std::memory_order_relaxed);
   event.depth = depth;
-  const uint64_t n = cpu.count.load(std::memory_order_relaxed);
-  cpu.slots.Write(n, event);
-  cpu.count.store(n + 1, std::memory_order_release);
+  event.seq = cpu.slots.appended();
+  cpu.slots.Append(event);
   cpu.hist[Index(kind)].Observe(static_cast<double>(event.duration()));
 }
 
 std::vector<SpanEvent> SpanRecorder::Snapshot() const {
   std::vector<SpanEvent> out;
-  for (const auto& cpu : cpus_) {
-    cpu->slots.ReadTail(cpu->count.load(std::memory_order_acquire),
-                        per_cpu_capacity_, &out);
-  }
+  for (const auto& cpu : cpus_) cpu->slots.ReadTail(per_cpu_capacity_, &out);
   std::sort(out.begin(), out.end(), [](const SpanEvent& a, const SpanEvent& b) {
-    return a.begin_tsc != b.begin_tsc ? a.begin_tsc < b.begin_tsc
-                                      : a.seq < b.seq;
+    if (a.begin_tsc != b.begin_tsc) return a.begin_tsc < b.begin_tsc;
+    if (a.cpu != b.cpu) return a.cpu < b.cpu;
+    return a.seq < b.seq;
   });
   return out;
 }
@@ -86,8 +82,7 @@ std::vector<SpanEvent> SpanRecorder::Snapshot() const {
 std::vector<SpanEvent> SpanRecorder::Tail(uint32_t cpu_index, size_t n) const {
   std::vector<SpanEvent> out;
   if (cpu_index >= cpus_.size()) return out;
-  const Cpu& cpu = *cpus_[cpu_index];
-  cpu.slots.ReadTail(cpu.count.load(std::memory_order_acquire), n, &out);
+  cpus_[cpu_index]->slots.ReadTail(n, &out);
   return out;
 }
 
@@ -108,6 +103,12 @@ SpanStats SpanRecorder::Stats(SpanKind kind) const {
   stats.p99 = Log2Histogram::PercentileFromBuckets(folded, 99.0);
   stats.p999 = Log2Histogram::PercentileFromBuckets(folded, 99.9);
   return stats;
+}
+
+uint64_t SpanRecorder::total_recorded() const {
+  uint64_t total = 0;
+  for (const auto& cpu : cpus_) total += cpu->slots.appended();
+  return total;
 }
 
 uint64_t SpanRecorder::CpuCount(uint32_t cpu_index, SpanKind kind) const {
@@ -159,9 +160,7 @@ std::string SpanRecorder::RenderPrometheus() const {
 }
 
 void SpanRecorder::Reset() {
-  next_seq_.store(0, std::memory_order_release);
   for (const auto& cpu : cpus_) {
-    cpu->count.store(0, std::memory_order_relaxed);
     cpu->depth.store(0, std::memory_order_relaxed);
     cpu->slots.Clear();
     for (auto& hist : cpu->hist) hist.Reset();

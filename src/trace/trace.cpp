@@ -56,63 +56,71 @@ std::array<const char*, 4> EventArgNames(EventId id) {
   return kEvents[Index(id)].args;
 }
 
-TraceRing::TraceRing(size_t capacity)
-    : per_shard_capacity_(RoundUpPow2(capacity)) {
-  SetShards(1);
-}
+TraceRing::TraceRing(size_t capacity) : capacity_(RoundUpPow2(capacity)) {}
 
-void TraceRing::SetShards(uint32_t shards) {
-  if (shards == 0) shards = 1;
-  if (shards > smp::kMaxCpus) shards = smp::kMaxCpus;
-  shards_.clear();
-  for (uint32_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(per_shard_capacity_));
-  }
-  next_.store(0, std::memory_order_release);
-}
-
-uint64_t TraceRing::Reserved(const Shard& shard) const {
-  return shards_.size() == 1 ? next_.load(std::memory_order_acquire)
-                             : shard.reserved.load(std::memory_order_acquire);
+TraceRing::~TraceRing() {
+  for (auto& ring : rings_) delete ring.load(std::memory_order_relaxed);
 }
 
 void TraceRing::Append(TraceRecord record) {
-  record.seq = next_.fetch_add(1, std::memory_order_relaxed);
-  if (shards_.size() == 1) {
-    shards_[0]->slots.Write(record.seq, record);
-    return;
+  const uint32_t cpu = smp::CurrentCpu() % smp::kMaxCpus;
+  // Only this CPU ever stores its pointer, so its own relaxed load sees
+  // its own allocation; the release store publishes the ring to readers.
+  Ring* ring = rings_[cpu].load(std::memory_order_relaxed);
+  if (ring == nullptr) [[unlikely]] {
+    ring = new Ring(capacity_);
+    rings_[cpu].store(ring, std::memory_order_release);
   }
-  Shard& shard = *shards_[smp::CurrentCpu() % shards_.size()];
-  shard.slots.Write(shard.reserved.fetch_add(1, std::memory_order_relaxed),
-                    record);
+  record.cpu = static_cast<uint16_t>(cpu);
+  record.seq = ring->appended();
+  ring->Append(record);
+}
+
+uint64_t TraceRing::total_appended() const {
+  uint64_t total = 0;
+  for (const auto& slot : rings_) {
+    if (const Ring* ring = slot.load(std::memory_order_acquire)) {
+      total += ring->appended();
+    }
+  }
+  return total;
 }
 
 uint64_t TraceRing::dropped() const {
-  const uint64_t total = total_appended();
-  uint64_t retained = 0;
-  for (const auto& shard : shards_) {
-    retained += std::min<uint64_t>(Reserved(*shard), per_shard_capacity_);
+  uint64_t dropped = 0;
+  for (const auto& slot : rings_) {
+    if (const Ring* ring = slot.load(std::memory_order_acquire)) {
+      const uint64_t appended = ring->appended();
+      if (appended > capacity_) dropped += appended - capacity_;
+    }
   }
-  return total > retained ? total - retained : 0;
+  return dropped;
+}
+
+bool TraceRing::allocated(uint32_t cpu) const {
+  return cpu < rings_.size() &&
+         rings_[cpu].load(std::memory_order_acquire) != nullptr;
 }
 
 std::vector<TraceRecord> TraceRing::Snapshot() const {
   std::vector<TraceRecord> out;
-  for (const auto& shard : shards_) {
-    shard->slots.ReadTail(Reserved(*shard), per_shard_capacity_, &out);
+  for (const auto& slot : rings_) {
+    if (const Ring* ring = slot.load(std::memory_order_acquire)) {
+      ring->ReadTail(capacity_, &out);
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
-              return a.tsc != b.tsc ? a.tsc < b.tsc : a.seq < b.seq;
+              if (a.tsc != b.tsc) return a.tsc < b.tsc;
+              if (a.cpu != b.cpu) return a.cpu < b.cpu;
+              return a.seq < b.seq;
             });
   return out;
 }
 
 void TraceRing::Clear() {
-  next_.store(0, std::memory_order_release);
-  for (const auto& shard : shards_) {
-    shard->reserved.store(0, std::memory_order_relaxed);
-    shard->slots.Clear();
+  for (const auto& slot : rings_) {
+    if (Ring* ring = slot.load(std::memory_order_acquire)) ring->Clear();
   }
 }
 
@@ -126,7 +134,6 @@ void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
   TraceRecord record;
   const sim::VirtualClock* clock = clock_.load(std::memory_order_acquire);
   record.tsc = clock != nullptr ? clock->ReadTsc() : 0;
-  record.cpu = static_cast<uint16_t>(cpu);
   record.event = event;
   record.args[0] = a0;
   record.args[1] = a1;

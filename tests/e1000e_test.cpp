@@ -16,6 +16,7 @@
 #include "kop/policy/region_table.hpp"
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/site.hpp"
+#include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 
 namespace kop::e1000e {
@@ -622,6 +623,13 @@ TEST_F(DriverTest, PinnedEntryDecidesInlineWithoutPerAccessTracepoints) {
       trace::GlobalTracer().event_count(trace::EventId::kGuardCheck);
   const uint64_t lookups_before =
       trace::GlobalTracer().event_count(trace::EventId::kPolicyLookup);
+  const uint64_t spans_before = trace::GlobalSpans().total_recorded();
+  const trace::Log2Histogram* latency =
+      trace::GlobalMetrics().GetHistogram("guard.latency_cycles");
+  const trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const uint64_t latency_before = latency->count();
+  const uint64_t depth_before = depth->count();
   engine.ResetStats();
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(driver->XmitFrame(frame, 128).ok());
@@ -635,6 +643,11 @@ TEST_F(DriverTest, PinnedEntryDecidesInlineWithoutPerAccessTracepoints) {
             checks_before);
   EXPECT_EQ(trace::GlobalTracer().event_count(trace::EventId::kPolicyLookup),
             lookups_before);
+  // A guard decision records no span; the two guard histograms observe
+  // every one of them exactly.
+  EXPECT_EQ(trace::GlobalSpans().total_recorded(), spans_before);
+  EXPECT_EQ(latency->count() - latency_before, engine.stats().guard_calls);
+  EXPECT_EQ(depth->count() - depth_before, engine.stats().guard_calls);
 
   // Outside any entry point the accesses fall back to Guard(), which
   // traces each decision as it always has.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kop/fault/campaign.hpp"
@@ -182,22 +183,22 @@ TEST(SpanRecorderTest, NestedSpansRecordDepthDurationAndKind) {
   scoped.clock().Advance(3.0);
   const uint64_t inner = recorder.BeginSpan();
   scoped.clock().Advance(5.0);
-  recorder.EndSpan(SpanKind::kGuardDecision, inner, 0xabc);
+  recorder.EndSpan(SpanKind::kEngineDispatch, inner, 0xabc);
   scoped.clock().Advance(2.0);
   recorder.EndSpan(SpanKind::kModuleCall, outer, 0);
 
   const auto spans = recorder.Snapshot();
   ASSERT_EQ(spans.size(), 2u);
-  // Ordered by begin time: the outer call first, the nested guard after.
+  // Ordered by begin time: the outer call first, the nested dispatch after.
   EXPECT_EQ(spans[0].kind, SpanKind::kModuleCall);
   EXPECT_EQ(spans[0].depth, 0u);
   EXPECT_EQ(spans[0].duration(), 10u);
-  EXPECT_EQ(spans[1].kind, SpanKind::kGuardDecision);
+  EXPECT_EQ(spans[1].kind, SpanKind::kEngineDispatch);
   EXPECT_EQ(spans[1].depth, 1u);
   EXPECT_EQ(spans[1].duration(), 5u);
   EXPECT_EQ(spans[1].arg, 0xabcu);
 
-  const auto stats = recorder.Stats(SpanKind::kGuardDecision);
+  const auto stats = recorder.Stats(SpanKind::kEngineDispatch);
   EXPECT_EQ(stats.count, 1u);
   EXPECT_DOUBLE_EQ(stats.sum, 5.0);
   EXPECT_EQ(recorder.total_recorded(), 2u);
@@ -249,7 +250,6 @@ TEST(SpanRecorderTest, ModuleCallEmitsTheInstrumentedSeams) {
   ASSERT_TRUE(rig.module->Call("bump", {}).ok());
   EXPECT_GE(trace::GlobalSpans().Stats(SpanKind::kModuleCall).count, 1u);
   EXPECT_GE(trace::GlobalSpans().Stats(SpanKind::kEngineDispatch).count, 1u);
-  EXPECT_GE(trace::GlobalSpans().Stats(SpanKind::kGuardDecision).count, 1u);
   EXPECT_GE(trace::GlobalSpans().Stats(SpanKind::kJournalCommit).count, 1u);
   // Prometheus exposition names the folded summaries.
   const std::string prom = trace::GlobalSpans().RenderPrometheus();
@@ -265,17 +265,16 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
   ScopedSpanClock scoped;
   auto& tracer = trace::GlobalTracer();
   tracer.Reset();
-  tracer.ring().SetShards(4);
   trace::GlobalSpans().Reset();
 
   // Each CPU advances its own virtual clock at a different rate, so the
-  // shards interleave: a pure shard concatenation would NOT be sorted.
+  // per-CPU rings interleave: a pure concatenation would NOT be sorted.
   smp::RunOnCpus(4, [&](uint32_t cpu) {
     for (uint64_t i = 0; i < 32; ++i) {
       scoped.clock().Advance(1.0 + cpu);
       tracer.Record(trace::EventId::kGuardCheck, cpu, i);
 #if KOP_SPANS_ENABLED
-      KOP_SPAN(kGuardDecision, cpu);
+      KOP_SPAN(kModuleCall, cpu);
 #endif
     }
   });
@@ -286,7 +285,8 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
     EXPECT_LE(records[i - 1].tsc, records[i].tsc)
         << "merged stream not monotonic at " << i;
     if (records[i - 1].tsc == records[i].tsc) {
-      EXPECT_LT(records[i - 1].seq, records[i].seq);
+      EXPECT_LT(std::pair(records[i - 1].cpu, records[i - 1].seq),
+                std::pair(records[i].cpu, records[i].seq));
     }
   }
 
@@ -302,14 +302,13 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
       << "spans should export as real-duration events";
 #endif
 
-  tracer.ring().SetShards(1);
   tracer.Reset();
 }
 
 // ----------------------------------------------- postmortem bundles --
 
 const char* const kSchemaKeys[] = {
-    "\"schema\":\"kop.flight.postmortem/v1\"", "\"module\":",
+    "\"schema\":\"kop.flight.postmortem/v2\"", "\"module\":",
     "\"engine\":", "\"reason\":", "\"what\":", "\"recovery\":", "\"cpu\":",
     "\"tsc\":", "\"violation\":", "\"vm\":", "\"journal\":{", "\"heap\":{",
     "\"restarts\":{", "\"policy\":", "\"heatmap\":[", "\"trace\":[",
@@ -423,7 +422,7 @@ TEST(PostmortemTest, ProcfsAndIoctlSurfaceTheLatestBundle) {
   ASSERT_FALSE(rig.module->Call("violate", {kForbiddenAddr}).ok());
 
   const std::string proc = kernel::ProcPostmortem();
-  EXPECT_NE(proc.find("kop.flight.postmortem/v1"), std::string::npos);
+  EXPECT_NE(proc.find("kop.flight.postmortem/v2"), std::string::npos);
   EXPECT_NE(proc.find("kop_victim"), std::string::npos);
 
   policy::CaratPostmortemArg reply;
@@ -438,7 +437,7 @@ TEST(PostmortemTest, ProcfsAndIoctlSurfaceTheLatestBundle) {
   EXPECT_GE(reply.incidents, 1u);
   const std::string json(reply.json);
   EXPECT_EQ(json.size(), reply.total_len);
-  EXPECT_NE(json.find("kop.flight.postmortem/v1"), std::string::npos);
+  EXPECT_NE(json.find("kop.flight.postmortem/v2"), std::string::npos);
 }
 
 TEST(PostmortemTest, LsmodShowsLastEventColumn) {

@@ -4,6 +4,8 @@
 // Plus the driver-path integration: policy module + e1000e + NIC + socket.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kop/e1000e/driver.hpp"
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
@@ -15,6 +17,7 @@
 #include "kop/policy/region_table.hpp"
 #include "kop/policy/rules.hpp"
 #include "kop/signing/signer.hpp"
+#include "kop/trace/span.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/transform/privileged.hpp"
 #include "kop/transform/simplify.hpp"
@@ -354,6 +357,32 @@ TEST_F(PipelineTest, KnicDriverModuleDrivesRealDevice) {
   // through the guard.
   EXPECT_GT(policy_->engine().stats().guard_calls, 100u);
   EXPECT_EQ(policy_->engine().stats().denied, 0u);
+}
+
+TEST_F(PipelineTest, KnicSendRecordsOnlyItsCallSeamSpans) {
+  nic::CountingSink sink;
+  nic::E1000Device device(&kernel_.mem(), &sink);
+  ASSERT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
+  auto loaded = loader_.Insmod(CompileAndSign(kirmods::KnicSource()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE((*loaded)->Call("knic_init", {kernel::kVmallocBase}).ok());
+  ASSERT_TRUE((*loaded)->Call("knic_fill", {64, 0x20}).ok());
+
+  // One send: its guards record no span of their own, so the
+  // flight recorder holds exactly the call, its dispatch and its commit.
+  trace::GlobalSpans().Reset();
+  policy_->engine().ResetStats();
+  ASSERT_TRUE((*loaded)->Call("knic_send", {kernel::kVmallocBase, 64}).ok());
+  EXPECT_GT(policy_->engine().stats().guard_calls, 0u);
+#if KOP_SPANS_ENABLED
+  // In completion order: the dispatch, the commit, then the call itself.
+  const std::vector<trace::SpanEvent> spans = trace::GlobalSpans().Tail(0, 8);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].kind, trace::SpanKind::kEngineDispatch);
+  EXPECT_EQ(spans[1].kind, trace::SpanKind::kJournalCommit);
+  EXPECT_EQ(spans[2].kind, trace::SpanKind::kModuleCall);
+#endif
+  EXPECT_EQ(trace::GlobalSpans().total_recorded(), KOP_SPANS_ENABLED ? 3u : 0u);
 }
 
 TEST_F(PipelineTest, KnicBlockedFromMmioByPolicy) {

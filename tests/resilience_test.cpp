@@ -330,7 +330,7 @@ TEST(ResilienceTest, PersistentFaultWalksFullBackoffLadderToQuarantine) {
 #if KOP_TRACE_ENABLED
     uint64_t seq_before = 0;
     for (const auto& record : trace::GlobalTracer().ring().Snapshot()) {
-      seq_before = std::max(seq_before, record.seq);
+      if (record.cpu == 0) seq_before = std::max(seq_before, record.seq);
     }
 #endif
     const uint64_t restarts_before =
@@ -380,13 +380,13 @@ TEST(ResilienceTest, PersistentFaultWalksFullBackoffLadderToQuarantine) {
 #if KOP_TRACE_ENABLED
     // Trace story: this rig's kModuleRestart records are the ladder,
     // attempts 1..max in order, every one marked failed. Records are
-    // picked by the process-global seq (each engine iteration builds a
-    // fresh kernel whose virtual clock restarts at zero, so Snapshot's
-    // timestamp order interleaves the two runs).
+    // picked by their index in CPU 0's ring, where this test runs (each
+    // engine iteration builds a fresh kernel whose virtual clock restarts
+    // at zero, so Snapshot's timestamp order interleaves the two runs).
     std::vector<trace::TraceRecord> restarts;
     for (const auto& record : trace::GlobalTracer().ring().Snapshot()) {
       if (record.event == trace::EventId::kModuleRestart &&
-          record.seq > seq_before) {
+          record.cpu == 0 && record.seq > seq_before) {
         restarts.push_back(record);
       }
     }

@@ -18,6 +18,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kop/kernel/kernel.hpp"
@@ -652,103 +653,106 @@ void ExpectConsistentSpan(const trace::SpanEvent& e, uint32_t cpu) {
   const uint64_t i = e.arg & ((uint64_t{1} << 56) - 1);
   EXPECT_EQ(e.arg >> 56, cpu);
   EXPECT_EQ(e.cpu, cpu);
-  EXPECT_EQ(e.kind, trace::SpanKind::kGuardDecision);
+  EXPECT_EQ(e.seq, i) << "span index is not its CPU's append ordinal";
+  EXPECT_EQ(e.kind, trace::SpanKind::kModuleCall);
   EXPECT_EQ(e.begin_tsc, Mix(cpu, i)) << "torn span event";
   EXPECT_EQ(e.depth, 0u);
 }
 
-// CPUs 0-3 record tracepoints and spans while CPU 4 reads both rings in
-// a loop. Writers take no lock, so every record a reader gets back must
-// be whole (its checksum matches), carry a unique seq, and keep each
-// CPU's program order; after the join every count is exact and each
-// CPU's tail holds its newest spans. Both ring shapes: one shard (the
-// global seq reserves the slot) and one shard per writer CPU.
+// CPUs 0-3 record tracepoints and spans while CPU 4 reads both recorders
+// in a loop. Every ring has exactly one writer (its CPU) and writers
+// take no lock, so every record a reader gets back must be whole (its
+// checksum matches), carry a unique (cpu, index) equal to its CPU's
+// append ordinal, and keep each CPU's program order; after the join
+// every count is exact, only the writers own a trace ring, and each
+// CPU's tail holds its newest spans.
 TEST(SmpTest, FlightRecorderReadersSeeWholeRecordsUnderConcurrentWriters) {
   constexpr uint32_t kWriters = 4;
-  constexpr uint64_t kRecords = 20000;  // wraps the 16Ki-slot trace ring
+  constexpr uint64_t kRecords = 20000;  // wraps each 16Ki-slot trace ring
   // Readers ask for the whole span ring, whose oldest slot is the one
   // its writer is rewriting.
   constexpr size_t kTail = 64;
-  for (const uint32_t shards : {1u, kWriters}) {
-    trace::Tracer tracer;
-    tracer.ring().SetShards(shards);
-    trace::SpanRecorder spans(kTail);
-    std::atomic<uint32_t> writing{kWriters};
-    std::atomic<bool> reading{false};
-    smp::RunOnCpus(kWriters + 1, [&](uint32_t cpu) {
-      if (cpu < kWriters) {
-        // Start only once the reader runs, so the two always overlap.
-        while (!reading.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        for (uint64_t i = 0; i < kRecords; ++i) {
-          tracer.Record(trace::EventId::kGuardCheck, cpu, i, Mix(cpu, i),
-                        ~Mix(cpu, i));
-          (void)spans.BeginSpan();
-          spans.EndSpan(trace::SpanKind::kGuardDecision, Mix(cpu, i),
-                        SpanArg(cpu, i));
-        }
-        writing.fetch_sub(1, std::memory_order_release);
-        return;
+  trace::Tracer tracer;
+  trace::SpanRecorder spans(kTail);
+  std::atomic<uint32_t> writing{kWriters};
+  std::atomic<bool> reading{false};
+  smp::RunOnCpus(kWriters + 1, [&](uint32_t cpu) {
+    if (cpu < kWriters) {
+      // Start only once the reader runs, so the two always overlap.
+      while (!reading.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
       }
-      reading.store(true, std::memory_order_release);
-      do {
-        std::set<uint64_t> seqs;
-        std::array<uint64_t, kWriters> last{};
-        std::array<bool, kWriters> seen{};
-        for (const trace::TraceRecord& r : tracer.ring().Snapshot()) {
-          ExpectConsistentTrace(r);
-          EXPECT_TRUE(seqs.insert(r.seq).second) << "duplicate seq " << r.seq;
-          const uint64_t w = r.args[0] % kWriters;
-          // No clock is registered, so the merge is in seq order, which
-          // is each CPU's program order.
-          if (seen[w]) {
-            EXPECT_GT(r.args[1], last[w]);
-          }
-          seen[w] = true;
-          last[w] = r.args[1];
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        tracer.Record(trace::EventId::kGuardCheck, cpu, i, Mix(cpu, i),
+                      ~Mix(cpu, i));
+        (void)spans.BeginSpan();
+        spans.EndSpan(trace::SpanKind::kModuleCall, Mix(cpu, i),
+                      SpanArg(cpu, i));
+      }
+      writing.fetch_sub(1, std::memory_order_release);
+      return;
+    }
+    reading.store(true, std::memory_order_release);
+    do {
+      std::set<std::pair<uint16_t, uint64_t>> ids;
+      std::array<uint64_t, kWriters> last{};
+      std::array<bool, kWriters> seen{};
+      for (const trace::TraceRecord& r : tracer.ring().Snapshot()) {
+        ExpectConsistentTrace(r);
+        EXPECT_EQ(r.seq, r.args[1]) << "index is not the append ordinal";
+        EXPECT_TRUE(ids.insert({r.cpu, r.seq}).second)
+            << "duplicate (cpu, index) " << r.cpu << "/" << r.seq;
+        const uint64_t w = r.args[0] % kWriters;
+        // No clock is registered, so the merge is in (cpu, index)
+        // order, which is each CPU's program order.
+        if (seen[w]) {
+          EXPECT_GT(r.args[1], last[w]);
         }
-        for (uint32_t w = 0; w < kWriters; ++w) {
-          uint64_t prev = 0;
-          bool first = true;
-          for (const trace::SpanEvent& e : spans.Tail(w, kTail)) {
-            ExpectConsistentSpan(e, w);
-            const uint64_t i = e.arg & ((uint64_t{1} << 56) - 1);
-            if (!first) {
-              EXPECT_GT(i, prev);
-            }
-            first = false;
-            prev = i;
+        seen[w] = true;
+        last[w] = r.args[1];
+      }
+      for (uint32_t w = 0; w < kWriters; ++w) {
+        uint64_t prev = 0;
+        bool first = true;
+        for (const trace::SpanEvent& e : spans.Tail(w, kTail)) {
+          ExpectConsistentSpan(e, w);
+          const uint64_t i = e.arg & ((uint64_t{1} << 56) - 1);
+          if (!first) {
+            EXPECT_GT(i, prev);
           }
+          first = false;
+          prev = i;
         }
-      } while (writing.load(std::memory_order_acquire) != 0 &&
-               !::testing::Test::HasFailure());
-    });
+      }
+    } while (writing.load(std::memory_order_acquire) != 0 &&
+             !::testing::Test::HasFailure());
+  });
 
-    EXPECT_EQ(tracer.ring().total_appended(), kWriters * kRecords);
-    EXPECT_EQ(tracer.event_count(trace::EventId::kGuardCheck),
-              kWriters * kRecords);
-    EXPECT_EQ(spans.total_recorded(), kWriters * kRecords);
-    for (uint32_t cpu = 0; cpu <= kWriters; ++cpu) {
-      EXPECT_EQ(spans.CpuCount(cpu, trace::SpanKind::kGuardDecision),
-                cpu < kWriters ? kRecords : 0u)
-          << "cpu " << cpu;
-    }
-    const std::vector<trace::TraceRecord> records = tracer.ring().Snapshot();
-    EXPECT_EQ(records.size(), std::min<size_t>(kWriters * kRecords,
-                                               tracer.ring().capacity()));
-    std::set<uint64_t> seqs;
-    for (const trace::TraceRecord& r : records) {
-      ExpectConsistentTrace(r);
-      EXPECT_TRUE(seqs.insert(r.seq).second);
-    }
-    for (uint32_t w = 0; w < kWriters; ++w) {
-      const std::vector<trace::SpanEvent> tail = spans.Tail(w, kTail);
-      ASSERT_EQ(tail.size(), kTail) << "cpu " << w;
-      for (size_t k = 0; k < kTail; ++k) {
-        ExpectConsistentSpan(tail[k], w);
-        EXPECT_EQ(tail[k].arg, SpanArg(w, kRecords - kTail + k));
-      }
+  EXPECT_EQ(tracer.ring().total_appended(), kWriters * kRecords);
+  EXPECT_EQ(tracer.event_count(trace::EventId::kGuardCheck),
+            kWriters * kRecords);
+  EXPECT_EQ(spans.total_recorded(), kWriters * kRecords);
+  for (uint32_t cpu = 0; cpu <= kWriters; ++cpu) {
+    EXPECT_EQ(spans.CpuCount(cpu, trace::SpanKind::kModuleCall),
+              cpu < kWriters ? kRecords : 0u)
+        << "cpu " << cpu;
+    EXPECT_EQ(tracer.ring().allocated(cpu), cpu < kWriters) << "cpu " << cpu;
+  }
+  const std::vector<trace::TraceRecord> records = tracer.ring().Snapshot();
+  EXPECT_EQ(records.size(),
+            kWriters * std::min<uint64_t>(kRecords, tracer.ring().capacity()));
+  std::set<std::pair<uint16_t, uint64_t>> ids;
+  for (const trace::TraceRecord& r : records) {
+    ExpectConsistentTrace(r);
+    EXPECT_EQ(r.seq, r.args[1]);
+    EXPECT_TRUE(ids.insert({r.cpu, r.seq}).second);
+  }
+  for (uint32_t w = 0; w < kWriters; ++w) {
+    const std::vector<trace::SpanEvent> tail = spans.Tail(w, kTail);
+    ASSERT_EQ(tail.size(), kTail) << "cpu " << w;
+    for (size_t k = 0; k < kTail; ++k) {
+      ExpectConsistentSpan(tail[k], w);
+      EXPECT_EQ(tail[k].arg, SpanArg(w, kRecords - kTail + k));
     }
   }
 }

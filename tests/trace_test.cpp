@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "kop/sim/clock.hpp"
+#include "kop/smp/cpu.hpp"
+#include "kop/smp/executor.hpp"
 #include "kop/trace/exporters.hpp"
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/site.hpp"
@@ -66,6 +70,72 @@ TEST(TraceRingTest, ClearEmptiesRing) {
   ring.Clear();
   EXPECT_EQ(ring.total_appended(), 0u);
   EXPECT_TRUE(ring.Snapshot().empty());
+}
+
+TEST(TraceRingTest, OneCpuKeepsAppendOrder) {
+  TraceRing ring(64);
+  // Equal and rising timestamps alike: one CPU is one ring, so the
+  // snapshot is exactly the order the records went in.
+  for (uint64_t i = 0; i < 40; ++i) {
+    TraceRecord record;
+    record.tsc = i / 4;
+    record.args[0] = i;
+    ring.Append(record);
+  }
+  const auto records = ring.Snapshot();
+  ASSERT_EQ(records.size(), 40u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].args[0], i);
+    EXPECT_EQ(records[i].seq, i);
+    EXPECT_EQ(records[i].cpu, 0u);
+  }
+  EXPECT_TRUE(ring.allocated(0));
+  EXPECT_FALSE(ring.allocated(1));
+}
+
+TEST(TraceRingTest, FourCpusEachOwnADenseLazilyAllocatedRing) {
+  TraceRing ring(64);
+  // CPUs 0, 1, 3 and 5 write; CPU c appends 10 + c records, and its
+  // timestamps step by 3 - c % 3 so equal tsc values collide across CPUs.
+  const uint32_t writers[] = {0, 1, 3, 5};
+  smp::RunOnCpus(6, [&](uint32_t cpu) {
+    if (cpu == 2 || cpu == 4) return;
+    for (uint64_t i = 0; i < 10 + cpu; ++i) {
+      TraceRecord record;
+      record.tsc = i * (3 - cpu % 3);
+      record.args[0] = cpu;
+      record.args[1] = i;
+      ring.Append(record);
+    }
+  });
+
+  uint64_t expected_total = 0;
+  for (uint32_t cpu : writers) expected_total += 10 + cpu;
+  EXPECT_EQ(ring.total_appended(), expected_total);
+  EXPECT_EQ(ring.dropped(), 0u);
+  for (uint32_t cpu = 0; cpu < smp::kMaxCpus; ++cpu) {
+    const bool wrote = cpu == 0 || cpu == 1 || cpu == 3 || cpu == 5;
+    EXPECT_EQ(ring.allocated(cpu), wrote) << "cpu " << cpu;
+  }
+
+  const auto records = ring.Snapshot();
+  ASSERT_EQ(records.size(), expected_total);
+  std::map<uint32_t, uint64_t> next_index;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const TraceRecord& r = records[i];
+    // The record landed on its writer's ring, and indices count densely
+    // from 0 in each CPU's append order.
+    EXPECT_EQ(r.cpu, r.args[0]);
+    EXPECT_EQ(r.seq, next_index[r.cpu]++) << "cpu " << r.cpu;
+    EXPECT_EQ(r.seq, r.args[1]);
+    if (i > 0) {
+      const TraceRecord& p = records[i - 1];
+      EXPECT_LT(std::tuple(p.tsc, p.cpu, p.seq),
+                std::tuple(r.tsc, r.cpu, r.seq))
+          << "merge is not (tsc, cpu, index) order at " << i;
+    }
+  }
+  for (uint32_t cpu : writers) EXPECT_EQ(next_index[cpu], 10u + cpu);
 }
 
 // ------------------------------------------------------------- tracer --

@@ -669,11 +669,10 @@ int Run(const std::vector<std::string>& args) {
 
   if (cpus > 1) {
     // SMP run: every simulated CPU calls the same entry concurrently on
-    // its own per-CPU execution context (one trace-ring shard per CPU).
+    // its own per-CPU execution context (and its own trace ring).
     if (Status prepared = loader.PrepareCpus(cpus); !prepared.ok()) {
       return Fail(prepared.ToString());
     }
-    trace::GlobalTracer().ring().SetShards(cpus);
     std::vector<Result<uint64_t>> results(cpus, uint64_t{0});
     smp::RunOnCpus(cpus, [&](uint32_t cpu) {
       results[cpu] = (*loaded)->Call(entry, call_args);
@@ -877,9 +876,9 @@ int Forge(const std::vector<std::string>& args) {
 }
 
 /// The documented bundle schema (DESIGN.md §14): every key that must be
-/// present in a kop.flight.postmortem/v1 rendering.
+/// present in a kop.flight.postmortem/v2 rendering.
 const char* const kPostmortemSchemaKeys[] = {
-    "\"schema\":\"kop.flight.postmortem/v1\"",
+    "\"schema\":\"kop.flight.postmortem/v2\"",
     "\"module\":",
     "\"engine\":",
     "\"reason\":",
