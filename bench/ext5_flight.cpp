@@ -20,8 +20,6 @@
 // on leg's host cost over the off leg's in the same round. On the 1-CPU
 // rows that overhead is gated at KOP_EXT5_GATE percent (default 15); the
 // 8-CPU rows share the host's cores with each other and are reported.
-// When the build sets -DKOP_SPANS_ENABLED=OFF both legs compile to the
-// same object code and the delta is 0% by construction.
 //
 // The second half exercises the payoff: a fixed-seed forced-violation
 // trial (fault::RunPostmortemDemo) must yield a postmortem bundle that
@@ -262,9 +260,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-#if !KOP_SPANS_ENABLED
-  std::printf("(KOP_SPANS_ENABLED=OFF: both legs are the same object code)\n");
-#endif
 
   // Postmortem acceptance: the same fixed seed must contain the same
   // forced violation on both engines and capture equivalent bundles.

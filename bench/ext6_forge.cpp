@@ -10,20 +10,15 @@
 //      KOP_ABL6_GATE: a loosening knob for noisy shared runners, the
 //      built-in default is the local acceptance).
 //
-//   2. Coverage dispatch cost. The VM's edge hooks are compiled in by
-//      default (-DKOP_COVERAGE_ENABLED=ON) but disarmed unless a trial
-//      arms a ScopedCoverage sink. This bench drives the forge target
-//      module's branchy loop directly and prices the hooks in both
-//      states: disarmed (the tax every non-forge workload pays for a
-//      coverage-capable build) and armed (what a fuzzing trial pays).
-//      Two gates: the virtual clock is the contract — coverage observes
-//      the clock and never advances it, so cycles/call must be
-//      IDENTICAL between the legs (and identical to a
-//      -DKOP_COVERAGE_ENABLED=OFF build of this same bench, which CI
-//      cross-checks by diffing the printed cycles) — and the armed
-//      wall-time overhead must stay within KOP_EXT6_COV_GATE (default
-//      5%). When the build compiles the hooks out, both legs are the
-//      same object code and the delta is 0% by construction.
+//   2. Coverage dispatch cost. The VM's edge hooks are disarmed unless
+//      a trial arms a ScopedCoverage sink. This bench drives the forge
+//      target module's branchy loop directly and prices the hooks in
+//      both states: disarmed (the tax every non-forge workload pays, one
+//      null check per edge) and armed (what a fuzzing trial pays). Two
+//      gates: the virtual clock is the contract — coverage observes the
+//      clock and never advances it, so cycles/call must be IDENTICAL
+//      between the legs — and the armed wall-time overhead must stay
+//      within KOP_EXT6_COV_GATE (default 5%).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -206,17 +201,13 @@ int main(int argc, char** argv) {
     failed = true;
   }
   const double cov_gate = GateEnv("KOP_EXT6_COV_GATE", 5.0);
-  if (kop::kir::CoverageCompiledIn() && overhead_pct > cov_gate) {
+  if (overhead_pct > cov_gate) {
     std::fprintf(stderr,
                  "ACCEPTANCE MISS: armed coverage overhead %.2f%% exceeds "
                  "the %.1f%% budget\n",
                  overhead_pct, cov_gate);
     failed = true;
   }
-#if !KOP_COVERAGE_ENABLED
-  std::printf("(KOP_COVERAGE_ENABLED=OFF: both legs are the same object "
-              "code)\n");
-#endif
 
   kop::bench::WriteResultsFile("ext6_forge.csv", csv);
   return failed ? 1 : 0;

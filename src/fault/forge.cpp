@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <set>
 #include <sstream>
 
@@ -666,7 +665,6 @@ ForgeReport RunForge(const ForgeConfig& config) {
   report.recovery =
       std::string(resilience::RecoveryPolicyName(config.recovery));
   report.policy = std::string(PolicyFamilyName(config.policy));
-  report.coverage_compiled_in = kir::CoverageCompiledIn();
 
   CampaignContext cc;
   cc.config = config;
@@ -719,10 +717,7 @@ ForgeReport RunForge(const ForgeConfig& config) {
     // cursor; each runs under a private flight surface so postmortem
     // capture/reset and the policy/heatmap providers never interleave.
     std::vector<ForgeTrialRow> rows(batch_size);
-    std::vector<std::unique_ptr<kir::CoverageMap>> maps(batch_size);
-    if (kir::CoverageCompiledIn()) {
-      for (auto& map : maps) map = std::make_unique<kir::CoverageMap>();
-    }
+    std::vector<kir::CoverageMap> maps(batch_size);
     std::atomic<uint32_t> cursor{0};
     smp::RunOnCpus(jobs, [&](uint32_t) {
       flight::ScopedFlightIsolation isolation;
@@ -730,7 +725,7 @@ ForgeReport RunForge(const ForgeConfig& config) {
         const uint32_t i = cursor.fetch_add(1);
         if (i >= batch_size) break;
         rows[i] = ExecuteCase(cc, batch[i], batch_base + i, config.policy,
-                              maps[i].get(), {});
+                              &maps[i], {});
       }
     });
 
@@ -738,15 +733,12 @@ ForgeReport RunForge(const ForgeConfig& config) {
     // new-edge counting depend on merge order, so the order is pinned.
     for (uint32_t i = 0; i < batch_size; ++i) {
       ForgeTrialRow& row = rows[i];
-      if (maps[i] != nullptr) {
-        row.new_edges =
-            static_cast<uint32_t>(merged.MergeCountingNew(*maps[i]));
-        if (row.new_edges > 0) {
-          row.in_corpus = true;
-          pool.push_back(row.input);
-          report.corpus.push_back(row.index);
-          corpus_slots.push_back(maps[i]->Slots());
-        }
+      row.new_edges = static_cast<uint32_t>(merged.MergeCountingNew(maps[i]));
+      if (row.new_edges > 0) {
+        row.in_corpus = true;
+        pool.push_back(row.input);
+        report.corpus.push_back(row.index);
+        corpus_slots.push_back(maps[i].Slots());
       }
       if (row.result.contained) {
         ++report.contained;
@@ -819,11 +811,10 @@ Result<ForgeTrialRow> ReplayForge(const ForgeConfig& config,
   cc.config.policy = parsed->first;
   cc.config.seed = parsed->second.first;
   KOP_RETURN_IF_ERROR(Prepare(cc));
-  std::unique_ptr<kir::CoverageMap> map;
-  if (kir::CoverageCompiledIn()) map = std::make_unique<kir::CoverageMap>();
+  kir::CoverageMap map;
   ForgeTrialRow row = ExecuteCase(cc, parsed->second.second, 0,
-                                  cc.config.policy, map.get(), {});
-  if (map != nullptr) row.new_edges = static_cast<uint32_t>(row.covered);
+                                  cc.config.policy, &map, {});
+  row.new_edges = static_cast<uint32_t>(row.covered);
   return row;
 }
 
@@ -831,8 +822,7 @@ std::string ForgeReport::ToJson() const {
   std::ostringstream out;
   out << "{\"seed\":" << seed << ",\"engine\":\"" << JsonEscape(engine)
       << "\",\"recovery\":\"" << JsonEscape(recovery) << "\",\"policy\":\""
-      << JsonEscape(policy) << "\",\"coverage_compiled_in\":"
-      << (coverage_compiled_in ? "true" : "false") << ",\"trials\":" << trials
+      << JsonEscape(policy) << "\",\"trials\":" << trials
       << ",\"contained\":" << contained << ",\"absorbed\":" << absorbed
       << ",\"invariant_violations\":" << invariant_violations
       << ",\"flagged_reached\":" << flagged_reached
@@ -917,13 +907,9 @@ std::string ForgeReport::ToText() const {
       << ", recovery " << recovery << ", policy " << policy << "\n";
   out << trials << " trials: " << contained << " contained, " << absorbed
       << " absorbed, " << invariant_violations << " invariant violation(s)\n";
-  if (coverage_compiled_in) {
-    out << "coverage: " << covered_edges << " edge slot(s), corpus "
-        << corpus.size() << " seed(s), distilled to " << distilled.size()
-        << "\n";
-  } else {
-    out << "coverage: not compiled in (undirected mutation)\n";
-  }
+  out << "coverage: " << covered_edges << " edge slot(s), corpus "
+      << corpus.size() << " seed(s), distilled to " << distilled.size()
+      << "\n";
   out << "flagged paths: " << analysis_targets.size() << " target(s), reached in "
       << flagged_reached << " trial(s)\n";
   for (const std::string& target : analysis_targets) {

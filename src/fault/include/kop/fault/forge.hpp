@@ -130,7 +130,6 @@ struct ForgeReport {
   std::string engine;
   std::string recovery;
   std::string policy;  // "hardened" | "weak"
-  bool coverage_compiled_in = false;
   uint32_t contained = 0;
   uint32_t absorbed = 0;
   uint32_t invariant_violations = 0;

@@ -146,8 +146,8 @@ void FillEnvironment(PostmortemBundle* bundle, size_t tail_len) {
     }
     per_cpu[record.cpu].push_back(std::move(tail));
   }
-  // A CPU with spans but no trace records still gets a tail: builds with
-  // tracepoints compiled out keep their span history in the bundle.
+  // A CPU with spans but no trace records still gets a tail: runs with
+  // tracepoints disarmed keep their span history in the bundle.
   for (uint32_t cpu = 0; cpu < smp::kMaxCpus; ++cpu) {
     if (!trace::GlobalSpans().Tail(cpu, 1).empty()) per_cpu[cpu];
   }

@@ -9,14 +9,6 @@ thread_local CoverageMap* tls_coverage = nullptr;
 
 }  // namespace
 
-bool CoverageCompiledIn() {
-#if KOP_COVERAGE_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 size_t CoverageMap::CoveredSlots() const {
   size_t covered = 0;
   for (uint8_t slot : map_) covered += slot != 0;

@@ -5,8 +5,7 @@
 // hit counters, AFL-style. Collection is opt-in per thread: the hooks
 // write through a thread-local sink that is null by default, so code
 // that never arms a CoverageMap pays one predictable not-taken branch
-// per control-flow edge — and nothing at all when the hooks are
-// compiled out (-DKOP_COVERAGE_ENABLED=OFF).
+// per control-flow edge. ScopedCoverage is the only switch.
 //
 // Edge identities are stable for a given compiled module (function
 // indices and bytecode pcs are deterministic), which is what the forge
@@ -22,10 +21,6 @@
 #include <vector>
 
 namespace kop::kir {
-
-/// True when the tree was built with -DKOP_COVERAGE_ENABLED=ON; lets
-/// tests and tools gate coverage-dependent assertions.
-bool CoverageCompiledIn();
 
 /// Fixed-size edge hitmap. 64 KiB of u8 counters — small enough to sit
 /// in one per-trial object, big enough that the module corpus (a few

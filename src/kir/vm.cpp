@@ -174,13 +174,11 @@ Result<uint64_t> VM::ExecuteFunction(uint32_t fn_index,
     regs[i] = args[i] & fn.arg_masks[i];
   }
 
-#if KOP_COVERAGE_ENABLED
   // Synthetic function-entry edge, so straight-line functions (and the
   // entry block ahead of the first branch) register in the map too.
   if (CoverageMap* cov = ThreadCoverage()) {
     cov->HitEdge(fn_index, 0xffffffffu, 0);
   }
-#endif
 
   // Frame-granular fault capture: exceptions (guard violations, panics)
   // and error results both stamp this frame into the snapshot on their
@@ -217,13 +215,9 @@ Result<uint64_t> VM::RunFrame(const BytecodeFunction& fn, uint32_t fn_index,
   uint64_t sp = stack_top;
   size_t pc = 0;
 
-#if KOP_COVERAGE_ENABLED
   // Fetched once per frame: the branch handlers pay one null check when
-  // no sink is armed (the compiled-in-but-disabled cost ext6 gates).
+  // no sink is armed (the disarmed cost ext6 gates).
   CoverageMap* const cov = ThreadCoverage();
-#else
-  (void)fn_index;
-#endif
 
   // The step counter lives in a register for the ALU/branch fast path and
   // is flushed back to stats_ on every edge that leaves this frame or
@@ -413,22 +407,18 @@ dispatch:
         moves = ip->b;
         pc = static_cast<size_t>(ip->imm);
       }
-#if KOP_COVERAGE_ENABLED
       if (cov != nullptr) [[unlikely]] {
         cov->HitEdge(fn_index, static_cast<uint32_t>(ip - code),
                      static_cast<uint32_t>(pc));
       }
-#endif
       if (moves != kNoMoves) ApplyMoves(regs, fn.edge_moves[moves]);
       VM_DISPATCH();
     }
     VM_CASE(kJmp) : {
-#if KOP_COVERAGE_ENABLED
       if (cov != nullptr) [[unlikely]] {
         cov->HitEdge(fn_index, static_cast<uint32_t>(ip - code),
                      static_cast<uint32_t>(ip->aux));
       }
-#endif
       if (ip->dst != kNoMoves) ApplyMoves(regs, fn.edge_moves[ip->dst]);
       pc = ip->aux;
       VM_DISPATCH();

@@ -1,14 +1,15 @@
 #include "kop/policy/rules.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "kop/transform/privileged.hpp"
+#include "kop/util/parse.hpp"
 
 namespace kop::policy {
 namespace {
+
+using util::ParseU64;
 
 Status LineError(size_t line, const std::string& message) {
   return InvalidArgument("policy rules line " + std::to_string(line) + ": " +
@@ -24,17 +25,6 @@ std::vector<std::string> Tokenize(const std::string& line) {
     tokens.push_back(token);
   }
   return tokens;
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  // Digits only: strtoull alone would skip leading whitespace, negate a
-  // leading '-' into the top of the address space and saturate on
-  // overflow.
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(text.c_str(), &end, 0);
-  return errno != ERANGE && end != nullptr && *end == '\0';
 }
 
 /// Parse one or two tokens into a range: "<name>" | "<base> +<len>" |

@@ -6,8 +6,8 @@
 // quarantine are always available to a postmortem bundle). Every span
 // also feeds a per-CPU per-kind Log2Buckets set, folded exactly on read
 // for interpolated p50/p90/p99/p999 queries. Like tracepoints, spans
-// never charge simulated cycles, and the whole layer compiles out when
-// the build sets KOP_SPANS_ENABLED=0.
+// never charge simulated cycles, and they are armed and disarmed at run
+// time (SpanRecorder::SetEnabled, armed by default).
 #pragma once
 
 #include <array>
@@ -170,21 +170,11 @@ class SpanScope {
 
 }  // namespace kop::trace
 
-// Compile-time switch, mirroring KOP_TRACE_ENABLED: the build defines
-// KOP_SPANS_ENABLED globally (CMake option, default ON); with it off
-// every KOP_SPAN site compiles to nothing — no object, no destructor,
-// no argument evaluation.
-#ifndef KOP_SPANS_ENABLED
-#define KOP_SPANS_ENABLED 1
-#endif
-
-#if KOP_SPANS_ENABLED
+// A latency scope over the rest of the enclosing block. Disarmed, it
+// costs one relaxed load and a branch (see SpanScope).
 #define KOP_SPAN_CONCAT_INNER(a, b) a##b
 #define KOP_SPAN_CONCAT(a, b) KOP_SPAN_CONCAT_INNER(a, b)
 #define KOP_SPAN(kind, ...)                                 \
   ::kop::trace::SpanScope KOP_SPAN_CONCAT(kop_span_scope_,  \
                                           __LINE__)(        \
       ::kop::trace::SpanKind::kind __VA_OPT__(, ) __VA_ARGS__)
-#else
-#define KOP_SPAN(kind, ...) ((void)0)
-#endif

@@ -2,11 +2,12 @@
 // tracepoints (`KOP_TRACE(event, args...)`) record fixed-size records
 // (virtual-cycle timestamp, event id, up to four integer args) into a
 // per-CPU ring of stamped slots: no lock, and no read-modify-write — each
-// CPU writes only its own ring. Tracepoints compile out entirely when the
-// build sets KOP_TRACE_ENABLED=0, so the hot seams (guards, descriptor
-// fetches, ioctls) carry zero code when observability is off. All
-// timestamps come from the virtual clock — instrumentation never charges
-// simulated cycles, so enabling tracing cannot perturb an experiment.
+// CPU writes only its own ring. Tracepoints are armed and disarmed at run
+// time (Tracer::SetEnabled, armed by default): a disarmed KOP_TRACE site
+// costs one relaxed load and a branch, and does not evaluate its
+// arguments. All timestamps come from the virtual clock — instrumentation
+// never charges simulated cycles, so enabling tracing cannot perturb an
+// experiment.
 #pragma once
 
 #include <array>
@@ -145,8 +146,8 @@ class Tracer {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// The tracepoint body. Cheap no-op when runtime-disabled; not emitted
-  /// at all when compile-time disabled (see KOP_TRACE below).
+  /// The tracepoint body; a no-op when disarmed. KOP_TRACE checks
+  /// enabled() first, so its arguments are not evaluated when disarmed.
   void Record(EventId event, uint64_t a0 = 0, uint64_t a1 = 0,
               uint64_t a2 = 0, uint64_t a3 = 0);
 
@@ -172,17 +173,14 @@ Tracer& GlobalTracer();
 
 }  // namespace kop::trace
 
-// Compile-time switch. The build defines KOP_TRACE_ENABLED globally
-// (CMake option, default ON); with it off every KOP_TRACE site compiles
-// to nothing — no load, no branch, no argument evaluation.
-#ifndef KOP_TRACE_ENABLED
-#define KOP_TRACE_ENABLED 1
-#endif
-
-#if KOP_TRACE_ENABLED
-#define KOP_TRACE(event, ...)                       \
-  ::kop::trace::GlobalTracer().Record(              \
-      ::kop::trace::EventId::event __VA_OPT__(, ) __VA_ARGS__)
-#else
-#define KOP_TRACE(event, ...) ((void)0)
-#endif
+// A static tracepoint. Disarmed, it costs one relaxed load and a branch:
+// the arguments are not evaluated and nothing is recorded.
+#define KOP_TRACE(event, ...)                                         \
+  do {                                                                \
+    ::kop::trace::Tracer& kop_trace_tracer_ =                         \
+        ::kop::trace::GlobalTracer();                                 \
+    if (kop_trace_tracer_.enabled()) {                                \
+      kop_trace_tracer_.Record(                                       \
+          ::kop::trace::EventId::event __VA_OPT__(, ) __VA_ARGS__);   \
+    }                                                                 \
+  } while (0)

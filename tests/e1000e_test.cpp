@@ -653,10 +653,8 @@ TEST_F(DriverTest, PinnedEntryDecidesInlineWithoutPerAccessTracepoints) {
   // traces each decision as it always has.
   ASSERT_TRUE(driver->HwGoodPacketsTransmitted().ok());
   EXPECT_EQ(engine.stats().guard_calls, 10u * 17 + 2);
-#if KOP_TRACE_ENABLED
   EXPECT_EQ(trace::GlobalTracer().event_count(trace::EventId::kGuardCheck),
             checks_before + 2);
-#endif
 }
 
 TEST_F(DriverTest, ForcedDenyInPinnedXmitIsDecidedOutOfLine) {

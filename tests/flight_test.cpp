@@ -231,7 +231,6 @@ TEST(SpanRecorderTest, DisabledRecorderDropsSpans) {
   recorder.SetEnabled(true);
 }
 
-#if KOP_SPANS_ENABLED
 TEST(SpanRecorderTest, KopSpanMacroFeedsGlobalRecorderAndHonorsEnable) {
   trace::GlobalSpans().Reset();
   const uint64_t before = trace::GlobalSpans().total_recorded();
@@ -257,7 +256,6 @@ TEST(SpanRecorderTest, ModuleCallEmitsTheInstrumentedSeams) {
             std::string::npos);
   EXPECT_NE(prom.find("quantile=\"0.99\""), std::string::npos);
 }
-#endif
 
 // --------------------------------------- chrome export under SMP --
 
@@ -273,9 +271,7 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
     for (uint64_t i = 0; i < 32; ++i) {
       scoped.clock().Advance(1.0 + cpu);
       tracer.Record(trace::EventId::kGuardCheck, cpu, i);
-#if KOP_SPANS_ENABLED
       KOP_SPAN(kModuleCall, cpu);
-#endif
     }
   });
 
@@ -297,10 +293,8 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
               std::string::npos)
         << "cpu " << cpu << " missing from export";
   }
-#if KOP_SPANS_ENABLED
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos)
       << "spans should export as real-duration events";
-#endif
 
   tracer.Reset();
 }

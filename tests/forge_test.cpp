@@ -4,8 +4,8 @@
 // reached and — under a deliberately weakened policy — exploited,
 // minimization shrinks the exploit to a short deterministic repro whose
 // token replays, the synthesized policy tightening verifiably
-// re-contains it, and the campaign degrades gracefully when coverage is
-// compiled out or the engine has no hooks.
+// re-contains it, and the campaign degrades gracefully when the engine
+// has no coverage hooks.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,18 +97,13 @@ TEST(ForgeTest, WeakPolicyYieldsMinimizedReplayableRepro) {
   }
 }
 
-TEST(ForgeTest, CoverageFeedbackMatchesBuildAndEngine) {
+TEST(ForgeTest, CoverageFeedbackMatchesEngine) {
   ForgeReport vm = RunForge(SmallConfig(PolicyFamily::kHardened));
-  EXPECT_EQ(vm.coverage_compiled_in, kir::CoverageCompiledIn());
-  if (kir::CoverageCompiledIn()) {
-    EXPECT_GT(vm.covered_edges, 0u);
-    EXPECT_NE(vm.coverage_digest, 0u);
-    EXPECT_FALSE(vm.corpus.empty());
-    EXPECT_FALSE(vm.distilled.empty());
-    EXPECT_LE(vm.distilled.size(), vm.corpus.size());
-  } else {
-    EXPECT_EQ(vm.covered_edges, 0u);
-  }
+  EXPECT_GT(vm.covered_edges, 0u);
+  EXPECT_NE(vm.coverage_digest, 0u);
+  EXPECT_FALSE(vm.corpus.empty());
+  EXPECT_FALSE(vm.distilled.empty());
+  EXPECT_LE(vm.distilled.size(), vm.corpus.size());
 
   // The reference interpreter has no hooks: coverage must read zero,
   // and the campaign still finds the weak-policy violation via the

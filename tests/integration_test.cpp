@@ -374,15 +374,13 @@ TEST_F(PipelineTest, KnicSendRecordsOnlyItsCallSeamSpans) {
   policy_->engine().ResetStats();
   ASSERT_TRUE((*loaded)->Call("knic_send", {kernel::kVmallocBase, 64}).ok());
   EXPECT_GT(policy_->engine().stats().guard_calls, 0u);
-#if KOP_SPANS_ENABLED
   // In completion order: the dispatch, the commit, then the call itself.
   const std::vector<trace::SpanEvent> spans = trace::GlobalSpans().Tail(0, 8);
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].kind, trace::SpanKind::kEngineDispatch);
   EXPECT_EQ(spans[1].kind, trace::SpanKind::kJournalCommit);
   EXPECT_EQ(spans[2].kind, trace::SpanKind::kModuleCall);
-#endif
-  EXPECT_EQ(trace::GlobalSpans().total_recorded(), KOP_SPANS_ENABLED ? 3u : 0u);
+  EXPECT_EQ(trace::GlobalSpans().total_recorded(), 3u);
 }
 
 TEST_F(PipelineTest, KnicBlockedFromMmioByPolicy) {

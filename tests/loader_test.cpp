@@ -238,11 +238,9 @@ TEST(LoaderStaticVerifyTest, ForgedAttestationRejectedUnderStaticAndBoth) {
               std::string::npos)
         << loaded.status().ToString();
     EXPECT_TRUE(loader.LoadedNames().empty());
-#if KOP_TRACE_ENABLED
     EXPECT_EQ(trace::GlobalTracer().event_count(
                   trace::EventId::kModuleStaticReject),
               1u);
-#endif
     trace::GlobalTracer().Reset();
   }
 }

@@ -19,6 +19,7 @@
 #include "kop/trace/exporters.hpp"
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/site.hpp"
+#include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/carat_abi.hpp"
@@ -129,6 +130,35 @@ TEST_F(ObservabilityTest, GuardLatencyHistogramFills) {
   EXPECT_NE(proc.find("denied:"), std::string::npos);
 }
 
+/// A kernel with an e1000 device at kVmallocBase behind a default-allow
+/// policy: the guarded NIC that the native e1000e driver and the KIR
+/// kop_knic module both drive.
+struct NicRig {
+  NicRig() {
+    EXPECT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
+    auto inserted =
+        PolicyModule::Insert(&kernel, nullptr, PolicyMode::kDefaultAllow);
+    EXPECT_TRUE(inserted.ok());
+    policy = std::move(*inserted);
+  }
+  policy::PolicyEngine& engine() { return policy->engine(); }
+
+  /// Loads kop_knic and stages a 64-byte frame for knic_send.
+  kernel::LoadedModule* LoadKnic() {
+    auto knic = loader.Insmod(CompileAndSign(kirmods::KnicSource()));
+    EXPECT_TRUE(knic.ok()) << knic.status().ToString();
+    EXPECT_TRUE((*knic)->Call("knic_init", {kernel::kVmallocBase}).ok());
+    EXPECT_TRUE((*knic)->Call("knic_fill", {64, 0x20}).ok());
+    return *knic;
+  }
+
+  Kernel kernel;
+  ModuleLoader loader{&kernel, TrustedKeyring()};
+  nic::CountingSink sink{64};
+  nic::E1000Device device{&kernel.mem(), &sink};
+  std::unique_ptr<PolicyModule> policy;
+};
+
 // One accounting path: the pinned inline guards of native drivers and KIR
 // modules feed both guard histograms exactly as the out-of-line Guard()
 // does, so each histogram counts every guard call on either path.
@@ -141,21 +171,15 @@ TEST(GuardHistogramTest, CountsEqualGuardCallsForNativeAndKirModules) {
       trace::GlobalMetrics().GetCounter("guard.deopt");
 
   {  // Native e1000e: pinned XmitFrame / XmitBatch / NapiPoll entries.
-    Kernel kernel;
-    nic::CountingSink sink;
-    nic::E1000Device device(&kernel.mem(), &sink);
-    ASSERT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
-    auto policy =
-        PolicyModule::Insert(&kernel, nullptr, PolicyMode::kDefaultAllow);
-    ASSERT_TRUE(policy.ok());
-    policy::PolicyEngine& engine = (*policy)->engine();
+    NicRig rig;
     auto driver = e1000e::CaratDriver::Probe(
-        e1000e::GuardedMemOps(&kernel, &engine), kernel::kVmallocBase);
+        e1000e::GuardedMemOps(&rig.kernel, &rig.engine()),
+        kernel::kVmallocBase);
     ASSERT_TRUE(driver.ok());
-    auto frame = kernel.heap().Kmalloc(2048, 64);
+    auto frame = rig.kernel.heap().Kmalloc(2048, 64);
     ASSERT_TRUE(frame.ok());
     trace::GlobalMetrics().Reset();
-    engine.ResetStats();
+    rig.engine().ResetStats();
     for (int i = 0; i < 16; ++i) {
       ASSERT_TRUE(driver->XmitFrame(*frame, 128).ok());
     }
@@ -163,7 +187,7 @@ TEST(GuardHistogramTest, CountsEqualGuardCallsForNativeAndKirModules) {
     uint32_t queued = 0;
     ASSERT_TRUE(driver->XmitBatch(0, batch.data(), 4, &queued).ok());
     ASSERT_TRUE(driver->NapiPoll(0, 8, nullptr).ok());
-    const uint64_t guards = engine.stats().guard_calls;
+    const uint64_t guards = rig.engine().stats().guard_calls;
     EXPECT_GT(guards, 16u * 17);
     EXPECT_EQ(deopt->value(), 0u);
     EXPECT_EQ(latency->count(), guards);
@@ -171,27 +195,16 @@ TEST(GuardHistogramTest, CountsEqualGuardCallsForNativeAndKirModules) {
   }
 
   {  // KIR kop_knic through the loader: the engines' pinned inline path.
-    Kernel kernel;
-    ModuleLoader loader(&kernel, TrustedKeyring());
-    nic::CountingSink sink;
-    nic::E1000Device device(&kernel.mem(), &sink);
-    ASSERT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
-    auto policy =
-        PolicyModule::Insert(&kernel, nullptr, PolicyMode::kDefaultAllow);
-    ASSERT_TRUE(policy.ok());
-    policy::PolicyEngine& engine = (*policy)->engine();
-    auto knic = loader.Insmod(CompileAndSign(kirmods::KnicSource()));
-    ASSERT_TRUE(knic.ok()) << knic.status().ToString();
-    ASSERT_TRUE((*knic)->Call("knic_init", {kernel::kVmallocBase}).ok());
-    ASSERT_TRUE((*knic)->Call("knic_fill", {64, 0x20}).ok());
+    NicRig rig;
+    kernel::LoadedModule* knic = rig.LoadKnic();
+    ASSERT_NE(knic, nullptr);
     trace::GlobalMetrics().Reset();
-    engine.ResetStats();
+    rig.engine().ResetStats();
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(
-          (*knic)->Call("knic_send", {kernel::kVmallocBase, 64}).ok());
+      ASSERT_TRUE(knic->Call("knic_send", {kernel::kVmallocBase, 64}).ok());
     }
-    EXPECT_EQ(sink.packets(), 8u);
-    const uint64_t guards = engine.stats().guard_calls;
+    EXPECT_EQ(rig.sink.packets(), 8u);
+    const uint64_t guards = rig.engine().stats().guard_calls;
     EXPECT_GT(guards, 0u);
     EXPECT_EQ(deopt->value(), 0u);
     EXPECT_EQ(latency->count(), guards);
@@ -199,7 +212,84 @@ TEST(GuardHistogramTest, CountsEqualGuardCallsForNativeAndKirModules) {
   }
 }
 
-#if KOP_TRACE_ENABLED
+// Instrumentation never moves the virtual clock: the same guarded
+// traffic, run once with tracepoints and spans disarmed and once armed,
+// costs the same virtual cycles and guard calls and puts the same bytes
+// on the wire. Disarmed, it records nothing.
+struct TrafficRun {
+  double cycles = 0;
+  uint64_t guard_calls = 0;
+  std::vector<std::vector<uint8_t>> frames;
+  uint64_t trace_records = 0;
+  uint64_t spans = 0;
+};
+
+/// Runs `traffic` on `rig` with tracepoints and spans armed or disarmed,
+/// then re-arms them (the shipped default).
+template <typename Traffic>
+TrafficRun Measure(NicRig& rig, bool armed, Traffic traffic) {
+  trace::GlobalTracer().Reset();
+  trace::GlobalSpans().Reset();
+  rig.engine().ResetStats();
+  trace::GlobalTracer().SetEnabled(armed);
+  trace::GlobalSpans().SetEnabled(armed);
+  const double start = rig.kernel.clock().NowCycles();
+  traffic();
+  TrafficRun run;
+  run.cycles = rig.kernel.clock().NowCycles() - start;
+  run.trace_records = trace::GlobalTracer().ring().total_appended();
+  run.spans = trace::GlobalSpans().total_recorded();
+  trace::GlobalTracer().SetEnabled(true);
+  trace::GlobalSpans().SetEnabled(true);
+  run.guard_calls = rig.engine().stats().guard_calls;
+  run.frames = rig.sink.RecentFrames();
+  return run;
+}
+
+/// Sixteen pinned native e1000e XmitFrame calls.
+TrafficRun RunNativeXmit(bool armed) {
+  NicRig rig;
+  auto driver = e1000e::CaratDriver::Probe(
+      e1000e::GuardedMemOps(&rig.kernel, &rig.engine()),
+      kernel::kVmallocBase);
+  EXPECT_TRUE(driver.ok());
+  auto frame = rig.kernel.heap().Kmalloc(2048, 64);
+  EXPECT_TRUE(frame.ok());
+  return Measure(rig, armed, [&] {
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_TRUE(driver->XmitFrame(*frame, 128).ok());
+    }
+  });
+}
+
+/// Eight KIR kop_knic knic_send calls through the loader.
+TrafficRun RunKnicSend(bool armed) {
+  NicRig rig;
+  kernel::LoadedModule* knic = rig.LoadKnic();
+  return Measure(rig, armed, [&] {
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_TRUE(knic->Call("knic_send", {kernel::kVmallocBase, 64}).ok());
+    }
+  });
+}
+
+TEST(ObservabilityArmingTest, DisarmedAndArmedRunsCostTheSameVirtualCycles) {
+  for (auto* run_traffic : {&RunNativeXmit, &RunKnicSend}) {
+    const TrafficRun disarmed = run_traffic(false);
+    const TrafficRun armed = run_traffic(true);
+    EXPECT_GT(armed.cycles, 0.0);
+    EXPECT_EQ(disarmed.cycles, armed.cycles);
+    EXPECT_GT(armed.guard_calls, 0u);
+    EXPECT_EQ(disarmed.guard_calls, armed.guard_calls);
+    EXPECT_FALSE(armed.frames.empty());
+    EXPECT_EQ(disarmed.frames, armed.frames);
+    EXPECT_EQ(disarmed.trace_records, 0u);
+    EXPECT_EQ(disarmed.spans, 0u);
+    EXPECT_GT(armed.trace_records + armed.spans, 0u);
+  }
+  trace::GlobalTracer().Reset();
+  trace::GlobalSpans().Reset();
+}
 
 TEST_F(ObservabilityTest, ChromeTraceCoversEverySubsystem) {
   RunScribbleScenario();
@@ -276,8 +366,6 @@ TEST_F(ObservabilityTest, TraceAndHotSiteIoctls) {
   }
   EXPECT_TRUE(attributed);
 }
-
-#endif  // KOP_TRACE_ENABLED
 
 }  // namespace
 }  // namespace kop

@@ -327,12 +327,10 @@ TEST(ResilienceTest, PersistentFaultWalksFullBackoffLadderToQuarantine) {
                     .Add(policy::Region{*counter_addr, 8, policy::kProtNone})
                     .ok());
 
-#if KOP_TRACE_ENABLED
     uint64_t seq_before = 0;
     for (const auto& record : trace::GlobalTracer().ring().Snapshot()) {
       if (record.cpu == 0) seq_before = std::max(seq_before, record.seq);
     }
-#endif
     const uint64_t restarts_before =
         trace::GlobalMetrics().GetCounter("resilience.restarts")->value();
     const uint64_t failures_before = trace::GlobalMetrics()
@@ -377,7 +375,6 @@ TEST(ResilienceTest, PersistentFaultWalksFullBackoffLadderToQuarantine) {
         trace::GlobalMetrics().GetCounter("resilience.restarts")->value(),
         restarts_before);
 
-#if KOP_TRACE_ENABLED
     // Trace story: this rig's kModuleRestart records are the ladder,
     // attempts 1..max in order, every one marked failed. Records are
     // picked by their index in CPU 0's ring, where this test runs (each
@@ -401,7 +398,6 @@ TEST(ResilienceTest, PersistentFaultWalksFullBackoffLadderToQuarantine) {
       EXPECT_EQ(record.args[1], 0u) << "attempt " << attempt
                                     << " unexpectedly succeeded";
     }
-#endif  // KOP_TRACE_ENABLED
 
     // Flight-recorder story: the final bundle is the exhaustion record.
     flight::PostmortemBundle bundle;
@@ -436,23 +432,19 @@ TEST(ResilienceTest, QuarantineReclaimsHeapAndUnexportsSymbols) {
 
 TEST(ResilienceTest, ContainmentIsVisibleInTraceAndPrintk) {
   Rig rig(ExecEngine::kBytecode);
-#if KOP_TRACE_ENABLED
   const uint64_t rollbacks_before =
       trace::GlobalTracer().event_count(trace::EventId::kModuleRollback);
   const uint64_t quarantines_before =
       trace::GlobalTracer().event_count(trace::EventId::kModuleQuarantine);
-#endif
 
   ASSERT_FALSE(
       rig.module->Call("touch_then_violate", {kForbiddenAddr, 3}).ok());
 
-#if KOP_TRACE_ENABLED
   EXPECT_GT(trace::GlobalTracer().event_count(trace::EventId::kModuleRollback),
             rollbacks_before);
   EXPECT_GT(
       trace::GlobalTracer().event_count(trace::EventId::kModuleQuarantine),
       quarantines_before);
-#endif
   EXPECT_TRUE(
       rig.kernel.log().Contains("quarantined module 'kop_victim'"));
 }

@@ -175,13 +175,17 @@ TEST(TracerTest, MacroFiresIntoGlobalTracer) {
   GlobalTracer().Reset();
   KOP_TRACE(kPanic);
   KOP_TRACE(kIoctl, 0x4b05, 0);
-#if KOP_TRACE_ENABLED
   EXPECT_EQ(GlobalTracer().event_count(EventId::kPanic), 1u);
   EXPECT_EQ(GlobalTracer().event_count(EventId::kIoctl), 1u);
-#else
-  // Compiled out: nothing recorded, and the macro must still parse.
-  EXPECT_EQ(GlobalTracer().ring().total_appended(), 0u);
-#endif
+
+  // Disarmed: the site neither records nor evaluates its arguments.
+  GlobalTracer().SetEnabled(false);
+  uint64_t n = 0;
+  KOP_TRACE(kIoctl, ++n, 0);
+  GlobalTracer().SetEnabled(true);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(GlobalTracer().event_count(EventId::kIoctl), 1u);
+  EXPECT_EQ(GlobalTracer().ring().total_appended(), 2u);
   GlobalTracer().Reset();
 }
 

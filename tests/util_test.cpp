@@ -1,4 +1,5 @@
-// kop::util: status/result, bits, ring buffer, rng, spinlock, hexdump.
+// kop::util: status/result, bits, ring buffer, rng, spinlock, hexdump,
+// strict integer parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include "kop/util/bits.hpp"
 #include "kop/util/hexdump.hpp"
 #include "kop/util/log.hpp"
+#include "kop/util/parse.hpp"
 #include "kop/util/ring_buffer.hpp"
 #include "kop/util/rng.hpp"
 #include "kop/util/spinlock.hpp"
@@ -315,6 +317,32 @@ TEST(HexdumpTest, MultiRow) {
   std::vector<uint8_t> data(40, 0xab);
   const std::string dump = Hexdump(data.data(), data.size());
   EXPECT_EQ(std::count(dump.begin(), dump.end(), '\n'), 3);
+}
+
+// ----------------------------------------------------------------- parse --
+
+TEST(ParseU64Test, AcceptsWholeUnsignedDecimalHexAndOctal) {
+  uint64_t value = 0;
+  EXPECT_TRUE(util::ParseU64("42", &value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(util::ParseU64("0x10", &value));
+  EXPECT_EQ(value, 16u);
+  EXPECT_TRUE(util::ParseU64("010", &value));
+  EXPECT_EQ(value, 8u);
+  EXPECT_TRUE(util::ParseU64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  // 2^32 + 1 comes back whole, so a caller's range check sees it before
+  // narrowing it to 1.
+  EXPECT_TRUE(util::ParseU64("4294967297", &value));
+  EXPECT_EQ(value, 4294967297u);
+}
+
+TEST(ParseU64Test, RejectsSignsJunkAndOverflow) {
+  uint64_t value = 0;
+  for (const char* text : {"", "-1", "+1", " 1", "2junk", "2x", "0x", "0xg",
+                           "18446744073709551616", "0x10000000000000000"}) {
+    EXPECT_FALSE(util::ParseU64(text, &value)) << '"' << text << '"';
+  }
 }
 
 // ------------------------------------------------------------------- log --

@@ -70,6 +70,7 @@
 //
 // Exit code 0 on success; 1 on failure (diagnostics on stderr).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -100,6 +101,7 @@
 #include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/transform/guard_sites.hpp"
+#include "kop/util/parse.hpp"
 
 namespace {
 
@@ -108,6 +110,15 @@ using namespace kop;
 int Fail(const std::string& message) {
   std::fprintf(stderr, "kopcc: %s\n", message.c_str());
   return 1;
+}
+
+/// A strict count flag value: the whole of `text` is an unsigned integer
+/// that fits in 32 bits, checked before it is narrowed.
+bool ParseU32(const std::string& text, uint32_t* out) {
+  uint64_t value = 0;
+  if (!util::ParseU64(text, &value) || value > UINT32_MAX) return false;
+  *out = static_cast<uint32_t>(value);
+  return true;
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -627,25 +638,26 @@ int Run(const std::vector<std::string>& args) {
     } else if (arg.rfind("--entry=", 0) == 0) {
       entry = arg.substr(8);
     } else if (arg.rfind("--cpus=", 0) == 0) {
-      try {
-        cpus = static_cast<uint32_t>(std::stoul(arg.substr(7), nullptr, 0));
-      } catch (const std::exception&) {
+      uint64_t value = 0;
+      if (!util::ParseU64(arg.substr(7), &value)) {
         return Fail("bad --cpus value");
       }
-      if (cpus == 0 || cpus > smp::kMaxCpus) {
+      if (value == 0 || value > smp::kMaxCpus) {
         return Fail("--cpus must be 1.." + std::to_string(smp::kMaxCpus));
       }
+      cpus = static_cast<uint32_t>(value);
     } else if (!arg.empty() && arg[0] == '-' &&
                !(arg.size() > 1 && (arg[1] >= '0' && arg[1] <= '9'))) {
       return Fail("unknown run option '" + arg + "'");
     } else if (path.empty()) {
       path = arg;
     } else {
-      try {
-        call_args.push_back(std::stoull(arg, nullptr, 0));
-      } catch (const std::exception&) {
-        return Fail("bad argument '" + arg + "' (expected an integer)");
+      uint64_t value = 0;
+      if (!util::ParseU64(arg, &value)) {
+        return Fail("bad argument '" + arg +
+                    "' (expected an unsigned integer)");
       }
+      call_args.push_back(value);
     }
   }
   if (path.empty()) return Fail("run takes a container");
@@ -731,16 +743,9 @@ int FaultCamp(const std::vector<std::string>& args) {
     if (arg == "--json") {
       json = true;
     } else if (arg == "--seed" && i + 1 < args.size()) {
-      try {
-        config.seed = std::stoull(args[++i], nullptr, 0);
-      } catch (const std::exception&) {
-        return Fail("bad seed");
-      }
+      if (!util::ParseU64(args[++i], &config.seed)) return Fail("bad seed");
     } else if (arg == "--trials" && i + 1 < args.size()) {
-      try {
-        config.min_trials =
-            static_cast<uint32_t>(std::stoul(args[++i], nullptr, 0));
-      } catch (const std::exception&) {
+      if (!ParseU32(args[++i], &config.min_trials)) {
         return Fail("bad trial count");
       }
     } else if (arg.rfind("--engine=", 0) == 0) {
@@ -794,25 +799,13 @@ int Forge(const std::vector<std::string>& args) {
     if (arg == "--json") {
       json = true;
     } else if (arg == "--seed" && i + 1 < args.size()) {
-      try {
-        config.seed = std::stoull(args[++i], nullptr, 0);
-      } catch (const std::exception&) {
-        return Fail("bad seed");
-      }
+      if (!util::ParseU64(args[++i], &config.seed)) return Fail("bad seed");
     } else if (arg == "--trials" && i + 1 < args.size()) {
-      try {
-        config.trials =
-            static_cast<uint32_t>(std::stoul(args[++i], nullptr, 0));
-      } catch (const std::exception&) {
+      if (!ParseU32(args[++i], &config.trials)) {
         return Fail("bad trial count");
       }
     } else if (arg == "--jobs" && i + 1 < args.size()) {
-      try {
-        config.jobs =
-            static_cast<uint32_t>(std::stoul(args[++i], nullptr, 0));
-      } catch (const std::exception&) {
-        return Fail("bad job count");
-      }
+      if (!ParseU32(args[++i], &config.jobs)) return Fail("bad job count");
     } else if (arg == "--replay" && i + 1 < args.size()) {
       replay_token = args[++i];
     } else if (arg == "--no-minimize") {
@@ -907,11 +900,7 @@ int Postmortem(const std::vector<std::string>& args) {
     } else if (arg == "--check-schema") {
       check_schema = true;
     } else if (arg == "--seed" && i + 1 < args.size()) {
-      try {
-        config.seed = std::stoull(args[++i], nullptr, 0);
-      } catch (const std::exception&) {
-        return Fail("bad seed");
-      }
+      if (!util::ParseU64(args[++i], &config.seed)) return Fail("bad seed");
     } else if (arg.rfind("--engine=", 0) == 0) {
       const std::string name = arg.substr(9);
       if (name == "interp") {
