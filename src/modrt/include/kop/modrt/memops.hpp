@@ -13,9 +13,11 @@
 // clock. It shares the KIR engines' one guard path: each driver entry
 // point opens an EntryPin, which pins the policy frame on the calling CPU
 // once, and every access inside decides inline against that frame
-// (PolicyEngine::FastGuard). Anything but a proven allow — no pin, a
-// stale frame, fault injection, a denial — re-decides out of line in
-// PolicyEngine::Guard, which owns violation, panic and quarantine
+// (PolicyEngine::FastGuard). The engine is held as a PolicyEngine*, so
+// that allow path compiles straight into each access here: an allowed
+// access makes no out-of-line policy call. Anything but a proven allow —
+// no pin, a stale frame, fault injection, a denial — re-decides out of
+// line in PolicyEngine::Guard, which owns violation, panic and quarantine
 // semantics. Either way the guard charges the machine's guard cost.
 #pragma once
 
@@ -221,9 +223,10 @@ class GuardedMemOps : public RawMemOps {
   /// The one access path: decide inline against the pinned frame; on a
   /// deopt, re-decide out of line with the category's site pinned for
   /// attribution (panics or throws on a violation, per the engine's
-  /// ViolationAction).
-  void GuardAccess(uint64_t addr, uint64_t size, uint64_t flags,
-                   uint64_t site) {
+  /// ViolationAction). Always inlined, so each access method carries the
+  /// allow path itself.
+  [[gnu::always_inline]] void GuardAccess(uint64_t addr, uint64_t size,
+                                          uint64_t flags, uint64_t site) {
     if (engine_->FastGuard(addr, size, flags, site)) [[likely]] return;
     trace::ScopedGuardSite scope(site);
     engine_->Guard(addr, size, flags);

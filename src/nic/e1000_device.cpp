@@ -5,15 +5,30 @@
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/util/log.hpp"
+#include "kop/util/single_writer.hpp"
 
 namespace kop::nic {
 
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// A TX staging buffer that grew past one 64 KiB frame is freed after
+/// use, so a ring of many descriptors without EOP cannot pin memory.
+constexpr size_t kMaxStagedFrameBytes = 64 * 1024;
+
+void TrimStaging(std::vector<uint8_t>& frame) {
+  if (frame.capacity() > kMaxStagedFrameBytes) {
+    frame.clear();
+    frame.shrink_to_fit();
+  }
+}
 }  // namespace
 
 E1000Device::E1000Device(kernel::AddressSpace* memory, PacketSink* sink)
-    : memory_(memory), sink_(sink) {
+    : memory_(memory),
+      sink_(sink),
+      tx_occupancy_(
+          trace::GlobalMetrics().GetGauge("nic.tx_ring_occupancy")) {
   static constexpr uint8_t kDefaultMac[6] = {0x02, 0xca, 0x4a,
                                              0x70, 0x0b, 0x01};
   SetNvmMac(kDefaultMac);
@@ -53,13 +68,13 @@ void E1000Device::Reset() {
   rctl_ = 0;
   tipg_ = 0;
   mrqc_ = 0;
-  gptc_.store(0, kRelaxed);
   gprc_.store(0, kRelaxed);
-  gotc_.store(0, kRelaxed);
   eerd_ = 0;
   for (uint32_t q = 0; q < kMaxQueues; ++q) {
     tx_[q] = TxQueue();
     rx_[q] = RxQueue();
+    tx_counters_[q].gptc.store(0, kRelaxed);
+    tx_counters_[q].gotc.store(0, kRelaxed);
     ivar_[q].store(0, kRelaxed);
   }
   for (uint32_t v = 0; v < kMaxVectors; ++v) {
@@ -71,19 +86,23 @@ void E1000Device::Reset() {
 DeviceStats E1000Device::QueueStats(uint32_t queue) const {
   DeviceStats out;
   if (queue >= kMaxQueues) return out;
-  const QueueCounters& c = counters_[queue];
-  out.descriptors_processed = c.descriptors_processed.load(kRelaxed);
-  out.frames_transmitted = c.frames_transmitted.load(kRelaxed);
-  out.bytes_transmitted = c.bytes_transmitted.load(kRelaxed);
-  out.dma_descriptor_reads = c.dma_descriptor_reads.load(kRelaxed);
-  out.dma_payload_reads = c.dma_payload_reads.load(kRelaxed);
-  out.writebacks = c.writebacks.load(kRelaxed);
-  out.tail_writes = c.tail_writes.load(kRelaxed);
-  out.bad_descriptors = c.bad_descriptors.load(kRelaxed);
-  out.bad_doorbells = c.bad_doorbells.load(kRelaxed);
-  out.frames_received = c.frames_received.load(kRelaxed);
-  out.bytes_received = c.bytes_received.load(kRelaxed);
-  out.rx_dropped = c.rx_dropped.load(kRelaxed);
+  const TxCounters& tx = tx_counters_[queue];
+  const RxCounters& rx = rx_counters_[queue];
+  out.descriptors_processed = tx.descriptors_processed.load(kRelaxed);
+  out.frames_transmitted = tx.frames_transmitted.load(kRelaxed);
+  out.bytes_transmitted = tx.bytes_transmitted.load(kRelaxed);
+  out.dma_descriptor_reads = tx.dma_descriptor_reads.load(kRelaxed) +
+                             rx.dma_descriptor_reads.load(kRelaxed);
+  out.dma_payload_reads = tx.dma_payload_reads.load(kRelaxed);
+  out.writebacks =
+      tx.writebacks.load(kRelaxed) + rx.writebacks.load(kRelaxed);
+  out.tail_writes = tx.tail_writes.load(kRelaxed);
+  out.bad_descriptors =
+      tx.bad_descriptors.load(kRelaxed) + rx.bad_descriptors.load(kRelaxed);
+  out.bad_doorbells = tx.bad_doorbells.load(kRelaxed);
+  out.frames_received = rx.frames_received.load(kRelaxed);
+  out.bytes_received = rx.bytes_received.load(kRelaxed);
+  out.rx_dropped = rx.rx_dropped.load(kRelaxed);
   return out;
 }
 
@@ -108,19 +127,25 @@ DeviceStats E1000Device::stats() const {
 }
 
 void E1000Device::ResetStats() {
+  // GPTC/GOTC are hardware registers: only CTRL.RST zeroes them.
   for (uint32_t q = 0; q < kMaxQueues; ++q) {
-    counters_[q].descriptors_processed.store(0, kRelaxed);
-    counters_[q].frames_transmitted.store(0, kRelaxed);
-    counters_[q].bytes_transmitted.store(0, kRelaxed);
-    counters_[q].dma_descriptor_reads.store(0, kRelaxed);
-    counters_[q].dma_payload_reads.store(0, kRelaxed);
-    counters_[q].writebacks.store(0, kRelaxed);
-    counters_[q].tail_writes.store(0, kRelaxed);
-    counters_[q].bad_descriptors.store(0, kRelaxed);
-    counters_[q].bad_doorbells.store(0, kRelaxed);
-    counters_[q].frames_received.store(0, kRelaxed);
-    counters_[q].bytes_received.store(0, kRelaxed);
-    counters_[q].rx_dropped.store(0, kRelaxed);
+    TxCounters& tx = tx_counters_[q];
+    tx.descriptors_processed.store(0, kRelaxed);
+    tx.frames_transmitted.store(0, kRelaxed);
+    tx.bytes_transmitted.store(0, kRelaxed);
+    tx.dma_descriptor_reads.store(0, kRelaxed);
+    tx.dma_payload_reads.store(0, kRelaxed);
+    tx.writebacks.store(0, kRelaxed);
+    tx.tail_writes.store(0, kRelaxed);
+    tx.bad_descriptors.store(0, kRelaxed);
+    tx.bad_doorbells.store(0, kRelaxed);
+    RxCounters& rx = rx_counters_[q];
+    rx.dma_descriptor_reads.store(0, kRelaxed);
+    rx.writebacks.store(0, kRelaxed);
+    rx.bad_descriptors.store(0, kRelaxed);
+    rx.frames_received.store(0, kRelaxed);
+    rx.bytes_received.store(0, kRelaxed);
+    rx.rx_dropped.store(0, kRelaxed);
   }
   for (uint32_t v = 0; v < kMaxVectors; ++v) {
     msix_asserts_[v].store(0, kRelaxed);
@@ -128,9 +153,17 @@ void E1000Device::ResetStats() {
   }
 }
 
+uint64_t E1000Device::SumTx(std::atomic<uint64_t> TxCounters::*field) const {
+  uint64_t total = 0;
+  for (const TxCounters& tx : tx_counters_) total += (tx.*field).load(kRelaxed);
+  return total;
+}
+
 void E1000Device::RaiseMsix(uint32_t vector) {
   vector &= IVAR_VECTOR_MASK;
-  eicr_.fetch_or(1u << vector, kRelaxed);
+  const uint32_t cause = 1u << vector;
+  // As in RaiseLegacy: an already-latched cause needs no locked RMW.
+  if ((eicr_.load(kRelaxed) & cause) == 0) eicr_.fetch_or(cause, kRelaxed);
   if (((eims_.load(kRelaxed) >> vector) & 1u) == 0) return;  // masked
   const uint32_t interval = eitr_[vector].load(kRelaxed);
   if (interval != 0 && clock_ != nullptr) {
@@ -205,12 +238,13 @@ uint64_t E1000Device::MmioRead(uint64_t offset, uint32_t size) {
     case REG_RCTL: return rctl_;
     case REG_TIPG: return tipg_;
     case REG_MRQC: return mrqc_;
-    case REG_GPTC: return gptc_.load(kRelaxed);
+    case REG_GPTC:
+      return static_cast<uint32_t>(SumTx(&TxCounters::gptc));
     case REG_GPRC: return gprc_.load(kRelaxed);
     case REG_GOTCL:
-      return static_cast<uint32_t>(gotc_.load(kRelaxed));
+      return static_cast<uint32_t>(SumTx(&TxCounters::gotc));
     case REG_GOTCH:
-      return static_cast<uint32_t>(gotc_.load(kRelaxed) >> 32);
+      return static_cast<uint32_t>(SumTx(&TxCounters::gotc) >> 32);
     case REG_RAL0: return ral0_;
     case REG_RAH0: return rah0_;
     default:
@@ -241,7 +275,7 @@ void E1000Device::MmioWrite(uint64_t offset, uint64_t value, uint32_t size) {
         break;
       case REG_TDT:
         tx_[q].tdt = v;
-        counters_[q].tail_writes.fetch_add(1, kRelaxed);
+        BumpRelaxed(tx_counters_[q].tail_writes);
         if (auto_process_) ProcessTransmitRing(q);
         break;
       default:
@@ -376,7 +410,7 @@ bool E1000Device::ReceiveFrameOn(uint32_t queue,
                                  const std::vector<uint8_t>& frame) {
   if (queue >= kMaxQueues) return false;
   RxQueue& rxq = rx_[queue];
-  QueueCounters& c = counters_[queue];
+  RxCounters& c = rx_counters_[queue];
   if ((rctl_ & RCTL_EN) == 0 || (status_ & STATUS_LU) == 0 ||
       frame.empty() || frame.size() > kRxBufferBytes) {
     c.rx_dropped.fetch_add(1, kRelaxed);
@@ -432,7 +466,7 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
   if ((tctl_ & TCTL_EN) == 0) return;        // transmitter disabled
   if ((status_ & STATUS_LU) == 0) return;    // no link
   TxQueue& txq = tx_[queue];
-  QueueCounters& c = counters_[queue];
+  TxCounters& c = tx_counters_[queue];
   const uint32_t count = TxRingCount(txq);
   if (count == 0) return;
   // A head or tail pointer outside the ring (a corrupted doorbell write)
@@ -440,7 +474,7 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
   // modulo the ring size and can never meet an out-of-range tail. Real
   // hardware wedges on such programming; the model refuses the doorbell.
   if (txq.tdh >= count || txq.tdt >= count) {
-    c.bad_doorbells.fetch_add(1, kRelaxed);
+    BumpRelaxed(c.bad_doorbells);
     KOP_LOG(kWarn) << "e1000e: TX ring pointers out of range (queue "
                    << queue << ", head " << txq.tdh << ", tail " << txq.tdt
                    << ", ring " << count << "); transmitter wedged";
@@ -451,50 +485,54 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
 
   // Queue 0 keeps the legacy occupancy gauge; concurrent queues would
   // otherwise scribble over each other's sample.
-  trace::Gauge* occupancy_gauge =
-      queue == 0 ? trace::GlobalMetrics().GetGauge("nic.tx_ring_occupancy")
-                 : nullptr;
+  trace::Gauge* occupancy_gauge = queue == 0 ? tx_occupancy_ : nullptr;
   if (occupancy_gauge != nullptr) {
     occupancy_gauge->Set((txq.tdt + count - txq.tdh) % count);
   }
 
-  std::vector<uint8_t> frame;
+  // Start from an empty frame: bytes a previous sweep left without EOP
+  // are dropped.
+  auto& frame = tx_frame_[queue];
+  frame.clear();
   while (txq.tdh != txq.tdt) {
     const uint64_t desc_addr = ring_base + uint64_t{txq.tdh} * kTxDescBytes;
     LegacyTxDescriptor desc{};
     uint8_t raw[kTxDescBytes];
-    c.dma_descriptor_reads.fetch_add(1, kRelaxed);
+    BumpRelaxed(c.dma_descriptor_reads);
     KOP_TRACE(kNicDescFetch, desc_addr, txq.tdh);
     if (!memory_->Read(desc_addr, raw, sizeof(raw)).ok()) {
-      c.bad_descriptors.fetch_add(1, kRelaxed);
+      BumpRelaxed(c.bad_descriptors);
       KOP_LOG(kWarn) << "e1000e DMA: descriptor fetch failed at 0x"
                      << std::hex << desc_addr;
       break;  // hardware would wedge; stop processing
     }
     std::memcpy(&desc, raw, sizeof(desc));
 
-    // Pull the payload via DMA (unguarded by design).
+    // Pull the payload via DMA (unguarded by design) onto the frame's
+    // tail; a failed read leaves the frame as it was.
     if (desc.length > 0) {
-      std::vector<uint8_t> chunk(desc.length);
-      c.dma_payload_reads.fetch_add(1, kRelaxed);
-      if (!memory_->Read(desc.buffer_addr, chunk.data(), chunk.size()).ok()) {
-        c.bad_descriptors.fetch_add(1, kRelaxed);
-      } else {
-        frame.insert(frame.end(), chunk.begin(), chunk.end());
+      BumpRelaxed(c.dma_payload_reads);
+      const size_t start = frame.size();
+      frame.resize(start + desc.length);
+      if (!memory_->Read(desc.buffer_addr, frame.data() + start, desc.length)
+               .ok()) {
+        BumpRelaxed(c.bad_descriptors);
+        frame.resize(start);
       }
     }
-    c.descriptors_processed.fetch_add(1, kRelaxed);
+    BumpRelaxed(c.descriptors_processed);
 
     const bool end_of_packet = (desc.cmd & TXD_CMD_EOP) != 0;
     if (end_of_packet && !frame.empty()) {
       sink_->Deliver(frame);
-      c.frames_transmitted.fetch_add(1, kRelaxed);
-      c.bytes_transmitted.fetch_add(frame.size(), kRelaxed);
+      BumpRelaxed(c.frames_transmitted);
+      BumpRelaxed(c.bytes_transmitted, frame.size());
       KOP_TRACE(kNicXmit, frame.size(),
                 (txq.tdt + count - (txq.tdh + 1) % count) % count);
-      gptc_.fetch_add(1, kRelaxed);
-      gotc_.fetch_add(frame.size(), kRelaxed);
+      BumpRelaxed(c.gptc);
+      BumpRelaxed(c.gotc, frame.size());
       frame.clear();
+      TrimStaging(frame);
     }
 
     // Write back DD when requested.
@@ -502,7 +540,7 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
       desc.status |= TXD_STAT_DD;
       std::memcpy(raw, &desc, sizeof(desc));
       if (memory_->Write(desc_addr, raw, sizeof(raw)).ok()) {
-        c.writebacks.fetch_add(1, kRelaxed);
+        BumpRelaxed(c.writebacks);
       }
     }
 
@@ -514,6 +552,7 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
     if (txq.tdh == txq.tdt && queue == 0) RaiseLegacy(ICR_TXQE);
     RaiseQueueVector(queue, /*tx=*/true);
   }
+  TrimStaging(frame);
 }
 
 void LoopbackWire::Deliver(const std::vector<uint8_t>& frame) {

@@ -9,21 +9,36 @@
 // The device exposes up to kMaxQueues TX/RX queue pairs at the real
 // 0x100 register stride; queue 0's block is the legacy register block,
 // so single-queue software sees the exact pre-multi-queue device.
-// Distinct queues may be processed concurrently from different CPUs:
-// per-queue ring state is owned by the queue's driving CPU, and
-// everything shared (ICR/EICR, hardware counters, folded stats) is
-// atomic.
+// Distinct queues may be processed concurrently from different CPUs.
+// Who writes what:
+//  - A queue's TX side (its TDT doorbell and the sweep that doorbell
+//    runs) is driven by one CPU. Its ring pointers and frame staging
+//    buffer are plain fields, and its counters, GPTC/GOTC share
+//    included, have that one writer: they are bumped with a relaxed
+//    load+store, and the atomic type only keeps folds and MMIO reads
+//    from other threads clean.
+//  - A queue's RX side can be fed from any CPU (a loopback wire delivers
+//    on the transmitting CPU), so its counters and GPRC use fetch_add.
+//  - ICR/EICR are shared by every queue. A raise that would set no new
+//    bit is a plain load; raises that do, read-to-clear and
+//    write-1-to-clear are atomic RMWs. One MSI-X vector may serve
+//    several queues, so its assert/throttle counters use fetch_add.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "kop/kernel/address_space.hpp"
 #include "kop/nic/e1000_regs.hpp"
 #include "kop/nic/packet_sink.hpp"
 #include "kop/sim/clock.hpp"
 #include "kop/util/status.hpp"
+
+namespace kop::trace {
+class Gauge;
+}  // namespace kop::trace
 
 namespace kop::nic {
 
@@ -106,10 +121,13 @@ class E1000Device final : public kernel::MmioDevice {
   /// MSI-X assertion/throttle counters for one vector. An assert is a
   /// cause that fired with the vector unmasked and its EITR window
   /// elapsed; a throttled cause latched into EICR without firing.
+  /// Both read 0 for a vector the device does not have.
   uint64_t MsixAsserts(uint32_t vector) const {
+    if (vector >= kMaxVectors) return 0;
     return msix_asserts_[vector].load(std::memory_order_relaxed);
   }
   uint64_t MsixThrottled(uint32_t vector) const {
+    if (vector >= kMaxVectors) return 0;
     return msix_throttled_[vector].load(std::memory_order_relaxed);
   }
 
@@ -126,23 +144,27 @@ class E1000Device final : public kernel::MmioDevice {
   void ReceiveAddress(uint8_t out[6]) const;
 
  private:
-  struct TxQueue {
+  // Ring registers, one cache line per queue so that CPUs driving
+  // different queues never share one.
+  struct alignas(64) TxQueue {
     uint32_t tdbal = 0;
     uint32_t tdbah = 0;
     uint32_t tdlen = 0;
     uint32_t tdh = 0;
     uint32_t tdt = 0;
   };
-  struct RxQueue {
+  struct alignas(64) RxQueue {
     uint32_t rdbal = 0;
     uint32_t rdbah = 0;
     uint32_t rdlen = 0;
     uint32_t rdh = 0;
     uint32_t rdt = 0;
   };
-  /// Per-queue counters. Atomic so a fold from any thread is clean
-  /// while the owning CPU's sweep is mid-flight.
-  struct QueueCounters {
+  /// Counters of one queue's TX side. Single writer (the CPU driving the
+  /// queue's TX side): bumped with a relaxed load+store. `gptc`/`gotc`
+  /// are the queue's share of GPTC/GOTC, summed on MMIO read; CTRL.RST
+  /// zeroes them, ResetStats() does not.
+  struct alignas(64) TxCounters {
     std::atomic<uint64_t> descriptors_processed{0};
     std::atomic<uint64_t> frames_transmitted{0};
     std::atomic<uint64_t> bytes_transmitted{0};
@@ -152,6 +174,15 @@ class E1000Device final : public kernel::MmioDevice {
     std::atomic<uint64_t> tail_writes{0};
     std::atomic<uint64_t> bad_descriptors{0};
     std::atomic<uint64_t> bad_doorbells{0};
+    std::atomic<uint64_t> gptc{0};
+    std::atomic<uint64_t> gotc{0};
+  };
+  /// Counters of one queue's RX side. Frames may arrive from any CPU, so
+  /// every bump is a fetch_add.
+  struct alignas(64) RxCounters {
+    std::atomic<uint64_t> dma_descriptor_reads{0};
+    std::atomic<uint64_t> writebacks{0};
+    std::atomic<uint64_t> bad_descriptors{0};
     std::atomic<uint64_t> frames_received{0};
     std::atomic<uint64_t> bytes_received{0};
     std::atomic<uint64_t> rx_dropped{0};
@@ -164,9 +195,14 @@ class E1000Device final : public kernel::MmioDevice {
   /// Raise a cause for queue `queue`: legacy ICR bits for queue 0, plus
   /// the MSI-X vector IVAR maps the queue's TX or RX cause to (if any).
   void RaiseLegacy(uint32_t causes) {
+    // An OR that sets no new bit changes nothing and is linearised at
+    // the load, so the locked RMW is skipped.
+    if ((icr_.load(std::memory_order_relaxed) & causes) == causes) return;
     icr_.fetch_or(causes, std::memory_order_relaxed);
   }
   void RaiseQueueVector(uint32_t queue, bool tx);
+  /// One TX counter summed over the queues (the GPTC/GOTC read side).
+  uint64_t SumTx(std::atomic<uint64_t> TxCounters::*field) const;
   void RaiseMsix(uint32_t vector);
 
   kernel::AddressSpace* memory_;
@@ -190,15 +226,19 @@ class E1000Device final : public kernel::MmioDevice {
   uint32_t mrqc_ = 0;
   uint32_t ral0_ = 0;
   uint32_t rah0_ = 0;
-  std::atomic<uint32_t> gptc_{0};
   std::atomic<uint32_t> gprc_{0};
-  std::atomic<uint64_t> gotc_{0};
   uint32_t eerd_ = 0;
   uint16_t nvm_[kNvmWords] = {};
 
   TxQueue tx_[kMaxQueues];
   RxQueue rx_[kMaxQueues];
-  QueueCounters counters_[kMaxQueues];
+  TxCounters tx_counters_[kMaxQueues];
+  RxCounters rx_counters_[kMaxQueues];
+  // The frame each TX queue is assembling: payloads are DMAed straight
+  // into its tail. Owned by the queue's TX side like tdh.
+  std::vector<uint8_t> tx_frame_[kMaxQueues];
+  // nic.tx_ring_occupancy, resolved once (registry pointers are stable).
+  trace::Gauge* tx_occupancy_;
   std::atomic<uint32_t> ivar_[kMaxQueues] = {};
   std::atomic<uint32_t> eitr_[kMaxVectors] = {};
   std::atomic<uint64_t> eitr_last_fire_[kMaxVectors] = {};

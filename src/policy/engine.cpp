@@ -71,15 +71,6 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
 }
 
 namespace {
-/// True when an entry ending at `end` (exclusive) can hold
-/// [addr, addr + span), given its base is at or below addr. Written
-/// without addr + span, which may wrap.
-inline bool EndHolds(uint64_t end, uint64_t addr, uint64_t span) {
-  return end > addr && end - addr >= span;
-}
-
-constexpr uint32_t kNoMatch = ~uint32_t{0};
-
 /// A frame's index back in table order.
 std::vector<Region> InTableOrder(const RegionIndex& index) {
   std::vector<Region> regions(index.size);
@@ -91,48 +82,6 @@ std::vector<Region> InTableOrder(const RegionIndex& index) {
   return regions;
 }
 }  // namespace
-
-std::optional<uint32_t> PolicyEngine::FrameLookup(const PolicyFrame& frame,
-                                                  uint64_t addr, uint64_t size,
-                                                  uint64_t* depth) {
-  const IndexedRegion* const entries = frame.regions.entries.get();
-  const size_t n = frame.regions.size;
-  *depth = n;
-  const uint64_t span = size == 0 ? 1 : size;
-  // Outside [lowest base, highest end) nothing can contain the access:
-  // a miss without searching.
-  if (n == 0 || addr < entries[0].base ||
-      !EndHolds(entries[n - 1].max_end, addr, span)) {
-    return std::nullopt;
-  }
-  // Branch-free binary search for the last region based at or below
-  // addr (entries[0] is, by the check above): entries[0, below) are the
-  // only regions that can contain the access.
-  const IndexedRegion* last = entries;
-  for (size_t len = n; len > 1;) {
-    const size_t half = len / 2;
-    last = last[half].base <= addr ? last + half : last;
-    len -= half;
-  }
-  size_t below = static_cast<size_t>(last - entries) + 1;
-  // Walk down while some entry at or before this one still reaches past
-  // the access. Every container is in that stretch; the first match is
-  // the container earliest in table order, wherever its base sits.
-  uint32_t first = kNoMatch;
-  uint32_t prot = kProtNone;
-  for (; below > 0 && EndHolds(entries[below - 1].max_end, addr, span);
-       --below) {
-    const IndexedRegion& entry = entries[below - 1];
-    if (entry.index < first && EndHolds(entry.end, addr, span)) {
-      first = entry.index;
-      prot = entry.prot;
-    }
-  }
-  if (first == kNoMatch) return std::nullopt;
-  // The paper's scan depth: the match's position in table order.
-  *depth = first + 1;
-  return prot;
-}
 
 bool PolicyEngine::Check(uint64_t addr, uint64_t size,
                          uint64_t access_flags) const {
@@ -175,30 +124,6 @@ void PolicyEngine::GrowSiteTable(SiteShard& shard, uint64_t site) {
   // on the shard's own CPU — the thread running this growth — and every
   // cross-CPU access (folds, resets) holds the shard lock.
   shard.storage = std::move(grown);
-}
-
-namespace {
-/// Single-writer counter bump: plain load+store compiles to a plain
-/// increment (no lock prefix); the atomic type only keeps concurrent
-/// readers (folds) race-free.
-inline void BumpRelaxed(std::atomic<uint64_t>& counter, uint64_t n = 1) {
-  counter.store(counter.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
-}
-}  // namespace
-
-void PolicyEngine::NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
-                              uint64_t elided) {
-  SiteTable* table = shard.table.load(std::memory_order_acquire);
-  if (table == nullptr || site >= table->capacity) [[unlikely]] {
-    GrowSiteTable(shard, site);
-    table = shard.table.load(std::memory_order_acquire);
-  }
-  SiteRow& row = table->rows[static_cast<size_t>(site)];
-  row.site.store(site, std::memory_order_relaxed);
-  BumpRelaxed(row.hits);
-  if (elided != 0) BumpRelaxed(row.elided, elided);
-  if (!allowed) BumpRelaxed(row.denied);
 }
 
 void PolicyEngine::NoteSite(uint64_t site, bool allowed, uint64_t elided) {
@@ -434,79 +359,17 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   pin.default_allow = mode() == PolicyMode::kDefaultAllow;
 }
 
-void PolicyEngine::ChargePinned(PinSlot& pin) {
-  if (charge_cycles_.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
-  }
-  ++pin.latency_batch;
-}
-
 void PolicyEngine::FlushLatency(PinSlot& pin) {
   if (pin.latency_batch == 0) return;
   pin.latency->ObserveN(pin.guard_cycles, pin.latency_batch);
   pin.latency_batch = 0;
 }
 
-PolicyEngine::PinSlot* PolicyEngine::PinForInline(uint64_t site) {
-  PinSlot& pin = pin_slots_.Mine();
-  if (pin.depth == 0) [[unlikely]] {
-    return nullptr;  // not pinned: fast path unavailable, not a deopt
-  }
-  if (pin.mutation_gen !=
-      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    // Policy moved mid-call (table mutations and config changes both
-    // tick the one clock): refresh so later checks in this call are fast
-    // again, and let this one re-decide out of line.
-    deopt_counter_->Add();
-    RefreshPin(pin);
-    return nullptr;
-  }
-  if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
-    deopt_counter_->Add();
-    return nullptr;  // fault injection: slow path owns the spurious denial
-  }
-  return &pin;
-}
+void PolicyEngine::CountDeopt() { deopt_counter_->Add(); }
 
-bool PolicyEngine::PinnedGuard(uint64_t addr, uint64_t size,
-                               uint64_t access_flags, uint64_t elided,
-                               uint64_t site) {
-  PinSlot* const slot = PinForInline(site);
-  if (slot == nullptr) return false;
-  PinSlot& pin = *slot;
-  uint64_t depth = 0;
-  const std::optional<uint32_t> prot =
-      FrameLookup(*pin.frame, addr, size, &depth);
-  const bool allowed = prot.has_value()
-                           ? (*prot & access_flags) == access_flags
-                           : pin.default_allow;
-  if (!allowed) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;  // slow path re-decides with full violation semantics
-  }
-  BumpRelaxed(pin.stats->guard_calls);
-  BumpRelaxed(pin.stats->allowed);
-  NoteSiteIn(*pin.sites, site, true, elided);
-  if (elided != 0) {
-    BumpRelaxed(pin.stats->elided, elided);
-    pin.elided_batch += elided;
-  }
-  ChargePinned(pin);
-  pin.lookup_depth->Observe(static_cast<double>(depth));
-  return true;
-}
-
-bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
-                             uint64_t access_flags, uint64_t site) {
-  return PinnedGuard(addr, size, access_flags, 0, site);
-}
-
-bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
-                                  uint64_t access_flags, uint64_t elided,
-                                  uint64_t site) {
-  return PinnedGuard(addr, size, access_flags, elided, site);
+void PolicyEngine::DeoptStalePin(PinSlot& pin) {
+  CountDeopt();
+  RefreshPin(pin);
 }
 
 bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
@@ -519,7 +382,7 @@ bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
       set_id < sets.size() &&
       std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
   if (!allowed) [[unlikely]] {
-    deopt_counter_->Add();
+    CountDeopt();
     return false;  // slow path re-decides with full violation semantics
   }
   BumpRelaxed(pin.stats->cfi_checks);

@@ -34,6 +34,7 @@
 #include "kop/smp/rcu.hpp"
 #include "kop/trace/metrics.hpp"
 #include "kop/util/ring_buffer.hpp"
+#include "kop/util/single_writer.hpp"
 #include "kop/util/spinlock.hpp"
 
 namespace kop::policy {
@@ -256,6 +257,13 @@ class PolicyEngine : public kernel::GuardFastOps {
   // proven allow deopts (returns false) to Guard()/GuardRange(), which
   // owns all violation and containment semantics and traces the decision.
   //
+  // The allow path (FastGuard/FastGuardRange and everything they run on
+  // an allow) is defined inline at the end of this header, so a caller
+  // holding a PolicyEngine* (modrt::GuardedMemOps) compiles it straight
+  // into its own code; callers through kernel::GuardFastOps pay one
+  // virtual call. Deopts, pin refresh, site-table growth and the whole
+  // violation path stay out of line in engine.cpp.
+  //
   // Holding the read section for the whole call delays reclamation of
   // frames retired mid-call until the call returns — the documented cost
   // of whole-call pinning (updates themselves never wait).
@@ -269,10 +277,15 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// False = deopt: not pinned, frame generation moved (the pin is
   /// refreshed so later guards in the call are fast again), the
   /// fault-injection forced-deny is armed, or the check failed.
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t access_flags,
-                 uint64_t site) final;
-  bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t access_flags,
-                      uint64_t elided, uint64_t site) final;
+  /// Always inlined into callers that hold a PolicyEngine*.
+  [[gnu::always_inline]] inline bool FastGuard(uint64_t addr, uint64_t size,
+                                               uint64_t access_flags,
+                                               uint64_t site) final;
+  [[gnu::always_inline]] inline bool FastGuardRange(uint64_t addr,
+                                                    uint64_t size,
+                                                    uint64_t access_flags,
+                                                    uint64_t elided,
+                                                    uint64_t site) final;
   /// Append a module's attested legal-target sets (insmod time). Each set
   /// is sorted on registration; the returned base rebases the module's
   /// local set ids to engine-global ids. Sets are never unregistered —
@@ -366,29 +379,40 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// First match over the frame's base-sorted index. `depth` is the
   /// paper's scan depth: the match's position in table order (index + 1),
   /// or the region count on a miss — not the number of entries probed.
-  static std::optional<uint32_t> FrameLookup(const PolicyFrame& frame,
-                                             uint64_t addr, uint64_t size,
-                                             uint64_t* depth);
+  static inline std::optional<uint32_t> FrameLookup(const PolicyFrame& frame,
+                                                    uint64_t addr,
+                                                    uint64_t size,
+                                                    uint64_t* depth);
 
   void NoteSite(uint64_t site, bool allowed, uint64_t elided = 0);
   /// Shard-directed variant for the inline path (shard resolved at pin
   /// time). Lock-free when the row exists; takes the shard lock only to
   /// grow the table.
-  void NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
-                  uint64_t elided);
+  inline void NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
+                         uint64_t elided);
   static void GrowSiteTable(SiteShard& shard, uint64_t site);
   /// The calling CPU's pin when an inline check may use it; nullptr (a
   /// deopt, counted unless simply unpinned) when the CPU is not pinned,
   /// the pinned frame went stale (the pin is refreshed), or `site` is the
   /// fault-injection forced-deny site.
-  PinSlot* PinForInline(uint64_t site);
+  inline PinSlot* PinForInline(uint64_t site);
+  /// Count one inline check sent out of line (guard.deopt).
+  void CountDeopt();
+  /// The pinned frame went stale: count the deopt and refresh the pin so
+  /// later checks in the call are fast again.
+  void DeoptStalePin(PinSlot& pin);
   /// The shared body of FastGuard/FastGuardRange (elided = 0 for a
-  /// single access).
-  bool PinnedGuard(uint64_t addr, uint64_t size, uint64_t access_flags,
-                   uint64_t elided, uint64_t site);
+  /// single access). Always inlined, like its callers: left to its
+  /// heuristics the compiler keeps one out-of-line copy that every
+  /// guarded access calls.
+  [[gnu::always_inline]] inline bool PinnedGuard(uint64_t addr,
+                                                 uint64_t size,
+                                                 uint64_t access_flags,
+                                                 uint64_t elided,
+                                                 uint64_t site);
   /// Account one inline decision's guard cost: the clock charge and its
   /// (batched) guard.latency_cycles observation.
-  void ChargePinned(PinSlot& pin);
+  inline void ChargePinned(PinSlot& pin);
   /// Observe the pin's batched latencies into guard.latency_cycles.
   static void FlushLatency(PinSlot& pin);
   /// Re-capture the pinned frame after its generations moved (called
@@ -444,5 +468,143 @@ class PolicyEngine : public kernel::GuardFastOps {
   trace::Counter* elided_counter_;
   trace::Counter* deopt_counter_;
 };
+
+// ----------------------------------------------------------------------
+// The inline allow path. Everything an allowed pinned access runs is
+// defined here so callers compile it in; anything else calls out of line.
+// ----------------------------------------------------------------------
+
+namespace detail {
+/// True when an entry ending at `end` (exclusive) can hold
+/// [addr, addr + span), given its base is at or below addr. Written
+/// without addr + span, which may wrap.
+inline bool EndHolds(uint64_t end, uint64_t addr, uint64_t span) {
+  return end > addr && end - addr >= span;
+}
+}  // namespace detail
+
+inline std::optional<uint32_t> PolicyEngine::FrameLookup(
+    const PolicyFrame& frame, uint64_t addr, uint64_t size, uint64_t* depth) {
+  using detail::EndHolds;
+  constexpr uint32_t kNoMatch = ~uint32_t{0};
+  const IndexedRegion* const entries = frame.regions.entries.get();
+  const size_t n = frame.regions.size;
+  *depth = n;
+  const uint64_t span = size == 0 ? 1 : size;
+  // Outside [lowest base, highest end) nothing can contain the access:
+  // a miss without searching.
+  if (n == 0 || addr < entries[0].base ||
+      !EndHolds(entries[n - 1].max_end, addr, span)) {
+    return std::nullopt;
+  }
+  // Branch-free binary search for the last region based at or below
+  // addr (entries[0] is, by the check above): entries[0, below) are the
+  // only regions that can contain the access.
+  const IndexedRegion* last = entries;
+  for (size_t len = n; len > 1;) {
+    const size_t half = len / 2;
+    last = last[half].base <= addr ? last + half : last;
+    len -= half;
+  }
+  size_t below = static_cast<size_t>(last - entries) + 1;
+  // Walk down while some entry at or before this one still reaches past
+  // the access. Every container is in that stretch; the first match is
+  // the container earliest in table order, wherever its base sits.
+  uint32_t first = kNoMatch;
+  uint32_t prot = kProtNone;
+  for (; below > 0 && EndHolds(entries[below - 1].max_end, addr, span);
+       --below) {
+    const IndexedRegion& entry = entries[below - 1];
+    if (entry.index < first && EndHolds(entry.end, addr, span)) {
+      first = entry.index;
+      prot = entry.prot;
+    }
+  }
+  if (first == kNoMatch) return std::nullopt;
+  // The paper's scan depth: the match's position in table order.
+  *depth = first + 1;
+  return prot;
+}
+
+inline void PolicyEngine::NoteSiteIn(SiteShard& shard, uint64_t site,
+                                     bool allowed, uint64_t elided) {
+  SiteTable* table = shard.table.load(std::memory_order_acquire);
+  if (table == nullptr || site >= table->capacity) [[unlikely]] {
+    GrowSiteTable(shard, site);
+    table = shard.table.load(std::memory_order_acquire);
+  }
+  SiteRow& row = table->rows[static_cast<size_t>(site)];
+  row.site.store(site, std::memory_order_relaxed);
+  BumpRelaxed(row.hits);
+  if (elided != 0) BumpRelaxed(row.elided, elided);
+  if (!allowed) BumpRelaxed(row.denied);
+}
+
+inline void PolicyEngine::ChargePinned(PinSlot& pin) {
+  if (charge_cycles_.load(std::memory_order_relaxed)) {
+    pin.clock_cell->store(
+        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
+        std::memory_order_relaxed);
+  }
+  ++pin.latency_batch;
+}
+
+inline PolicyEngine::PinSlot* PolicyEngine::PinForInline(uint64_t site) {
+  PinSlot& pin = pin_slots_.Mine();
+  if (pin.depth == 0) [[unlikely]] {
+    return nullptr;  // not pinned: fast path unavailable, not a deopt
+  }
+  if (pin.mutation_gen !=
+      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
+    // Policy moved mid-call (table mutations and config changes both
+    // tick the one clock): this check re-decides out of line.
+    DeoptStalePin(pin);
+    return nullptr;
+  }
+  if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
+    CountDeopt();
+    return nullptr;  // fault injection: slow path owns the spurious denial
+  }
+  return &pin;
+}
+
+inline bool PolicyEngine::PinnedGuard(uint64_t addr, uint64_t size,
+                                      uint64_t access_flags, uint64_t elided,
+                                      uint64_t site) {
+  PinSlot* const slot = PinForInline(site);
+  if (slot == nullptr) return false;
+  PinSlot& pin = *slot;
+  uint64_t depth = 0;
+  const std::optional<uint32_t> prot =
+      FrameLookup(*pin.frame, addr, size, &depth);
+  const bool allowed = prot.has_value()
+                           ? (*prot & access_flags) == access_flags
+                           : pin.default_allow;
+  if (!allowed) [[unlikely]] {
+    CountDeopt();
+    return false;  // slow path re-decides with full violation semantics
+  }
+  BumpRelaxed(pin.stats->guard_calls);
+  BumpRelaxed(pin.stats->allowed);
+  NoteSiteIn(*pin.sites, site, true, elided);
+  if (elided != 0) {
+    BumpRelaxed(pin.stats->elided, elided);
+    pin.elided_batch += elided;
+  }
+  ChargePinned(pin);
+  pin.lookup_depth->Observe(static_cast<double>(depth));
+  return true;
+}
+
+inline bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
+                                    uint64_t access_flags, uint64_t site) {
+  return PinnedGuard(addr, size, access_flags, 0, site);
+}
+
+inline bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
+                                         uint64_t access_flags,
+                                         uint64_t elided, uint64_t site) {
+  return PinnedGuard(addr, size, access_flags, elided, site);
+}
 
 }  // namespace kop::policy

@@ -384,6 +384,16 @@ TEST(DatapathSaturationTest, SoakHoldsRingAndCounterInvariants) {
   auto hw = driver->HwGoodPacketsTransmitted();
   ASSERT_TRUE(hw.ok());
   EXPECT_EQ(*hw, total_sent);
+  // GPTC/GOTC read through MMIO equal the folded per-queue stats: a TX
+  // counter that gained a second writer would lose updates here.
+  const nic::DeviceStats folded = device.stats();
+  auto gptc = kernel.mem().Read32(kMmio + nic::REG_GPTC);
+  auto gotcl = kernel.mem().Read32(kMmio + nic::REG_GOTCL);
+  auto gotch = kernel.mem().Read32(kMmio + nic::REG_GOTCH);
+  ASSERT_TRUE(gptc.ok() && gotcl.ok() && gotch.ok());
+  EXPECT_EQ(*gptc, static_cast<uint32_t>(folded.frames_transmitted));
+  EXPECT_EQ((uint64_t{*gotch} << 32) | *gotcl, folded.bytes_transmitted);
+  EXPECT_GT(folded.bytes_transmitted, 0u);
 }
 
 TEST(DatapathSaturationTest, ContainmentMidBurstRollsBackByteIdentically) {

@@ -2,6 +2,7 @@
 // writeback, interrupts, packet sink.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "kop/kernel/address_space.hpp"
@@ -208,6 +209,56 @@ TEST_F(NicTest, UnmappedRingStallsDevice) {
   Write32(REG_TDT, 1);
   EXPECT_EQ(sink_.packets(), 0u);
   EXPECT_EQ(device_.stats().bad_descriptors, 1u);
+}
+
+TEST_F(NicTest, FailedMiddlePayloadLeavesFrameAsItWas) {
+  SetupRing();
+  const std::vector<uint8_t> chunk1 = {0x01, 0x02, 0x03, 0x04, 0x05};
+  const std::vector<uint8_t> chunk3 = {0xc1, 0xc2, 0xc3};
+  WritePayload(kRam + 0x8000, chunk1);
+  WritePayload(kRam + 0x9000, chunk3);
+  StageDescriptor(0, kRam + 0x8000, 5, 0);
+  StageDescriptor(1, 0xdeadbeef0000ull, 40, 0);  // payload DMA fails
+  StageDescriptor(2, kRam + 0x9000, 3, TXD_CMD_EOP);
+  Write32(REG_TDT, 3);
+  ASSERT_EQ(sink_.packets(), 1u);
+  std::vector<uint8_t> expected = chunk1;
+  expected.insert(expected.end(), chunk3.begin(), chunk3.end());
+  EXPECT_EQ(sink_.RecentFrames()[0], expected);
+  EXPECT_EQ(device_.stats().bad_descriptors, 1u);
+  EXPECT_EQ(device_.stats().descriptors_processed, 3u);
+}
+
+TEST_F(NicTest, SweepEndingWithoutEopDropsItsBytes) {
+  SetupRing();
+  WritePayload(kRam + 0x8000, std::vector<uint8_t>(24, 0xee));
+  WritePayload(kRam + 0x9000, std::vector<uint8_t>(16, 0x5a));
+  StageDescriptor(0, kRam + 0x8000, 24, 0);  // no EOP, and the sweep ends
+  Write32(REG_TDT, 1);
+  EXPECT_EQ(sink_.packets(), 0u);
+  EXPECT_EQ(device_.stats().frames_transmitted, 0u);
+  // The next sweep's frame starts fresh: none of the orphaned bytes.
+  StageDescriptor(1, kRam + 0x9000, 16, TXD_CMD_EOP);
+  Write32(REG_TDT, 2);
+  ASSERT_EQ(sink_.packets(), 1u);
+  EXPECT_EQ(sink_.RecentFrames()[0], std::vector<uint8_t>(16, 0x5a));
+  EXPECT_EQ(Read32(REG_GOTCL), 16u);
+}
+
+TEST_F(NicTest, ResetStatsKeepsHardwareCountersAndCtrlRstZeroesThem) {
+  SetupRing();
+  WritePayload(kRam + 0x8000, std::vector<uint8_t>(100, 9));
+  StageDescriptor(0, kRam + 0x8000, 100, TXD_CMD_EOP);
+  StageDescriptor(1, kRam + 0x8000, 60, TXD_CMD_EOP);
+  Write32(REG_TDT, 2);
+  device_.ResetStats();
+  EXPECT_EQ(device_.stats().frames_transmitted, 0u);
+  EXPECT_EQ(Read32(REG_GPTC), 2u);
+  EXPECT_EQ(Read32(REG_GOTCL), 160u);
+  Write32(REG_CTRL, CTRL_RST);
+  EXPECT_EQ(Read32(REG_GPTC), 0u);
+  EXPECT_EQ(Read32(REG_GOTCL), 0u);
+  EXPECT_EQ(Read32(REG_GOTCH), 0u);
 }
 
 TEST_F(NicTest, GoodOctetCounterIs64Bit) {
@@ -585,6 +636,22 @@ TEST_F(NicMqTest, EitrThrottlesVectorAsserts) {
   SendOn(0, 6, 64, 0x9a);
   SendOn(0, 7, 64, 0x9b);
   EXPECT_EQ(device_.MsixAsserts(3), 4u);
+}
+
+TEST_F(NicMqTest, MsixCountersOfAbsentVectorsReadZero) {
+  sim::VirtualClock clock;
+  device_.AttachClock(&clock);
+  SetupTxQueue(0);
+  Write32(IVAR(0), (IVAR_VALID | 0u) << IVAR_TX_SHIFT);
+  Write32(REG_EIMS, 1u);
+  Write32(EITR(0), 10000);
+  for (uint32_t i = 0; i < 3; ++i) SendOn(0, i, 64, uint8_t(i));
+  ASSERT_EQ(device_.MsixAsserts(0), 1u);
+  ASSERT_EQ(device_.MsixThrottled(0), 2u);
+  EXPECT_EQ(device_.MsixAsserts(kMaxVectors), 0u);
+  EXPECT_EQ(device_.MsixThrottled(kMaxVectors), 0u);
+  EXPECT_EQ(device_.MsixAsserts(UINT32_MAX), 0u);
+  EXPECT_EQ(device_.MsixThrottled(UINT32_MAX), 0u);
 }
 
 TEST_F(NicMqTest, RssSpreadsFlowsDeterministically) {
