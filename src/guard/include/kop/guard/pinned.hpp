@@ -1,0 +1,399 @@
+// The pinned guard core: everything an allowed guarded access runs, in
+// one header-only layer below every engine (it depends on util, smp and
+// trace only). Native drivers (modrt::GuardedMemOps via
+// PolicyEngine::FastGuard) and both KIR engines compile this one allow
+// path into their own code, so an allowed access makes no call. A pin
+// holds the calling CPU's RCU read section and the published PolicyFrame
+// for a whole outermost call; an allow is accounted exactly as
+// PolicyEngine::Guard() accounts it. Anything else deopts (returns
+// false) to the out-of-line Guard()/GuardRange()/CfiCheck(), which own
+// violation and containment semantics. The policy engine implements
+// PinSource and owns the slots (DESIGN.md §15).
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <vector>
+
+#include "kop/smp/rcu.hpp"
+#include "kop/trace/metrics.hpp"
+#include "kop/util/single_writer.hpp"
+#include "kop/util/spinlock.hpp"
+
+namespace kop::guard {
+
+/// One region of the base-sorted index. Trivial, so an index buffer can
+/// be allocated without zeroing it first.
+struct IndexedRegion {
+  uint64_t base;
+  /// base + len, exclusive. Add rejects wrapping regions, so it fits.
+  uint64_t end;
+  /// Largest `end` of this entry and every entry before it in base order:
+  /// no entry at or before this one can contain an access ending past it.
+  uint64_t max_end;
+  uint32_t prot;
+  /// Position in table (first-match) order.
+  uint32_t index;
+};
+
+/// A base-sorted index as one allocation.
+struct RegionIndex {
+  std::unique_ptr<IndexedRegion[]> entries;
+  size_t size = 0;
+};
+
+/// Immutable snapshot the lock-free guard path decides against. Regions
+/// are held once, in the table's base-sorted index (one allocation):
+/// FrameLookup binary-searches the bases and walks back only while an
+/// entry's running max end can still hold the access, returning the
+/// container earliest in table order — the linear table's first-match
+/// semantics, overlaps included. Intrinsic permissions are sorted vectors
+/// for binary search. Published via an atomic pointer, reclaimed through
+/// the RCU domain.
+struct PolicyFrame {
+  RegionIndex regions;
+  uint64_t store_generation = 0;
+  uint64_t config_generation = 0;
+  std::vector<uint64_t> intrinsic_allowed;  // sorted
+  std::vector<uint64_t> intrinsic_denied;   // sorted
+  bool intrinsic_default_allow = false;
+  /// kop::cfi legal-target sets, indexed by engine-global set id; each is
+  /// a sorted vector of simulated function addresses for binary search.
+  /// Registration only appends (ids stay stable for the module lifetime),
+  /// so a frame's copy is never narrower than what a pinned caller saw.
+  std::vector<std::vector<uint64_t>> cfi_sets;
+};
+
+namespace detail {
+/// True when an entry ending at `end` (exclusive) can hold
+/// [addr, addr + span), given its base is at or below addr. Written
+/// without addr + span, which may wrap.
+inline bool EndHolds(uint64_t end, uint64_t addr, uint64_t span) {
+  return end > addr && end - addr >= span;
+}
+}  // namespace detail
+
+/// First match over the frame's base-sorted index: the matching region's
+/// protection flags, or nullopt on a miss. `depth` is the paper's scan
+/// depth: the match's position in table order (index + 1), or the region
+/// count on a miss — not the number of entries probed.
+[[gnu::always_inline]] inline std::optional<uint32_t> FrameLookup(
+    const PolicyFrame& frame, uint64_t addr, uint64_t size, uint64_t* depth) {
+  using detail::EndHolds;
+  constexpr uint32_t kNoMatch = ~uint32_t{0};
+  const IndexedRegion* const entries = frame.regions.entries.get();
+  const size_t n = frame.regions.size;
+  *depth = n;
+  const uint64_t span = size == 0 ? 1 : size;
+  // Outside [lowest base, highest end) nothing can contain the access:
+  // a miss without searching.
+  if (n == 0 || addr < entries[0].base ||
+      !EndHolds(entries[n - 1].max_end, addr, span)) {
+    return std::nullopt;
+  }
+  // Branch-free binary search for the last region based at or below
+  // addr (entries[0] is, by the check above): entries[0, below) are the
+  // only regions that can contain the access.
+  const IndexedRegion* last = entries;
+  for (size_t len = n; len > 1;) {
+    const size_t half = len / 2;
+    last = last[half].base <= addr ? last + half : last;
+    len -= half;
+  }
+  size_t below = static_cast<size_t>(last - entries) + 1;
+  // Walk down while some entry at or before this one still reaches past
+  // the access. Every container is in that stretch; the first match is
+  // the container earliest in table order, wherever its base sits.
+  uint32_t first = kNoMatch;
+  uint32_t prot = 0;
+  for (; below > 0 && EndHolds(entries[below - 1].max_end, addr, span);
+       --below) {
+    const IndexedRegion& entry = entries[below - 1];
+    if (entry.index < first && EndHolds(entry.end, addr, span)) {
+      first = entry.index;
+      prot = entry.prot;
+    }
+  }
+  if (first == kNoMatch) return std::nullopt;
+  // The paper's scan depth: the match's position in table order.
+  *depth = first + 1;
+  return prot;
+}
+
+/// One simulated CPU's guard counters, folded on read.
+struct CpuStats {
+  std::atomic<uint64_t> guard_calls{0};
+  std::atomic<uint64_t> allowed{0};
+  std::atomic<uint64_t> denied{0};
+  std::atomic<uint64_t> intrinsic_calls{0};
+  std::atomic<uint64_t> intrinsic_denied{0};
+  std::atomic<uint64_t> elided{0};
+  std::atomic<uint64_t> cfi_checks{0};
+  std::atomic<uint64_t> cfi_denied{0};
+};
+
+/// One row of a shard's site-attribution table. Counters are relaxed
+/// atomics written with plain load+store: each shard has exactly one
+/// writer (its own CPU), the atomics only make cross-CPU folds and
+/// resets race-free.
+struct SiteRow {
+  std::atomic<uint64_t> site{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> denied{0};
+  std::atomic<uint64_t> elided{0};
+};
+struct SiteTable {
+  size_t capacity = 0;
+  std::unique_ptr<SiteRow[]> rows;
+};
+
+/// Per-CPU slice of the site-attribution table, dense-indexed by trace
+/// site token. The hot path bumps an existing row without the lock
+/// (single writer per shard); the lock serializes growth, folds, and
+/// resets. Growth frees the old table immediately — safe because only
+/// the owning CPU reads rows lock-free and it is the one growing.
+struct SiteShard {
+  Spinlock lock;
+  std::atomic<SiteTable*> table{nullptr};
+  std::unique_ptr<SiteTable> storage;
+};
+
+/// Fault-injection disarmed: no site is forced to deny.
+inline constexpr uint64_t kNoForcedSite = ~uint64_t{0};
+
+/// The engine-wide cells the allow path reads, owned by the policy engine
+/// and reached from every pin through PinSlot::cells.
+struct EngineCells {
+  // Combined mutation clock: bumped by every config change AND by the
+  // region table's mutators (it is handed this cell at construction), so
+  // a pinned guard validates its frame with ONE generation load.
+  std::atomic<uint64_t> mutation_gen{0};
+  std::atomic<uint64_t> force_deny_site{kNoForcedSite};
+  std::atomic<bool> charge_cycles{true};
+  trace::Counter* deopt = nullptr;  // guard.deopt
+};
+
+class PinSource;
+
+/// One CPU's frame pin. `rcu` holds the read section open for the
+/// whole outermost module call or driver entry so `frame` stays valid;
+/// the captured mutation clock tells the allow path when the pinned frame
+/// went stale (deopt + refresh). `depth` counts nesting. The stats /
+/// sites / clock / histogram pointers are resolved on the slot's
+/// first pin (they are this CPU's for good) so the inline path runs no
+/// per-guard CPU-slot lookups; `default_allow`
+/// may go stale only together with `mutation_gen` (SetMode bumps it),
+/// which deopts the guard first.
+struct PinSlot {
+  uint32_t depth = 0;
+  std::optional<smp::RcuDomain::ReadGuard> rcu;
+  const PolicyFrame* frame = nullptr;
+  uint64_t mutation_gen = 0;
+  double guard_cycles = 0.0;
+  bool default_allow = false;
+  const EngineCells* cells = nullptr;
+  // The engine that owns this slot: the refresh target of a stale pin,
+  // and the unpin of the call that opened it.
+  PinSource* source = nullptr;
+  CpuStats* stats = nullptr;
+  SiteShard* sites = nullptr;
+  // This CPU's clock accumulator, resolved once so inline
+  // guards charge cycles with one load+store instead of a slot lookup.
+  std::atomic<double>* clock_cell = nullptr;
+  // This CPU's bucket sets of the two guard histograms: an inline
+  // allow observes them as Guard() does, minus the CPU-slot lookup.
+  // Its latency is the pin's constant guard_cycles, so those
+  // observations batch in latency_batch and flush whenever
+  // guard_cycles may change (refresh) and at unpin.
+  trace::Log2Buckets* latency = nullptr;
+  trace::Log2Buckets* lookup_depth = nullptr;
+  uint64_t latency_batch = 0;
+  // Elision credits accumulated over the pinned call and flushed to the
+  // global guard.elided counter at unpin: one fetch_add per call instead
+  // of one per covering guard. Per-CPU stats stay exact per cover.
+  uint64_t elided_batch = 0;
+};
+
+/// What the kernel and the pins know of the policy engine: used once per
+/// outermost module call (PinCpu/UnpinFrame), once per insmod
+/// (RegisterCfiSets) and on a stale pin (RefreshPin), never per access.
+class PinSource {
+ public:
+  /// Open (or nest) the calling CPU's frame pin and return its slot.
+  virtual PinSlot* PinCpu() = 0;
+  /// Close one nesting level; the outermost close leaves the read section.
+  virtual void UnpinFrame() = 0;
+  /// Append a module's attested legal-target sets (insmod time) and
+  /// return the base that rebases its local set ids to engine-global ids.
+  virtual uint64_t RegisterCfiSets(
+      const std::vector<std::vector<uint64_t>>& sets) = 0;
+  /// Re-capture the pinned frame after its generations moved (called
+  /// with the slot's read section still open, which keeps the refresh
+  /// race-free against reclamation).
+  virtual void RefreshPin(PinSlot& pin) = 0;
+
+ protected:
+  ~PinSource() = default;
+};
+
+/// Close the pin PinCpu returned, if any, and forget it.
+inline void Unpin(PinSlot*& pin) {
+  if (pin == nullptr) return;
+  pin->source->UnpinFrame();
+  pin = nullptr;
+}
+
+/// Grow `shard`'s table to hold `site` (once per new site per CPU).
+[[gnu::noinline]] inline void GrowSiteTable(SiteShard& shard, uint64_t site) {
+  std::lock_guard<Spinlock> guard(shard.lock);
+  SiteTable* old = shard.table.load(std::memory_order_relaxed);
+  if (old != nullptr && site < old->capacity) return;  // raced a growth
+  auto grown = std::make_unique<SiteTable>();
+  grown->capacity = std::max<size_t>(64, static_cast<size_t>(site) + 1);
+  if (old != nullptr) grown->capacity = std::max(grown->capacity,
+                                                 old->capacity * 2);
+  grown->rows = std::make_unique<SiteRow[]>(grown->capacity);
+  if (old != nullptr) {
+    for (size_t i = 0; i < old->capacity; ++i) {
+      const SiteRow& from = old->rows[i];
+      SiteRow& to = grown->rows[i];
+      to.site.store(from.site.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+      to.hits.store(from.hits.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+      to.denied.store(from.denied.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+      to.elided.store(from.elided.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+    }
+  }
+  shard.table.store(grown.get(), std::memory_order_release);
+  // Freeing the old table here is safe: the only lock-free readers are
+  // on the shard's own CPU — the thread running this growth — and every
+  // cross-CPU access (folds, resets) holds the shard lock.
+  shard.storage = std::move(grown);
+}
+
+/// Count one inline check sent out of line (guard.deopt).
+[[gnu::noinline]] inline void CountDeopt(const PinSlot& pin) {
+  pin.cells->deopt->Add();
+}
+
+/// The pinned frame went stale: count the deopt and refresh the pin so
+/// later checks in the call are fast again.
+[[gnu::noinline]] inline void DeoptStalePin(PinSlot& pin) {
+  CountDeopt(pin);
+  pin.source->RefreshPin(pin);
+}
+
+/// Bump `site`'s row in the calling CPU's shard. Lock-free when the row
+/// exists; takes the shard lock only to grow the table.
+[[gnu::always_inline]] inline void NoteSiteIn(SiteShard& shard, uint64_t site,
+                                              bool allowed, uint64_t elided) {
+  SiteTable* table = shard.table.load(std::memory_order_acquire);
+  if (table == nullptr || site >= table->capacity) [[unlikely]] {
+    GrowSiteTable(shard, site);
+    table = shard.table.load(std::memory_order_acquire);
+  }
+  SiteRow& row = table->rows[static_cast<size_t>(site)];
+  row.site.store(site, std::memory_order_relaxed);
+  BumpRelaxed(row.hits);
+  if (elided != 0) BumpRelaxed(row.elided, elided);
+  if (!allowed) BumpRelaxed(row.denied);
+}
+
+/// Account one inline decision's guard cost: the clock charge and its
+/// (batched) guard.latency_cycles observation.
+[[gnu::always_inline]] inline void ChargePinned(PinSlot& pin) {
+  if (pin.cells->charge_cycles.load(std::memory_order_relaxed)) {
+    pin.clock_cell->store(
+        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
+        std::memory_order_relaxed);
+  }
+  ++pin.latency_batch;
+}
+
+/// True when an inline check may decide against `pin`. False (a deopt,
+/// counted unless simply unpinned) when the CPU is not pinned, the pinned
+/// frame went stale (the pin is refreshed), or `site` is the
+/// fault-injection forced-deny site.
+[[gnu::always_inline]] inline bool PinForInline(PinSlot& pin, uint64_t site) {
+  if (pin.depth == 0) [[unlikely]] {
+    return false;  // not pinned: fast path unavailable, not a deopt
+  }
+  const EngineCells& cells = *pin.cells;
+  if (pin.mutation_gen !=
+      cells.mutation_gen.load(std::memory_order_acquire)) [[unlikely]] {
+    // Policy moved mid-call (table mutations and config changes both
+    // tick the one clock): this check re-decides out of line.
+    DeoptStalePin(pin);
+    return false;
+  }
+  if (site == cells.force_deny_site.load(std::memory_order_relaxed))
+      [[unlikely]] {
+    CountDeopt(pin);
+    return false;  // fault injection: slow path owns the spurious denial
+  }
+  return true;
+}
+
+/// carat_guard / carat_guard_range against the pinned frame (elided = 0
+/// for a single access). True = allowed and fully accounted. False =
+/// deopt: not pinned, frame generation moved (the pin is refreshed so
+/// later guards in the call are fast again), the fault-injection
+/// forced-deny is armed, or the check failed.
+[[gnu::always_inline]] inline bool PinnedGuard(PinSlot& pin, uint64_t addr,
+                                               uint64_t size,
+                                               uint64_t access_flags,
+                                               uint64_t elided,
+                                               uint64_t site) {
+  if (!PinForInline(pin, site)) return false;
+  uint64_t depth = 0;
+  const std::optional<uint32_t> prot =
+      FrameLookup(*pin.frame, addr, size, &depth);
+  const bool allowed = prot.has_value()
+                           ? (*prot & access_flags) == access_flags
+                           : pin.default_allow;
+  if (!allowed) [[unlikely]] {
+    CountDeopt(pin);
+    return false;  // slow path re-decides with full violation semantics
+  }
+  BumpRelaxed(pin.stats->guard_calls);
+  BumpRelaxed(pin.stats->allowed);
+  NoteSiteIn(*pin.sites, site, true, elided);
+  if (elided != 0) {
+    BumpRelaxed(pin.stats->elided, elided);
+    pin.elided_batch += elided;
+  }
+  ChargePinned(pin);
+  pin.lookup_depth->Observe(static_cast<double>(depth));
+  return true;
+}
+
+/// carat_cfi_check against the pinned frame: `target` must be a member of
+/// engine-global set `set_id`. Same deopt ladder as PinnedGuard; false
+/// sends the caller to CfiCheck(), which owns violation semantics.
+[[gnu::always_inline]] inline bool PinnedCfiCheck(PinSlot& pin,
+                                                  uint64_t target,
+                                                  uint64_t set_id,
+                                                  uint64_t site) {
+  if (!PinForInline(pin, site)) return false;
+  const std::vector<std::vector<uint64_t>>& sets = pin.frame->cfi_sets;
+  const bool allowed =
+      set_id < sets.size() &&
+      std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
+  if (!allowed) [[unlikely]] {
+    CountDeopt(pin);
+    return false;  // slow path re-decides with full violation semantics
+  }
+  BumpRelaxed(pin.stats->cfi_checks);
+  NoteSiteIn(*pin.sites, site, true, 0);
+  ChargePinned(pin);  // as CfiCheck(): latency, no lookup depth
+  return true;
+}
+
+}  // namespace kop::guard

@@ -10,8 +10,8 @@
 #include <memory>
 #include <string>
 
+#include "kop/guard/pinned.hpp"
 #include "kop/kernel/address_space.hpp"
-#include "kop/kernel/guard_fast.hpp"
 #include "kop/kernel/chardev.hpp"
 #include "kop/kernel/kmalloc.hpp"
 #include "kop/kernel/machine_state.hpp"
@@ -66,15 +66,15 @@ class Kernel {
     config_.machine = machine;
   }
 
-  /// Inline-guard fast-path provider (the policy module while inserted;
-  /// null otherwise, which routes every guard through the slow path —
+  /// The policy engine's pins (the policy module while inserted; null
+  /// otherwise, which routes every guard through the slow path —
   /// unloading the policy module is observed exactly as on the symbol
   /// path). Registered/cleared by kop::policy::PolicyModule.
-  void SetGuardFastOps(GuardFastOps* ops) {
-    guard_fast_ops_.store(ops, std::memory_order_release);
+  void SetPinSource(guard::PinSource* source) {
+    pin_source_.store(source, std::memory_order_release);
   }
-  GuardFastOps* guard_fast_ops() const {
-    return guard_fast_ops_.load(std::memory_order_acquire);
+  guard::PinSource* pin_source() const {
+    return pin_source_.load(std::memory_order_acquire);
   }
 
   /// Log the reason at EMERG level, mark the kernel dead, and throw
@@ -110,7 +110,7 @@ class Kernel {
   PortBus ports_;
   CpuFlags cpu_;
   sim::VirtualClock clock_;
-  std::atomic<GuardFastOps*> guard_fast_ops_{nullptr};
+  std::atomic<guard::PinSource*> pin_source_{nullptr};
   bool panicked_ = false;
   std::string panic_reason_;
 };

@@ -132,9 +132,10 @@ struct HeapLedger {
 
 /// One simulated CPU's execution context for a module: kernel-backed
 /// memory wrapped in the write journal, the kernel resolver (exported
-/// symbols, guard-site attribution, the registered GuardFastOps fast
-/// path), a private frame stack and an engine. Module globals, the
-/// kernel heap and the exported-symbol table are shared across slots.
+/// symbols, guard-site attribution, the policy engine's pin for the
+/// engine's inline guards), a private frame stack and an engine. Module
+/// globals, the kernel heap and the exported-symbol table are shared
+/// across slots.
 struct ModuleSlot {
   std::unique_ptr<kir::MemoryInterface> memory;
   std::unique_ptr<resilience::JournaledMemory> journaled;

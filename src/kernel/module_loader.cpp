@@ -44,9 +44,6 @@ class KernelMemory final : public kir::MemoryInterface {
   Kernel* kernel_;
 };
 
-/// Sentinel: a call ordinal with no registered guard-site token.
-constexpr uint64_t kNoSiteToken = ~uint64_t{0};
-
 /// Per-CPU interpreter/VM frame stack size (module area).
 constexpr uint64_t kStackBytes = 64 * 1024;
 
@@ -84,7 +81,7 @@ class KernelResolver final : public kir::ExternalResolver {
       max_ordinal = std::max(max_ordinal, ordinal);
     }
     if (!site_tokens.empty()) {
-      site_token_by_ordinal_.assign(max_ordinal + 1, kNoSiteToken);
+      site_token_by_ordinal_.assign(max_ordinal + 1, trace::kUnknownSite);
       for (const auto& [ordinal, token] : site_tokens) {
         site_token_by_ordinal_[ordinal] = token;
       }
@@ -101,23 +98,12 @@ class KernelResolver final : public kir::ExternalResolver {
       // CFI checks additionally rebase their module-local set id into
       // the engine's global table before crossing the symbol boundary.
       const std::vector<uint64_t> rebased{args[0], args[1] + cfi_base_};
-      const uint64_t token = TokenForOrdinal(call_ordinal);
-      if (token != kNoSiteToken) {
-        trace::ScopedGuardSite scope(token);
-        return CallExternal(name, rebased);
-      }
-      return CallExternal(name, rebased);
+      return AtGuardSite(call_ordinal,
+                         [&] { return CallExternal(name, rebased); });
     }
     if (name == kCaratGuardSymbol || name == kCaratGuardRangeSymbol ||
         name == kCaratIntrinsicGuardSymbol) {
-      const uint64_t token = TokenForOrdinal(call_ordinal);
-      if (token != kNoSiteToken) {
-        // Pin the guard-site context while the guard call is in flight —
-        // the simulated analogue of the return address the guard runtime
-        // would sample on real hardware.
-        trace::ScopedGuardSite scope(token);
-        return CallExternal(name, args);
-      }
+      return AtGuardSite(call_ordinal, [&] { return CallExternal(name, args); });
     }
     return CallExternal(name, args);
   }
@@ -168,12 +154,7 @@ class KernelResolver final : public kir::ExternalResolver {
     switch (binding.kind) {
       case Binding::Kind::kGuard: {
         KOP_ASSIGN_OR_RETURN(const KernelFunction* fn, Revalidate(binding));
-        const uint64_t token = TokenForOrdinal(call_ordinal);
-        if (token != kNoSiteToken) {
-          trace::ScopedGuardSite scope(token);
-          return (*fn)(args);
-        }
-        return (*fn)(args);
+        return AtGuardSite(call_ordinal, [&] { return (*fn)(args); });
       }
       case Binding::Kind::kSymbol: {
         KOP_ASSIGN_OR_RETURN(const KernelFunction* fn, Revalidate(binding));
@@ -191,12 +172,7 @@ class KernelResolver final : public kir::ExternalResolver {
         KOP_ASSIGN_OR_RETURN(const KernelFunction* fn, Revalidate(binding));
         std::vector<uint64_t> rebased = args;
         if (rebased.size() >= 2) rebased[1] += cfi_base_;
-        const uint64_t token = TokenForOrdinal(call_ordinal);
-        if (token != kNoSiteToken) {
-          trace::ScopedGuardSite scope(token);
-          return (*fn)(rebased);
-        }
-        return (*fn)(rebased);
+        return AtGuardSite(call_ordinal, [&] { return (*fn)(rebased); });
       }
       case Binding::Kind::kIntrinsic:
         return CallIntrinsic(binding.intrinsic, args);
@@ -204,52 +180,22 @@ class KernelResolver final : public kir::ExternalResolver {
     return Internal("corrupt external binding");
   }
 
-  // Inline-guard fast path: forward to whatever GuardFastOps the policy
-  // module registered on the kernel. The provider is sampled once per
-  // pin (calls on one resolver are single-threaded — the resolver is a
-  // per-CPU slot), so a module removed mid-call cannot tear the pair.
-  bool PinGuardFrame() override {
-    if (pin_depth_ > 0) {
-      ++pin_depth_;
-      pinned_ops_->PinFrame();
-      return true;
-    }
-    GuardFastOps* ops = kernel_->guard_fast_ops();
-    if (ops == nullptr || !ops->PinFrame()) return false;
-    pinned_ops_ = ops;
-    pin_depth_ = 1;
-    return true;
+  // Inline-guard fast path: the engines run the guard core themselves;
+  // the resolver only hands them the policy engine's pin for the calling
+  // CPU (once per outermost call) and, at construction, each guard's
+  // site token and the CFI rebase.
+  guard::PinSlot* PinGuardFrame() override {
+    guard::PinSource* source = kernel_->pin_source();
+    return source == nullptr ? nullptr : source->PinCpu();
   }
 
-  void UnpinGuardFrame() override {
-    if (pin_depth_ == 0) return;
-    pinned_ops_->UnpinFrame();
-    if (--pin_depth_ == 0) pinned_ops_ = nullptr;
+  uint64_t GuardSiteToken(uint64_t call_ordinal) const override {
+    return call_ordinal < site_token_by_ordinal_.size()
+               ? site_token_by_ordinal_[call_ordinal]
+               : trace::kUnknownSite;
   }
 
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                 uint64_t call_ordinal) override {
-    if (pinned_ops_ == nullptr) return false;
-    const uint64_t token = TokenForOrdinal(call_ordinal);
-    return pinned_ops_->FastGuard(addr, size, flags,
-                                  token == kNoSiteToken ? 0 : token);
-  }
-
-  bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
-                      uint64_t elided, uint64_t call_ordinal) override {
-    if (pinned_ops_ == nullptr) return false;
-    const uint64_t token = TokenForOrdinal(call_ordinal);
-    return pinned_ops_->FastGuardRange(addr, size, flags, elided,
-                                       token == kNoSiteToken ? 0 : token);
-  }
-
-  bool FastCfiCheck(uint64_t target, uint64_t set_id,
-                    uint64_t call_ordinal) override {
-    if (pinned_ops_ == nullptr) return false;
-    const uint64_t token = TokenForOrdinal(call_ordinal);
-    return pinned_ops_->FastCfiCheck(target, set_id + cfi_base_,
-                                     token == kNoSiteToken ? 0 : token);
-  }
+  uint64_t CfiSetBase() const override { return cfi_base_; }
 
  private:
   struct Binding {
@@ -273,10 +219,15 @@ class KernelResolver final : public kir::ExternalResolver {
     }
   }
 
-  uint64_t TokenForOrdinal(uint64_t ordinal) const {
-    return ordinal < site_token_by_ordinal_.size()
-               ? site_token_by_ordinal_[ordinal]
-               : kNoSiteToken;
+  /// Run `call` with the guard site of `call_ordinal` pinned while it is
+  /// in flight — the simulated analogue of the return address the guard
+  /// runtime would sample on real hardware.
+  template <typename Call>
+  Result<uint64_t> AtGuardSite(uint64_t call_ordinal, Call&& call) {
+    const uint64_t token = GuardSiteToken(call_ordinal);
+    if (token == trace::kUnknownSite) return call();
+    trace::ScopedGuardSite scope(token);
+    return call();
   }
 
   /// The cached closure pointer, re-looked-up iff the export set changed
@@ -332,15 +283,11 @@ class KernelResolver final : public kir::ExternalResolver {
   HeapLedger* ledger_;
   /// Module-local CFI set ids become engine-global by adding this.
   uint64_t cfi_base_;
-  /// Guard-site token per module-wide call ordinal (kNoSiteToken for
-  /// non-guard ordinals) — a flat array so the per-guard lookup on both
-  /// call paths is one bounds check and one load.
+  /// Guard-site token per module-wide call ordinal (kUnknownSite for
+  /// non-guard ordinals) — a flat array so the slow path's per-guard
+  /// lookup is one bounds check and one load.
   std::vector<uint64_t> site_token_by_ordinal_;
   std::vector<Binding> bindings_;
-  /// Fast-path provider captured by the open pin (null when unpinned or
-  /// no provider was registered), plus the pin's nesting depth.
-  GuardFastOps* pinned_ops_ = nullptr;
-  uint32_t pin_depth_ = 0;
 };
 
 /// Zero a global's block and write its initializer (insmod and restart).
@@ -696,7 +643,7 @@ Status LoadedModule::TryRestart() {
 
   // Teardown: reclaim runtime heap allocations and reset the globals to
   // their insmod-time image. The engine's counters restart with the
-  // module (a restarted module gets a fresh lifetime step budget).
+  // module.
   ReclaimHeapAllocations();
   Status reset = ResetGlobals();
   if (!reset.ok()) {
@@ -1020,8 +967,8 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
   }
 
   // 5b. kop::cfi: register the attested legal-target sets with the policy
-  //     engine's global table (through the same GuardFastOps seam the
-  //     inline guards use) and a trace site per gated indirect-call site.
+  //     engine's global table (through the kernel's PinSource) and a
+  //     trace site per gated indirect-call site.
   //     Member names resolve to the simulated function addresses both
   //     engines compute for funcaddr — declaration index — so the runtime
   //     membership test and the static proof agree on values. Under
@@ -1030,8 +977,8 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
   //     here.
   uint64_t cfi_base = 0;
   if (validated->attestation.cfi_gated) {
-    GuardFastOps* ops = kernel_->guard_fast_ops();
-    if (ops != nullptr) {
+    guard::PinSource* source = kernel_->pin_source();
+    if (source != nullptr) {
       std::vector<std::vector<uint64_t>> sets;
       sets.reserve(validated->attestation.cfi_sets.size());
       for (const transform::CfiAttestedSet& set :
@@ -1049,7 +996,7 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
         }
         sets.push_back(std::move(addrs));
       }
-      cfi_base = ops->RegisterCfiSets(sets);
+      cfi_base = source->RegisterCfiSets(sets);
     }
     for (size_t i = 0; i < validated->attestation.cfi_sites.size(); ++i) {
       const transform::CfiAttestedSite& site =

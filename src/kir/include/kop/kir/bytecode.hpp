@@ -71,17 +71,17 @@ enum class BcOp : uint8_t {
 
   // Inline-guard fast path (DESIGN.md §15). Same operand layout as
   // kGuard (aux = extern id, imm = call_args offset, b = argc, imm2 =
-  // call ordinal) — the VM reads the argument registers directly and
-  // runs the resolver's pinned-frame range check; on deopt (no pin,
-  // generation moved, fault injection, or check failure) it falls
-  // through to the kGuard slow path, which re-decides with full
+  // call ordinal, site = site token) — the VM reads the argument
+  // registers directly and runs the guard core's check inline; on deopt
+  // (no pin, generation moved, fault injection, or check failure) it
+  // falls through to the kGuard slow path, which re-decides with full
   // violation attribution and containment semantics.
   kGuardInline,  // carat_guard(addr, size, flags), exactly 3 args
   kGuardRange,   // carat_guard_range(addr, size, flags, elided), 4 args
 
   // CFI fast path (DESIGN.md §16). Operand layout of kGuardInline; the
   // VM reads (target, set_id) from the argument registers and runs the
-  // resolver's pinned-frame target-set membership test; deopt falls
+  // guard core's pinned-frame target-set membership test; deopt falls
   // through to the kCallExternal slow path, which owns violation
   // attribution and containment semantics.
   kCfiCheck,  // carat_cfi_check(target, set_id), exactly 2 args
@@ -98,7 +98,7 @@ enum class BcOp : uint8_t {
 
 std::string_view BcOpName(BcOp op);
 
-/// One pre-decoded instruction. 32 bytes; field meaning is per-op (see
+/// One pre-decoded instruction. 40 bytes; field meaning is per-op (see
 /// the BcOp comments). `src_index` is the original KIR instruction index
 /// within the function (counting phis) — the stable coordinate guard-site
 /// tables are keyed by, preserved so site attribution survives lowering.
@@ -112,6 +112,7 @@ struct BcInst {
   uint32_t src_index = 0;
   uint64_t imm = 0;
   uint64_t imm2 = 0;
+  uint64_t site = 0;  // inline guard ops: site token, patched at VM bind
 };
 
 /// One phi move on a CFG edge: frame register src copied to dst. Lists

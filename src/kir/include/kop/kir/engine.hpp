@@ -6,6 +6,7 @@
 // module loader's choice and must be observationally invisible.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -13,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "kop/guard/pinned.hpp"
 #include "kop/util/status.hpp"
 
 namespace kop::kir {
@@ -67,64 +69,32 @@ class ExternalResolver {
     return Internal("CallBound on a resolver without BindExternal");
   }
 
-  // ------------------------------------------------------------------
-  // Inline-guard fast path (DESIGN.md §15). The engines bracket every
-  // top-level Call with PinGuardFrame/UnpinGuardFrame and execute
-  // recognized guard calls (kGuardInline/kGuardRange in the VM, the
-  // matching kCall pattern in the interpreter) through FastGuard /
-  // FastGuardRange. A `true` return means the access was proven allowed
-  // against the pinned policy frame AND fully accounted; `false` means
-  // deopt — the engine must fall back to the ordinary CallExternal /
-  // CallBound path, which re-decides with full violation attribution and
-  // containment semantics. The defaults keep resolvers without a fast
-  // path (tests, recording resolvers) on the slow path everywhere, which
-  // preserves observational identity by construction.
-  // ------------------------------------------------------------------
+  // Inline-guard fast path (DESIGN.md §15). An engine asks for each
+  // guard's site token and the CFI rebase once, at construction, pins at
+  // every outermost Call, and runs recognised guard calls through the
+  // guard core (kop/guard/pinned.hpp) on the pinned slot. A deopt falls
+  // back to CallExternal / CallBound, which own violation semantics. A
+  // resolver that returns no slot keeps every guard on that slow path.
 
-  /// Pin the policy frame for the calling CPU for the duration of one
-  /// top-level call. False = no fast path available (skip Unpin).
-  virtual bool PinGuardFrame() { return false; }
-  virtual void UnpinGuardFrame() {}
-  /// Inline carat_guard(addr, size, flags) at kCall ordinal
-  /// `call_ordinal`. True = allowed and accounted.
-  virtual bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                         uint64_t call_ordinal) {
-    (void)addr;
-    (void)size;
-    (void)flags;
-    (void)call_ordinal;
-    return false;
+  /// Pin the calling CPU's policy frame for one outermost call and return
+  /// its slot, or null when no fast path is available.
+  virtual guard::PinSlot* PinGuardFrame() { return nullptr; }
+  /// Guard-site token of the guard call at module-wide ordinal
+  /// `call_ordinal` (0 = unattributed).
+  virtual uint64_t GuardSiteToken(uint64_t /*call_ordinal*/) const {
+    return 0;
   }
-  /// Inline carat_guard_range(addr, size, flags, elided).
-  virtual bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
-                              uint64_t elided, uint64_t call_ordinal) {
-    (void)addr;
-    (void)size;
-    (void)flags;
-    (void)elided;
-    (void)call_ordinal;
-    return false;
-  }
-  /// Inline carat_cfi_check(target, set_id) at kCall ordinal
-  /// `call_ordinal` (DESIGN.md §16). True = the indirect-call target was
-  /// proven a member of the pinned frame's target set AND accounted;
-  /// false = deopt to the slow path, which owns violation semantics so
-  /// containment is byte-identical whether the fast path fired or not.
-  virtual bool FastCfiCheck(uint64_t target, uint64_t set_id,
-                            uint64_t call_ordinal) {
-    (void)target;
-    (void)set_id;
-    (void)call_ordinal;
-    return false;
-  }
+  /// What this module's local CFI set ids are rebased by to become the
+  /// policy engine's global ids.
+  virtual uint64_t CfiSetBase() const { return 0; }
 };
 
 struct InterpConfig {
   /// Stack arena in simulated memory for allocas (provided by the loader).
   uint64_t stack_base = 0;
   uint64_t stack_size = 64 * 1024;
-  /// Engine-lifetime execution budget; exceeded -> error (kernel would
-  /// watchdog).
+  /// Execution budget of one top-level Call; exceeded -> error (kernel
+  /// would watchdog).
   uint64_t max_steps = 50'000'000;
   /// Per-call watchdog: one top-level Call may run at most this many
   /// steps before it is cut off with kTimeout (0 = no watchdog). The
@@ -204,14 +174,22 @@ inline Status IndirectCallInvalidTarget(uint64_t target,
                           std::string(buf) + " in @" + fn_name);
 }
 
+/// The step deadline both engines arm at each top-level Call: `steps`,
+/// the count at entry, plus the per-call budget or the armed watchdog,
+/// whichever is tighter (saturating).
+inline uint64_t StepDeadline(const InterpConfig& config, uint64_t steps) {
+  const uint64_t bound = config.watchdog_steps != 0
+                             ? std::min(config.max_steps, config.watchdog_steps)
+                             : config.max_steps;
+  return steps + std::min(bound, ~uint64_t{0} - steps);
+}
+
 /// The step-budget error both engines report, built in one place so the
 /// text is bit-identical between them (engine_test.cpp pins observable
-/// equality). `step_limit` is the deadline that actually fired: when the
-/// armed watchdog cut the call short of the lifetime budget the error is
-/// kTimeout, otherwise the lifetime-budget kInternal error.
-inline Status StepBudgetExceeded(const InterpConfig& config,
-                                 uint64_t step_limit) {
-  if (config.watchdog_steps != 0 && step_limit < config.max_steps) {
+/// equality): kTimeout when the armed watchdog is the tighter bound,
+/// otherwise the per-call budget's kInternal error.
+inline Status StepBudgetExceeded(const InterpConfig& config) {
+  if (config.watchdog_steps != 0 && config.watchdog_steps < config.max_steps) {
     return Timeout("module call exceeded its watchdog step budget (" +
                    std::to_string(config.watchdog_steps) + " steps)");
   }

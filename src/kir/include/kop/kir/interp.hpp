@@ -65,15 +65,24 @@ class Interpreter : public ExecutionEngine {
   InterpConfig config_;
   InterpStats stats_;
   EngineSnapshot fault_state_;
-  /// Step deadline for the call in flight: min(lifetime budget, steps at
-  /// call entry + watchdog budget). Set at each top-level Call.
+  /// Step deadline for the call in flight (StepDeadline at entry). Set at
+  /// each top-level Call.
   uint64_t step_limit_ = InterpConfig().max_steps;
+  /// The calling CPU's policy-frame pin, held for the outermost call.
+  guard::PinSlot* pin_ = nullptr;
+  /// Added to a carat_cfi_check's module-local set id (resolved once).
+  uint64_t cfi_base_;
   /// Re-entry depth (a module calling back into itself through a kernel
   /// export) — only the outermost Call re-arms the watchdog deadline.
   uint32_t entry_depth_ = 0;
-  /// Module-wide ordinal of each kCall instruction (function / block /
-  /// instruction order), precomputed so the hot path is one hash lookup.
-  std::unordered_map<const Instruction*, uint64_t> call_ordinals_;
+  /// Module-wide ordinal of each call instruction (function / block /
+  /// instruction order) and its guard-site token, precomputed so the hot
+  /// path is one hash lookup.
+  struct CallSite {
+    uint64_t ordinal = 0;
+    uint64_t site = 0;
+  };
+  std::unordered_map<const Instruction*, CallSite> call_sites_;
 };
 
 }  // namespace kop::kir

@@ -70,10 +70,14 @@ class VM : public ExecutionEngine {
   InterpConfig config_;
   InterpStats stats_;
   EngineSnapshot fault_state_;
-  /// Step deadline for the call in flight: min(lifetime budget, steps at
-  /// call entry + watchdog budget). Set at each top-level Call; nested
-  /// frames read it through RunFrame (mirrors the interpreter exactly).
+  /// Step deadline for the call in flight (StepDeadline at entry). Set at
+  /// each top-level Call; nested frames read it through RunFrame (mirrors
+  /// the interpreter exactly).
   uint64_t step_limit_ = InterpConfig().max_steps;
+  /// The calling CPU's policy-frame pin, held for the outermost call.
+  guard::PinSlot* pin_ = nullptr;
+  /// Added to a kCfiCheck's module-local set id (resolved at bind).
+  uint64_t cfi_base_ = 0;
   /// Re-entry depth (resolver calling back into this VM) — only the
   /// outermost Call re-arms the watchdog deadline.
   uint32_t entry_depth_ = 0;

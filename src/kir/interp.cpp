@@ -8,6 +8,27 @@
 #include "kop/util/carat_abi.hpp"
 
 namespace kop::kir {
+namespace {
+
+/// The VM's kGuardInline / kGuardRange / kCfiCheck for the interpreter: a
+/// guard call with the exact ABI arity decides against the pinned slot.
+/// False = not such a call, or a deopt.
+bool PinnedCall(guard::PinSlot& pin, const std::string& callee,
+                const std::vector<uint64_t>& args, uint64_t site,
+                uint64_t cfi_base) {
+  if (args.size() == 3 && callee == kCaratGuardSymbol) {
+    return guard::PinnedGuard(pin, args[0], args[1], args[2], 0, site);
+  }
+  if (args.size() == 4 && callee == kCaratGuardRangeSymbol) {
+    return guard::PinnedGuard(pin, args[0], args[1], args[2], args[3], site);
+  }
+  if (args.size() == 2 && callee == kCaratCfiCheckSymbol) {
+    return guard::PinnedCfiCheck(pin, args[0], args[1] + cfi_base, site);
+  }
+  return false;
+}
+
+}  // namespace
 
 Interpreter::Interpreter(
     const Module& module, MemoryInterface& memory, ExternalResolver& resolver,
@@ -17,14 +38,17 @@ Interpreter::Interpreter(
       memory_(memory),
       resolver_(resolver),
       global_addresses_(std::move(global_addresses)),
-      config_(config) {
+      config_(config),
+      cfi_base_(resolver.CfiSetBase()) {
   uint64_t ordinal = 0;
   for (const auto& fn : module_.functions()) {
     for (const auto& block : fn->blocks()) {
       for (const auto& inst : *block) {
         if (inst->opcode() == Opcode::kCall ||
             inst->opcode() == Opcode::kCallIndirect) {
-          call_ordinals_[inst.get()] = ordinal++;
+          call_sites_[inst.get()] =
+              CallSite{ordinal, resolver.GuardSiteToken(ordinal)};
+          ++ordinal;
         }
       }
     }
@@ -51,27 +75,21 @@ Result<uint64_t> Interpreter::Call(const std::string& fn_name,
     return InvalidArgument("argument count mismatch calling @" + fn_name);
   }
   if (entry_depth_ == 0) {
-    step_limit_ = config_.max_steps;
-    if (config_.watchdog_steps != 0 &&
-        stats_.steps + config_.watchdog_steps < step_limit_) {
-      step_limit_ = stats_.steps + config_.watchdog_steps;
-    }
+    step_limit_ = StepDeadline(config_, stats_.steps);
     fault_state_ = EngineSnapshot();
+    // Outermost entry pins the policy frame for the inline-guard fast
+    // path (the interpreter recognizes guard calls by name + arity at
+    // kCall); nested entries run under the outermost pin.
+    pin_ = resolver_.PinGuardFrame();
   }
-  // Outermost entry pins the policy frame for the inline-guard fast
-  // path (the interpreter recognizes guard calls by name + arity at
-  // kCall); nested entries run under the outermost pin.
-  const bool pinned = entry_depth_ == 0 && resolver_.PinGuardFrame();
   ++entry_depth_;
   try {
     auto result =
         Execute(*fn, args, 0, config_.stack_base + config_.stack_size);
-    --entry_depth_;
-    if (pinned) resolver_.UnpinGuardFrame();
+    if (--entry_depth_ == 0) guard::Unpin(pin_);
     return result;
   } catch (...) {
-    --entry_depth_;
-    if (pinned) resolver_.UnpinGuardFrame();
+    if (--entry_depth_ == 0) guard::Unpin(pin_);
     throw;
   }
 }
@@ -168,7 +186,7 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
     for (; it != block->end(); ++it) {
       const Instruction& inst = **it;
       if (++stats_.steps > step_limit_) {
-        return StepBudgetExceeded(config_, step_limit_);
+        return StepBudgetExceeded(config_);
       }
 
       switch (inst.opcode()) {
@@ -371,34 +389,19 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
             result = Execute(*callee, call_args, depth + 1, sp);
           } else {
             ++stats_.calls_external;
-            auto ord = call_ordinals_.find(&inst);
-            const uint64_t ordinal =
-                ord == call_ordinals_.end() ? 0 : ord->second;
-            // Inline-guard fast path, mirroring the VM's kGuardInline /
-            // kGuardRange: recognized guard calls with the exact ABI
-            // arity try the pinned-frame check first and fall back to
-            // the ordinary external-call path on deopt. The external
-            // call count advanced either way, so InterpStats parity
-            // with the VM holds.
-            if (call_args.size() == 3 &&
-                inst.callee() == kCaratGuardSymbol &&
-                resolver_.FastGuard(call_args[0], call_args[1], call_args[2],
-                                    ordinal)) {
-              result = uint64_t{1};
-            } else if (call_args.size() == 4 &&
-                       inst.callee() == kCaratGuardRangeSymbol &&
-                       resolver_.FastGuardRange(call_args[0], call_args[1],
-                                                call_args[2], call_args[3],
-                                                ordinal)) {
-              result = uint64_t{1};
-            } else if (call_args.size() == 2 &&
-                       inst.callee() == kCaratCfiCheckSymbol &&
-                       resolver_.FastCfiCheck(call_args[0], call_args[1],
-                                              ordinal)) {
+            auto found = call_sites_.find(&inst);
+            const CallSite call =
+                found == call_sites_.end() ? CallSite{} : found->second;
+            // Inline-guard fast path first; a deopt falls back to the
+            // ordinary external-call path. The external call count
+            // advanced either way, so InterpStats parity with the VM
+            // holds.
+            if (pin_ != nullptr && PinnedCall(*pin_, inst.callee(), call_args,
+                                              call.site, cfi_base_)) {
               result = uint64_t{1};
             } else {
               result = resolver_.CallExternal(inst.callee(), call_args,
-                                              ordinal);
+                                              call.ordinal);
             }
           }
           if (!result.ok()) return result.status();
@@ -438,9 +441,9 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
             result = Execute(*callee, call_args, depth + 1, sp);
           } else {
             ++stats_.calls_external;
-            auto ord = call_ordinals_.find(&inst);
+            auto found = call_sites_.find(&inst);
             const uint64_t ordinal =
-                ord == call_ordinals_.end() ? 0 : ord->second;
+                found == call_sites_.end() ? 0 : found->second.ordinal;
             result = resolver_.CallExternal(callee->name(), call_args, ordinal);
           }
           if (!result.ok()) return result.status();

@@ -84,7 +84,8 @@ Result<std::unique_ptr<VM>> VM::Create(
     ExternalResolver& resolver,
     const std::unordered_map<std::string, uint64_t>& global_addresses,
     const InterpConfig& config) {
-  // Patch global addresses into the frame templates.
+  // Patch global addresses into the frame templates and site tokens
+  // into the inline guard ops.
   for (BytecodeFunction& fn : bytecode.functions) {
     for (const BcGlobalFixup& fixup : fn.global_fixups) {
       const std::string& name = bytecode.global_names[fixup.global];
@@ -94,9 +95,16 @@ Result<std::unique_ptr<VM>> VM::Create(
       }
       fn.frame_template[fixup.reg] = it->second;
     }
+    for (BcInst& inst : fn.code) {
+      if (inst.op == BcOp::kGuardInline || inst.op == BcOp::kGuardRange ||
+          inst.op == BcOp::kCfiCheck) {
+        inst.site = resolver.GuardSiteToken(inst.imm2);
+      }
+    }
   }
   auto vm = std::unique_ptr<VM>(
       new VM(std::move(bytecode), memory, resolver, config));
+  vm->cfi_base_ = resolver.CfiSetBase();
   vm->bindings_.reserve(vm->bytecode_.externs.size());
   for (const BcExtern& ext : vm->bytecode_.externs) {
     vm->bindings_.push_back(resolver.BindExternal(ext.name));
@@ -116,19 +124,15 @@ Result<uint64_t> VM::Call(const std::string& fn_name,
     return InvalidArgument("argument count mismatch calling @" + fn_name);
   }
   if (entry_depth_ == 0) {
-    step_limit_ = config_.max_steps;
-    if (config_.watchdog_steps != 0 &&
-        stats_.steps + config_.watchdog_steps < step_limit_) {
-      step_limit_ = stats_.steps + config_.watchdog_steps;
-    }
+    step_limit_ = StepDeadline(config_, stats_.steps);
     fault_state_ = EngineSnapshot();
+    // Outermost entry pins the policy frame for the inline-guard fast
+    // path; kGuardInline/kGuardRange/kCfiCheck decide against that
+    // pinned frame and deopt to the bound slow path when anything moved.
+    // Nested entries (module re-entry through an exported symbol) run
+    // under the outermost pin.
+    pin_ = resolver_.PinGuardFrame();
   }
-  // Outermost entry pins the policy frame for the inline-guard fast
-  // path; kGuardInline/kGuardRange decide against that pinned frame and
-  // deopt to the bound slow path when anything moved. Nested entries
-  // (module re-entry through an exported symbol) run under the
-  // outermost pin.
-  const bool pinned = entry_depth_ == 0 && resolver_.PinGuardFrame();
   // Guard faults and panics unwind as exceptions through the resolver;
   // restore the register watermark so the VM stays usable afterwards.
   const size_t saved_top = reg_top_;
@@ -136,12 +140,10 @@ Result<uint64_t> VM::Call(const std::string& fn_name,
   try {
     auto result = ExecuteFunction(it->second, args, 0,
                                   config_.stack_base + config_.stack_size);
-    --entry_depth_;
-    if (pinned) resolver_.UnpinGuardFrame();
+    if (--entry_depth_ == 0) guard::Unpin(pin_);
     return result;
   } catch (...) {
-    --entry_depth_;
-    if (pinned) resolver_.UnpinGuardFrame();
+    if (--entry_depth_ == 0) guard::Unpin(pin_);
     reg_top_ = saved_top;
     throw;
   }
@@ -225,6 +227,8 @@ Result<uint64_t> VM::RunFrame(const BytecodeFunction& fn, uint32_t fn_index,
   // observed) — so stats_.steps is exact whenever anyone can look.
   uint64_t steps = stats_.steps;
   const uint64_t max_steps = step_limit_;
+  // The outermost call's pin (null: every guard takes the slow path).
+  guard::PinSlot* const pin = pin_;
 
 #if KOP_VM_THREADED
   // Indexed by BcOp; order must match the enum declaration.
@@ -448,50 +452,46 @@ dispatch:
       VM_NEXT();
     }
     VM_CASE(kGuardInline) : {
-      // Pinned-frame fast path: argument registers read in place, no
-      // vector build, no resolver dispatch. A true return means the
-      // access was proven allowed AND fully accounted; anything else
-      // deopts into the out-of-line call body below (same instruction,
-      // so step/call accounting is identical either way).
+      // Pinned-frame fast path: the guard core's allow path compiled in,
+      // argument registers read in place, no vector build, no call. A
+      // true return means the access was proven allowed AND fully
+      // accounted; anything else deopts into the out-of-line call body
+      // below (same instruction, so step/call accounting is identical).
       const uint16_t* arg_regs = fn.call_args.data() + ip->imm;
-      stats_.steps = steps;
-      if (resolver_.FastGuard(regs[arg_regs[0]], regs[arg_regs[1]],
-                              regs[arg_regs[2]], ip->imm2)) [[likely]] {
+      if (pin != nullptr &&
+          guard::PinnedGuard(*pin, regs[arg_regs[0]], regs[arg_regs[1]],
+                             regs[arg_regs[2]], 0, ip->site)) [[likely]] {
         ++stats_.calls_external;
-        if (ip->width != 0) {
-          regs[ip->dst] = uint64_t{1} & MaskOfBits(ip->width);
-        }
+        if (ip->width != 0) regs[ip->dst] = 1;
         VM_NEXT();
       }
       goto call_external_slow;
     }
     VM_CASE(kGuardRange) : {
       const uint16_t* arg_regs = fn.call_args.data() + ip->imm;
-      stats_.steps = steps;
-      if (resolver_.FastGuardRange(regs[arg_regs[0]], regs[arg_regs[1]],
-                                   regs[arg_regs[2]], regs[arg_regs[3]],
-                                   ip->imm2)) [[likely]] {
+      if (pin != nullptr &&
+          guard::PinnedGuard(*pin, regs[arg_regs[0]], regs[arg_regs[1]],
+                             regs[arg_regs[2]], regs[arg_regs[3]],
+                             ip->site)) [[likely]] {
         ++stats_.calls_external;
-        if (ip->width != 0) {
-          regs[ip->dst] = uint64_t{1} & MaskOfBits(ip->width);
-        }
+        if (ip->width != 0) regs[ip->dst] = 1;
         VM_NEXT();
       }
       goto call_external_slow;
     }
     VM_CASE(kCfiCheck) : {
-      // Pinned-frame CFI fast path: membership test against the RCU-
-      // pinned frame's target table. Deopt falls into the out-of-line
-      // call body, which owns violation semantics — containment is
-      // byte-identical whether the fast path fired or not.
+      // Pinned-frame CFI fast path: membership test against the pinned
+      // frame's target table, the set id rebased to the engine's global
+      // table. Deopt falls into the out-of-line call body, which owns
+      // violation semantics — containment is byte-identical whether the
+      // fast path fired or not.
       const uint16_t* arg_regs = fn.call_args.data() + ip->imm;
-      stats_.steps = steps;
-      if (resolver_.FastCfiCheck(regs[arg_regs[0]], regs[arg_regs[1]],
-                                 ip->imm2)) [[likely]] {
+      if (pin != nullptr &&
+          guard::PinnedCfiCheck(*pin, regs[arg_regs[0]],
+                                regs[arg_regs[1]] + cfi_base_, ip->site))
+          [[likely]] {
         ++stats_.calls_external;
-        if (ip->width != 0) {
-          regs[ip->dst] = uint64_t{1} & MaskOfBits(ip->width);
-        }
+        if (ip->width != 0) regs[ip->dst] = 1;
         VM_NEXT();
       }
       goto call_external_slow;
@@ -579,7 +579,7 @@ dispatch:
 
 budget_exhausted:
   stats_.steps = steps;
-  return StepBudgetExceeded(config_, max_steps);
+  return StepBudgetExceeded(config_);
 }
 
 #undef VM_NEXT

@@ -10,15 +10,16 @@
 // GuardedMemOps guards every load and store — including MMIO, which on
 // Linux is just a load/store to an ioremapped address — then performs the
 // access and charges the machine model's access cost on the virtual
-// clock. It shares the KIR engines' one guard path: each driver entry
-// point opens an EntryPin, which pins the policy frame on the calling CPU
-// once, and every access inside decides inline against that frame
-// (PolicyEngine::FastGuard). The engine is held as a PolicyEngine*, so
-// that allow path compiles straight into each access here: an allowed
-// access makes no out-of-line policy call. Anything but a proven allow —
-// no pin, a stale frame, fault injection, a denial — re-decides out of
-// line in PolicyEngine::Guard, which owns violation, panic and quarantine
-// semantics. Either way the guard charges the machine's guard cost.
+// clock. It shares the KIR engines' one guard path (kop/guard/pinned.hpp):
+// each driver entry point opens an EntryPin, which pins the policy frame
+// on the calling CPU once, and every access inside decides inline against
+// that frame (PolicyEngine::FastGuard). The engine is held as a
+// PolicyEngine*, so that allow path compiles straight into each access
+// here: an allowed access makes no out-of-line policy call. Anything but
+// a proven allow — no pin, a stale frame, fault injection, a denial —
+// re-decides out of line in PolicyEngine::Guard, which owns violation,
+// panic and quarantine semantics. Either way the guard charges the
+// machine's guard cost.
 #pragma once
 
 #include <cstdint>

@@ -17,8 +17,9 @@ PolicyEngine::PolicyEngine(kernel::Kernel* kernel, PolicyMode mode)
       lookup_depth_hist_(
           trace::GlobalMetrics().GetHistogram("policy.lookup_depth")),
       denied_counter_(trace::GlobalMetrics().GetCounter("guard.denied")),
-      elided_counter_(trace::GlobalMetrics().GetCounter("guard.elided")),
-      deopt_counter_(trace::GlobalMetrics().GetCounter("guard.deopt")) {}
+      elided_counter_(trace::GlobalMetrics().GetCounter("guard.elided")) {
+  cells_.deopt = trace::GlobalMetrics().GetCounter("guard.deopt");
+}
 
 PolicyEngine::~PolicyEngine() {
   // No guard may be in flight at destruction. Retired frames drain in
@@ -89,50 +90,16 @@ bool PolicyEngine::Check(uint64_t addr, uint64_t size,
   const PolicyFrame* frame = CurrentFrame();
   uint64_t depth = 0;
   const std::optional<uint32_t> prot =
-      FrameLookup(*frame, addr, size, &depth);
+      guard::FrameLookup(*frame, addr, size, &depth);
   if (prot.has_value()) {
     return (*prot & access_flags) == access_flags;
   }
   return mode() == PolicyMode::kDefaultAllow;
 }
 
-void PolicyEngine::GrowSiteTable(SiteShard& shard, uint64_t site) {
-  std::lock_guard<Spinlock> guard(shard.lock);
-  SiteTable* old = shard.table.load(std::memory_order_relaxed);
-  if (old != nullptr && site < old->capacity) return;  // raced a growth
-  auto grown = std::make_unique<SiteTable>();
-  grown->capacity = std::max<size_t>(64, static_cast<size_t>(site) + 1);
-  if (old != nullptr) grown->capacity = std::max(grown->capacity,
-                                                 old->capacity * 2);
-  grown->rows = std::make_unique<SiteRow[]>(grown->capacity);
-  if (old != nullptr) {
-    for (size_t i = 0; i < old->capacity; ++i) {
-      const SiteRow& from = old->rows[i];
-      SiteRow& to = grown->rows[i];
-      to.site.store(from.site.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      to.hits.store(from.hits.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      to.denied.store(from.denied.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      to.elided.store(from.elided.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    }
-  }
-  shard.table.store(grown.get(), std::memory_order_release);
-  // Freeing the old table here is safe: the only lock-free readers are
-  // on the shard's own CPU — the thread running this growth — and every
-  // cross-CPU access (folds, resets) holds the shard lock.
-  shard.storage = std::move(grown);
-}
-
-void PolicyEngine::NoteSite(uint64_t site, bool allowed, uint64_t elided) {
-  NoteSiteIn(site_shards_.Mine(), site, allowed, elided);
-}
-
 uint64_t PolicyEngine::FoldGuardCalls() const {
   uint64_t total = 0;
-  cpu_stats_.ForEach([&total](uint32_t, const CpuStats& slot) {
+  cpu_stats_.ForEach([&total](uint32_t, const guard::CpuStats& slot) {
     total += slot.guard_calls.load(std::memory_order_relaxed);
   });
   return total;
@@ -140,7 +107,7 @@ uint64_t PolicyEngine::FoldGuardCalls() const {
 
 uint64_t PolicyEngine::FoldIntrinsicCalls() const {
   uint64_t total = 0;
-  cpu_stats_.ForEach([&total](uint32_t, const CpuStats& slot) {
+  cpu_stats_.ForEach([&total](uint32_t, const guard::CpuStats& slot) {
     total += slot.intrinsic_calls.load(std::memory_order_relaxed);
   });
   return total;
@@ -163,25 +130,25 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
   {
     smp::RcuDomain::ReadGuard rcu(rcu_);
     const PolicyFrame* frame = CurrentFrame();
-    CpuStats& my = cpu_stats_.Mine();
+    guard::CpuStats& my = cpu_stats_.Mine();
     my.guard_calls.fetch_add(1, std::memory_order_relaxed);
     const double guard_cycles = kernel_->machine().GuardCycles(
         static_cast<uint32_t>(frame->regions.size));
-    if (charge_cycles_.load(std::memory_order_relaxed)) {
+    if (cells_.charge_cycles.load(std::memory_order_relaxed)) {
       kernel_->clock().Advance(guard_cycles);
     }
     latency_hist_->Observe(guard_cycles);
 
     uint64_t depth = 0;
     const std::optional<uint32_t> prot =
-        FrameLookup(*frame, addr, size, &depth);
+        guard::FrameLookup(*frame, addr, size, &depth);
     lookup_depth_hist_->Observe(static_cast<double>(depth));
     KOP_TRACE(kPolicyLookup, depth, frame->regions.size);
 
     allowed = prot.has_value()
                   ? (*prot & access_flags) == access_flags
                   : mode() == PolicyMode::kDefaultAllow;
-    if (site == force_deny_site_.load(std::memory_order_relaxed))
+    if (site == cells_.force_deny_site.load(std::memory_order_relaxed))
         [[unlikely]] {
       allowed = false;
     }
@@ -189,7 +156,7 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
       // The cover proved `elided` member accesses beyond itself; they
       // count as elided, not as guard calls — guard_calls + elided is
       // what an unelided build would have reported.
-      NoteSite(site, true, elided);
+      guard::NoteSiteIn(site_shards_.Mine(), site, true, elided);
       my.allowed.fetch_add(1, std::memory_order_relaxed);
       if (elided != 0) {
         my.elided.fetch_add(elided, std::memory_order_relaxed);
@@ -199,7 +166,7 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
       // A denied cover credits no elided members: the violation is the
       // whole cluster's, attributed to the cover site with the
       // interval's address and span.
-      NoteSite(site, false);
+      guard::NoteSiteIn(site_shards_.Mine(), site, false, 0);
       my.denied.fetch_add(1, std::memory_order_relaxed);
       RecordViolation(ViolationRecord{addr, size, access_flags,
                                       FoldGuardCalls(), false, site, false});
@@ -234,14 +201,14 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
   {
     smp::RcuDomain::ReadGuard rcu(rcu_);
     const PolicyFrame* frame = CurrentFrame();
-    CpuStats& my = cpu_stats_.Mine();
+    guard::CpuStats& my = cpu_stats_.Mine();
     my.cfi_checks.fetch_add(1, std::memory_order_relaxed);
     // A CFI decision is a guard decision: same machine-model cost, same
     // latency histogram, so CFI-on vs CFI-off deltas are visible in the
     // virtual clock the benches read.
     const double guard_cycles = kernel_->machine().GuardCycles(
         static_cast<uint32_t>(frame->regions.size));
-    if (charge_cycles_.load(std::memory_order_relaxed)) {
+    if (cells_.charge_cycles.load(std::memory_order_relaxed)) {
       kernel_->clock().Advance(guard_cycles);
     }
     latency_hist_->Observe(guard_cycles);
@@ -252,11 +219,11 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
     allowed = set_id < frame->cfi_sets.size() &&
               std::binary_search(frame->cfi_sets[set_id].begin(),
                                  frame->cfi_sets[set_id].end(), target);
-    if (site == force_deny_site_.load(std::memory_order_relaxed))
+    if (site == cells_.force_deny_site.load(std::memory_order_relaxed))
         [[unlikely]] {
       allowed = false;
     }
-    NoteSite(site, allowed);
+    guard::NoteSiteIn(site_shards_.Mine(), site, allowed, 0);
     if (!allowed) {
       my.cfi_denied.fetch_add(1, std::memory_order_relaxed);
       RecordViolation(ViolationRecord{target, set_id, 0, FoldGuardCalls(),
@@ -295,7 +262,7 @@ uint64_t PolicyEngine::RegisterCfiSets(
   // Same protocol as the intrinsic mutators: the frame's CFI copy went
   // stale, so the next check republishes and pinned calls deopt once.
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
+  cells_.mutation_gen.fetch_add(1, std::memory_order_acq_rel);
   return base;
 }
 
@@ -304,14 +271,16 @@ size_t PolicyEngine::CfiSetCount() const {
   return cfi_sets_.size();
 }
 
-bool PolicyEngine::PinFrame() {
-  PinSlot& pin = pin_slots_.Mine();
+guard::PinSlot* PolicyEngine::PinCpu() {
+  guard::PinSlot& pin = pin_slots_.Mine();
   if (pin.depth++ == 0) {
     pin.rcu.emplace(rcu_);
     // Resolve the CPU-slot pointers once per slot: every inline guard then
     // runs without a per-guard CPU-slot lookup, and since a pin slot
     // belongs to one CPU, so do the slots it points at.
     if (pin.stats == nullptr) {
+      pin.cells = &cells_;
+      pin.source = this;
       pin.stats = &cpu_stats_.Mine();
       pin.sites = &site_shards_.Mine();
       pin.clock_cell = &kernel_->clock().MyCell();
@@ -320,11 +289,11 @@ bool PolicyEngine::PinFrame() {
     }
     RefreshPin(pin);
   }
-  return true;
+  return &pin;
 }
 
 void PolicyEngine::UnpinFrame() {
-  PinSlot& pin = pin_slots_.Mine();
+  guard::PinSlot& pin = pin_slots_.Mine();
   if (pin.depth == 0) return;  // unbalanced close: tolerate, stay slow
   if (--pin.depth == 0) {
     FlushLatency(pin);
@@ -337,7 +306,7 @@ void PolicyEngine::UnpinFrame() {
   }
 }
 
-void PolicyEngine::RefreshPin(PinSlot& pin) {
+void PolicyEngine::RefreshPin(guard::PinSlot& pin) {
   // Batched latencies belong to the outgoing guard_cycles, and must land
   // before the deopting guard observes the new frame's out of line.
   FlushLatency(pin);
@@ -347,7 +316,7 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   // deopt, never a stale allow. (Table mutators bump their own
   // generation before ticking our clock, so a caught-up snapshot implies
   // CurrentFrame below sees the new table generation too.)
-  pin.mutation_gen = mutation_gen_.load(std::memory_order_acquire);
+  pin.mutation_gen = cells_.mutation_gen.load(std::memory_order_acquire);
   // Caller holds the slot's read section, so CurrentFrame's result stays
   // valid for the remainder of the pin even if another CPU republishes.
   const PolicyFrame* frame = CurrentFrame();
@@ -359,36 +328,10 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   pin.default_allow = mode() == PolicyMode::kDefaultAllow;
 }
 
-void PolicyEngine::FlushLatency(PinSlot& pin) {
+void PolicyEngine::FlushLatency(guard::PinSlot& pin) {
   if (pin.latency_batch == 0) return;
   pin.latency->ObserveN(pin.guard_cycles, pin.latency_batch);
   pin.latency_batch = 0;
-}
-
-void PolicyEngine::CountDeopt() { deopt_counter_->Add(); }
-
-void PolicyEngine::DeoptStalePin(PinSlot& pin) {
-  CountDeopt();
-  RefreshPin(pin);
-}
-
-bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
-                                uint64_t site) {
-  PinSlot* const slot = PinForInline(site);
-  if (slot == nullptr) return false;
-  PinSlot& pin = *slot;
-  const std::vector<std::vector<uint64_t>>& sets = pin.frame->cfi_sets;
-  const bool allowed =
-      set_id < sets.size() &&
-      std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
-  if (!allowed) [[unlikely]] {
-    CountDeopt();
-    return false;  // slow path re-decides with full violation semantics
-  }
-  BumpRelaxed(pin.stats->cfi_checks);
-  NoteSiteIn(*pin.sites, site, true, 0);
-  ChargePinned(pin);  // as CfiCheck(): latency, no lookup depth
-  return true;
 }
 
 bool PolicyEngine::IntrinsicGuard(uint64_t intrinsic_id) {
@@ -397,7 +340,7 @@ bool PolicyEngine::IntrinsicGuard(uint64_t intrinsic_id) {
   {
     smp::RcuDomain::ReadGuard rcu(rcu_);
     const PolicyFrame* frame = CurrentFrame();
-    CpuStats& my = cpu_stats_.Mine();
+    guard::CpuStats& my = cpu_stats_.Mine();
     my.intrinsic_calls.fetch_add(1, std::memory_order_relaxed);
     if (std::binary_search(frame->intrinsic_denied.begin(),
                            frame->intrinsic_denied.end(), intrinsic_id)) {
@@ -409,7 +352,7 @@ bool PolicyEngine::IntrinsicGuard(uint64_t intrinsic_id) {
     } else {
       allowed = frame->intrinsic_default_allow;
     }
-    NoteSite(site, allowed);
+    guard::NoteSiteIn(site_shards_.Mine(), site, allowed, 0);
     if (!allowed) {
       my.intrinsic_denied.fetch_add(1, std::memory_order_relaxed);
       RecordViolation(ViolationRecord{intrinsic_id, 0, 0,
@@ -435,7 +378,7 @@ void PolicyEngine::AllowIntrinsic(uint64_t intrinsic_id) {
   intrinsic_denied_.erase(intrinsic_id);
   intrinsic_allowed_.insert(intrinsic_id);
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
+  cells_.mutation_gen.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void PolicyEngine::DenyIntrinsic(uint64_t intrinsic_id) {
@@ -443,19 +386,19 @@ void PolicyEngine::DenyIntrinsic(uint64_t intrinsic_id) {
   intrinsic_allowed_.erase(intrinsic_id);
   intrinsic_denied_.insert(intrinsic_id);
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
+  cells_.mutation_gen.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void PolicyEngine::SetIntrinsicDefaultAllow(bool allow) {
   std::lock_guard<Spinlock> guard(writer_lock_);
   intrinsic_default_allow_ = allow;
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
+  cells_.mutation_gen.fetch_add(1, std::memory_order_acq_rel);
 }
 
 GuardStats PolicyEngine::stats() const {
   GuardStats out;
-  cpu_stats_.ForEach([&out](uint32_t, const CpuStats& slot) {
+  cpu_stats_.ForEach([&out](uint32_t, const guard::CpuStats& slot) {
     out.guard_calls += slot.guard_calls.load(std::memory_order_relaxed);
     out.allowed += slot.allowed.load(std::memory_order_relaxed);
     out.denied += slot.denied.load(std::memory_order_relaxed);
@@ -471,7 +414,7 @@ GuardStats PolicyEngine::stats() const {
 }
 
 GuardStats PolicyEngine::PerCpuStats(uint32_t cpu) const {
-  const CpuStats& slot = cpu_stats_.Get(cpu);
+  const guard::CpuStats& slot = cpu_stats_.Get(cpu);
   GuardStats out;
   out.guard_calls = slot.guard_calls.load(std::memory_order_relaxed);
   out.allowed = slot.allowed.load(std::memory_order_relaxed);
@@ -486,7 +429,7 @@ GuardStats PolicyEngine::PerCpuStats(uint32_t cpu) const {
 }
 
 void PolicyEngine::ResetStats() {
-  cpu_stats_.ForEach([](uint32_t, CpuStats& slot) {
+  cpu_stats_.ForEach([](uint32_t, guard::CpuStats& slot) {
     slot.guard_calls.store(0, std::memory_order_relaxed);
     slot.allowed.store(0, std::memory_order_relaxed);
     slot.denied.store(0, std::memory_order_relaxed);
@@ -500,14 +443,14 @@ void PolicyEngine::ResetStats() {
     std::lock_guard<Spinlock> guard(violations_lock_);
     violations_.clear();
   }
-  site_shards_.ForEach([](uint32_t, SiteShard& shard) {
+  site_shards_.ForEach([](uint32_t, guard::SiteShard& shard) {
     // Zero in place rather than freeing: another CPU's inline path may
     // hold the table pointer lock-free, so the allocation must survive.
-    std::lock_guard<Spinlock> guard(shard.lock);
-    SiteTable* table = shard.table.load(std::memory_order_relaxed);
+    std::lock_guard<Spinlock> lock(shard.lock);
+    guard::SiteTable* table = shard.table.load(std::memory_order_relaxed);
     if (table == nullptr) return;
     for (size_t i = 0; i < table->capacity; ++i) {
-      SiteRow& row = table->rows[i];
+      guard::SiteRow& row = table->rows[i];
       row.site.store(0, std::memory_order_relaxed);
       row.hits.store(0, std::memory_order_relaxed);
       row.denied.store(0, std::memory_order_relaxed);
@@ -529,12 +472,13 @@ std::vector<Region> PolicyEngine::FrameSnapshot() const {
 std::vector<HotSite> PolicyEngine::HotSites() const {
   // Fold the per-CPU shards: same token on different CPUs merges.
   std::vector<HotSite> merged;
-  site_shards_.ForEach([&merged](uint32_t, SiteShard& shard) {
-    std::lock_guard<Spinlock> guard(shard.lock);
-    const SiteTable* table = shard.table.load(std::memory_order_acquire);
+  site_shards_.ForEach([&merged](uint32_t, guard::SiteShard& shard) {
+    std::lock_guard<Spinlock> lock(shard.lock);
+    const guard::SiteTable* table =
+        shard.table.load(std::memory_order_acquire);
     if (table == nullptr) return;
     for (size_t i = 0; i < table->capacity; ++i) {
-      const SiteRow& row = table->rows[i];
+      const guard::SiteRow& row = table->rows[i];
       const uint64_t hits = row.hits.load(std::memory_order_relaxed);
       if (hits == 0) continue;
       const uint64_t site = row.site.load(std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 // The table only stores; it never decides. Guards decide against the
 // engine's immutable PolicyFrame copy of Index(): the regions sorted by
 // base, each tagged with its table-order position and the running
-// maximum end, which PolicyEngine::FrameLookup binary-searches. Add and
+// maximum end, which guard::FrameLookup binary-searches. Add and
 // Remove keep a base-order permutation of the table up to date under the
 // table lock, O(n) each, so building the index is one copying pass with
 // no sort. The table's job is to serialize mutators and tell the engine,
@@ -21,31 +21,15 @@
 #include <memory>
 #include <vector>
 
+#include "kop/guard/pinned.hpp"
 #include "kop/policy/region.hpp"
 #include "kop/util/spinlock.hpp"
 #include "kop/util/status.hpp"
 
 namespace kop::policy {
 
-/// One region of the base-sorted index. Trivial, so an index buffer can
-/// be allocated without zeroing it first.
-struct IndexedRegion {
-  uint64_t base;
-  /// base + len, exclusive. Add rejects wrapping regions, so it fits.
-  uint64_t end;
-  /// Largest `end` of this entry and every entry before it in base order:
-  /// no entry at or before this one can contain an access ending past it.
-  uint64_t max_end;
-  uint32_t prot;
-  /// Position in table (first-match) order.
-  uint32_t index;
-};
-
-/// A base-sorted index as one allocation.
-struct RegionIndex {
-  std::unique_ptr<IndexedRegion[]> entries;
-  size_t size = 0;
-};
+using guard::IndexedRegion;
+using guard::RegionIndex;
 
 class RegionTable64 {
  public:

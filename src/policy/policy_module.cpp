@@ -52,10 +52,10 @@ Result<std::unique_ptr<PolicyModule>> PolicyModule::Insert(
         return engine->CfiCheck(target, set_id) ? 1 : 0;
       }));
 
-  // Publish the inline-guard fast path. Engines reach it through the
-  // kernel facade (kernel::GuardFastOps), never through kop::policy —
+  // Publish the engine's pins. Module engines reach them through the
+  // kernel facade (guard::PinSource), never through kop::policy —
   // clearing it at removal restores the all-slow-path world exactly.
-  kernel->SetGuardFastOps(engine);
+  kernel->SetPinSource(engine);
 
   PolicyModule* raw = module.get();
   KOP_RETURN_IF_ERROR(kernel->devices().Register(
@@ -101,7 +101,7 @@ Result<std::unique_ptr<PolicyModule>> PolicyModule::Insert(
 
 PolicyModule::~PolicyModule() {
   if (!installed_) return;
-  kernel_->SetGuardFastOps(nullptr);
+  kernel_->SetPinSource(nullptr);
   flight::SetPolicyProvider(nullptr);
   flight::SetHeatmapProvider(nullptr);
   (void)kernel_->symbols().Unexport(kCaratGuardSymbol);

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -474,6 +475,19 @@ entry:
 loop:
   jmp loop
 }
+func @count(i64 %n) -> i64 {
+entry:
+  jmp head
+head:
+  %i = phi i64 [ 0, entry ], [ %i1, body ]
+  %done = icmp uge i64 %i, %n
+  br %done, out, body
+body:
+  %i1 = add i64 %i, 1
+  jmp head
+out:
+  ret i64 %i
+}
 func @deep(i64 %n) -> i64 {
 entry:
   %r = call i64 @deep(i64 %n)
@@ -488,15 +502,30 @@ entry:
 )";
   InterpConfig config;
   config.max_steps = 1000;
-  RunDifferential(text,
-                  {{"div", {10, 0}},
-                   {"div", {10, 3}},
-                   {"bigalloc", {}},
-                   {"missing", {}},
-                   {"div", {1}},
-                   {"deep", {1}},
-                   {"spin", {}}},
-                  "errors", config);
+  std::vector<ScriptCall> script = {{"div", {10, 0}}, {"div", {10, 3}},
+                                    {"bigalloc", {}}, {"missing", {}},
+                                    {"div", {1}},     {"deep", {1}}};
+  // max_steps bounds each top-level call, not the engine's lifetime: 50
+  // calls of 60 steps each all fit, and @spin still runs out.
+  script.insert(script.end(), 50, ScriptCall{"count", {14}});
+  script.push_back({"spin", {}});
+  RunDifferential(text, script, "errors", config);
+  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kVmBound}) {
+    EngineRun run = MakeRun(text, kind, config);
+    for (int i = 0; i < 50; ++i) {
+      auto result = run.engine->Call("count", {14});
+      ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    }
+    EXPECT_EQ(run.engine->Call("spin", {}).status().code(),
+              ErrorCode::kInternal);
+    // The watchdog times a call out only when it is the tighter bound.
+    run.engine->set_watchdog_steps(500);
+    EXPECT_EQ(run.engine->Call("spin", {}).status().code(),
+              ErrorCode::kTimeout);
+    run.engine->set_watchdog_steps(2000);
+    EXPECT_EQ(run.engine->Call("spin", {}).status().code(),
+              ErrorCode::kInternal);
+  }
 }
 
 TEST(EngineDifferentialTest, InlineAsmTrapsIdentically) {
@@ -728,6 +757,13 @@ TEST(EngineLoaderDifferentialTest,
   ASSERT_TRUE(bytecode_mod.ok());
   ASSERT_TRUE((*interp_mod)->Call("rb_init", {}).ok());
   ASSERT_TRUE((*bytecode_mod)->Call("rb_init", {}).ok());
+  // The guards one rb_push runs.
+  const uint64_t before = interp.policy->engine().stats().guard_calls;
+  ASSERT_TRUE((*interp_mod)->Call("rb_push", {1}).ok());
+  ASSERT_TRUE((*bytecode_mod)->Call("rb_push", {1}).ok());
+  const uint64_t push_guards =
+      interp.policy->engine().stats().guard_calls - before;
+  ASSERT_GT(push_guards, 0u);
 
   interp.policy.reset();    // unexports carat_guard
   bytecode.policy.reset();
@@ -737,6 +773,30 @@ TEST(EngineLoaderDifferentialTest,
   EXPECT_FALSE(a.ok());
   EXPECT_FALSE(b.ok());
   EXPECT_EQ(a.status().ToString(), b.status().ToString());
+
+  // A fresh policy module is reached through the same kernel seam and the
+  // same bind-time tokens: every guard of the call decides inline on the
+  // new engine (no deopt) and lands in rows of this module's sites.
+  trace::Counter* deopts = trace::GlobalMetrics().GetCounter("guard.deopt");
+  const uint64_t deopts_before = deopts->value();
+  for (auto [stack, module] : {std::pair{&interp, *interp_mod},
+                               std::pair{&bytecode, *bytecode_mod}}) {
+    auto inserted = policy::PolicyModule::Insert(
+        &stack->kernel, nullptr, policy::PolicyMode::kDefaultAllow);
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    stack->policy = std::move(*inserted);
+    ASSERT_TRUE(module->Call("rb_push", {1}).ok());
+    const std::set<uint64_t> tokens(module->site_tokens().begin(),
+                                    module->site_tokens().end());
+    uint64_t hits = 0;
+    for (const policy::HotSite& row : stack->policy->engine().HotSites()) {
+      EXPECT_TRUE(tokens.count(row.site)) << "site " << row.site;
+      hits += row.hits;
+    }
+    EXPECT_EQ(stack->policy->engine().stats().guard_calls, push_guards);
+    EXPECT_EQ(hits, push_guards);
+  }
+  EXPECT_EQ(deopts->value(), deopts_before);
 }
 
 // ---------------------------------------------------------------------------

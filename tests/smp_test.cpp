@@ -31,6 +31,7 @@
 #include "kop/smp/executor.hpp"
 #include "kop/smp/rcu.hpp"
 #include "kop/trace/metrics.hpp"
+#include "kop/trace/site.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
@@ -206,6 +207,30 @@ TEST(SmpTest, PerCpuGuardCountsSumToGlobalExactly) {
     EXPECT_EQ(total.elided, 0u);
     EXPECT_EQ(total.allowed + total.denied, total.guard_calls);
     EXPECT_EQ(total.denied, 0u);
+  }
+}
+
+// Slots PrepareCpus builds after insmod bind their engines' guard-site
+// tokens the same way slot 0 did: one guarded call on CPU 1 and the same
+// call on CPU 0 attribute to the same HotSites rows with the same hits.
+TEST(SmpTest, LaterCpuSlotsAttributeGuardsToTheSameSites) {
+  for (ExecEngine engine : kEngines) {
+    Rig rig(engine);
+    ASSERT_TRUE(rig.loader.PrepareCpus(2).ok());
+    std::vector<std::pair<uint64_t, uint64_t>> rows[2];
+    for (uint32_t cpu : {1u, 0u}) {
+      rig.policy->engine().ResetStats();
+      {
+        smp::ScopedCpu on(cpu);
+        ASSERT_TRUE(rig.module->Call("bump", {rig.ScratchSlot(cpu), 3}).ok());
+      }
+      for (const policy::HotSite& row : rig.policy->engine().HotSites()) {
+        EXPECT_NE(row.site, trace::kUnknownSite);
+        rows[cpu].emplace_back(row.site, row.hits);
+      }
+    }
+    EXPECT_FALSE(rows[0].empty());
+    EXPECT_EQ(rows[0], rows[1]) << kernel::ExecEngineName(engine);
   }
 }
 
