@@ -49,7 +49,7 @@ bool ParseCount(const char* text, uint64_t min, uint64_t max,
 Rig::Rig(const RigConfig& config) : config_(config) {
   kernel_ = std::make_unique<kernel::Kernel>(
       BenchKernelConfig(config.machine));
-  sink_ = std::make_unique<nic::CountingSink>(/*retain=*/1);
+  sink_ = std::make_unique<nic::CountingSink>();
   device_ = std::make_unique<nic::E1000Device>(&kernel_->mem(), sink_.get());
   Status status = device_->MapAt(kMmioBase);
   if (!status.ok()) {

@@ -76,9 +76,12 @@ Status AddressSpace::MapMmio(std::string name, uint64_t base, uint64_t size,
 Status AddressSpace::Unmap(uint64_t base) {
   for (auto it = regions_.begin(); it != regions_.end(); ++it) {
     if ((*it)->info.base == base) {
-      if (last_hit_.load(std::memory_order_relaxed) == it->get()) {
-        last_hit_.store(nullptr, std::memory_order_relaxed);
-      }
+      const Region* gone = it->get();
+      last_hit_.ForEach([gone](uint32_t, std::atomic<const Region*>& slot) {
+        if (slot.load(std::memory_order_relaxed) == gone) {
+          slot.store(nullptr, std::memory_order_relaxed);
+        }
+      });
       regions_.erase(it);
       return OkStatus();
     }
@@ -89,7 +92,8 @@ Status AddressSpace::Unmap(uint64_t base) {
 const AddressSpace::Region* AddressSpace::Find(uint64_t addr,
                                                uint64_t size) const {
   const uint64_t span = size == 0 ? 1 : size;
-  const Region* cached = last_hit_.load(std::memory_order_relaxed);
+  std::atomic<const Region*>& hint = last_hit_.Mine();
+  const Region* cached = hint.load(std::memory_order_relaxed);
   if (cached != nullptr &&
       RangeContains(cached->info.base, cached->info.size, addr, span)) {
     return cached;
@@ -105,7 +109,7 @@ const AddressSpace::Region* AddressSpace::Find(uint64_t addr,
   if (!RangeContains(region->info.base, region->info.size, addr, span)) {
     return nullptr;
   }
-  last_hit_.store(region, std::memory_order_relaxed);
+  hint.store(region, std::memory_order_relaxed);
   return region;
 }
 
@@ -114,7 +118,7 @@ AddressSpace::Region* AddressSpace::Find(uint64_t addr, uint64_t size) {
       static_cast<const AddressSpace*>(this)->Find(addr, size));
 }
 
-Status AddressSpace::Read(uint64_t addr, void* out, uint64_t size) const {
+Status AddressSpace::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
   if (size == 0) return OkStatus();
   const Region* region = Find(addr, size);
   if (region == nullptr) {
@@ -136,7 +140,8 @@ Status AddressSpace::Read(uint64_t addr, void* out, uint64_t size) const {
   return OkStatus();
 }
 
-Status AddressSpace::Write(uint64_t addr, const void* data, uint64_t size) {
+Status AddressSpace::WriteSlow(uint64_t addr, const void* data,
+                                uint64_t size) {
   if (size == 0) return OkStatus();
   Region* region = Find(addr, size);
   if (region == nullptr) {
@@ -195,22 +200,22 @@ Status AddressSpace::Write64(uint64_t addr, uint64_t value) {
   return Write(addr, &value, sizeof(value));
 }
 
-Result<uint64_t> AddressSpace::Load(uint64_t addr, uint32_t size) const {
+Result<uint64_t> AddressSpace::LoadSlow(uint64_t addr, uint32_t size) const {
   if (!ValidAccessSize(size)) {
     return InvalidArgument("load of " + std::to_string(size) +
                            " bytes must be a 1/2/4/8-byte unit");
   }
   uint64_t value = 0;  // little-endian host: the low bytes are the value
-  KOP_RETURN_IF_ERROR(Read(addr, &value, size));
+  KOP_RETURN_IF_ERROR(ReadSlow(addr, &value, size));
   return value;
 }
 
-Status AddressSpace::Store(uint64_t addr, uint64_t value, uint32_t size) {
+Status AddressSpace::StoreSlow(uint64_t addr, uint64_t value, uint32_t size) {
   if (!ValidAccessSize(size)) {
     return InvalidArgument("store of " + std::to_string(size) +
                            " bytes must be a 1/2/4/8-byte unit");
   }
-  return Write(addr, &value, size);
+  return WriteSlow(addr, &value, size);
 }
 
 Status AddressSpace::Memset(uint64_t addr, uint8_t value, uint64_t size) {
@@ -232,16 +237,8 @@ bool AddressSpace::IsMapped(uint64_t addr, uint64_t size) const {
   return Find(addr, size) != nullptr;
 }
 
-uint8_t* AddressSpace::RawHostPointer(uint64_t addr, uint64_t size) {
-  Region* region = Find(addr, size);
-  if (region == nullptr || region->info.backing != RegionBacking::kRam) {
-    return nullptr;
-  }
-  return region->ram.data() + (addr - region->info.base);
-}
-
-const uint8_t* AddressSpace::RawHostPointer(uint64_t addr,
-                                            uint64_t size) const {
+const uint8_t* AddressSpace::RawHostPointerSlow(uint64_t addr,
+                                                uint64_t size) const {
   const Region* region = Find(addr, size);
   if (region == nullptr || region->info.backing != RegionBacking::kRam) {
     return nullptr;

@@ -1,17 +1,19 @@
 // Where transmitted frames go. The paper's testbed attaches the NIC to
-// "a packet sink"; ours counts frames/bytes, optionally retains the most
-// recent ones for inspection, and models the wire's drain rate so the
-// link can be a bottleneck when an experiment wants it to be. Sinks are
-// thread-safe: with the multi-queue device, concurrent queue sweeps on
-// different CPUs deliver into the same sink.
+// "a packet sink"; ours counts frames/bytes and, when asked, retains the
+// most recent ones for inspection. Sinks are thread-safe: with the
+// multi-queue device, concurrent queue sweeps on different CPUs deliver
+// into the same sink.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "kop/smp/percpu.hpp"
 #include "kop/util/ring_buffer.hpp"
+#include "kop/util/single_writer.hpp"
 
 namespace kop::nic {
 
@@ -51,41 +53,66 @@ class LoopbackWire : public PacketSink {
 
 class CountingSink : public PacketSink {
  public:
-  /// Retains the last `retain` frames for test inspection.
-  explicit CountingSink(size_t retain = 16) : recent_(retain) {}
+  /// Counts every frame. With `retain` > 0 it also keeps copies of the
+  /// last `retain` frames for test inspection, behind a lock; the default
+  /// keeps none, and Deliver is then two per-CPU counter bumps.
+  explicit CountingSink(size_t retain = 0) {
+    if (retain != 0) {
+      recent_ = std::make_unique<RingBuffer<std::vector<uint8_t>>>(retain);
+    }
+  }
 
+  /// Each CPU's queue sweep bumps its own slot (single writer, same
+  /// contract as the NIC's TX counters); readers fold the slots.
   void Deliver(const std::vector<uint8_t>& frame) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++packets_;
-    bytes_ += frame.size();
-    recent_.push(frame);
+    Counts& mine = counts_.Mine();
+    BumpRelaxed(mine.packets);
+    BumpRelaxed(mine.bytes, frame.size());
+    if (recent_ != nullptr) {
+      std::lock_guard<std::mutex> lock(mu_);
+      recent_->push(frame);
+    }
   }
 
-  uint64_t packets() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return packets_;
-  }
-  uint64_t bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
-  }
+  uint64_t packets() const { return Fold(&Counts::packets); }
+  uint64_t bytes() const { return Fold(&Counts::bytes); }
+
+  /// The retained frames, oldest first; empty without retention.
   std::vector<std::vector<uint8_t>> RecentFrames() const {
+    if (recent_ == nullptr) return {};
     std::lock_guard<std::mutex> lock(mu_);
-    return recent_.snapshot();
+    return recent_->snapshot();
   }
 
+  /// Zero the counts and drop retained frames. Call with no Deliver in
+  /// flight.
   void Reset() {
+    counts_.ForEach([](uint32_t, Counts& c) {
+      c.packets.store(0, std::memory_order_relaxed);
+      c.bytes.store(0, std::memory_order_relaxed);
+    });
+    if (recent_ == nullptr) return;
     std::lock_guard<std::mutex> lock(mu_);
-    packets_ = 0;
-    bytes_ = 0;
-    recent_.clear();
+    recent_->clear();
   }
 
  private:
+  struct Counts {
+    std::atomic<uint64_t> packets{0};
+    std::atomic<uint64_t> bytes{0};
+  };
+
+  uint64_t Fold(std::atomic<uint64_t> Counts::*field) const {
+    uint64_t sum = 0;
+    counts_.ForEach([&](uint32_t, const Counts& c) {
+      sum += (c.*field).load(std::memory_order_relaxed);
+    });
+    return sum;
+  }
+
+  smp::PerCpu<Counts> counts_;
   mutable std::mutex mu_;
-  uint64_t packets_ = 0;
-  uint64_t bytes_ = 0;
-  RingBuffer<std::vector<uint8_t>> recent_;
+  std::unique_ptr<RingBuffer<std::vector<uint8_t>>> recent_;
 };
 
 }  // namespace kop::nic

@@ -84,7 +84,7 @@ struct MqStack {
   }
 
   Kernel kernel;
-  nic::CountingSink sink;
+  nic::CountingSink sink{/*retain=*/16};
   nic::E1000Device device;
   ModuleLoader loader;
   std::unique_ptr<policy::PolicyModule> policy;

@@ -45,7 +45,7 @@ class DriverTest : public ::testing::Test {
   }
 
   kernel::Kernel kernel_;
-  nic::CountingSink sink_;
+  nic::CountingSink sink_{/*retain=*/16};
   nic::E1000Device device_;
   std::unique_ptr<policy::PolicyModule> policy_;
 };

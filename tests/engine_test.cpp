@@ -652,7 +652,7 @@ TEST(EngineLoaderDifferentialTest, KnicDriverIsIdenticalUnderBothEngines) {
   Stack interp(kernel::ExecEngine::kInterp);
   Stack bytecode(kernel::ExecEngine::kBytecode);
 
-  nic::CountingSink interp_sink, bytecode_sink;
+  nic::CountingSink interp_sink{/*retain=*/16}, bytecode_sink{/*retain=*/16};
   nic::E1000Device interp_device(&interp.kernel.mem(), &interp_sink);
   nic::E1000Device bytecode_device(&bytecode.kernel.mem(), &bytecode_sink);
   ASSERT_TRUE(interp_device.MapAt(kernel::kVmallocBase).ok());

@@ -320,7 +320,7 @@ TEST_F(PipelineTest, KnicDriverModuleDrivesRealDevice) {
   // The compiler-path driver: a KIR module programs the simulated NIC
   // through guarded MMIO stores and launches frames by DMA from its own
   // (module-area) buffer.
-  nic::CountingSink sink;
+  nic::CountingSink sink{/*retain=*/16};
   nic::E1000Device device(&kernel_.mem(), &sink);
   ASSERT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
 
@@ -444,7 +444,7 @@ class DriverPathTest : public ::testing::Test {
   }
 
   Kernel kernel_;
-  nic::CountingSink sink_;
+  nic::CountingSink sink_{/*retain=*/16};
   nic::E1000Device device_;
   std::unique_ptr<PolicyModule> policy_;
 };

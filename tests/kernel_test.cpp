@@ -3,12 +3,18 @@
 // the integration suite.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstring>
+
 #include "kop/kernel/address_space.hpp"
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/kmalloc.hpp"
 #include "kop/kernel/memory_map.hpp"
 #include "kop/kernel/printk.hpp"
 #include "kop/kernel/procfs.hpp"
+#include "kop/smp/cpu.hpp"
+#include "kop/smp/executor.hpp"
 
 namespace kop::kernel {
 namespace {
@@ -204,6 +210,221 @@ TEST(AddressSpaceTest, RegionsIntrospection) {
   // Sorted by base.
   EXPECT_EQ(regions[0].name, "a");
   EXPECT_EQ(regions[1].name, "b");
+}
+
+// Every test below first lands a hit on one RAM region, so the next
+// access runs the inline hit path in address_space.hpp with that region
+// as the calling CPU's hint; each case must still end exactly where the
+// out-of-line path would.
+
+TEST(AddressSpaceTest, HitPathStopsAtTheHintedRegionsEnd) {
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("a", 0x1000, 0x100).ok());
+  ASSERT_TRUE(mem.MapRam("b", 0x1100, 0x100).ok());  // directly after a
+  ASSERT_TRUE(mem.Store(0x1100, 0x5a5a5a5a5a5a5a5aull, 8).ok());
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());  // hint: a
+  uint8_t buf[32] = {};
+  for (uint32_t size : {2u, 4u, 8u}) {
+    const uint64_t addr = 0x1100 - size / 2;
+    EXPECT_EQ(mem.Load(addr, size).status().code(), ErrorCode::kOutOfRange);
+    ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+    EXPECT_EQ(mem.Store(addr, ~0ull, size).code(), ErrorCode::kOutOfRange);
+    ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+  }
+  EXPECT_EQ(mem.Read(0x10f0, buf, sizeof(buf)).code(), ErrorCode::kOutOfRange);
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+  std::memset(buf, 0xff, sizeof(buf));
+  EXPECT_EQ(mem.Write(0x10f0, buf, sizeof(buf)).code(),
+            ErrorCode::kOutOfRange);
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+  EXPECT_EQ(mem.RawHostPointer(0x10fc, 8), nullptr);
+  // Neither side of the boundary changed.
+  EXPECT_EQ(*mem.Load(0x10f8, 8), 0u);
+  EXPECT_EQ(*mem.Load(0x1100, 8), 0x5a5a5a5a5a5a5a5aull);
+  // The last whole unit inside a still hits.
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+  EXPECT_TRUE(mem.Store(0x10f8, 7, 8).ok());
+  EXPECT_EQ(*mem.Load(0x10f8, 8), 7u);
+}
+
+TEST(AddressSpaceTest, HitPathRejectsWritesToReadOnlyHint) {
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("text", 0x1000, 0x100, /*writable=*/false).ok());
+  for (uint32_t size : {1u, 2u, 4u, 8u}) {
+    ASSERT_TRUE(mem.Load(0x1040, size).ok());  // hint: text
+    EXPECT_EQ(mem.Store(0x1040, ~0ull, size).code(),
+              ErrorCode::kPermissionDenied);
+  }
+  uint8_t buf[16];
+  std::memset(buf, 0xff, sizeof(buf));
+  ASSERT_TRUE(mem.Read(0x1040, buf, sizeof(buf)).ok());
+  std::memset(buf, 0xff, sizeof(buf));
+  EXPECT_EQ(mem.Write(0x1040, buf, sizeof(buf)).code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(*mem.Load(0x1040, 8), 0u);
+  EXPECT_EQ(*mem.Load(0x1048, 8), 0u);
+}
+
+TEST(AddressSpaceTest, UnmapClearsEveryCpusHint) {
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("gone", 0x1000, 0x100).ok());
+  ASSERT_TRUE(mem.MapRam("kept", 0x4000, 0x100).ok());
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());  // CPU 0's hint: gone
+  {
+    smp::ScopedCpu cpu(3);
+    ASSERT_TRUE(mem.Load(0x1010, 8).ok());  // CPU 3's hint: gone
+  }
+  {
+    smp::ScopedCpu cpu(5);
+    ASSERT_TRUE(mem.Load(0x4000, 8).ok());  // CPU 5's hint: kept
+  }
+  ASSERT_TRUE(mem.Unmap(0x1000).ok());
+  for (uint32_t id : {0u, 3u, 5u}) {
+    smp::ScopedCpu cpu(id);
+    uint8_t buf[8] = {};
+    EXPECT_EQ(mem.Load(0x1000, 8).status().code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(mem.Store(0x1010, 1, 8).code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(mem.Read(0x1000, buf, sizeof(buf)).code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(mem.Write(0x1000, buf, sizeof(buf)).code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(mem.RawHostPointer(0x1000, 8), nullptr);
+    EXPECT_TRUE(mem.Store(0x4000, id, 8).ok());
+    EXPECT_EQ(*mem.Load(0x4000, 8), id);
+  }
+}
+
+TEST(AddressSpaceTest, MmioNextToRamHitReachesTheDevice) {
+  AddressSpace mem;
+  ScratchMmio device;
+  ASSERT_TRUE(mem.MapRam("ram", 0x1000, 0x1000).ok());
+  ASSERT_TRUE(mem.MapMmio("dev", 0x2000, 0x1000, &device).ok());
+  for (uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(mem.Store(0x1ff8, i, 8).ok());  // hint: ram
+    auto value = mem.Load(0x2000 + 8 * i, 4);
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(*value, 0x12345678 + 8 * i);
+    ASSERT_TRUE(mem.Load(0x1ff8, 8).ok());
+    ASSERT_TRUE(mem.Store(0x2100 + 8 * i, i, 8).ok());
+    ASSERT_TRUE(mem.Load(0x1ff8, 8).ok());
+    ASSERT_TRUE(mem.Write32(0x2200, uint32_t(i)).ok());
+  }
+  ASSERT_EQ(device.reads.size(), 4u);
+  EXPECT_EQ(device.reads[3], (std::pair<uint64_t, uint32_t>{0x18, 4}));
+  ASSERT_EQ(device.writes.size(), 8u);
+  EXPECT_EQ(device.writes[6], (std::pair<uint64_t, uint64_t>{0x118, 3}));
+  EXPECT_EQ(device.writes[7], (std::pair<uint64_t, uint64_t>{0x200, 3}));
+  EXPECT_EQ(*mem.Load(0x1ff8, 8), 3u);
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+  EXPECT_EQ(mem.RawHostPointer(0x2000, 4), nullptr);
+}
+
+TEST(AddressSpaceTest, HitPathRejectsBadSizes) {
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("buf", 0x1000, 0x100).ok());
+  ASSERT_TRUE(mem.Store(0x1000, ~0ull, 8).ok());
+  ASSERT_TRUE(mem.Store(0x1008, ~0ull, 8).ok());
+  for (uint32_t size : {0u, 3u, 16u}) {
+    ASSERT_TRUE(mem.Load(0x1000, 8).ok());  // hint: buf
+    EXPECT_EQ(mem.Load(0x1010, size).status().code(),
+              ErrorCode::kInvalidArgument)
+        << "size " << size;
+    ASSERT_TRUE(mem.Load(0x1000, 8).ok());
+    EXPECT_EQ(mem.Store(0x1000, 0, size).code(), ErrorCode::kInvalidArgument)
+        << "size " << size;
+  }
+  EXPECT_EQ(*mem.Load(0x1000, 8), ~0ull);
+  EXPECT_EQ(*mem.Load(0x1008, 8), ~0ull);
+}
+
+TEST(AddressSpaceTest, ZeroSizeReadWriteIsOk) {
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("buf", 0x1000, 0x100).ok());
+  ASSERT_TRUE(mem.MapRam("text", 0x2000, 0x100, /*writable=*/false).ok());
+  uint8_t byte = 0xee;
+  for (uint64_t addr : {0x1000ull, 0x1100ull, 0x2000ull, 0x9000ull}) {
+    ASSERT_TRUE(mem.Load(0x1000, 8).ok());  // hint: buf
+    EXPECT_TRUE(mem.Read(addr, &byte, 0).ok()) << std::hex << addr;
+    EXPECT_TRUE(mem.Write(addr, &byte, 0).ok()) << std::hex << addr;
+  }
+  EXPECT_EQ(byte, 0xee);
+  EXPECT_EQ(*mem.Load(0x1000, 1), 0u);
+}
+
+TEST(AddressSpaceTest, UnalignedRamAccessHits) {
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("buf", 0x1000, 0x100).ok());
+  ASSERT_TRUE(mem.Load(0x1000, 8).ok());  // hint: buf
+  ASSERT_TRUE(mem.Store(0x1003, 0x1122334455667788ull, 8).ok());
+  auto value = mem.Load(0x1003, 8);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, 0x1122334455667788ull);
+  EXPECT_EQ(*mem.Load(0x1002, 1), 0u);
+  EXPECT_EQ(*mem.Load(0x100b, 1), 0u);
+  EXPECT_EQ(*mem.Read64(0x1003), 0x1122334455667788ull);
+  EXPECT_EQ(*mem.Load(0x1005, 2), 0x5566u);
+  EXPECT_TRUE(mem.Store(0x10f7, 0xabull << 56, 8).ok());  // last byte: 0x10fe
+  EXPECT_EQ(*mem.Load(0x10fe, 1), 0xabu);
+}
+
+// A shared MMIO window that counts per offset, safe to hit from every
+// CPU at once.
+class CountingMmio : public MmioDevice {
+ public:
+  uint64_t MmioRead(uint64_t offset, uint32_t) override {
+    reads[offset / 8].fetch_add(1, std::memory_order_relaxed);
+    return offset;
+  }
+  void MmioWrite(uint64_t offset, uint64_t value, uint32_t) override {
+    writes[offset / 8].fetch_add(1, std::memory_order_relaxed);
+    last[offset / 8].store(value, std::memory_order_relaxed);
+  }
+  std::array<std::atomic<uint64_t>, 8> reads{};
+  std::array<std::atomic<uint64_t>, 8> writes{};
+  std::array<std::atomic<uint64_t>, 8> last{};
+};
+
+TEST(AddressSpaceTest, CpusKeepTheirOwnHint) {
+  constexpr uint32_t kCpus = 4;
+  constexpr uint64_t kIters = 4096;
+  constexpr uint64_t kSlots = 64;
+  constexpr uint64_t kMmio = 0x100000;
+  auto ram_base = [](uint32_t cpu) { return 0x10000 * (uint64_t{cpu} + 1); };
+  AddressSpace mem;
+  CountingMmio device;
+  for (uint32_t cpu = 0; cpu < kCpus; ++cpu) {
+    ASSERT_TRUE(mem.MapRam("cpu" + std::to_string(cpu), ram_base(cpu),
+                           kSlots * 8)
+                    .ok());
+  }
+  ASSERT_TRUE(mem.MapMmio("shared", kMmio, 0x40, &device).ok());
+  std::array<uint64_t, kCpus> bad_loads{};
+  smp::RunOnCpus(kCpus, [&](uint32_t cpu) {
+    const uint64_t base = ram_base(cpu);
+    for (uint64_t i = 0; i < kIters; ++i) {
+      const uint64_t addr = base + 8 * (i % kSlots);
+      const uint64_t tag = (uint64_t{cpu} << 32) | i;
+      if (!mem.Store(addr, tag, 8).ok()) ++bad_loads[cpu];
+      auto value = mem.Load(addr, 8);
+      if (!value.ok() || *value != tag) ++bad_loads[cpu];
+      auto reg = mem.Load(kMmio + 8 * cpu, 8);
+      if (!reg.ok() || *reg != 8 * cpu) ++bad_loads[cpu];
+      if (!mem.Store(kMmio + 8 * (kCpus + cpu), tag, 8).ok()) ++bad_loads[cpu];
+    }
+  });
+  for (uint32_t cpu = 0; cpu < kCpus; ++cpu) {
+    EXPECT_EQ(bad_loads[cpu], 0u) << "cpu " << cpu;
+    EXPECT_EQ(device.reads[cpu].load(), kIters) << "cpu " << cpu;
+    EXPECT_EQ(device.writes[kCpus + cpu].load(), kIters) << "cpu " << cpu;
+    EXPECT_EQ(device.last[kCpus + cpu].load(),
+              (uint64_t{cpu} << 32) | (kIters - 1));
+    for (uint64_t slot = 0; slot < kSlots; ++slot) {
+      const uint64_t i = kIters - kSlots + slot;  // last write to the slot
+      EXPECT_EQ(*mem.Load(ram_base(cpu) + 8 * slot, 8),
+                (uint64_t{cpu} << 32) | i)
+          << "cpu " << cpu << " slot " << slot;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- kmalloc --

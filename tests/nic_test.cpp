@@ -66,7 +66,7 @@ class NicTest : public ::testing::Test {
   }
 
   kernel::AddressSpace mem_;
-  CountingSink sink_;
+  CountingSink sink_{/*retain=*/16};
   E1000Device device_;
 };
 

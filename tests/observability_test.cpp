@@ -154,7 +154,7 @@ struct NicRig {
 
   Kernel kernel;
   ModuleLoader loader{&kernel, TrustedKeyring()};
-  nic::CountingSink sink{64};
+  nic::CountingSink sink{/*retain=*/64};
   nic::E1000Device device{&kernel.mem(), &sink};
   std::unique_ptr<PolicyModule> policy;
 };

@@ -523,7 +523,7 @@ TEST_P(WireEqualityProperty, BaselineAndCaratEmitIdenticalFrames) {
   const uint32_t size = GetParam();
   auto run = [&](bool guarded) -> std::vector<uint8_t> {
     kernel::Kernel kernel;
-    nic::CountingSink sink;
+    nic::CountingSink sink{/*retain=*/16};
     nic::E1000Device device(&kernel.mem(), &sink);
     EXPECT_TRUE(device.MapAt(kernel::kVmallocBase).ok());
     auto policy = policy::PolicyModule::Insert(
