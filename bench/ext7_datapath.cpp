@@ -26,6 +26,8 @@
 //   - >= 6x pps going 1 -> 8 CPUs on the 8-queue sweep (>= 4 queues in
 //     play; KOP_EXT7_GATE overrides the 6.0 for reduced CI smokes)
 //   - guarded/raw elapsed-cycles ratio <= 1.3x at every point
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -117,28 +119,33 @@ bool MeasurePoint(uint32_t queues, uint32_t cpus, uint64_t bursts,
     const double total_before = clock.TotalCycles();
     const auto wall_begin = WallClock::now();
 
+    // Each CPU counts in a local and stores its (adjacent) sent_per_cpu
+    // slot once, after its bursts; any CPU may raise `failed`.
     std::vector<uint64_t> sent_per_cpu(cpus, 0);
-    bool failed = false;
+    std::atomic<bool> failed{false};
     kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
+      std::vector<TxFrame> frames(burst);
+      uint64_t sent = 0;
       for (uint64_t i = 0; i < bursts; ++i) {
         for (uint32_t q = cpu; q < queues; q += cpus) {
-          std::vector<TxFrame> frames(burst,
-                                      TxFrame{staging[q], staged_len[q]});
+          std::fill(frames.begin(), frames.end(),
+                    TxFrame{staging[q], staged_len[q]});
           uint32_t queued = 0;
           auto status =
               (*driver).XmitBatch(q, frames.data(), burst, &queued);
           if (!status.ok() || queued != burst) {
-            failed = true;
+            failed.store(true, std::memory_order_relaxed);
             return;
           }
-          sent_per_cpu[cpu] += queued;
+          sent += queued;
           auto work = (*driver).NapiPoll(q, 32, nullptr);
           if (!work.ok()) {
-            failed = true;
+            failed.store(true, std::memory_order_relaxed);
             return;
           }
         }
       }
+      sent_per_cpu[cpu] = sent;
       // Drain the owned queues until reclaim reports no work.
       for (uint32_t q = cpu; q < queues; q += cpus) {
         for (int spins = 0; spins < 8; ++spins) {
@@ -147,7 +154,7 @@ bool MeasurePoint(uint32_t queues, uint32_t cpus, uint64_t bursts,
         }
       }
     });
-    if (failed) return false;
+    if (failed.load(std::memory_order_relaxed)) return false;
 
     Point m;
     m.wall_ns = std::chrono::duration<double, std::nano>(WallClock::now() -

@@ -3,7 +3,9 @@
 // scope stamps its begin/end on the per-CPU virtual clock and records a
 // fixed-size SpanEvent into an always-on per-CPU last-N ring (the
 // "flight recorder": it survives containment, so the moments before a
-// quarantine are always available to a postmortem bundle). Every span
+// quarantine are always available to a postmortem bundle). Closing a
+// span stores its five words straight from registers into a
+// cache-line-aligned ring slot; no event is built on the stack. Every span
 // also feeds a per-CPU per-kind Log2Buckets set, folded exactly on read
 // for interpolated p50/p90/p99/p999 queries. Like tracepoints, spans
 // never charge simulated cycles, and they are armed and disarmed at run
@@ -46,7 +48,9 @@ std::string_view SpanKindName(SpanKind kind);
 /// One completed span. `begin_tsc`/`end_tsc` are virtual cycles on the
 /// recording CPU's clock; `depth` is the span-nesting depth at begin
 /// (module call = 0); `seq` is the span's index in its CPU's ring, in
-/// completion order. (cpu, seq) names a span uniquely.
+/// completion order. (cpu, seq) names a span uniquely. EndSpan writes
+/// these fields as five words (begin, end, seq, arg,
+/// `kind | cpu << 16 | depth << 32`); span.cpp pins the layout to them.
 struct SpanEvent {
   uint64_t begin_tsc = 0;
   uint64_t end_tsc = 0;
@@ -74,11 +78,11 @@ struct SpanStats {
 /// write path touches only the recording CPU's cache-line-padded slot
 /// and takes no lock and no read-modify-write: the nesting depth and
 /// histogram are single-writer fields bumped with relaxed load+store,
-/// and the span goes into the CPU's own StampedRing under its index. All
-/// cross-CPU folding happens on the read side; readers validate each
-/// slot's stamp and may run concurrently with writers. One writer per
-/// simulated CPU is the contract: host threads sharing a CPU id may lose
-/// or mix spans.
+/// and the span's words go straight into the CPU's own StampedRing
+/// under its index. All cross-CPU folding happens on the read side;
+/// readers validate each slot's stamp and may run concurrently with
+/// writers. One writer per simulated CPU is the contract: host threads
+/// sharing a CPU id may lose or mix spans.
 class SpanRecorder {
  public:
   /// `per_cpu_capacity` rounded up to a power of two (min 64).

@@ -1,15 +1,21 @@
 // StampedRing<T>: the fixed-size flight-recorder ring behind each CPU's
 // TraceRing and SpanRecorder ring. A ring has exactly one writer — the
 // simulated CPU it belongs to — so appending takes no lock and no
-// read-modify-write: record n (the ring's own append count, which the
-// writer alone advances) goes to slot `n & mask` under a stamp that
-// encodes n — odd (2n+1) while the words are being stored, 2n+2 once
-// they are all in — and the count is then published with a release
-// store. Readers copy a slot between two stamp loads and keep it only if
-// both read 2n+2 for the record they wanted, so a record that is
-// mid-write or already overwritten by a later lap is skipped, never
-// returned torn. Every word is a relaxed atomic (plain movs on x86), so
-// concurrent readers are race-free under TSan as well as correct.
+// read-modify-write. There is one writer protocol, AppendWith(fill):
+// record n (the ring's own append count, which the writer alone
+// advances) goes to slot `n & mask` under a stamp that encodes n — odd
+// (2n+1) while `fill` stores the record's words straight into the slot,
+// 2n+2 once they are all in — and the count is then published with a
+// release store. Hot writers (Tracer::Record, SpanRecorder::EndSpan)
+// compose each word from scalars in registers, so no record is built on
+// the stack and reloaded; Append(const T&) is the same protocol fed from
+// a finished record. Slots are cache-line aligned, so a record of up to
+// seven words plus its stamp touches one line. Readers copy a slot
+// between two stamp loads and keep it only if both read 2n+2 for the
+// record they wanted, so a record that is mid-write or already
+// overwritten by a later lap is skipped, never returned torn. Every word
+// is a relaxed atomic (plain movs on x86), so concurrent readers are
+// race-free under TSan as well as correct.
 //
 // Contract: one writer per ring. Two host threads that append to the
 // same ring (threads sharing a simulated CPU id) may lose or mix
@@ -46,20 +52,35 @@ class alignas(64) StampedRing {
   /// next Append publishes under.
   uint64_t appended() const { return count_.load(std::memory_order_acquire); }
 
-  /// Publish `value` as record appended() (seqlock writer side). Only
-  /// the ring's owning CPU may call this.
-  void Append(const T& value) {
+  /// The words of one slot, in T's memory order: word i holds bytes
+  /// [8i, 8i+8) of the T that readers copy back.
+  using Words = std::array<std::atomic<uint64_t>, kWords>;
+
+  /// Publish record appended() (seqlock writer side): `fill(n, words)`
+  /// must store every word of record n with a relaxed store. Only the
+  /// ring's owning CPU may call this.
+  template <typename Fill>
+  void AppendWith(Fill&& fill) {
     const uint64_t n = count_.load(std::memory_order_relaxed);
     Slot& slot = slots_[n & mask_];
-    uint64_t words[kWords];
-    std::memcpy(words, &value, sizeof(T));
     slot.stamp.store(2 * n + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    for (size_t i = 0; i < kWords; ++i) {
-      slot.words[i].store(words[i], std::memory_order_relaxed);
-    }
+    fill(n, slot.words);
     slot.stamp.store(2 * n + 2, std::memory_order_release);
     count_.store(n + 1, std::memory_order_release);
+  }
+
+  /// Publish `value` as record appended().
+  void Append(const T& value) {
+    // Word-sized loads, so each one forwards from the caller's stores.
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    AppendWith([bytes](uint64_t, Words& words) {
+      for (size_t i = 0; i < kWords; ++i) {
+        uint64_t word;
+        std::memcpy(&word, bytes + i * sizeof(word), sizeof(word));
+        words[i].store(word, std::memory_order_relaxed);
+      }
+    });
   }
 
   /// Append to `out`, oldest first, the retained records among the
@@ -96,9 +117,9 @@ class alignas(64) StampedRing {
   }
 
  private:
-  struct Slot {
+  struct alignas(64) Slot {
     std::atomic<uint64_t> stamp{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
+    Words words{};
   };
 
   std::atomic<uint64_t> count_{0};

@@ -1,13 +1,15 @@
 // kop::trace — the ftrace analogue for the simulated kernel. Static
 // tracepoints (`KOP_TRACE(event, args...)`) record fixed-size records
 // (virtual-cycle timestamp, event id, up to four integer args) into a
-// per-CPU ring of stamped slots: no lock, and no read-modify-write — each
-// CPU writes only its own ring. Tracepoints are armed and disarmed at run
-// time (Tracer::SetEnabled, armed by default): a disarmed KOP_TRACE site
-// costs one relaxed load and a branch, and does not evaluate its
-// arguments. All timestamps come from the virtual clock — instrumentation
-// never charges simulated cycles, so enabling tracing cannot perturb an
-// experiment.
+// per-CPU ring of stamped, cache-line-aligned slots: no lock, and no
+// read-modify-write — each CPU writes only its own ring. An armed
+// tracepoint stores its seven words straight from registers into its
+// slot (Tracer::Record); no record is built on the stack. Tracepoints
+// are armed and disarmed at run time (Tracer::SetEnabled, armed by
+// default): a disarmed KOP_TRACE site costs one relaxed load and a
+// branch, and does not evaluate its arguments. All timestamps come from
+// the virtual clock — instrumentation never charges simulated cycles, so
+// enabling tracing cannot perturb an experiment.
 #pragma once
 
 #include <array>
@@ -70,6 +72,8 @@ std::array<const char*, 4> EventArgNames(EventId id);
 /// tracepoint fired on (thread id in Chrome-trace exports) and `seq` is
 /// the record's index in that CPU's ring — dense from 0 and monotonic
 /// even after the ring wraps. (cpu, seq) names a record uniquely.
+/// Tracer::Record writes these fields as seven words (tsc, seq,
+/// `event | cpu << 16`, args); trace.cpp pins the layout to them.
 struct TraceRecord {
   uint64_t tsc = 0;   // virtual cycles at firing time
   uint64_t seq = 0;
@@ -119,7 +123,14 @@ class TraceRing {
   void Clear();
 
  private:
+  friend class Tracer;
   using Ring = StampedRing<TraceRecord>;
+
+  /// The ring of `cpu` (< kMaxCpus), allocated on its first use. Only
+  /// `cpu` itself may call this.
+  Ring& RingOf(uint32_t cpu);
+  // The first-use path, kept out of line so RingOf inlines into Record.
+  [[gnu::noinline]] Ring* Allocate(uint32_t cpu);
 
   size_t capacity_;
   // Written once per CPU (its first Append), read by every reader.

@@ -1,6 +1,8 @@
 #include "kop/trace/span.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdio>
 
 #include "kop/sim/clock.hpp"
@@ -31,6 +33,18 @@ uint64_t NowTsc() {
   return clock != nullptr ? clock->ReadTsc() : 0;
 }
 
+// EndSpan stores a SpanEvent as five words; these tie each word to the
+// layout that readers copy back out of the slot.
+static_assert(std::endian::native == std::endian::little);
+static_assert(sizeof(SpanEvent) == 5 * sizeof(uint64_t));
+static_assert(offsetof(SpanEvent, begin_tsc) == 0 * 8);
+static_assert(offsetof(SpanEvent, end_tsc) == 1 * 8);
+static_assert(offsetof(SpanEvent, seq) == 2 * 8);
+static_assert(offsetof(SpanEvent, arg) == 3 * 8);
+static_assert(offsetof(SpanEvent, kind) == 4 * 8 && sizeof(SpanKind) == 1);
+static_assert(offsetof(SpanEvent, cpu) == 4 * 8 + 2);
+static_assert(offsetof(SpanEvent, depth) == 4 * 8 + 4);
+
 }  // namespace
 
 std::string_view SpanKindName(SpanKind kind) { return kSpanKinds[Index(kind)]; }
@@ -52,20 +66,25 @@ uint64_t SpanRecorder::BeginSpan() {
 }
 
 void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
-  SpanEvent event;
-  event.begin_tsc = begin_tsc;
-  event.end_tsc = NowTsc();
-  event.arg = arg;
-  event.kind = kind;
-  event.cpu = static_cast<uint16_t>(smp::CurrentCpu());
-  Cpu& cpu = Mine();
+  const uint64_t end_tsc = NowTsc();
+  const uint32_t cpu_id = smp::CurrentCpu();
+  Cpu& cpu = *cpus_[cpu_id % cpus_.size()];
   uint16_t depth = cpu.depth.load(std::memory_order_relaxed);
   if (depth > 0) --depth;
   cpu.depth.store(depth, std::memory_order_relaxed);
-  event.depth = depth;
-  event.seq = cpu.slots.appended();
-  cpu.slots.Append(event);
-  cpu.hist[Index(kind)].Observe(static_cast<double>(event.duration()));
+  const uint64_t kind_cpu_depth =
+      static_cast<uint64_t>(kind) |
+      uint64_t{static_cast<uint16_t>(cpu_id)} << 16 | uint64_t{depth} << 32;
+  cpu.slots.AppendWith([&](uint64_t n, StampedRing<SpanEvent>::Words& w) {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    w[0].store(begin_tsc, kRelaxed);
+    w[1].store(end_tsc, kRelaxed);
+    w[2].store(n, kRelaxed);
+    w[3].store(arg, kRelaxed);
+    w[4].store(kind_cpu_depth, kRelaxed);
+  });
+  const uint64_t duration = end_tsc >= begin_tsc ? end_tsc - begin_tsc : 0;
+  cpu.hist[Index(kind)].Observe(static_cast<double>(duration));
 }
 
 std::vector<SpanEvent> SpanRecorder::Snapshot() const {

@@ -1,6 +1,8 @@
 #include "kop/trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 
 namespace kop::trace {
 namespace {
@@ -44,6 +46,17 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
+// Tracer::Record stores a TraceRecord as seven words; these tie each
+// word to the layout that readers copy back out of the slot.
+static_assert(std::endian::native == std::endian::little);
+static_assert(sizeof(TraceRecord) == 7 * sizeof(uint64_t));
+static_assert(offsetof(TraceRecord, tsc) == 0 * 8);
+static_assert(offsetof(TraceRecord, seq) == 1 * 8);
+static_assert(offsetof(TraceRecord, event) == 2 * 8 && sizeof(EventId) == 2);
+static_assert(offsetof(TraceRecord, cpu) == 2 * 8 + 2);
+static_assert(offsetof(TraceRecord, pad32) == 2 * 8 + 4);
+static_assert(offsetof(TraceRecord, args) == 3 * 8);
+
 }  // namespace
 
 std::string_view EventName(EventId id) { return kEvents[Index(id)].name; }
@@ -62,18 +75,27 @@ TraceRing::~TraceRing() {
   for (auto& ring : rings_) delete ring.load(std::memory_order_relaxed);
 }
 
+TraceRing::Ring& TraceRing::RingOf(uint32_t cpu) {
+  // Only this CPU ever stores its pointer, so its own relaxed load sees
+  // its own allocation.
+  Ring* ring = rings_[cpu].load(std::memory_order_relaxed);
+  if (ring == nullptr) [[unlikely]] ring = Allocate(cpu);
+  return *ring;
+}
+
+TraceRing::Ring* TraceRing::Allocate(uint32_t cpu) {
+  // The release store publishes the ring to readers.
+  Ring* ring = new Ring(capacity_);
+  rings_[cpu].store(ring, std::memory_order_release);
+  return ring;
+}
+
 void TraceRing::Append(TraceRecord record) {
   const uint32_t cpu = smp::CurrentCpu() % smp::kMaxCpus;
-  // Only this CPU ever stores its pointer, so its own relaxed load sees
-  // its own allocation; the release store publishes the ring to readers.
-  Ring* ring = rings_[cpu].load(std::memory_order_relaxed);
-  if (ring == nullptr) [[unlikely]] {
-    ring = new Ring(capacity_);
-    rings_[cpu].store(ring, std::memory_order_release);
-  }
+  Ring& ring = RingOf(cpu);
   record.cpu = static_cast<uint16_t>(cpu);
-  record.seq = ring->appended();
-  ring->Append(record);
+  record.seq = ring.appended();
+  ring.Append(record);
 }
 
 uint64_t TraceRing::total_appended() const {
@@ -127,19 +149,23 @@ void TraceRing::Clear() {
 void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
                     uint64_t a3) {
   if (!enabled()) return;
-  const uint32_t cpu = smp::CurrentCpu();
+  const uint32_t cpu = smp::CurrentCpu() % smp::kMaxCpus;
   std::atomic<uint64_t>& count = counts_.Get(cpu)[Index(event)];
   count.store(count.load(std::memory_order_relaxed) + 1,
               std::memory_order_relaxed);
-  TraceRecord record;
   const sim::VirtualClock* clock = clock_.load(std::memory_order_acquire);
-  record.tsc = clock != nullptr ? clock->ReadTsc() : 0;
-  record.event = event;
-  record.args[0] = a0;
-  record.args[1] = a1;
-  record.args[2] = a2;
-  record.args[3] = a3;
-  ring_.Append(record);
+  const uint64_t tsc = clock != nullptr ? clock->ReadTsc() : 0;
+  const uint64_t event_cpu = static_cast<uint64_t>(event) | uint64_t{cpu} << 16;
+  ring_.RingOf(cpu).AppendWith([&](uint64_t n, TraceRing::Ring::Words& w) {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    w[0].store(tsc, kRelaxed);
+    w[1].store(n, kRelaxed);
+    w[2].store(event_cpu, kRelaxed);
+    w[3].store(a0, kRelaxed);
+    w[4].store(a1, kRelaxed);
+    w[5].store(a2, kRelaxed);
+    w[6].store(a3, kRelaxed);
+  });
 }
 
 uint64_t Tracer::event_count(EventId id) const {

@@ -19,6 +19,7 @@
 #include "kop/policy/policy_module.hpp"
 #include "kop/signing/signer.hpp"
 #include "kop/sim/clock.hpp"
+#include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/exporters.hpp"
 #include "kop/trace/metrics.hpp"
@@ -217,6 +218,45 @@ TEST(SpanRecorderTest, TailReturnsNewestOldestFirst) {
   for (size_t i = 0; i < tail.size(); ++i) {
     EXPECT_EQ(tail[i].arg, 6u + i);  // the newest four, oldest first
   }
+}
+
+TEST(SpanRecorderTest, DeepSpanOnCpu15KeepsEveryFieldPastAWrap) {
+  ScopedSpanClock scoped;
+  trace::SpanRecorder recorder(64);
+  constexpr SpanKind kLast =
+      static_cast<SpanKind>(trace::kSpanKindCount - 1);
+  constexpr uint64_t kOpen = 400;    // nesting depth reached
+  constexpr uint64_t kClosed = 100;  // innermost spans closed; ring is 64
+  smp::ScopedCpu bind(15);
+  std::vector<uint64_t> begins;
+  for (uint64_t d = 0; d < kOpen; ++d) {
+    scoped.clock().Advance(2.0);
+    begins.push_back(recorder.BeginSpan());
+  }
+  std::vector<uint64_t> ends;
+  for (uint64_t k = 0; k < kClosed; ++k) {
+    scoped.clock().Advance(5.0);
+    const uint64_t depth = kOpen - 1 - k;
+    recorder.EndSpan(kLast, begins[depth], 0xe5ull << 56 | depth << 16 | k);
+    ends.push_back(static_cast<uint64_t>(scoped.clock().NowCycles()));
+  }
+
+  const auto tail = recorder.Tail(15, 64);
+  ASSERT_EQ(tail.size(), 64u);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const uint64_t k = kClosed - 64 + i;
+    const uint64_t depth = kOpen - 1 - k;
+    const trace::SpanEvent& span = tail[i];
+    EXPECT_EQ(span.seq, k);
+    EXPECT_EQ(span.kind, kLast);
+    EXPECT_EQ(span.cpu, 15u);
+    EXPECT_EQ(span.depth, depth);
+    EXPECT_GE(span.depth, 256u);
+    EXPECT_EQ(span.begin_tsc, begins[depth]);
+    EXPECT_EQ(span.end_tsc, ends[k]);
+    EXPECT_EQ(span.arg, 0xe5ull << 56 | depth << 16 | k);
+  }
+  EXPECT_EQ(recorder.CpuCount(15, kLast), kClosed);
 }
 
 TEST(SpanRecorderTest, DisabledRecorderDropsSpans) {

@@ -189,6 +189,53 @@ TEST(TracerTest, MacroFiresIntoGlobalTracer) {
   GlobalTracer().Reset();
 }
 
+TEST(TracerTest, ArmedSiteWritesEveryFieldPastAWrapOnCpus0And15) {
+  Tracer& tracer = GlobalTracer();
+  tracer.Reset();
+  sim::VirtualClock clock;
+  const sim::VirtualClock* prev = tracer.clock();
+  tracer.SetClock(&clock);
+  const uint64_t capacity = tracer.ring().capacity();
+  const uint64_t fired = capacity + capacity / 2;  // past one wrap
+  // Four args with distinct high bits, so a swapped or shifted word
+  // shows in every record.
+  auto arg = [](uint64_t tag, uint64_t seq, uint32_t cpu) {
+    return tag << 56 | uint64_t{cpu} << 32 | seq;
+  };
+  for (uint32_t cpu : {0u, 15u}) {
+    smp::ScopedCpu bind(cpu);
+    for (uint64_t i = 0; i < fired; ++i) {
+      clock.Advance(3.0);
+      KOP_TRACE(kPostmortemCapture, arg(0xa1, i, cpu), arg(0xb2, i, cpu),
+                arg(0xc3, i, cpu), arg(0xd4, i, cpu));
+    }
+  }
+  tracer.SetClock(prev);
+  const auto records = tracer.ring().Snapshot();
+  const uint64_t counted = tracer.event_count(EventId::kPostmortemCapture);
+  tracer.Reset();
+
+  EXPECT_EQ(counted, 2 * fired);
+  ASSERT_EQ(records.size(), 2 * capacity);
+  // The newest `capacity` records of each CPU survive, with dense seqs.
+  // One bad word breaks every record, so stop at the first.
+  std::map<uint32_t, uint64_t> next_seq = {{0, fired - capacity},
+                                           {15, fired - capacity}};
+  for (const TraceRecord& r : records) {
+    ASSERT_TRUE(r.cpu == 0 || r.cpu == 15) << "cpu " << r.cpu;
+    const uint64_t seq = next_seq[r.cpu]++;
+    ASSERT_EQ(r.seq, seq) << "cpu " << r.cpu;
+    ASSERT_EQ(r.tsc, 3 * (seq + 1));
+    ASSERT_EQ(r.event, EventId::kPostmortemCapture);
+    ASSERT_EQ(r.args[0], arg(0xa1, seq, r.cpu));
+    ASSERT_EQ(r.args[1], arg(0xb2, seq, r.cpu));
+    ASSERT_EQ(r.args[2], arg(0xc3, seq, r.cpu));
+    ASSERT_EQ(r.args[3], arg(0xd4, seq, r.cpu));
+  }
+  EXPECT_EQ(next_seq[0], fired);
+  EXPECT_EQ(next_seq[15], fired);
+}
+
 // ------------------------------------------------------------ metrics --
 
 TEST(MetricsTest, CountersAreSharedByName) {
