@@ -4,8 +4,10 @@
 // PolicyEngine::FastGuard) and both KIR engines compile this one allow
 // path into their own code, so an allowed access makes no call. A pin
 // holds the calling CPU's RCU read section and the published PolicyFrame
-// for a whole outermost call; an allow is accounted exactly as
-// PolicyEngine::Guard() accounts it. Anything else deopts (returns
+// for a whole outermost call; an allow is accounted as
+// PolicyEngine::Guard() accounts it, its counters and histogram
+// observations batched in the pin until FlushAllows (at every unpin and
+// before every out-of-line decision). Anything else deopts (returns
 // false) to the out-of-line Guard()/GuardRange()/CfiCheck(), which own
 // violation and containment semantics. The policy engine implements
 // PinSource and owns the slots (DESIGN.md §15).
@@ -136,12 +138,11 @@ struct CpuStats {
   std::atomic<uint64_t> cfi_denied{0};
 };
 
-/// One row of a shard's site-attribution table. Counters are relaxed
-/// atomics written with plain load+store: each shard has exactly one
-/// writer (its own CPU), the atomics only make cross-CPU folds and
-/// resets race-free.
+/// One row of a shard's site-attribution table; its site is its index.
+/// Counters are relaxed atomics written with plain load+store: each shard
+/// has exactly one writer (its own CPU), the atomics only make cross-CPU
+/// folds and resets race-free.
 struct SiteRow {
-  std::atomic<uint64_t> site{0};
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> denied{0};
   std::atomic<uint64_t> elided{0};
@@ -188,6 +189,13 @@ class PinSource;
 /// per-guard CPU-slot lookups; `default_allow`
 /// may go stale only together with `mutation_gen` (SetMode bumps it),
 /// which deopts the guard first.
+///
+/// The batches hold what inline decisions owe this CPU's stats and
+/// histograms; FlushAllows folds them, at the outermost unpin, on a
+/// refresh, on every deopt (before the out-of-line decision, which reads
+/// guard_calls for ViolationRecord::sequence) and when the lookup depth
+/// changes. Site hits and the clock charge are never batched: postmortem
+/// heatmaps and mid-entry virtual time read them as they happen.
 struct PinSlot {
   uint32_t depth = 0;
   std::optional<smp::RcuDomain::ReadGuard> rcu;
@@ -205,13 +213,17 @@ struct PinSlot {
   // guards charge cycles with one load+store instead of a slot lookup.
   std::atomic<double>* clock_cell = nullptr;
   // This CPU's bucket sets of the two guard histograms: an inline
-  // allow observes them as Guard() does, minus the CPU-slot lookup.
-  // Its latency is the pin's constant guard_cycles, so those
-  // observations batch in latency_batch and flush whenever
-  // guard_cycles may change (refresh) and at unpin.
+  // decision observes them as Guard() does, minus the CPU-slot lookup.
   trace::Log2Buckets* latency = nullptr;
   trace::Log2Buckets* lookup_depth = nullptr;
+  // Inline decisions (allows and CFI passes) not yet observed at the
+  // pin's guard_cycles, which only a refresh changes.
   uint64_t latency_batch = 0;
+  // Inline allows not yet folded into stats->guard_calls / allowed and
+  // the lookup-depth histogram. They are one run of equal lookup depths,
+  // `depth_value`: a different depth flushes the run first.
+  uint64_t allowed_batch = 0;
+  uint64_t depth_value = 0;
   // Elision credits accumulated over the pinned call and flushed to the
   // global guard.elided counter at unpin: one fetch_add per call instead
   // of one per covering guard. Per-CPU stats stay exact per cover.
@@ -261,8 +273,6 @@ inline void Unpin(PinSlot*& pin) {
     for (size_t i = 0; i < old->capacity; ++i) {
       const SiteRow& from = old->rows[i];
       SiteRow& to = grown->rows[i];
-      to.site.store(from.site.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
       to.hits.store(from.hits.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
       to.denied.store(from.denied.load(std::memory_order_relaxed),
@@ -278,8 +288,27 @@ inline void Unpin(PinSlot*& pin) {
   shard.storage = std::move(grown);
 }
 
-/// Count one inline check sent out of line (guard.deopt).
-[[gnu::noinline]] inline void CountDeopt(const PinSlot& pin) {
+/// Fold the pin's batched inline accounting into this CPU's stats and
+/// histograms: afterwards they read as if every inline decision had been
+/// accounted unbatched. ObserveN keeps the histogram sums bit-identical.
+[[gnu::noinline]] inline void FlushAllows(PinSlot& pin) {
+  if (pin.allowed_batch != 0) {
+    BumpRelaxed(pin.stats->guard_calls, pin.allowed_batch);
+    BumpRelaxed(pin.stats->allowed, pin.allowed_batch);
+    pin.lookup_depth->ObserveN(static_cast<double>(pin.depth_value),
+                               pin.allowed_batch);
+    pin.allowed_batch = 0;
+  }
+  if (pin.latency_batch != 0) {
+    pin.latency->ObserveN(pin.guard_cycles, pin.latency_batch);
+    pin.latency_batch = 0;
+  }
+}
+
+/// Count one inline check sent out of line (guard.deopt), flushing the
+/// pin first so the out-of-line decision sees exact stats.
+[[gnu::noinline]] inline void CountDeopt(PinSlot& pin) {
+  FlushAllows(pin);
   pin.cells->deopt->Add();
 }
 
@@ -300,7 +329,6 @@ inline void Unpin(PinSlot*& pin) {
     table = shard.table.load(std::memory_order_acquire);
   }
   SiteRow& row = table->rows[static_cast<size_t>(site)];
-  row.site.store(site, std::memory_order_relaxed);
   BumpRelaxed(row.hits);
   if (elided != 0) BumpRelaxed(row.elided, elided);
   if (!allowed) BumpRelaxed(row.denied);
@@ -342,7 +370,8 @@ inline void Unpin(PinSlot*& pin) {
 }
 
 /// carat_guard / carat_guard_range against the pinned frame (elided = 0
-/// for a single access). True = allowed and fully accounted. False =
+/// for a single access). True = allowed and accounted (counters batched
+/// in the pin, see FlushAllows). False =
 /// deopt: not pinned, frame generation moved (the pin is refreshed so
 /// later guards in the call are fast again), the fault-injection
 /// forced-deny is armed, or the check failed.
@@ -362,15 +391,17 @@ inline void Unpin(PinSlot*& pin) {
     CountDeopt(pin);
     return false;  // slow path re-decides with full violation semantics
   }
-  BumpRelaxed(pin.stats->guard_calls);
-  BumpRelaxed(pin.stats->allowed);
+  if (depth != pin.depth_value) [[unlikely]] {
+    FlushAllows(pin);
+    pin.depth_value = depth;
+  }
+  ++pin.allowed_batch;
   NoteSiteIn(*pin.sites, site, true, elided);
   if (elided != 0) {
     BumpRelaxed(pin.stats->elided, elided);
     pin.elided_batch += elided;
   }
   ChargePinned(pin);
-  pin.lookup_depth->Observe(static_cast<double>(depth));
   return true;
 }
 

@@ -296,7 +296,7 @@ void PolicyEngine::UnpinFrame() {
   guard::PinSlot& pin = pin_slots_.Mine();
   if (pin.depth == 0) return;  // unbalanced close: tolerate, stay slow
   if (--pin.depth == 0) {
-    FlushLatency(pin);
+    guard::FlushAllows(pin);
     if (pin.elided_batch != 0) {
       elided_counter_->Add(pin.elided_batch);
       pin.elided_batch = 0;
@@ -307,9 +307,10 @@ void PolicyEngine::UnpinFrame() {
 }
 
 void PolicyEngine::RefreshPin(guard::PinSlot& pin) {
-  // Batched latencies belong to the outgoing guard_cycles, and must land
-  // before the deopting guard observes the new frame's out of line.
-  FlushLatency(pin);
+  // Batched latencies belong to the outgoing guard_cycles, so nothing
+  // may stay batched across the refresh (a stale pin's deopt has already
+  // flushed; this keeps the rule where guard_cycles changes).
+  guard::FlushAllows(pin);
   // Snapshot the mutation clock BEFORE resolving the frame: a mutation
   // that lands between the two reads leaves the snapshot behind the live
   // clock, so the next inline guard deopts and refreshes — a spurious
@@ -326,12 +327,6 @@ void PolicyEngine::RefreshPin(guard::PinSlot& pin) {
   // Mode is config: SetMode bumps the mutation clock, so this snapshot
   // can only go stale together with a clock mismatch.
   pin.default_allow = mode() == PolicyMode::kDefaultAllow;
-}
-
-void PolicyEngine::FlushLatency(guard::PinSlot& pin) {
-  if (pin.latency_batch == 0) return;
-  pin.latency->ObserveN(pin.guard_cycles, pin.latency_batch);
-  pin.latency_batch = 0;
 }
 
 bool PolicyEngine::IntrinsicGuard(uint64_t intrinsic_id) {
@@ -429,6 +424,9 @@ GuardStats PolicyEngine::PerCpuStats(uint32_t cpu) const {
 }
 
 void PolicyEngine::ResetStats() {
+  // A pinned caller's batched allows predate the reset: fold them now so
+  // the zeroing below covers them, not a later flush.
+  guard::FlushAllows(pin_slots_.Mine());
   cpu_stats_.ForEach([](uint32_t, guard::CpuStats& slot) {
     slot.guard_calls.store(0, std::memory_order_relaxed);
     slot.allowed.store(0, std::memory_order_relaxed);
@@ -451,7 +449,6 @@ void PolicyEngine::ResetStats() {
     if (table == nullptr) return;
     for (size_t i = 0; i < table->capacity; ++i) {
       guard::SiteRow& row = table->rows[i];
-      row.site.store(0, std::memory_order_relaxed);
       row.hits.store(0, std::memory_order_relaxed);
       row.denied.store(0, std::memory_order_relaxed);
       row.elided.store(0, std::memory_order_relaxed);
@@ -481,12 +478,9 @@ std::vector<HotSite> PolicyEngine::HotSites() const {
       const guard::SiteRow& row = table->rows[i];
       const uint64_t hits = row.hits.load(std::memory_order_relaxed);
       if (hits == 0) continue;
-      const uint64_t site = row.site.load(std::memory_order_relaxed);
-      if (site >= merged.size()) {
-        merged.resize(static_cast<size_t>(site) + 1);
-      }
-      HotSite& out = merged[static_cast<size_t>(site)];
-      out.site = site;
+      if (i >= merged.size()) merged.resize(i + 1);
+      HotSite& out = merged[i];
+      out.site = i;
       out.hits += hits;
       out.denied += row.denied.load(std::memory_order_relaxed);
       out.elided += row.elided.load(std::memory_order_relaxed);

@@ -175,11 +175,17 @@ class PolicyEngine final : public guard::PinSource {
 
   /// Counter totals folded across the per-CPU slots. Returned by value:
   /// concurrent Guard()s keep mutating their own slots, so a reference
-  /// would let readers observe torn counter sets.
+  /// would let readers observe torn counter sets. A pinned CPU's inline
+  /// allows land at its next unpin or out-of-line decision
+  /// (guard::FlushAllows); until then its guard_calls / allowed and its
+  /// guard histograms trail by that batch.
   GuardStats stats() const;
   /// One simulated CPU's share of the counters (the concurrency battery
   /// proves these sum to stats()).
   GuardStats PerCpuStats(uint32_t cpu) const;
+  /// Zero the counters, violations and site rows. The calling CPU's
+  /// pending inline batch is folded first, so it cannot resurrect
+  /// pre-reset counts.
   void ResetStats();
 
   /// The most recent denials, oldest first (capacity 64).
@@ -272,8 +278,6 @@ class PolicyEngine final : public guard::PinSource {
   const PolicyFrame* CurrentFrame() const;
   const PolicyFrame* RepublishFrame() const;
 
-  /// Observe the pin's batched latencies into guard.latency_cycles.
-  static void FlushLatency(guard::PinSlot& pin);
   void RefreshPin(guard::PinSlot& pin) override;
   uint64_t FoldGuardCalls() const;
   uint64_t FoldIntrinsicCalls() const;

@@ -11,10 +11,19 @@ void Log2Buckets::ObserveN(double value, uint64_t n) {
   std::atomic<uint64_t>& bucket = buckets_[Index(value)];
   bucket.store(bucket.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
-  // Added one at a time, not as n * value: floating-point addition
-  // rounds at every step, and the sum must match unbatched observation.
   double sum = sum_.load(std::memory_order_relaxed);
-  for (uint64_t i = 0; i < n; ++i) sum += value;
+  // Integers below 2^53 are exact doubles, so when the value and the sum
+  // are integral and every partial sum stays under 2^53 (the bound is
+  // computed with monotone rounding, so passing it proves it), each
+  // unbatched addition is exact and one multiply-add equals them all.
+  // Otherwise add one at a time: floating-point addition rounds at every
+  // step, and the sum must match unbatched observation bit for bit.
+  if (value == std::trunc(value) && sum == std::trunc(sum) &&
+      std::fabs(sum) + static_cast<double>(n) * std::fabs(value) < 0x1p53) {
+    sum += static_cast<double>(n) * value;
+  } else {
+    for (uint64_t i = 0; i < n; ++i) sum += value;
+  }
   sum_.store(sum, std::memory_order_relaxed);
 }
 

@@ -5,11 +5,11 @@
 #pragma once
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 
 namespace kop {
 
@@ -35,32 +35,46 @@ enum class ErrorCode {
 /// Human-readable name for an error code ("invalid_argument", ...).
 std::string_view ErrorCodeName(ErrorCode code);
 
-/// A success-or-error result with a message. Cheap to copy on the success
-/// path (no allocation when ok).
+/// A success-or-error result with a message. One pointer wide: OK is a
+/// null pointer, so the success path never allocates, copies or frees;
+/// an error owns its code and message out of line. Copies deep-copy the
+/// error. A moved-from Status reads OK.
 class [[nodiscard]] Status {
  public:
   Status() = default;  // OK
   Status(ErrorCode code, std::string message)
-      : code_(code), message_(std::move(message)) {
+      : rep_(std::make_unique<Rep>(Rep{code, std::move(message)})) {
     assert(code != ErrorCode::kOk && "use Status() / OkStatus() for success");
   }
+  Status(const Status& other)
+      : rep_(other.rep_ ? std::make_unique<Rep>(*other.rep_) : nullptr) {}
+  Status& operator=(const Status& other) {
+    rep_ = other.rep_ ? std::make_unique<Rep>(*other.rep_) : nullptr;
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status Ok() { return Status(); }
 
-  bool ok() const { return code_ == ErrorCode::kOk; }
-  ErrorCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return rep_ == nullptr; }
+  ErrorCode code() const { return rep_ ? rep_->code : ErrorCode::kOk; }
+  const std::string& message() const;
 
   /// "ok" or "<code>: <message>".
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code() == other.code() && message() == other.message();
   }
 
  private:
-  ErrorCode code_ = ErrorCode::kOk;
-  std::string message_;
+  struct Rep {
+    ErrorCode code;
+    std::string message;
+  };
+
+  std::unique_ptr<Rep> rep_;
 };
 
 inline Status OkStatus() { return Status::Ok(); }
@@ -106,33 +120,33 @@ inline Status Internal(std::string msg) {
 }
 
 /// Result<T>: either a value or a Status. Modeled after absl::StatusOr.
+/// Holds the value as an optional beside a Status that is OK exactly when
+/// the value is present, so an OK Result carries one null pointer of
+/// error state.
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : rep_(std::move(value)) {}         // NOLINT(implicit)
-  Result(Status status) : rep_(std::move(status)) {   // NOLINT(implicit)
-    assert(!std::get<Status>(rep_).ok() &&
+  Result(T value) : value_(std::move(value)) {}         // NOLINT(implicit)
+  Result(Status status) : status_(std::move(status)) {  // NOLINT(implicit)
+    assert(!status_.ok() &&
            "Result<T> must not hold an OK status without a value");
   }
 
-  bool ok() const { return std::holds_alternative<T>(rep_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(rep_);
-  }
+  const Status& status() const { return status_; }
 
   T& value() & {
     assert(ok());
-    return std::get<T>(rep_);
+    return *value_;
   }
   const T& value() const& {
     assert(ok());
-    return std::get<T>(rep_);
+    return *value_;
   }
   T&& value() && {
     assert(ok());
-    return std::get<T>(std::move(rep_));
+    return *std::move(value_);
   }
 
   T& operator*() & { return value(); }
@@ -142,11 +156,12 @@ class [[nodiscard]] Result {
 
   /// Returns the value or `fallback` when this holds an error.
   T value_or(T fallback) const& {
-    return ok() ? std::get<T>(rep_) : std::move(fallback);
+    return ok() ? *value_ : std::move(fallback);
   }
 
  private:
-  std::variant<T, Status> rep_;
+  std::optional<T> value_;
+  Status status_;
 };
 
 // Propagate-on-error helpers, kernel-module-init style.

@@ -22,12 +22,17 @@ std::string_view ErrorCodeName(ErrorCode code) {
   return "unknown";
 }
 
+const std::string& Status::message() const {
+  static const std::string kEmpty;
+  return rep_ ? rep_->message : kEmpty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "ok";
-  std::string out(ErrorCodeName(code_));
-  if (!message_.empty()) {
+  std::string out(ErrorCodeName(rep_->code));
+  if (!rep_->message.empty()) {
     out += ": ";
-    out += message_;
+    out += rep_->message;
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "kop/e1000e/driver.hpp"
 #include "kop/hpet/heartbeat.hpp"
@@ -703,9 +704,15 @@ TEST_F(DriverTest, ForcedDenyInPinnedXmitIsDecidedOutOfLine) {
   EXPECT_EQ(engine.stats().guard_calls, 17u);
   violations = engine.RecentViolations();
   ASSERT_EQ(violations.size(), 8u);
+  std::vector<uint64_t> sequences;
   for (const policy::ViolationRecord& record : violations) {
     EXPECT_EQ(record.site, store_site);
+    sequences.push_back(record.sequence);
   }
+  // Each record's sequence is its guard call's ordinal in the xmit, the
+  // inline allows before it included: the pin's batched allows are
+  // folded before every out-of-line decision.
+  EXPECT_EQ(sequences, (std::vector<uint64_t>{7, 8, 9, 10, 11, 12, 14, 16}));
   EXPECT_EQ(deopt->value() - deopts_before, 8u);
   EXPECT_FALSE(engine.FastGuard(frame, 8, kGuardAccessRead, 0));
 }

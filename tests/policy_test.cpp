@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/memory_map.hpp"
@@ -492,6 +495,151 @@ TEST_F(EngineTest, FastCfiCheckNeedsPinAndSendsMissesToSlowPath) {
   EXPECT_FALSE(engine_.CfiCheck(0x99, base));
   engine_.UnpinFrame();
   EXPECT_EQ(engine_.stats().cfi_denied, 1u);
+}
+
+// ---------------------------------------- pinned allow accounting --
+
+// Everything the guard accounting exposes: both guard histograms (per
+// bucket, sums bit for bit), the folded stats, the hot-site table, the
+// violation ring's sequences and the virtual clock.
+struct AccountingView {
+  std::vector<uint64_t> latency_buckets;
+  std::vector<uint64_t> depth_buckets;
+  uint64_t latency_sum_bits = 0;
+  uint64_t depth_sum_bits = 0;
+  GuardStats stats;
+  std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint64_t>> sites;
+  std::vector<uint64_t> sequences;
+  double clock = 0.0;
+};
+
+void ReadHistogram(const char* name, std::vector<uint64_t>* buckets,
+                   uint64_t* sum_bits) {
+  const trace::Log2Histogram* hist = trace::GlobalMetrics().GetHistogram(name);
+  for (size_t i = 0; i < trace::Log2Histogram::kBuckets; ++i) {
+    buckets->push_back(hist->bucket(i));
+  }
+  *sum_bits = std::bit_cast<uint64_t>(hist->sum());
+}
+
+AccountingView ViewOf(PolicyEngine& engine, kernel::Kernel& kernel) {
+  AccountingView view;
+  ReadHistogram("guard.latency_cycles", &view.latency_buckets,
+                &view.latency_sum_bits);
+  ReadHistogram("policy.lookup_depth", &view.depth_buckets,
+                &view.depth_sum_bits);
+  view.stats = engine.stats();
+  for (const HotSite& row : engine.HotSites()) {
+    view.sites.emplace_back(row.site, row.hits, row.denied, row.elided);
+  }
+  for (const ViolationRecord& record : engine.RecentViolations()) {
+    view.sequences.push_back(record.sequence);
+  }
+  view.clock = kernel.clock().NowCycles();
+  return view;
+}
+
+void ExpectSameAccounting(const AccountingView& got,
+                          const AccountingView& want) {
+  EXPECT_EQ(got.latency_buckets, want.latency_buckets);
+  EXPECT_EQ(got.depth_buckets, want.depth_buckets);
+  EXPECT_EQ(got.latency_sum_bits, want.latency_sum_bits);
+  EXPECT_EQ(got.depth_sum_bits, want.depth_sum_bits);
+  EXPECT_EQ(got.stats.guard_calls, want.stats.guard_calls);
+  EXPECT_EQ(got.stats.allowed, want.stats.allowed);
+  EXPECT_EQ(got.stats.denied, want.stats.denied);
+  EXPECT_EQ(got.stats.elided, want.stats.elided);
+  EXPECT_EQ(got.sites, want.sites);
+  EXPECT_EQ(got.sequences, want.sequences);
+  EXPECT_EQ(got.clock, want.clock);
+}
+
+// One guarded access as the native drivers make it: inline against the
+// pin when `pinned`, out of line (with the site pinned for attribution)
+// otherwise or on a deopt.
+void GuardedAccess(PolicyEngine& engine, bool pinned, uint64_t addr,
+                   uint64_t flags, uint64_t site) {
+  if (pinned && engine.FastGuard(addr, 8, flags, site)) return;
+  trace::ScopedGuardSite scope(site);
+  (void)engine.Guard(addr, 8, flags);
+}
+
+uint64_t RegisterTestSite(const char* function) {
+  trace::SiteInfo info;
+  info.module_name = "pinbatch";
+  info.function = function;
+  return trace::GlobalSites().Register(info);
+}
+
+// The scenario: guards at alternating lookup depths, a denial (deopt,
+// violation record), a region added mid-call (stale pin: deopt and
+// refresh, new guard cost), more guards at the new depths.
+AccountingView RunAccountingScenario(bool pinned) {
+  trace::GlobalMetrics().Reset();
+  kernel::Kernel kernel;
+  PolicyEngine engine(&kernel, PolicyMode::kDefaultDeny);
+  engine.SetViolationAction(ViolationAction::kLogOnly);
+  EXPECT_TRUE(engine.store().Add(Region{0x1000, 0x100, kProtRW}).ok());
+  EXPECT_TRUE(engine.store().Add(Region{0x2000, 0x100, kProtRW}).ok());
+  // Registered once: both runs must attribute to the same tokens.
+  static const uint64_t near = RegisterTestSite("near");
+  static const uint64_t far = RegisterTestSite("far");
+  if (pinned) {
+    EXPECT_TRUE(engine.PinFrame());
+  }
+  for (int i = 0; i < 7; ++i) {
+    GuardedAccess(engine, pinned, 0x1000 + 8 * i, kGuardAccessRead, near);
+    GuardedAccess(engine, pinned, 0x2000 + 8 * i, kGuardAccessWrite, far);
+    GuardedAccess(engine, pinned, 0x2000, kGuardAccessRead, far);
+  }
+  GuardedAccess(engine, pinned, 0x9000, kGuardAccessRead, near);  // denied
+  for (int i = 0; i < 3; ++i) {
+    GuardedAccess(engine, pinned, 0x1000, kGuardAccessRead, near);
+  }
+  EXPECT_TRUE(engine.store().Add(Region{0x3000, 0x100, kProtRead}).ok());
+  for (int i = 0; i < 5; ++i) {
+    GuardedAccess(engine, pinned, 0x3000, kGuardAccessRead, far);
+    GuardedAccess(engine, pinned, 0x1000, kGuardAccessWrite, near);
+  }
+  GuardedAccess(engine, pinned, 0x3000, kGuardAccessWrite, far);  // denied
+  GuardedAccess(engine, pinned, 0x2000, kGuardAccessRead, far);
+  if (pinned) engine.UnpinFrame();
+  return ViewOf(engine, kernel);
+}
+
+TEST(PinnedAccountingTest, UnpinnedViewEqualsUnbatchedGuards) {
+  const AccountingView unbatched = RunAccountingScenario(false);
+  ASSERT_EQ(unbatched.stats.guard_calls, 7u * 3 + 1 + 3 + 5 * 2 + 2);
+  ASSERT_EQ(unbatched.stats.denied, 2u);
+  const AccountingView batched = RunAccountingScenario(true);
+  // The pinned run really decided inline: two denials plus one stale
+  // pin were its only trips out of line (the scenario resets metrics).
+  EXPECT_EQ(trace::GlobalMetrics().GetCounter("guard.deopt")->value(), 3u);
+  ExpectSameAccounting(batched, unbatched);
+}
+
+TEST(PinnedAccountingTest, ResetStatsWhilePinnedDropsThePendingBatch) {
+  kernel::Kernel kernel;
+  PolicyEngine engine(&kernel, PolicyMode::kDefaultAllow);
+  trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const uint64_t depth_before = depth->count();
+  ASSERT_TRUE(engine.PinFrame());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(engine.FastGuard(0x1000, 8, kGuardAccessRead, 0));
+  }
+  engine.ResetStats();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.FastGuard(0x1000, 8, kGuardAccessRead, 0));
+  }
+  engine.UnpinFrame();
+  EXPECT_EQ(engine.stats().guard_calls, 4u);
+  EXPECT_EQ(engine.stats().allowed, 4u);
+  // ResetStats leaves the histograms alone: all ten guards stay observed.
+  EXPECT_EQ(depth->count() - depth_before, 10u);
+  uint64_t hits = 0;
+  for (const HotSite& row : engine.HotSites()) hits += row.hits;
+  EXPECT_EQ(hits, 4u);
 }
 
 TEST_F(EngineTest, RegisterCfiSetsRebasesPerModule) {

@@ -810,6 +810,60 @@ TEST(SmpTest, ShardedGuardHistogramsFoldToGuardCallsExactly) {
   EXPECT_EQ(depth->count() - depth0, calls);
 }
 
+// Pinned guards batch their allow accounting in the pin (DESIGN.md §15).
+// Four CPUs run pinned calls of inline guards while a writer churns the
+// table — stale pins deopt and refresh, miss depths change under them —
+// and after the join every guard is counted exactly once: in stats, as
+// allowed, and as a hot-site hit.
+TEST(SmpTest, PinnedAllowBatchesFoldExactlyUnderRegionChurn) {
+  constexpr uint32_t kWorkers = 4;
+  constexpr int kCalls = 200;
+  constexpr int kGuardsPerCall = 50;
+  Kernel kernel(SmallKernel());
+  policy::PolicyEngine engine(&kernel, policy::PolicyMode::kDefaultAllow);
+  trace::SiteInfo info;
+  info.module_name = "smp_pinbatch";
+  info.function = "walk";
+  const uint64_t site = trace::GlobalSites().Register(info);
+  std::atomic<uint32_t> running{kWorkers};
+
+  smp::RunOnCpus(kWorkers + 1, [&](uint32_t cpu) {
+    if (cpu == 0) {
+      // Churn regions the workers never touch: each change moves the
+      // mutation clock and the miss depth.
+      uint64_t i = 0;
+      while (running.load(std::memory_order_acquire) != 0) {
+        const uint64_t base = 0x100000 + (i % 16) * 0x1000;
+        if (!engine.store().Add(policy::Region{base, 0x800, policy::kProtRW}).ok()) {
+          (void)engine.store().Remove(base);
+        }
+        ++i;
+      }
+      return;
+    }
+    for (int call = 0; call < kCalls; ++call) {
+      ASSERT_TRUE(engine.PinFrame());
+      for (int g = 0; g < kGuardsPerCall; ++g) {
+        const uint64_t addr = 0x4000 + cpu * 0x100 + (g % 8) * 8;
+        if (!engine.FastGuard(addr, 8, kGuardAccessRead, site)) {
+          trace::ScopedGuardSite scope(site);
+          ASSERT_TRUE(engine.Guard(addr, 8, kGuardAccessRead));
+        }
+      }
+      engine.UnpinFrame();
+    }
+    running.fetch_sub(1, std::memory_order_acq_rel);
+  });
+
+  const uint64_t total = uint64_t{kWorkers} * kCalls * kGuardsPerCall;
+  const policy::GuardStats stats = engine.stats();
+  EXPECT_EQ(stats.guard_calls, total);
+  EXPECT_EQ(stats.allowed, total);
+  uint64_t hits = 0;
+  for (const policy::HotSite& row : engine.HotSites()) hits += row.hits;
+  EXPECT_EQ(hits, total);
+}
+
 // --------------------------------------------------- RCU grace period
 
 // Readers chase a published pointer while a writer retires old values.

@@ -2,6 +2,8 @@
 // directory, and the Chrome-trace/CSV exporters.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "kop/sim/clock.hpp"
+#include "kop/sim/machine.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/exporters.hpp"
@@ -275,6 +278,43 @@ TEST(MetricsTest, Log2HistogramBucketsByPowerOfTwo) {
   EXPECT_DOUBLE_EQ(Log2Histogram::BucketLo(0), 0.0);
   EXPECT_DOUBLE_EQ(Log2Histogram::BucketLo(1), 1.0);
   EXPECT_DOUBLE_EQ(Log2Histogram::BucketLo(11), 1024.0);
+}
+
+// ObserveN(v, n) must leave exactly the buckets and, bit for bit, the
+// sum that n Observe(v) calls leave, whichever way it adds them up.
+void ExpectObserveNMatchesUnbatched(double preload, double value,
+                                    uint64_t n) {
+  Log2Buckets batched;
+  Log2Buckets single;
+  batched.Observe(preload);
+  single.Observe(preload);
+  batched.ObserveN(value, n);
+  for (uint64_t i = 0; i < n; ++i) single.Observe(value);
+  EXPECT_EQ(std::bit_cast<uint64_t>(batched.sum()),
+            std::bit_cast<uint64_t>(single.sum()))
+      << "preload " << preload << " value " << value << " n " << n << ": "
+      << batched.sum() << " vs " << single.sum();
+  for (size_t i = 0; i < Log2Buckets::kBuckets; ++i) {
+    EXPECT_EQ(batched.bucket(i), single.bucket(i)) << "bucket " << i;
+  }
+}
+
+TEST(MetricsTest, ObserveNIsBitIdenticalToRepeatedObserve) {
+  // Integral depths from an integral sum: the closed form.
+  ExpectObserveNMatchesUnbatched(0.0, 1.0, 1000);
+  ExpectObserveNMatchesUnbatched(5.0, 63.0, 100000);
+  // A real guard latency (fractional): added one step at a time.
+  const double guard_cycles = sim::MachineModel::R350().GuardCycles(3);
+  ASSERT_NE(guard_cycles, std::trunc(guard_cycles));
+  ExpectObserveNMatchesUnbatched(0.0, guard_cycles, 1000);
+  // An integral value onto a fractional running sum rounds every step.
+  ExpectObserveNMatchesUnbatched(12345.678, 1001.0, 1000);
+  // Integral sums just below 2^53 stay exact; past it every step rounds.
+  ExpectObserveNMatchesUnbatched(0x1p53 - 100.0, 7.0, 14);
+  ExpectObserveNMatchesUnbatched(0x1p53 - 100.0, 7.0, 20);
+  ExpectObserveNMatchesUnbatched(0x1p53 - 100.0, 3.0, 1001);
+  // Zero observations change nothing.
+  ExpectObserveNMatchesUnbatched(2.0, 5.0, 0);
 }
 
 TEST(MetricsTest, CsvSnapshotAndReset) {

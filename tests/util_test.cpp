@@ -61,6 +61,8 @@ TEST(ResultTest, HoldsValue) {
   EXPECT_EQ(*result, 42);
   EXPECT_EQ(result.value_or(7), 42);
   EXPECT_TRUE(result.status().ok());
+  EXPECT_EQ(result.status(), OkStatus());
+  EXPECT_EQ(result.status().ToString(), "ok");
 }
 
 TEST(ResultTest, HoldsError) {
@@ -73,8 +75,83 @@ TEST(ResultTest, HoldsError) {
 TEST(ResultTest, MoveOnlyValue) {
   Result<std::unique_ptr<int>> result = std::make_unique<int>(5);
   ASSERT_TRUE(result.ok());
-  std::unique_ptr<int> owned = std::move(result).value();
+  Result<std::unique_ptr<int>> moved = std::move(result);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_TRUE(moved.status().ok());
+  std::unique_ptr<int> owned = std::move(moved).value();
   EXPECT_EQ(*owned, 5);
+}
+
+Result<std::unique_ptr<int>> NoOwner() { return Busy("later"); }
+
+TEST(ResultTest, MoveOnlyError) {
+  EXPECT_EQ(NoOwner().status().code(), ErrorCode::kBusy);
+  EXPECT_FALSE(NoOwner().ok());
+}
+
+// An OK Status is a null pointer: the success path carries one word and
+// never allocates.
+static_assert(sizeof(Status) == sizeof(void*));
+
+TEST(StatusTest, CopyDeepCopiesAnError) {
+  Status original = NotFound("missing thing");
+  Status copy = original;
+  EXPECT_EQ(copy, original);
+  EXPECT_NE(&copy.message(), &original.message());
+  Status assigned;
+  assigned = original;
+  original = Busy("replaced");
+  EXPECT_EQ(copy.ToString(), "not_found: missing thing");
+  EXPECT_EQ(assigned.ToString(), "not_found: missing thing");
+  EXPECT_EQ(original.code(), ErrorCode::kBusy);
+  const Status& alias = assigned;
+  assigned = alias;  // self-assignment keeps the error
+  EXPECT_EQ(assigned.code(), ErrorCode::kNotFound);
+}
+
+TEST(StatusTest, MovedFromReadsOk) {
+  Status source = Timeout("late");
+  Status moved = std::move(source);
+  EXPECT_EQ(moved.code(), ErrorCode::kTimeout);
+  EXPECT_EQ(moved.message(), "late");
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is API.
+  EXPECT_TRUE(source.ok());
+  EXPECT_EQ(source.code(), ErrorCode::kOk);
+  EXPECT_EQ(source.message(), "");
+  EXPECT_EQ(source.ToString(), "ok");
+  Status assigned = Internal("old");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.code(), ErrorCode::kTimeout);
+  EXPECT_TRUE(moved.ok());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(StatusTest, EqualityAndToStringOnOkAndError) {
+  EXPECT_EQ(Status(), OkStatus());
+  EXPECT_EQ(OkStatus().ToString(), "ok");
+  EXPECT_EQ(OkStatus().message(), "");
+  EXPECT_EQ(Busy("x"), Busy("x"));
+  EXPECT_FALSE(Busy("x") == Busy("y"));
+  EXPECT_FALSE(Busy("x") == NotFound("x"));
+  EXPECT_FALSE(Busy("") == OkStatus());
+  EXPECT_EQ(Busy("").ToString(), "busy");
+  EXPECT_EQ(Busy("now").ToString(), "busy: now");
+}
+
+struct NoDefault {
+  explicit NoDefault(int v) : value(v) {}
+  int value;
+};
+
+TEST(ResultTest, ValueWithoutDefaultConstructor) {
+  Result<NoDefault> value = NoDefault(4);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->value, 4);
+  EXPECT_EQ(value.value_or(NoDefault(1)).value, 4);
+  Result<NoDefault> error = NotFound("none");
+  EXPECT_FALSE(error.ok());
+  EXPECT_EQ(error.value_or(NoDefault(1)).value, 1);
+  Result<NoDefault> copy = error;
+  EXPECT_EQ(copy.status(), error.status());
 }
 
 Status FailingHelper() { return Busy("try later"); }
