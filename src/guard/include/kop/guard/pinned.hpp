@@ -5,9 +5,9 @@
 // path into their own code, so an allowed access makes no call. A pin
 // holds the calling CPU's RCU read section and the published PolicyFrame
 // for a whole outermost call; an allow is accounted as
-// PolicyEngine::Guard() accounts it, its counters and histogram
-// observations batched in the pin until FlushAllows (at every unpin and
-// before every out-of-line decision). Anything else deopts (returns
+// PolicyEngine::Guard() accounts it, its counters and histogram sums
+// batched in the pin until FlushAllows (at every unpin and before every
+// out-of-line decision). Anything else deopts (returns
 // false) to the out-of-line Guard()/GuardRange()/CfiCheck(), which own
 // violation and containment semantics. The policy engine implements
 // PinSource and owns the slots (DESIGN.md §15).
@@ -192,10 +192,11 @@ class PinSource;
 ///
 /// The batches hold what inline decisions owe this CPU's stats and
 /// histograms; FlushAllows folds them, at the outermost unpin, on a
-/// refresh, on every deopt (before the out-of-line decision, which reads
-/// guard_calls for ViolationRecord::sequence) and when the lookup depth
-/// changes. Site hits and the clock charge are never batched: postmortem
-/// heatmaps and mid-entry virtual time read them as they happen.
+/// refresh and on every deopt (before the out-of-line decision, which
+/// reads guard_calls for ViolationRecord::sequence). Site hits, the
+/// lookup-depth bucket and the clock charge are never batched: postmortem
+/// heatmaps and mid-entry virtual time read them as they happen, and a
+/// depth is only known per allow.
 struct PinSlot {
   uint32_t depth = 0;
   std::optional<smp::RcuDomain::ReadGuard> rcu;
@@ -216,14 +217,15 @@ struct PinSlot {
   // decision observes them as Guard() does, minus the CPU-slot lookup.
   trace::Log2Buckets* latency = nullptr;
   trace::Log2Buckets* lookup_depth = nullptr;
-  // Inline decisions (allows and CFI passes) not yet observed at the
-  // pin's guard_cycles, which only a refresh changes.
-  uint64_t latency_batch = 0;
-  // Inline allows not yet folded into stats->guard_calls / allowed and
-  // the lookup-depth histogram. They are one run of equal lookup depths,
-  // `depth_value`: a different depth flushes the run first.
+  // Inline allows not yet folded into stats->guard_calls / allowed, and
+  // inline CFI passes not yet folded into stats->cfi_checks. Together
+  // they are the decisions not yet observed in the latency histogram at
+  // the pin's guard_cycles, which only a refresh changes.
   uint64_t allowed_batch = 0;
-  uint64_t depth_value = 0;
+  uint64_t cfi_batch = 0;
+  // The batched allows' lookup depths, summed: owed to the lookup-depth
+  // histogram's sum (each allow bumps its bucket at once).
+  uint64_t depth_sum = 0;
   // Elision credits accumulated over the pinned call and flushed to the
   // global guard.elided counter at unpin: one fetch_add per call instead
   // of one per covering guard. Per-CPU stats stay exact per cover.
@@ -290,19 +292,20 @@ inline void Unpin(PinSlot*& pin) {
 
 /// Fold the pin's batched inline accounting into this CPU's stats and
 /// histograms: afterwards they read as if every inline decision had been
-/// accounted unbatched. ObserveN keeps the histogram sums bit-identical.
+/// accounted unbatched. The histogram sums stay bit-identical: ObserveN
+/// adds one value as often as it was observed, and the depth sum is
+/// integral (Log2Buckets::AddToSum).
 [[gnu::noinline]] inline void FlushAllows(PinSlot& pin) {
-  if (pin.allowed_batch != 0) {
-    BumpRelaxed(pin.stats->guard_calls, pin.allowed_batch);
-    BumpRelaxed(pin.stats->allowed, pin.allowed_batch);
-    pin.lookup_depth->ObserveN(static_cast<double>(pin.depth_value),
-                               pin.allowed_batch);
-    pin.allowed_batch = 0;
-  }
-  if (pin.latency_batch != 0) {
-    pin.latency->ObserveN(pin.guard_cycles, pin.latency_batch);
-    pin.latency_batch = 0;
-  }
+  const uint64_t decisions = pin.allowed_batch + pin.cfi_batch;
+  if (decisions == 0) return;
+  BumpRelaxed(pin.stats->guard_calls, pin.allowed_batch);
+  BumpRelaxed(pin.stats->allowed, pin.allowed_batch);
+  BumpRelaxed(pin.stats->cfi_checks, pin.cfi_batch);
+  pin.lookup_depth->AddToSum(pin.depth_sum);
+  pin.latency->ObserveN(pin.guard_cycles, decisions);
+  pin.allowed_batch = 0;
+  pin.cfi_batch = 0;
+  pin.depth_sum = 0;
 }
 
 /// Count one inline check sent out of line (guard.deopt), flushing the
@@ -334,15 +337,14 @@ inline void Unpin(PinSlot*& pin) {
   if (!allowed) BumpRelaxed(row.denied);
 }
 
-/// Account one inline decision's guard cost: the clock charge and its
-/// (batched) guard.latency_cycles observation.
+/// Charge one inline decision's guard cost to the virtual clock (its
+/// guard.latency_cycles observation is batched with the decision).
 [[gnu::always_inline]] inline void ChargePinned(PinSlot& pin) {
   if (pin.cells->charge_cycles.load(std::memory_order_relaxed)) {
     pin.clock_cell->store(
         pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
         std::memory_order_relaxed);
   }
-  ++pin.latency_batch;
 }
 
 /// True when an inline check may decide against `pin`. False (a deopt,
@@ -391,11 +393,9 @@ inline void Unpin(PinSlot*& pin) {
     CountDeopt(pin);
     return false;  // slow path re-decides with full violation semantics
   }
-  if (depth != pin.depth_value) [[unlikely]] {
-    FlushAllows(pin);
-    pin.depth_value = depth;
-  }
   ++pin.allowed_batch;
+  pin.depth_sum += depth;
+  pin.lookup_depth->CountIn(depth);
   NoteSiteIn(*pin.sites, site, true, elided);
   if (elided != 0) {
     BumpRelaxed(pin.stats->elided, elided);
@@ -421,9 +421,9 @@ inline void Unpin(PinSlot*& pin) {
     CountDeopt(pin);
     return false;  // slow path re-decides with full violation semantics
   }
-  BumpRelaxed(pin.stats->cfi_checks);
+  ++pin.cfi_batch;  // as CfiCheck(): latency, no lookup depth
   NoteSiteIn(*pin.sites, site, true, 0);
-  ChargePinned(pin);  // as CfiCheck(): latency, no lookup depth
+  ChargePinned(pin);
   return true;
 }
 

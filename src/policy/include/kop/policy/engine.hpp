@@ -185,7 +185,9 @@ class PolicyEngine final : public guard::PinSource {
   GuardStats PerCpuStats(uint32_t cpu) const;
   /// Zero the counters, violations and site rows. The calling CPU's
   /// pending inline batch is folded first, so it cannot resurrect
-  /// pre-reset counts.
+  /// pre-reset counts. Another CPU pinned across the reset folds its
+  /// pending allows at its next flush, after the zeroing: a reset is
+  /// exact only for CPUs not guarding concurrently with it.
   void ResetStats();
 
   /// The most recent denials, oldest first (capacity 64).

@@ -8,6 +8,7 @@
 // module reload).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -78,6 +79,21 @@ class Log2Buckets {
   /// `n` observations of one value: the same buckets and the same sum,
   /// bit for bit, as `n` Observe(value) calls in a row.
   void ObserveN(double value, uint64_t n);
+  /// Observe() split in two for integral values: CountIn(v) bumps v's
+  /// bucket now, and AddToSum later adds the values' total. Integers
+  /// below 2^53 add exactly in any grouping, so while the sum stays below
+  /// 2^53 this is bit for bit Observe(v) for each v.
+  void CountIn(uint64_t value) {
+    std::atomic<uint64_t>& bucket =
+        buckets_[std::min<size_t>(std::bit_width(value), kBuckets - 1)];
+    bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+  }
+  void AddToSum(uint64_t total) {
+    sum_.store(sum_.load(std::memory_order_relaxed) +
+                   static_cast<double>(total),
+               std::memory_order_relaxed);
+  }
 
   /// Every observation lands in exactly one bucket, so the count is the
   /// bucket sum — read-side work that keeps Observe to one bucket bump

@@ -122,7 +122,9 @@ inline Status Internal(std::string msg) {
 /// Result<T>: either a value or a Status. Modeled after absl::StatusOr.
 /// Holds the value as an optional beside a Status that is OK exactly when
 /// the value is present, so an OK Result carries one null pointer of
-/// error state.
+/// error state. That holds after a move too: a move copies the Status
+/// (null, so free, unless it is an error), and a moved-from error Result
+/// still reads its error.
 template <typename T>
 class [[nodiscard]] Result {
  public:
@@ -131,10 +133,22 @@ class [[nodiscard]] Result {
     assert(!status_.ok() &&
            "Result<T> must not hold an OK status without a value");
   }
+  Result(const Result&) = default;
+  Result& operator=(const Result&) = default;
+  Result(Result&& other)
+      : value_(std::move(other.value_)), status_(other.status_) {}
+  Result& operator=(Result&& other) {
+    value_ = std::move(other.value_);
+    status_ = other.status_;
+    return *this;
+  }
 
   bool ok() const { return value_.has_value(); }
 
-  const Status& status() const { return status_; }
+  const Status& status() const {
+    assert(ok() == status_.ok());
+    return status_;
+  }
 
   T& value() & {
     assert(ok());

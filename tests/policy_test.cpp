@@ -549,6 +549,8 @@ void ExpectSameAccounting(const AccountingView& got,
   EXPECT_EQ(got.stats.allowed, want.stats.allowed);
   EXPECT_EQ(got.stats.denied, want.stats.denied);
   EXPECT_EQ(got.stats.elided, want.stats.elided);
+  EXPECT_EQ(got.stats.cfi_checks, want.stats.cfi_checks);
+  EXPECT_EQ(got.stats.cfi_denied, want.stats.cfi_denied);
   EXPECT_EQ(got.sites, want.sites);
   EXPECT_EQ(got.sequences, want.sequences);
   EXPECT_EQ(got.clock, want.clock);
@@ -564,6 +566,14 @@ void GuardedAccess(PolicyEngine& engine, bool pinned, uint64_t addr,
   (void)engine.Guard(addr, 8, flags);
 }
 
+// One indirect-call check, pinned or not, as GuardedAccess makes a guard.
+void CheckedCall(PolicyEngine& engine, bool pinned, uint64_t target,
+                 uint64_t set_id, uint64_t site) {
+  if (pinned && engine.FastCfiCheck(target, set_id, site)) return;
+  trace::ScopedGuardSite scope(site);
+  (void)engine.CfiCheck(target, set_id);
+}
+
 uint64_t RegisterTestSite(const char* function) {
   trace::SiteInfo info;
   info.module_name = "pinbatch";
@@ -571,9 +581,10 @@ uint64_t RegisterTestSite(const char* function) {
   return trace::GlobalSites().Register(info);
 }
 
-// The scenario: guards at alternating lookup depths, a denial (deopt,
-// violation record), a region added mid-call (stale pin: deopt and
-// refresh, new guard cost), more guards at the new depths.
+// The scenario: guards at alternating lookup depths and CFI passes, a
+// denial (deopt, violation record), a region added mid-call (stale pin:
+// deopt and refresh, new guard cost), more guards at the new depths and a
+// CFI denial.
 AccountingView RunAccountingScenario(bool pinned) {
   trace::GlobalMetrics().Reset();
   kernel::Kernel kernel;
@@ -584,6 +595,8 @@ AccountingView RunAccountingScenario(bool pinned) {
   // Registered once: both runs must attribute to the same tokens.
   static const uint64_t near = RegisterTestSite("near");
   static const uint64_t far = RegisterTestSite("far");
+  static const uint64_t call = RegisterTestSite("call");
+  const uint64_t set = engine.RegisterCfiSets({{0x500, 0x600}});
   if (pinned) {
     EXPECT_TRUE(engine.PinFrame());
   }
@@ -591,6 +604,7 @@ AccountingView RunAccountingScenario(bool pinned) {
     GuardedAccess(engine, pinned, 0x1000 + 8 * i, kGuardAccessRead, near);
     GuardedAccess(engine, pinned, 0x2000 + 8 * i, kGuardAccessWrite, far);
     GuardedAccess(engine, pinned, 0x2000, kGuardAccessRead, far);
+    CheckedCall(engine, pinned, i % 2 == 0 ? 0x500 : 0x600, set, call);
   }
   GuardedAccess(engine, pinned, 0x9000, kGuardAccessRead, near);  // denied
   for (int i = 0; i < 3; ++i) {
@@ -601,6 +615,8 @@ AccountingView RunAccountingScenario(bool pinned) {
     GuardedAccess(engine, pinned, 0x3000, kGuardAccessRead, far);
     GuardedAccess(engine, pinned, 0x1000, kGuardAccessWrite, near);
   }
+  CheckedCall(engine, pinned, 0x700, set, call);  // CFI denial
+  CheckedCall(engine, pinned, 0x500, set, call);
   GuardedAccess(engine, pinned, 0x3000, kGuardAccessWrite, far);  // denied
   GuardedAccess(engine, pinned, 0x2000, kGuardAccessRead, far);
   if (pinned) engine.UnpinFrame();
@@ -611,10 +627,12 @@ TEST(PinnedAccountingTest, UnpinnedViewEqualsUnbatchedGuards) {
   const AccountingView unbatched = RunAccountingScenario(false);
   ASSERT_EQ(unbatched.stats.guard_calls, 7u * 3 + 1 + 3 + 5 * 2 + 2);
   ASSERT_EQ(unbatched.stats.denied, 2u);
+  ASSERT_EQ(unbatched.stats.cfi_checks, 7u + 2);
+  ASSERT_EQ(unbatched.stats.cfi_denied, 1u);
   const AccountingView batched = RunAccountingScenario(true);
-  // The pinned run really decided inline: two denials plus one stale
+  // The pinned run really decided inline: three denials plus one stale
   // pin were its only trips out of line (the scenario resets metrics).
-  EXPECT_EQ(trace::GlobalMetrics().GetCounter("guard.deopt")->value(), 3u);
+  EXPECT_EQ(trace::GlobalMetrics().GetCounter("guard.deopt")->value(), 4u);
   ExpectSameAccounting(batched, unbatched);
 }
 

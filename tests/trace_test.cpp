@@ -317,6 +317,37 @@ TEST(MetricsTest, ObserveNIsBitIdenticalToRepeatedObserve) {
   ExpectObserveNMatchesUnbatched(2.0, 5.0, 0);
 }
 
+// CountIn per value plus one AddToSum of their total must leave the
+// buckets and the sum bits that Observe per value leaves, for integral
+// values whose sums stay below 2^53, in any mix of depths.
+TEST(MetricsTest, CountInWithDeferredSumIsBitIdenticalToObserve) {
+  const std::vector<uint64_t> values = {0, 1, 2, 3, 1, 63, 64, 5, 1000, 2, 2,
+                                        uint64_t{1} << 40};
+  Log2Buckets split;
+  Log2Buckets single;
+  split.Observe(17.0);
+  single.Observe(17.0);
+  uint64_t total = 0;
+  for (const uint64_t v : values) {
+    split.CountIn(v);
+    total += v;
+    single.Observe(static_cast<double>(v));
+  }
+  split.AddToSum(total);
+  EXPECT_EQ(std::bit_cast<uint64_t>(split.sum()),
+            std::bit_cast<uint64_t>(single.sum()));
+  for (size_t i = 0; i < Log2Buckets::kBuckets; ++i) {
+    EXPECT_EQ(split.bucket(i), single.bucket(i)) << "bucket " << i;
+  }
+  // The clamp bucket agrees with Observe too.
+  Log2Buckets huge_split;
+  Log2Buckets huge_single;
+  huge_split.CountIn(~uint64_t{0});
+  huge_single.Observe(0x1p64);
+  EXPECT_EQ(huge_split.bucket(Log2Buckets::kBuckets - 1), 1u);
+  EXPECT_EQ(huge_single.bucket(Log2Buckets::kBuckets - 1), 1u);
+}
+
 TEST(MetricsTest, CsvSnapshotAndReset) {
   MetricsRegistry registry;
   registry.GetCounter("alpha.count")->Add(7);

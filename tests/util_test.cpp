@@ -82,6 +82,29 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*owned, 5);
 }
 
+// A moved-from error Result keeps its error, so code of the form
+// `if (!r.ok()) return r.status();` cannot turn it into success.
+TEST(ResultTest, MovedFromErrorKeepsItsError) {
+  Result<int> source = NotFound("gone");
+  Result<int> moved = std::move(source);
+  EXPECT_EQ(moved.status().code(), ErrorCode::kNotFound);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is API.
+  EXPECT_FALSE(source.ok());
+  EXPECT_EQ(source.status().ToString(), "not_found: gone");
+  Result<int> assigned = 3;
+  assigned = std::move(moved);
+  EXPECT_FALSE(assigned.ok());
+  EXPECT_EQ(assigned.status().code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(moved.ok());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.status().code(), ErrorCode::kNotFound);
+  // A moved-from OK Result stays OK with an OK status.
+  Result<std::string> value = std::string("v");
+  Result<std::string> taken = std::move(value);
+  EXPECT_EQ(*taken, "v");
+  EXPECT_TRUE(value.ok());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(value.status().ok());
+}
+
 Result<std::unique_ptr<int>> NoOwner() { return Busy("later"); }
 
 TEST(ResultTest, MoveOnlyError) {
