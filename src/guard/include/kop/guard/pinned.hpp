@@ -1,16 +1,18 @@
-// The pinned guard core: everything an allowed guarded access runs, in
-// one header-only layer below every engine (it depends on util, smp and
-// trace only). Native drivers (modrt::GuardedMemOps via
-// PolicyEngine::FastGuard) and both KIR engines compile this one allow
-// path into their own code, so an allowed access makes no call. A pin
-// holds the calling CPU's RCU read section and the published PolicyFrame
-// for a whole outermost call; an allow is accounted as
-// PolicyEngine::Guard() accounts it, its counters and histogram sums
+// The pinned guard core: every guard and CFI decision and its accounting,
+// in one header-only layer below every engine (it depends on util, smp
+// and trace only). Native drivers (modrt::GuardedMemOps via
+// PolicyEngine::FastGuard) and both KIR engines compile the allow path
+// into their own code, so an allowed access makes no call. A pin holds
+// the calling CPU's RCU read section and the published PolicyFrame for a
+// whole outermost call; an allow's counters and histogram sums are
 // batched in the pin until FlushAllows (at every unpin and before every
-// out-of-line decision). Anything else deopts (returns
-// false) to the out-of-line Guard()/GuardRange()/CfiCheck(), which own
-// violation and containment semantics. The policy engine implements
-// PinSource and owns the slots (DESIGN.md §15).
+// out-of-line decision). Anything else deopts (returns false) to the
+// out-of-line PolicyEngine::Guard()/GuardRange()/CfiCheck(). Those open
+// or nest in the same pin and decide through the same DecideGuard /
+// DecideCfi; a denial is accounted here too (AccountDenial), and the
+// engine keeps only the forced-deny override, tracepoints, the violation
+// record, printk and containment. The policy engine implements PinSource
+// and owns the slots (DESIGN.md §15).
 #pragma once
 
 #include <algorithm>
@@ -176,6 +178,9 @@ struct EngineCells {
   std::atomic<uint64_t> force_deny_site{kNoForcedSite};
   std::atomic<bool> charge_cycles{true};
   trace::Counter* deopt = nullptr;  // guard.deopt
+  // Bumped by every ResetStats: a pin captured under an older epoch
+  // holds decisions that predate the reset (see FlushAllows).
+  std::atomic<uint64_t> reset_epoch{0};
 };
 
 class PinSource;
@@ -190,10 +195,11 @@ class PinSource;
 /// may go stale only together with `mutation_gen` (SetMode bumps it),
 /// which deopts the guard first.
 ///
-/// The batches hold what inline decisions owe this CPU's stats and
-/// histograms; FlushAllows folds them, at the outermost unpin, on a
-/// refresh and on every deopt (before the out-of-line decision, which
-/// reads guard_calls for ViolationRecord::sequence). Site hits, the
+/// The batches hold what allowed decisions, inline or out of line, owe
+/// this CPU's stats and histograms; FlushAllows folds them at the
+/// outermost unpin, on a refresh, on every deopt and before every
+/// denial is accounted (which then reads guard_calls for
+/// ViolationRecord::sequence). Site hits, the
 /// lookup-depth bucket and the clock charge are never batched: postmortem
 /// heatmaps and mid-entry virtual time read them as they happen, and a
 /// depth is only known per allow.
@@ -217,8 +223,8 @@ struct PinSlot {
   // decision observes them as Guard() does, minus the CPU-slot lookup.
   trace::Log2Buckets* latency = nullptr;
   trace::Log2Buckets* lookup_depth = nullptr;
-  // Inline allows not yet folded into stats->guard_calls / allowed, and
-  // inline CFI passes not yet folded into stats->cfi_checks. Together
+  // Allows not yet folded into stats->guard_calls / allowed, and CFI
+  // passes not yet folded into stats->cfi_checks. Together
   // they are the decisions not yet observed in the latency histogram at
   // the pin's guard_cycles, which only a refresh changes.
   uint64_t allowed_batch = 0;
@@ -230,6 +236,8 @@ struct PinSlot {
   // global guard.elided counter at unpin: one fetch_add per call instead
   // of one per covering guard. Per-CPU stats stay exact per cover.
   uint64_t elided_batch = 0;
+  // EngineCells::reset_epoch as of the last refresh.
+  uint64_t reset_epoch = 0;
 };
 
 /// What the kernel and the pins know of the policy engine: used once per
@@ -294,13 +302,19 @@ inline void Unpin(PinSlot*& pin) {
 /// histograms: afterwards they read as if every inline decision had been
 /// accounted unbatched. The histogram sums stay bit-identical: ObserveN
 /// adds one value as often as it was observed, and the depth sum is
-/// integral (Log2Buckets::AddToSum).
+/// integral (Log2Buckets::AddToSum). A ResetStats since the pin's snapshot
+/// zeroed the counters these decisions predate, so a stale epoch drops
+/// them there; ResetStats leaves histograms alone, so they take the batch
+/// either way.
 [[gnu::noinline]] inline void FlushAllows(PinSlot& pin) {
   const uint64_t decisions = pin.allowed_batch + pin.cfi_batch;
   if (decisions == 0) return;
-  BumpRelaxed(pin.stats->guard_calls, pin.allowed_batch);
-  BumpRelaxed(pin.stats->allowed, pin.allowed_batch);
-  BumpRelaxed(pin.stats->cfi_checks, pin.cfi_batch);
+  if (pin.reset_epoch ==
+      pin.cells->reset_epoch.load(std::memory_order_acquire)) {
+    BumpRelaxed(pin.stats->guard_calls, pin.allowed_batch);
+    BumpRelaxed(pin.stats->allowed, pin.allowed_batch);
+    BumpRelaxed(pin.stats->cfi_checks, pin.cfi_batch);
+  }
   pin.lookup_depth->AddToSum(pin.depth_sum);
   pin.latency->ObserveN(pin.guard_cycles, decisions);
   pin.allowed_batch = 0;
@@ -337,7 +351,7 @@ inline void Unpin(PinSlot*& pin) {
   if (!allowed) BumpRelaxed(row.denied);
 }
 
-/// Charge one inline decision's guard cost to the virtual clock (its
+/// Charge one decision's guard cost to the virtual clock (its
 /// guard.latency_cycles observation is batched with the decision).
 [[gnu::always_inline]] inline void ChargePinned(PinSlot& pin) {
   if (pin.cells->charge_cycles.load(std::memory_order_relaxed)) {
@@ -371,31 +385,37 @@ inline void Unpin(PinSlot*& pin) {
   return true;
 }
 
-/// carat_guard / carat_guard_range against the pinned frame (elided = 0
-/// for a single access). True = allowed and accounted (counters batched
-/// in the pin, see FlushAllows). False =
-/// deopt: not pinned, frame generation moved (the pin is refreshed so
-/// later guards in the call are fast again), the fault-injection
-/// forced-deny is armed, or the check failed.
-[[gnu::always_inline]] inline bool PinnedGuard(PinSlot& pin, uint64_t addr,
+// The decision core. Every guard and CFI decision, inline or out of line,
+// is DecideGuard or DecideCfi against a fresh pin, which account an allow;
+// an out-of-line denial is accounted by AccountDenial. Nothing else bumps
+// the guard and CFI decision counters, observes the guard histograms,
+// charges the guard cost or bumps a guard's site row (the intrinsic
+// check, which is none of these, keeps its own).
+
+/// carat_guard / carat_guard_range (elided = 0 for a single access)
+/// against the pinned frame; `depth` receives the lookup depth. True =
+/// allowed and accounted, batched in the pin (see FlushAllows). False =
+/// denied, or `veto`ed by fault injection, and not accounted. A cover's
+/// `elided` members count as elided, not as guard calls: guard_calls +
+/// elided is what an unelided build would have reported.
+[[gnu::always_inline]] inline bool DecideGuard(PinSlot& pin, uint64_t addr,
                                                uint64_t size,
                                                uint64_t access_flags,
-                                               uint64_t elided,
-                                               uint64_t site) {
-  if (!PinForInline(pin, site)) return false;
-  uint64_t depth = 0;
+                                               uint64_t elided, uint64_t site,
+                                               bool veto, uint64_t* depth) {
   const std::optional<uint32_t> prot =
-      FrameLookup(*pin.frame, addr, size, &depth);
+      FrameLookup(*pin.frame, addr, size, depth);
   const bool allowed = prot.has_value()
                            ? (*prot & access_flags) == access_flags
                            : pin.default_allow;
-  if (!allowed) [[unlikely]] {
-    CountDeopt(pin);
-    return false;  // slow path re-decides with full violation semantics
-  }
+  // Two tests, not one `||`: joined, GCC lays out the inline callers'
+  // allow path (veto = false) differently, and layout alone has moved the
+  // socket path's host time.
+  if (!allowed) [[unlikely]] return false;
+  if (veto) [[unlikely]] return false;
   ++pin.allowed_batch;
-  pin.depth_sum += depth;
-  pin.lookup_depth->CountIn(depth);
+  pin.depth_sum += *depth;
+  pin.lookup_depth->CountIn(*depth);
   NoteSiteIn(*pin.sites, site, true, elided);
   if (elided != 0) {
     BumpRelaxed(pin.stats->elided, elided);
@@ -406,24 +426,77 @@ inline void Unpin(PinSlot*& pin) {
 }
 
 /// carat_cfi_check against the pinned frame: `target` must be a member of
-/// engine-global set `set_id`. Same deopt ladder as PinnedGuard; false
+/// engine-global set `set_id`. An out-of-range id (a module that skipped
+/// registration, or a forged rebase) denies: unknown provenance is never
+/// a licence to jump. True and false as for DecideGuard; a CFI decision
+/// costs and observes latency as a guard does, but has no lookup depth.
+[[gnu::always_inline]] inline bool DecideCfi(PinSlot& pin, uint64_t target,
+                                             uint64_t set_id, uint64_t site,
+                                             bool veto) {
+  const std::vector<std::vector<uint64_t>>& sets = pin.frame->cfi_sets;
+  const bool allowed =
+      set_id < sets.size() &&
+      std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
+  if (!allowed) [[unlikely]] return false;
+  if (veto) [[unlikely]] return false;
+  ++pin.cfi_batch;
+  NoteSiteIn(*pin.sites, site, true, 0);
+  ChargePinned(pin);
+  return true;
+}
+
+/// Account one out-of-line denial (a CFI one when `cfi`; then `depth` is
+/// unused), unbatched and after the pin's batch, so the stats read in
+/// decision order. A denied cover credits no elided members: the
+/// violation is the whole cluster's.
+[[gnu::noinline]] inline void AccountDenial(PinSlot& pin, bool cfi,
+                                            uint64_t depth, uint64_t site) {
+  FlushAllows(pin);
+  if (cfi) {
+    BumpRelaxed(pin.stats->cfi_checks);
+    BumpRelaxed(pin.stats->cfi_denied);
+  } else {
+    BumpRelaxed(pin.stats->guard_calls);
+    BumpRelaxed(pin.stats->denied);
+    pin.lookup_depth->CountIn(depth);
+    pin.lookup_depth->AddToSum(depth);
+  }
+  pin.latency->Observe(pin.guard_cycles);
+  NoteSiteIn(*pin.sites, site, false, 0);
+  ChargePinned(pin);
+}
+
+/// An inline carat_guard / carat_guard_range. True = allowed and
+/// accounted. False = deopt: not pinned, frame generation moved (the pin
+/// is refreshed so later guards in the call are fast again), the
+/// fault-injection forced-deny is armed, or the check failed; the
+/// out-of-line decision then accounts it.
+[[gnu::always_inline]] inline bool PinnedGuard(PinSlot& pin, uint64_t addr,
+                                               uint64_t size,
+                                               uint64_t access_flags,
+                                               uint64_t elided,
+                                               uint64_t site) {
+  if (!PinForInline(pin, site)) return false;
+  uint64_t depth = 0;
+  if (!DecideGuard(pin, addr, size, access_flags, elided, site,
+                   /*veto=*/false, &depth)) [[unlikely]] {
+    CountDeopt(pin);
+    return false;  // slow path re-decides with full violation semantics
+  }
+  return true;
+}
+
+/// An inline carat_cfi_check. Same deopt ladder as PinnedGuard; false
 /// sends the caller to CfiCheck(), which owns violation semantics.
 [[gnu::always_inline]] inline bool PinnedCfiCheck(PinSlot& pin,
                                                   uint64_t target,
                                                   uint64_t set_id,
                                                   uint64_t site) {
   if (!PinForInline(pin, site)) return false;
-  const std::vector<std::vector<uint64_t>>& sets = pin.frame->cfi_sets;
-  const bool allowed =
-      set_id < sets.size() &&
-      std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
-  if (!allowed) [[unlikely]] {
+  if (!DecideCfi(pin, target, set_id, site, /*veto=*/false)) [[unlikely]] {
     CountDeopt(pin);
     return false;  // slow path re-decides with full violation semantics
   }
-  ++pin.cfi_batch;  // as CfiCheck(): latency, no lookup depth
-  NoteSiteIn(*pin.sites, site, true, 0);
-  ChargePinned(pin);
   return true;
 }
 

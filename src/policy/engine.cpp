@@ -72,6 +72,20 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
 }
 
 namespace {
+/// Add one CPU's counters to `out`.
+void AddCounters(const guard::CpuStats& slot, GuardStats* out) {
+  out->guard_calls += slot.guard_calls.load(std::memory_order_relaxed);
+  out->allowed += slot.allowed.load(std::memory_order_relaxed);
+  out->denied += slot.denied.load(std::memory_order_relaxed);
+  out->intrinsic_calls +=
+      slot.intrinsic_calls.load(std::memory_order_relaxed);
+  out->intrinsic_denied +=
+      slot.intrinsic_denied.load(std::memory_order_relaxed);
+  out->elided += slot.elided.load(std::memory_order_relaxed);
+  out->cfi_checks += slot.cfi_checks.load(std::memory_order_relaxed);
+  out->cfi_denied += slot.cfi_denied.load(std::memory_order_relaxed);
+}
+
 /// A frame's index back in table order.
 std::vector<Region> InTableOrder(const RegionIndex& index) {
   std::vector<Region> regions(index.size);
@@ -97,26 +111,31 @@ bool PolicyEngine::Check(uint64_t addr, uint64_t size,
   return mode() == PolicyMode::kDefaultAllow;
 }
 
-uint64_t PolicyEngine::FoldGuardCalls() const {
-  uint64_t total = 0;
-  cpu_stats_.ForEach([&total](uint32_t, const guard::CpuStats& slot) {
-    total += slot.guard_calls.load(std::memory_order_relaxed);
-  });
-  return total;
-}
-
-uint64_t PolicyEngine::FoldIntrinsicCalls() const {
-  uint64_t total = 0;
-  cpu_stats_.ForEach([&total](uint32_t, const guard::CpuStats& slot) {
-    total += slot.intrinsic_calls.load(std::memory_order_relaxed);
-  });
-  return total;
-}
-
 void PolicyEngine::RecordViolation(const ViolationRecord& record) {
   std::lock_guard<Spinlock> guard(violations_lock_);
   violations_.push(record);
 }
+
+/// The calling CPU's pin for one out-of-line decision: opened here when
+/// the CPU is unpinned, else nested in the caller's pin. A stale pin is
+/// refreshed without counting a deopt: only an inline check deopts. The
+/// pin closes on every exit, so a violation unwinds with the CPU's pin
+/// depth as it found it.
+struct PolicyEngine::DecisionPin {
+  explicit DecisionPin(PolicyEngine& engine)
+      : engine(engine), slot(*engine.PinCpu()) {
+    if (slot.mutation_gen !=
+        engine.cells_.mutation_gen.load(std::memory_order_acquire)) {
+      engine.RefreshPin(slot);
+    }
+  }
+  ~DecisionPin() { engine.UnpinFrame(); }
+  DecisionPin(const DecisionPin&) = delete;
+  DecisionPin& operator=(const DecisionPin&) = delete;
+
+  PolicyEngine& engine;
+  guard::PinSlot& slot;
+};
 
 bool PolicyEngine::Guard(uint64_t addr, uint64_t size,
                          uint64_t access_flags) {
@@ -128,49 +147,19 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
   const uint64_t site = trace::CurrentGuardSite();
   bool allowed;
   {
-    smp::RcuDomain::ReadGuard rcu(rcu_);
-    const PolicyFrame* frame = CurrentFrame();
-    guard::CpuStats& my = cpu_stats_.Mine();
-    my.guard_calls.fetch_add(1, std::memory_order_relaxed);
-    const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->regions.size));
-    if (cells_.charge_cycles.load(std::memory_order_relaxed)) {
-      kernel_->clock().Advance(guard_cycles);
-    }
-    latency_hist_->Observe(guard_cycles);
-
+    DecisionPin pin(*this);
     uint64_t depth = 0;
-    const std::optional<uint32_t> prot =
-        guard::FrameLookup(*frame, addr, size, &depth);
-    lookup_depth_hist_->Observe(static_cast<double>(depth));
-    KOP_TRACE(kPolicyLookup, depth, frame->regions.size);
-
-    allowed = prot.has_value()
-                  ? (*prot & access_flags) == access_flags
-                  : mode() == PolicyMode::kDefaultAllow;
-    if (site == cells_.force_deny_site.load(std::memory_order_relaxed))
-        [[unlikely]] {
-      allowed = false;
-    }
-    if (allowed) {
-      // The cover proved `elided` member accesses beyond itself; they
-      // count as elided, not as guard calls — guard_calls + elided is
-      // what an unelided build would have reported.
-      guard::NoteSiteIn(site_shards_.Mine(), site, true, elided);
-      my.allowed.fetch_add(1, std::memory_order_relaxed);
-      if (elided != 0) {
-        my.elided.fetch_add(elided, std::memory_order_relaxed);
-        elided_counter_->Add(elided);
-      }
-    } else {
-      // A denied cover credits no elided members: the violation is the
-      // whole cluster's, attributed to the cover site with the
-      // interval's address and span.
-      guard::NoteSiteIn(site_shards_.Mine(), site, false, 0);
-      my.denied.fetch_add(1, std::memory_order_relaxed);
+    allowed = guard::DecideGuard(pin.slot, addr, size, access_flags, elided,
+                                 site, ForcedDeny(site), &depth);
+    if (!allowed) {
+      guard::AccountDenial(pin.slot, /*cfi=*/false, depth, site);
+      // A cover's violation is attributed to its site with the interval's
+      // address and span.
       RecordViolation(ViolationRecord{addr, size, access_flags,
-                                      FoldGuardCalls(), false, site, false});
+                                      stats().guard_calls, false, site,
+                                      false});
     }
+    KOP_TRACE(kPolicyLookup, depth, pin.slot.frame->regions.size);
   }
   KOP_TRACE(kGuardCheck, addr, size, access_flags, site);
   if (allowed) return true;
@@ -185,48 +174,20 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
       "CARAT KOP: forbidden %s access to 0x%llx (size %llu) blocked by policy",
       kind, static_cast<unsigned long long>(addr),
       static_cast<unsigned long long>(size));
-  const ViolationAction action = violation_action();
-  if (action == ViolationAction::kPanic) {
-    kernel_->Panic("CARAT KOP guard violation");  // throws KernelPanic
-  }
-  if (action == ViolationAction::kQuarantine) {
-    throw GuardViolation(addr, size, access_flags, site);
-  }
-  return false;
+  return Contain("CARAT KOP guard violation",
+                 GuardViolation(addr, size, access_flags, site));
 }
 
 bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
   const uint64_t site = trace::CurrentGuardSite();
   bool allowed;
   {
-    smp::RcuDomain::ReadGuard rcu(rcu_);
-    const PolicyFrame* frame = CurrentFrame();
-    guard::CpuStats& my = cpu_stats_.Mine();
-    my.cfi_checks.fetch_add(1, std::memory_order_relaxed);
-    // A CFI decision is a guard decision: same machine-model cost, same
-    // latency histogram, so CFI-on vs CFI-off deltas are visible in the
-    // virtual clock the benches read.
-    const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->regions.size));
-    if (cells_.charge_cycles.load(std::memory_order_relaxed)) {
-      kernel_->clock().Advance(guard_cycles);
-    }
-    latency_hist_->Observe(guard_cycles);
-
-    // Membership in the attested legal-target set. An out-of-range set
-    // id (a module that skipped registration, or a forged rebase) denies:
-    // unknown provenance is never a licence to jump.
-    allowed = set_id < frame->cfi_sets.size() &&
-              std::binary_search(frame->cfi_sets[set_id].begin(),
-                                 frame->cfi_sets[set_id].end(), target);
-    if (site == cells_.force_deny_site.load(std::memory_order_relaxed))
-        [[unlikely]] {
-      allowed = false;
-    }
-    guard::NoteSiteIn(site_shards_.Mine(), site, allowed, 0);
+    DecisionPin pin(*this);
+    allowed =
+        guard::DecideCfi(pin.slot, target, set_id, site, ForcedDeny(site));
     if (!allowed) {
-      my.cfi_denied.fetch_add(1, std::memory_order_relaxed);
-      RecordViolation(ViolationRecord{target, set_id, 0, FoldGuardCalls(),
+      guard::AccountDenial(pin.slot, /*cfi=*/true, 0, site);
+      RecordViolation(ViolationRecord{target, set_id, 0, stats().guard_calls,
                                       false, site, true});
     }
   }
@@ -240,13 +201,17 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
       "policy",
       static_cast<unsigned long long>(target),
       static_cast<unsigned long long>(set_id));
+  return Contain("CARAT KOP cfi violation",
+                 GuardViolation(target, set_id, 0, site, /*is_cfi=*/true));
+}
+
+bool PolicyEngine::Contain(const char* panic_reason,
+                           const GuardViolation& violation) {
   const ViolationAction action = violation_action();
   if (action == ViolationAction::kPanic) {
-    kernel_->Panic("CARAT KOP cfi violation");  // throws KernelPanic
+    kernel_->Panic(panic_reason);  // throws KernelPanic
   }
-  if (action == ViolationAction::kQuarantine) {
-    throw GuardViolation(target, set_id, 0, site, /*is_cfi=*/true);
-  }
+  if (action == ViolationAction::kQuarantine) throw violation;
   return false;
 }
 
@@ -318,6 +283,9 @@ void PolicyEngine::RefreshPin(guard::PinSlot& pin) {
   // generation before ticking our clock, so a caught-up snapshot implies
   // CurrentFrame below sees the new table generation too.)
   pin.mutation_gen = cells_.mutation_gen.load(std::memory_order_acquire);
+  // After the clock: ResetStats bumps the epoch before it ticks the
+  // clock, so a pin that caught up with the clock has the epoch too.
+  pin.reset_epoch = cells_.reset_epoch.load(std::memory_order_acquire);
   // Caller holds the slot's read section, so CurrentFrame's result stays
   // valid for the remainder of the pin even if another CPU republishes.
   const PolicyFrame* frame = CurrentFrame();
@@ -351,7 +319,7 @@ bool PolicyEngine::IntrinsicGuard(uint64_t intrinsic_id) {
     if (!allowed) {
       my.intrinsic_denied.fetch_add(1, std::memory_order_relaxed);
       RecordViolation(ViolationRecord{intrinsic_id, 0, 0,
-                                      FoldIntrinsicCalls(), true, site,
+                                      stats().intrinsic_calls, true, site,
                                       false});
     }
   }
@@ -394,39 +362,23 @@ void PolicyEngine::SetIntrinsicDefaultAllow(bool allow) {
 GuardStats PolicyEngine::stats() const {
   GuardStats out;
   cpu_stats_.ForEach([&out](uint32_t, const guard::CpuStats& slot) {
-    out.guard_calls += slot.guard_calls.load(std::memory_order_relaxed);
-    out.allowed += slot.allowed.load(std::memory_order_relaxed);
-    out.denied += slot.denied.load(std::memory_order_relaxed);
-    out.intrinsic_calls +=
-        slot.intrinsic_calls.load(std::memory_order_relaxed);
-    out.intrinsic_denied +=
-        slot.intrinsic_denied.load(std::memory_order_relaxed);
-    out.elided += slot.elided.load(std::memory_order_relaxed);
-    out.cfi_checks += slot.cfi_checks.load(std::memory_order_relaxed);
-    out.cfi_denied += slot.cfi_denied.load(std::memory_order_relaxed);
+    AddCounters(slot, &out);
   });
   return out;
 }
 
 GuardStats PolicyEngine::PerCpuStats(uint32_t cpu) const {
-  const guard::CpuStats& slot = cpu_stats_.Get(cpu);
   GuardStats out;
-  out.guard_calls = slot.guard_calls.load(std::memory_order_relaxed);
-  out.allowed = slot.allowed.load(std::memory_order_relaxed);
-  out.denied = slot.denied.load(std::memory_order_relaxed);
-  out.intrinsic_calls = slot.intrinsic_calls.load(std::memory_order_relaxed);
-  out.intrinsic_denied =
-      slot.intrinsic_denied.load(std::memory_order_relaxed);
-  out.elided = slot.elided.load(std::memory_order_relaxed);
-  out.cfi_checks = slot.cfi_checks.load(std::memory_order_relaxed);
-  out.cfi_denied = slot.cfi_denied.load(std::memory_order_relaxed);
+  AddCounters(cpu_stats_.Get(cpu), &out);
   return out;
 }
 
 void PolicyEngine::ResetStats() {
-  // A pinned caller's batched allows predate the reset: fold them now so
-  // the zeroing below covers them, not a later flush.
-  guard::FlushAllows(pin_slots_.Mine());
+  // Every pin now predates the reset: its pending batch is dropped from
+  // the stats at its next flush (FlushAllows). The epoch moves before the
+  // zeroing: a flush that starts after this point drops its batch rather
+  // than land it after the zeroing.
+  cells_.reset_epoch.fetch_add(1, std::memory_order_acq_rel);
   cpu_stats_.ForEach([](uint32_t, guard::CpuStats& slot) {
     slot.guard_calls.store(0, std::memory_order_relaxed);
     slot.allowed.store(0, std::memory_order_relaxed);
@@ -454,6 +406,12 @@ void PolicyEngine::ResetStats() {
       row.elided.store(0, std::memory_order_relaxed);
     }
   });
+  // Tick the clock last, so every pinned CPU deopts at its next guard,
+  // drops its batch and refreshes into the new epoch. The calling CPU
+  // refreshes now instead: its own next guard stays inline.
+  cells_.mutation_gen.fetch_add(1, std::memory_order_acq_rel);
+  guard::PinSlot& mine = pin_slots_.Mine();
+  if (mine.depth != 0) RefreshPin(mine);
 }
 
 std::vector<ViolationRecord> PolicyEngine::RecentViolations() const {

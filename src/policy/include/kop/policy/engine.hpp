@@ -5,8 +5,9 @@
 // that they occur and cause a kernel panic").
 //
 // SMP read path: guards never take the engine lock. Each guard runs in
-// an RCU read section (its own out of line, its caller's pin inline) and
-// decides against an immutable PolicyFrame — a copy-published,
+// its CPU's pin, an RCU read section (opened for the one decision out of
+// line when the CPU is unpinned) and decides against an immutable
+// PolicyFrame — a copy-published,
 // base-sorted index of the region table plus the intrinsic permission
 // sets. Mutators (table Add/Remove/Clear, intrinsic
 // config) bump generation counters; the next guard that notices a stale
@@ -142,17 +143,23 @@ class PolicyEngine final : public guard::PinSource {
 
   /// The guard itself: carat_guard(addr, size, access_flags). Returns
   /// true when allowed; on denial logs and (by default) panics. The
-  /// out-of-line decision every inline deopt lands in; it attributes to
-  /// trace::CurrentGuardSite() and traces each decision.
+  /// out-of-line decision every inline deopt lands in: it pins the
+  /// calling CPU (or nests in its pin; a stale pin is refreshed without a
+  /// deopt) and decides and accounts through the inline core
+  /// (guard::DecideGuard, guard::AccountDenial). It adds the forced-deny
+  /// override, attribution to trace::CurrentGuardSite(), a tracepoint per
+  /// decision and the violation semantics. Its pin closes before a
+  /// violation throws.
   bool Guard(uint64_t addr, uint64_t size, uint64_t access_flags);
 
   /// carat_guard_range(addr, size, access_flags, elided): the covering
   /// check the elision pass emits for a widened cluster of same-base
   /// accesses. One decision over the whole interval; on success `elided`
-  /// member accesses are credited to guard.elided (global counter,
-  /// per-CPU stats slice, and the cover's hot-site row). A denial is
-  /// attributed to the cover site with the interval's address and span.
-  /// Guard() is the elided = 0 case.
+  /// member accesses are credited to the per-CPU stats slice and the
+  /// cover's hot-site row at once, and to the guard.elided counter when
+  /// the pin it decided in closes (the caller's, when nested). A denial
+  /// is attributed to the cover site with the interval's address and
+  /// span. Guard() is the elided = 0 case.
   bool GuardRange(uint64_t addr, uint64_t size, uint64_t access_flags,
                   uint64_t elided);
 
@@ -167,7 +174,8 @@ class PolicyEngine final : public guard::PinSource {
   /// `set_id`; a miss (or an out-of-range set id) is a violation with the
   /// same logging / panic / quarantine semantics as a memory guard, with
   /// GuardViolation.is_cfi set so the loader contains it under the "cfi"
-  /// reason. Decides against the RCU-published frame, lock-free.
+  /// reason. Pins and decides as Guard() does (guard::DecideCfi),
+  /// lock-free.
   bool CfiCheck(uint64_t target, uint64_t set_id);
 
   /// Number of registered legal-target sets (test/procfs introspection).
@@ -175,19 +183,21 @@ class PolicyEngine final : public guard::PinSource {
 
   /// Counter totals folded across the per-CPU slots. Returned by value:
   /// concurrent Guard()s keep mutating their own slots, so a reference
-  /// would let readers observe torn counter sets. A pinned CPU's inline
-  /// allows land at its next unpin or out-of-line decision
+  /// would let readers observe torn counter sets. A pinned CPU's allows,
+  /// inline or out of line, land at its next unpin or out-of-line denial
   /// (guard::FlushAllows); until then its guard_calls / allowed and its
   /// guard histograms trail by that batch.
   GuardStats stats() const;
   /// One simulated CPU's share of the counters (the concurrency battery
   /// proves these sum to stats()).
   GuardStats PerCpuStats(uint32_t cpu) const;
-  /// Zero the counters, violations and site rows. The calling CPU's
-  /// pending inline batch is folded first, so it cannot resurrect
-  /// pre-reset counts. Another CPU pinned across the reset folds its
-  /// pending allows at its next flush, after the zeroing: a reset is
-  /// exact only for CPUs not guarding concurrently with it.
+  /// Zero the counters, violations and site rows (not the histograms).
+  /// Bumps the reset epoch and ticks the mutation clock: every CPU's
+  /// pending inline batch predates the reset and is dropped from the
+  /// counters at its next flush (guard::FlushAllows); a pinned CPU
+  /// deopts once at its next guard, the calling CPU refreshes its pin
+  /// now. Afterwards guard_calls equals the sum of HotSites hits on every
+  /// CPU; only a guard racing the reset may land on either side of it.
   void ResetStats();
 
   /// The most recent denials, oldest first (capacity 64).
@@ -199,8 +209,9 @@ class PolicyEngine final : public guard::PinSource {
   /// drivers without site context).
   std::vector<HotSite> HotSites() const;
 
-  /// When false, Guard() skips virtual-clock charging (used by benches
-  /// that account guard cost themselves).
+  /// When false, no guard or CFI decision, inline or out of line, charges
+  /// the virtual clock (used by benches that account guard cost
+  /// themselves).
   void SetChargeCycles(bool charge) {
     cells_.charge_cycles.store(charge, std::memory_order_release);
   }
@@ -281,8 +292,14 @@ class PolicyEngine final : public guard::PinSource {
   const PolicyFrame* RepublishFrame() const;
 
   void RefreshPin(guard::PinSlot& pin) override;
-  uint64_t FoldGuardCalls() const;
-  uint64_t FoldIntrinsicCalls() const;
+  struct DecisionPin;
+  /// Fault injection: `site` is the forced-deny site.
+  bool ForcedDeny(uint64_t site) const {
+    return site == cells_.force_deny_site.load(std::memory_order_relaxed);
+  }
+  /// The violation action for a denial: panic (throws KernelPanic),
+  /// quarantine (throws `violation`) or, logging only, return false.
+  bool Contain(const char* panic_reason, const GuardViolation& violation);
   void RecordViolation(const ViolationRecord& record);
 
   kernel::Kernel* kernel_;

@@ -566,6 +566,15 @@ void GuardedAccess(PolicyEngine& engine, bool pinned, uint64_t addr,
   (void)engine.Guard(addr, 8, flags);
 }
 
+// One covering range guard, pinned or not, as GuardedAccess makes a guard.
+void GuardedCover(PolicyEngine& engine, bool pinned, uint64_t addr,
+                  uint64_t size, uint64_t flags, uint64_t elided,
+                  uint64_t site) {
+  if (pinned && engine.FastGuardRange(addr, size, flags, elided, site)) return;
+  trace::ScopedGuardSite scope(site);
+  (void)engine.GuardRange(addr, size, flags, elided);
+}
+
 // One indirect-call check, pinned or not, as GuardedAccess makes a guard.
 void CheckedCall(PolicyEngine& engine, bool pinned, uint64_t target,
                  uint64_t set_id, uint64_t site) {
@@ -584,8 +593,10 @@ uint64_t RegisterTestSite(const char* function) {
 // The scenario: guards at alternating lookup depths and CFI passes, a
 // denial (deopt, violation record), a region added mid-call (stale pin:
 // deopt and refresh, new guard cost), more guards at the new depths and a
-// CFI denial.
-AccountingView RunAccountingScenario(bool pinned) {
+// CFI denial. `covers_and_forced` appends elided covers and denials forced
+// at a fault-injection site (one deopt each when pinned).
+AccountingView RunAccountingScenario(bool pinned,
+                                     bool covers_and_forced = false) {
   trace::GlobalMetrics().Reset();
   kernel::Kernel kernel;
   PolicyEngine engine(&kernel, PolicyMode::kDefaultDeny);
@@ -619,6 +630,18 @@ AccountingView RunAccountingScenario(bool pinned) {
   CheckedCall(engine, pinned, 0x500, set, call);
   GuardedAccess(engine, pinned, 0x3000, kGuardAccessWrite, far);  // denied
   GuardedAccess(engine, pinned, 0x2000, kGuardAccessRead, far);
+  if (covers_and_forced) {
+    static const uint64_t cover = RegisterTestSite("cover");
+    static const uint64_t forced = RegisterTestSite("forced");
+    GuardedCover(engine, pinned, 0x1000, 0x40, kGuardAccessRead, 7, cover);
+    GuardedCover(engine, pinned, 0x2000, 0x20, kGuardAccessWrite, 3, cover);
+    engine.ForceDenyAtSite(forced);
+    GuardedAccess(engine, pinned, 0x1000, kGuardAccessRead, forced);
+    // A forced-deny cover credits none of its members.
+    GuardedCover(engine, pinned, 0x2000, 0x10, kGuardAccessRead, 2, forced);
+    engine.ForceDenyAtSite(PolicyEngine::kNoForcedSite);
+    GuardedCover(engine, pinned, 0x3000, 0x10, kGuardAccessRead, 1, cover);
+  }
   if (pinned) engine.UnpinFrame();
   return ViewOf(engine, kernel);
 }
@@ -634,6 +657,91 @@ TEST(PinnedAccountingTest, UnpinnedViewEqualsUnbatchedGuards) {
   // pin were its only trips out of line (the scenario resets metrics).
   EXPECT_EQ(trace::GlobalMetrics().GetCounter("guard.deopt")->value(), 4u);
   ExpectSameAccounting(batched, unbatched);
+}
+
+TEST(PinnedAccountingTest, CoversAndForcedDenialsMatchUnbatchedGuards) {
+  const trace::Counter* deopt =
+      trace::GlobalMetrics().GetCounter("guard.deopt");
+  const trace::Counter* elided =
+      trace::GlobalMetrics().GetCounter("guard.elided");
+  const AccountingView unbatched = RunAccountingScenario(false, true);
+  // Out-of-line decisions never deopt, stale pin or forced site alike.
+  EXPECT_EQ(deopt->value(), 0u);
+  ASSERT_EQ(unbatched.stats.elided, 7u + 3 + 1);
+  const uint64_t unbatched_elided = elided->value();
+  EXPECT_EQ(unbatched_elided, unbatched.stats.elided);
+  const AccountingView batched = RunAccountingScenario(true, true);
+  // The four trips out of line above, plus one per forced denial.
+  EXPECT_EQ(deopt->value(), 6u);
+  // A pinned cover's credit reaches guard.elided at the unpin.
+  EXPECT_EQ(elided->value(), unbatched_elided);
+  ExpectSameAccounting(batched, unbatched);
+}
+
+// A denial that throws — GuardViolation under kQuarantine, KernelPanic
+// under kPanic — through Guard() (or CfiCheck() when `cfi`), with the CPU
+// unpinned or nested in a PinFrame. The decision's own pin must close
+// before the throw: the slot's depth is as before the call, an unpinned
+// FastGuard refuses without a deopt, and a nested run's outer unpin folds
+// the same accounting as the unpinned run.
+AccountingView RunThrowingDenial(ViolationAction action, bool cfi,
+                                 bool nested) {
+  trace::GlobalMetrics().Reset();
+  kernel::Kernel kernel;
+  PolicyEngine engine(&kernel, PolicyMode::kDefaultDeny);
+  EXPECT_TRUE(engine.store().Add(Region{0x1000, 0x100, kProtRW}).ok());
+  const uint64_t set = engine.RegisterCfiSets({{0x500}});
+  static const uint64_t site = RegisterTestSite("throw");
+  // A pin slot is its CPU's for good: its depth can be read unpinned.
+  const guard::PinSlot* slot = engine.PinCpu();
+  engine.UnpinFrame();
+  if (nested) {
+    EXPECT_TRUE(engine.PinFrame());
+  }
+  const uint32_t depth_before = slot->depth;
+  for (int i = 0; i < 3; ++i) {
+    GuardedAccess(engine, nested, 0x1000 + 8 * i, kGuardAccessRead, site);
+    CheckedCall(engine, nested, 0x500, set, site);
+  }
+  engine.SetViolationAction(action);
+  bool threw = false;
+  try {
+    trace::ScopedGuardSite scope(site);
+    if (cfi) {
+      (void)engine.CfiCheck(0x600, set);
+    } else {
+      (void)engine.Guard(0x9000, 8, kGuardAccessWrite);
+    }
+  } catch (const kernel::GuardViolation& violation) {
+    threw = action == ViolationAction::kQuarantine && violation.is_cfi == cfi;
+  } catch (const kernel::KernelPanic&) {
+    threw = action == ViolationAction::kPanic;
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(slot->depth, depth_before);
+  if (nested) engine.UnpinFrame();
+  const trace::Counter* deopt =
+      trace::GlobalMetrics().GetCounter("guard.deopt");
+  const uint64_t deopts = deopt->value();
+  EXPECT_FALSE(engine.FastGuard(0x1000, 8, kGuardAccessRead, site));
+  EXPECT_EQ(deopt->value(), deopts);
+  return ViewOf(engine, kernel);
+}
+
+TEST(OutOfLinePinTest, ThrowingDenialsCloseTheirPin) {
+  for (const ViolationAction action :
+       {ViolationAction::kQuarantine, ViolationAction::kPanic}) {
+    for (const bool cfi : {false, true}) {
+      const bool panic = action == ViolationAction::kPanic;
+      SCOPED_TRACE(testing::Message() << (panic ? "panic" : "quarantine")
+                                      << (cfi ? " cfi" : " guard"));
+      const AccountingView unpinned = RunThrowingDenial(action, cfi, false);
+      const AccountingView nested = RunThrowingDenial(action, cfi, true);
+      EXPECT_EQ(unpinned.stats.guard_calls, cfi ? 3u : 4u);
+      EXPECT_EQ(unpinned.sequences.size(), 1u);
+      ExpectSameAccounting(nested, unpinned);
+    }
+  }
 }
 
 TEST(PinnedAccountingTest, ResetStatsWhilePinnedDropsThePendingBatch) {
@@ -692,6 +800,9 @@ TEST_F(EngineTest, ConcurrentGuardsAndMutationsStaySane) {
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t]() {
+      // One host thread per simulated CPU, as every per-CPU slot (here the
+      // pin each out-of-line Guard opens) requires.
+      smp::ScopedCpu cpu(static_cast<uint32_t>(t) + 1);
       Xoshiro256 rng(uint64_t(t) + 1);
       for (int i = 0; i < kGuardsPerReader; ++i) {
         (void)engine_.Guard(0x100000 + rng.NextBelow(32 * 0x1000), 8,

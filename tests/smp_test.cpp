@@ -864,6 +864,65 @@ TEST(SmpTest, PinnedAllowBatchesFoldExactlyUnderRegionChurn) {
   EXPECT_EQ(hits, total);
 }
 
+// CPU 1 holds a pin with pending inline allows while CPU 0 resets the
+// stats. The reset's epoch drops that batch from the counters at CPU 1's
+// next flush, so guard_calls counts exactly the guards whose site hits
+// survived the reset. Histograms are never reset: they count every
+// decision, the dropped batch included.
+TEST(SmpTest, ResetStatsDropsAnotherCpusPendingBatch) {
+  constexpr int kBefore = 6;
+  constexpr int kAfter = 4;
+  Kernel kernel(SmallKernel());
+  policy::PolicyEngine engine(&kernel, policy::PolicyMode::kDefaultAllow);
+  const trace::Log2Histogram* latency =
+      trace::GlobalMetrics().GetHistogram("guard.latency_cycles");
+  const trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const trace::Counter* deopt =
+      trace::GlobalMetrics().GetCounter("guard.deopt");
+  const uint64_t latency_before = latency->count();
+  const uint64_t depth_before = depth->count();
+  const uint64_t deopts_before = deopt->value();
+  std::atomic<int> phase{0};  // 1: batch pending; 2: reset done
+
+  smp::RunOnCpus(2, [&](uint32_t cpu) {
+    if (cpu == 0) {
+      while (phase.load(std::memory_order_acquire) != 1) {
+        std::this_thread::yield();
+      }
+      engine.ResetStats();
+      phase.store(2, std::memory_order_release);
+      return;
+    }
+    EXPECT_TRUE(engine.PinFrame());
+    for (int i = 0; i < kBefore; ++i) {
+      EXPECT_TRUE(engine.FastGuard(0x1000, 8, kGuardAccessRead, 0));
+    }
+    phase.store(1, std::memory_order_release);
+    while (phase.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kAfter; ++i) {
+      if (!engine.FastGuard(0x1000, 8, kGuardAccessRead, 0)) {
+        EXPECT_TRUE(engine.Guard(0x1000, 8, kGuardAccessRead));
+      }
+    }
+    engine.UnpinFrame();
+  });
+
+  const policy::GuardStats stats = engine.stats();
+  uint64_t hits = 0;
+  for (const policy::HotSite& row : engine.HotSites()) hits += row.hits;
+  EXPECT_EQ(stats.guard_calls, uint64_t{kAfter});
+  EXPECT_EQ(stats.allowed, uint64_t{kAfter});
+  EXPECT_EQ(stats.guard_calls, hits);
+  EXPECT_EQ(latency->count() - latency_before, uint64_t{kBefore + kAfter});
+  EXPECT_EQ(depth->count() - depth_before, uint64_t{kBefore + kAfter});
+  // The reset ticked the mutation clock: CPU 1's first guard after it
+  // deopted once, and the refreshed pin decided the rest inline.
+  EXPECT_EQ(deopt->value() - deopts_before, 1u);
+}
+
 // --------------------------------------------------- RCU grace period
 
 // Readers chase a published pointer while a writer retires old values.
