@@ -217,11 +217,12 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
   return args;
 }
 
-uint64_t PositionalArg(int argc, char** argv, int index, uint64_t fallback,
-                       const char* usage, uint64_t min) {
+uint64_t detail::PositionalArg(int argc, char** argv, int index,
+                               uint64_t fallback, const char* usage,
+                               uint64_t min, uint64_t max) {
   if (index >= argc) return fallback;
   uint64_t value = 0;
-  if (!ParseCount(argv[index], min, UINT64_MAX, &value)) {
+  if (!ParseCount(argv[index], min, max, &value)) {
     std::fprintf(stderr, "%s: bad argument %d '%s'\nusage: %s %s\n", argv[0],
                  index, argv[index], argv[0], usage);
     std::exit(2);

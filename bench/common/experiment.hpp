@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,13 +95,24 @@ struct BenchArgs {
   static BenchArgs Parse(int argc, char** argv);
 };
 
-/// Positional numeric argument argv[index], or `fallback` when absent.
-/// Anything but a plain decimal integer >= `min` — a flag such as
-/// --packets=2000, trailing junk, a sign, overflow, or (by default) a
-/// zero count — prints `usage` and exits 2, so a mistyped command line
-/// never runs a silently empty bench.
+namespace detail {
 uint64_t PositionalArg(int argc, char** argv, int index, uint64_t fallback,
-                       const char* usage, uint64_t min = 1);
+                       const char* usage, uint64_t min, uint64_t max);
+}  // namespace detail
+
+/// Positional numeric argument argv[index] as a `T`, or `fallback` when
+/// absent. Anything but a plain decimal integer from `min` to the
+/// largest `T` — a flag such as --packets=2000, trailing junk, a sign, a
+/// value `T` cannot hold, or (by default) a zero count — prints `usage`
+/// and exits 2, so a mistyped command line never runs a silently empty
+/// bench.
+template <typename T = uint64_t>
+T PositionalArg(int argc, char** argv, int index, uint64_t fallback,
+                const char* usage, uint64_t min = 1) {
+  return static_cast<T>(detail::PositionalArg(
+      argc, argv, index, fallback, usage, min,
+      static_cast<uint64_t>(std::numeric_limits<T>::max())));
+}
 
 /// Wall-clock gate from environment variable `name`, or `fallback` when
 /// unset. A value that is not a finite number > 0 exits 2: a mistyped

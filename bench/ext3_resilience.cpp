@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   using kop::bench::PositionalArg;
   const char* usage = "[sends=20000] [rounds=7]";
   const uint64_t sends = PositionalArg(argc, argv, 1, 20000, usage);
-  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 7, usage));
+  const int rounds = PositionalArg<int>(argc, argv, 2, 7, usage);
 
   Variant variants[] = {
       {"pr2-baseline", false, false},

@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   const char* usage = "[calls=200] [iters=500] [rounds=3]";
   const uint64_t calls = PositionalArg(argc, argv, 1, 200, usage);
   const uint64_t iters = PositionalArg(argc, argv, 2, 500, usage);
-  const int rounds = static_cast<int>(PositionalArg(argc, argv, 3, 3, usage));
+  const int rounds = PositionalArg<int>(argc, argv, 3, 3, usage);
 
   const ExecEngine engines[] = {ExecEngine::kBytecode, ExecEngine::kInterp};
   const Shape shapes[] = {{"partitioned", true}, {"contended", false}};

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   using kop::bench::PositionalArg;
   const char* usage = "[sends=20000] [rounds=7] [seed=7]";
   const uint64_t sends = PositionalArg(argc, argv, 1, 20000, usage);
-  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 7, usage));
+  const int rounds = PositionalArg<int>(argc, argv, 2, 7, usage);
   const uint64_t seed = PositionalArg(argc, argv, 3, 7, usage, /*min=*/0);
 
   // KOP_EXT5_GATE overrides the 1-CPU host-overhead budget (shared CI

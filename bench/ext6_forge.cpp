@@ -105,9 +105,8 @@ DispatchLeg MeasureDispatch(kop::kir::CoverageMap* sink, uint64_t calls,
 int main(int argc, char** argv) {
   using kop::bench::PositionalArg;
   const char* usage = "[trials=192] [rounds=3] [calls=4000]";
-  const uint32_t trials =
-      static_cast<uint32_t>(PositionalArg(argc, argv, 1, 192, usage));
-  const int rounds = static_cast<int>(PositionalArg(argc, argv, 2, 3, usage));
+  const uint32_t trials = PositionalArg<uint32_t>(argc, argv, 1, 192, usage);
+  const int rounds = PositionalArg<int>(argc, argv, 2, 3, usage);
   const uint64_t calls = PositionalArg(argc, argv, 3, 4000, usage);
   bool failed = false;
   std::string csv = "leg,jobs,trials_per_sec,speedup,identical\n";

@@ -189,9 +189,8 @@ int main(int argc, char** argv) {
   using kop::bench::PositionalArg;
   const char* usage = "[bursts=64] [burst=16] [rounds=2]";
   const uint64_t bursts = PositionalArg(argc, argv, 1, 64, usage);
-  const uint32_t burst =
-      static_cast<uint32_t>(PositionalArg(argc, argv, 2, 16, usage));
-  const int rounds = static_cast<int>(PositionalArg(argc, argv, 3, 2, usage));
+  const uint32_t burst = PositionalArg<uint32_t>(argc, argv, 2, 16, usage);
+  const int rounds = PositionalArg<int>(argc, argv, 3, 2, usage);
 
   // KOP_EXT7_GATE overrides the 8-CPU speedup floor (CI smokes run far
   // fewer bursts, where fixed probe cost eats into scaling).

@@ -61,6 +61,19 @@ class Kernel {
   const sim::MachineModel& machine() const { return config_.machine; }
   const KernelConfig& config() const { return config_; }
 
+  /// The one charged module access: the machine model's load (store)
+  /// cost on the calling CPU's virtual clock, then the address space.
+  /// Native modules (modrt::RawMemOps) and KIR module slots
+  /// (SlotMemory) both reach memory through these two.
+  Result<uint64_t> ChargedLoad(uint64_t addr, uint32_t size) {
+    clock_.Advance(config_.machine.mem_read_cycles);
+    return mem_.Load(addr, size);
+  }
+  Status ChargedStore(uint64_t addr, uint64_t value, uint32_t size) {
+    clock_.Advance(config_.machine.mem_write_cycles);
+    return mem_.Store(addr, value, size);
+  }
+
   /// Swap the cost model (e.g. R415 vs R350 experiments).
   void SetMachine(const sim::MachineModel& machine) {
     config_.machine = machine;

@@ -11,6 +11,13 @@
 // it on the register VM; KOP_ENGINE=interp selects the reference
 // tree-walking interpreter instead.
 //
+// Each CPU slot's engine runs against one SlotMemory and one kernel
+// resolver. The slot memory is the module's only way to kernel memory:
+// it charges each access, numbers it for fault injection, honours the
+// cross-CPU stop flag and journals RAM stores. The resolver is its only
+// way to kernel code: both engines bind each external callee once and
+// call through the handle.
+//
 // Every call into a loaded module is transactional (kop::resilience): a
 // write journal opens at call entry, and on containment — guard
 // violation, watchdog expiry, in-module panic — it is rolled back before
@@ -21,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -130,15 +138,69 @@ struct HeapLedger {
   smp::PerCpu<std::vector<uint64_t>> call_new_;  // per-CPU open-call subset
 };
 
-/// One simulated CPU's execution context for a module: kernel-backed
-/// memory wrapped in the write journal, the kernel resolver (exported
-/// symbols, guard-site attribution, the policy engine's pin for the
-/// engine's inline guards), a private frame stack and an engine. Module
-/// globals, the kernel heap and the exported-symbol table are shared
-/// across slots.
+/// The memory one CPU's engine runs against: the kernel address space
+/// through Kernel::ChargedLoad/ChargedStore, with the slot's write
+/// journal, its fault-injection hook and the module's cross-CPU stop
+/// flag in front. While a journal transaction is open, a store to RAM
+/// first captures the old value (charged as a read, so journaling shows
+/// on the virtual clock identically in both engines); MMIO stores are
+/// not journaled.
+class SlotMemory final : public kir::MemoryInterface {
+ public:
+  /// `hook(is_store, ordinal, addr, value, size)` returns the (possibly
+  /// perturbed) value the operation proceeds with. `ordinal` numbers the
+  /// slot's loads and stores from 1, the same sequence in both engines.
+  using MemFaultHook = std::function<uint64_t(
+      bool is_store, uint64_t ordinal, uint64_t addr, uint64_t value,
+      uint32_t size)>;
+
+  /// While `*stop` is set (the SMP stop-the-module request), every Load
+  /// and Store returns kInterrupted without touching memory: both
+  /// engines unwind at their next access and the caller rolls back its
+  /// own journal. Null = never stopped.
+  SlotMemory(Kernel* kernel, const std::atomic<bool>* stop)
+      : kernel_(kernel), stop_(stop) {}
+  SlotMemory(const SlotMemory&) = delete;  // the slot's engine holds it
+  SlotMemory& operator=(const SlotMemory&) = delete;
+
+  Result<uint64_t> Load(uint64_t addr, uint32_t size) override;
+  Status Store(uint64_t addr, uint64_t value, uint32_t size) override;
+
+  resilience::WriteJournal& journal() { return journal_; }
+  const resilience::WriteJournal& journal() const { return journal_; }
+
+  /// Replay the journal newest-first through the charged store (no stop
+  /// flag, hook or journal on the way) and close the transaction.
+  /// Returns the number of entries undone; undo failures are ignored —
+  /// the region a store hit cannot unmap mid-call in this simulator.
+  size_t Rollback();
+
+  void SetFaultHook(MemFaultHook hook) { fault_hook_ = std::move(hook); }
+  void ClearFaultHook() { fault_hook_ = nullptr; }
+
+ private:
+  bool Stopped() const {
+    return stop_ != nullptr && stop_->load(std::memory_order_acquire);
+  }
+
+  Kernel* kernel_;
+  const std::atomic<bool>* stop_;
+  resilience::WriteJournal journal_;
+  MemFaultHook fault_hook_;
+  uint64_t op_count_ = 0;
+};
+
+/// One simulated CPU's execution context for a module: the slot memory
+/// (kernel memory behind the write journal), the kernel resolver
+/// (exported symbols, guard-site attribution, the policy engine's pin
+/// for the engine's inline guards), a private frame stack and an engine.
+/// Module globals, the kernel heap and the exported-symbol table are
+/// shared across slots.
 struct ModuleSlot {
-  std::unique_ptr<kir::MemoryInterface> memory;
-  std::unique_ptr<resilience::JournaledMemory> journaled;
+  ModuleSlot(Kernel* kernel, const std::atomic<bool>* stop)
+      : journaled(kernel, stop) {}
+
+  SlotMemory journaled;
   std::unique_ptr<kir::ExternalResolver> resolver;
   std::unique_ptr<kir::ExecutionEngine> engine;
   uint32_t call_depth = 0;  // re-entry via exported module symbols
@@ -303,12 +365,8 @@ class LoadedModule {
 
   /// The journaling memory seam (also the fault-injection hook point).
   /// Boot-CPU slot; fault campaigns are single-CPU.
-  resilience::JournaledMemory& journaled_memory() {
-    return *slots_[0]->journaled;
-  }
-  const resilience::JournaledMemory& journaled_memory() const {
-    return *slots_[0]->journaled;
-  }
+  SlotMemory& journaled_memory() { return slots_[0]->journaled; }
+  const SlotMemory& journaled_memory() const { return slots_[0]->journaled; }
 
   /// Heap allocations currently owned by the module (kernel kmalloc).
   /// By value: the ledger mutates under concurrent calls.

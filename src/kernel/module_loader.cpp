@@ -23,27 +23,6 @@
 namespace kop::kernel {
 namespace {
 
-/// Interpreter memory backed by the kernel address space, charging the
-/// machine model's access costs. Guards are NOT implied here: in a
-/// transformed module they are explicit call instructions in the IR.
-class KernelMemory final : public kir::MemoryInterface {
- public:
-  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
-
-  Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    return kernel_->mem().Load(addr, size);
-  }
-
-  Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    return kernel_->mem().Store(addr, value, size);
-  }
-
- private:
-  Kernel* kernel_;
-};
-
 /// Per-CPU interpreter/VM frame stack size (module area).
 constexpr uint64_t kStackBytes = 64 * 1024;
 
@@ -51,16 +30,13 @@ constexpr uint64_t kStackBytes = 64 * 1024;
 /// host fallbacks for the hardware intrinsics so un-wrapped intrinsics
 /// still "execute" (the §5 wrap pass adds the permission check in front).
 ///
-/// Two call paths exist. The name-keyed CallExternal path serves the
-/// interpreter: per call, one guard-name compare (cheap; guard calls are
-/// the only ones needing site attribution) and a symbol-table hash
-/// lookup. The bound path serves the bytecode VM: BindExternal resolves a
-/// name ONCE at engine construction — symbol-table closure pointer,
-/// interned intrinsic id, or guard classification — and CallBound then
-/// dispatches on an integer kind with no string in sight. Cached symbol
-/// pointers revalidate against the symbol table's generation counter, so
-/// unloading the policy module (which unexports carat_guard) is observed
-/// exactly as on the name path.
+/// Both engines bind each callee ONCE, at construction — guard
+/// classification, interned intrinsic id, or symbol-table closure
+/// pointer — and Call then dispatches on an integer kind with no string
+/// in sight. Cached symbol pointers revalidate against the symbol
+/// table's generation counter, so unloading the policy module (which
+/// unexports carat_guard) is observed on the next call, and a name that
+/// was not exported at bind time fails with NotFound until it is.
 ///
 /// The resolver also keeps the owning module's HeapLedger honest: calls
 /// through the kernel's kmalloc/kfree exports are recorded so quarantine
@@ -88,40 +64,7 @@ class KernelResolver final : public kir::ExternalResolver {
     }
   }
 
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args,
-                                uint64_t call_ordinal) override {
-    // Only guard calls carry site attribution; check the (four) guard
-    // names before touching the token table so every other external —
-    // printk, netdev hooks, ... — pays nothing for this overload.
-    if (name == kCaratCfiCheckSymbol && args.size() == 2) {
-      // CFI checks additionally rebase their module-local set id into
-      // the engine's global table before crossing the symbol boundary.
-      const std::vector<uint64_t> rebased{args[0], args[1] + cfi_base_};
-      return AtGuardSite(call_ordinal,
-                         [&] { return CallExternal(name, rebased); });
-    }
-    if (name == kCaratGuardSymbol || name == kCaratGuardRangeSymbol ||
-        name == kCaratIntrinsicGuardSymbol) {
-      return AtGuardSite(call_ordinal, [&] { return CallExternal(name, args); });
-    }
-    return CallExternal(name, args);
-  }
-
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args) override {
-    if (const KernelFunction* fn = kernel_->symbols().FindFunction(name)) {
-      const uint64_t ret = (*fn)(args);
-      NoteHeapOp(name, args, ret);
-      return ret;
-    }
-    if (kir::IsIntrinsicName(name)) {
-      return CallIntrinsic(kir::IntrinsicFromName(name), args);
-    }
-    return NotFound("undefined kernel symbol: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
+  uint64_t Bind(const std::string& name) override {
     Binding binding;
     binding.name = name;
     if (name == kCaratGuardSymbol || name == kCaratGuardRangeSymbol ||
@@ -129,15 +72,14 @@ class KernelResolver final : public kir::ExternalResolver {
       binding.kind = Binding::Kind::kGuard;
     } else if (name == kCaratCfiCheckSymbol) {
       binding.kind = Binding::Kind::kCfi;
-    } else if (kernel_->symbols().HasFunction(name)) {
-      binding.kind = Binding::Kind::kSymbol;
-      if (name == "kmalloc") binding.heap_op = Binding::HeapOp::kMalloc;
-      if (name == "kfree") binding.heap_op = Binding::HeapOp::kFree;
-    } else if (kir::IsIntrinsicName(name)) {
+    } else if (!kernel_->symbols().HasFunction(name) &&
+               kir::IsIntrinsicName(name)) {
       binding.kind = Binding::Kind::kIntrinsic;
       binding.intrinsic = kir::IntrinsicFromName(name);
     } else {
-      return std::nullopt;  // unknown symbol: name path reports NotFound
+      binding.kind = Binding::Kind::kSymbol;
+      if (name == "kmalloc") binding.heap_op = Binding::HeapOp::kMalloc;
+      if (name == "kfree") binding.heap_op = Binding::HeapOp::kFree;
     }
     if (binding.kind != Binding::Kind::kIntrinsic) {
       binding.fn = kernel_->symbols().FindFunction(name);
@@ -147,9 +89,8 @@ class KernelResolver final : public kir::ExternalResolver {
     return bindings_.size() - 1;
   }
 
-  Result<uint64_t> CallBound(uint64_t handle,
-                             const std::vector<uint64_t>& args,
-                             uint64_t call_ordinal) override {
+  Result<uint64_t> Call(uint64_t handle, const std::vector<uint64_t>& args,
+                        uint64_t call_ordinal) override {
     Binding& binding = bindings_[handle];
     switch (binding.kind) {
       case Binding::Kind::kGuard: {
@@ -208,16 +149,6 @@ class KernelResolver final : public kir::ExternalResolver {
     const KernelFunction* fn = nullptr;
     uint64_t generation = 0;
   };
-
-  void NoteHeapOp(const std::string& name, const std::vector<uint64_t>& args,
-                  uint64_t ret) {
-    if (ledger_ == nullptr) return;
-    if (name == "kmalloc") {
-      ledger_->OnAlloc(ret);
-    } else if (name == "kfree" && !args.empty()) {
-      ledger_->OnFree(args[0]);
-    }
-  }
 
   /// Run `call` with the guard site of `call_ordinal` pinned while it is
   /// in flight — the simulated analogue of the return address the guard
@@ -301,6 +232,37 @@ Status InitGlobal(Kernel* kernel, const kir::GlobalVariable& global,
 
 }  // namespace
 
+Result<uint64_t> SlotMemory::Load(uint64_t addr, uint32_t size) {
+  if (Stopped()) return Interrupted("module stopped by cross-CPU request");
+  const uint64_t ordinal = ++op_count_;
+  auto value = kernel_->ChargedLoad(addr, size);
+  if (value.ok() && fault_hook_) {
+    return fault_hook_(/*is_store=*/false, ordinal, addr, *value, size);
+  }
+  return value;
+}
+
+Status SlotMemory::Store(uint64_t addr, uint64_t value, uint32_t size) {
+  if (Stopped()) return Interrupted("module stopped by cross-CPU request");
+  const uint64_t ordinal = ++op_count_;
+  if (fault_hook_) {
+    value = fault_hook_(/*is_store=*/true, ordinal, addr, value, size);
+  }
+  // Capture-before-write, RAM only: device state cannot be rolled back.
+  if (journal_.active() &&
+      kernel_->mem().RawHostPointer(addr, size) != nullptr) {
+    auto old_value = kernel_->ChargedLoad(addr, size);
+    if (old_value.ok()) journal_.RecordStore(addr, *old_value, size);
+  }
+  return kernel_->ChargedStore(addr, value, size);
+}
+
+size_t SlotMemory::Rollback() {
+  return journal_.Rollback([this](uint64_t addr, uint64_t old, uint32_t size) {
+    (void)kernel_->ChargedStore(addr, old, size);
+  });
+}
+
 Result<std::unordered_map<std::string, uint64_t>> LayoutGlobals(
     Kernel* kernel, const kir::Module& ir,
     std::vector<uint64_t>* allocations) {
@@ -319,16 +281,9 @@ Result<std::unordered_map<std::string, uint64_t>> LayoutGlobals(
 Result<std::unique_ptr<ModuleSlot>> BuildModuleSlot(
     Kernel* kernel, const SlotRecipe& recipe,
     std::vector<uint64_t>* allocations) {
-  // Kernel-backed memory wrapped in the resilience journal, so every
-  // module call can be a transaction (interpreter and VM journal
-  // identically — they share this seam).
-  auto slot = std::make_unique<ModuleSlot>();
-  slot->memory = std::make_unique<KernelMemory>(kernel);
-  slot->journaled = std::make_unique<resilience::JournaledMemory>(
-      slot->memory.get(), [kernel](uint64_t addr, uint32_t size) {
-        return kernel->mem().RawHostPointer(addr, size) != nullptr;
-      });
-  slot->journaled->SetStopFlag(recipe.stop_flag);
+  // The slot memory journals, so every module call can be a transaction
+  // (interpreter and VM journal identically — they share this seam).
+  auto slot = std::make_unique<ModuleSlot>(kernel, recipe.stop_flag);
   slot->resolver = std::make_unique<KernelResolver>(
       kernel, recipe.site_tokens, recipe.ledger, recipe.cfi_base);
 
@@ -354,11 +309,11 @@ Result<std::unique_ptr<ModuleSlot>> BuildModuleSlot(
     }
     KOP_ASSIGN_OR_RETURN(
         slot->engine,
-        kir::VM::Create(std::move(bytecode), *slot->journaled,
+        kir::VM::Create(std::move(bytecode), slot->journaled,
                         *slot->resolver, recipe.addresses, config));
   } else {
     slot->engine = std::make_unique<kir::Interpreter>(
-        *recipe.ir, *slot->journaled, *slot->resolver, recipe.addresses,
+        *recipe.ir, slot->journaled, *slot->resolver, recipe.addresses,
         config);
   }
   return slot;
@@ -451,7 +406,7 @@ Result<uint64_t> LoadedModule::Call(const std::string& function,
     std::atomic<uint32_t>* n;
     ~ActiveGuard() { n->fetch_sub(1, std::memory_order_acq_rel); }
   } active{&active_calls_};
-  if (journaling_enabled_) slot.journaled->journal().Begin();
+  if (journaling_enabled_) slot.journaled.journal().Begin();
   heap_ledger_.BeginCall();
   // End-to-end latency of the outermost call, containment included (the
   // scope unwinds through every return and the KernelPanic rethrow).
@@ -527,7 +482,7 @@ Result<uint64_t> LoadedModule::Call(const std::string& function,
   // a fault the module observes, not a containment event.
   if (journaling_enabled_) {
     KOP_SPAN(kJournalCommit);
-    slot.journaled->journal().Commit();
+    slot.journaled.journal().Commit();
   }
   return result;
 }
@@ -657,14 +612,14 @@ Status LoadedModule::TryRestart() {
   if (!restart_entry_.empty()) {
     // Re-run init under its own journal transaction: a failing init must
     // not leave half-initialized state either.
-    slot.journaled->journal().Begin();
+    slot.journaled.journal().Begin();
     heap_ledger_.BeginCall();
     ++slot.call_depth;
     try {
       auto init = slot.engine->Call(restart_entry_, restart_args_);
       --slot.call_depth;
       if (init.ok()) {
-        slot.journaled->journal().Commit();
+        slot.journaled.journal().Commit();
       } else {
         ok = false;
         failure = init.status().ToString();
@@ -716,16 +671,16 @@ Status LoadedModule::TryRestart() {
 
 size_t LoadedModule::RollbackJournal(
     ModuleSlot& slot, [[maybe_unused]] resilience::RollbackReason reason) {
-  resilience::WriteJournal& journal = slot.journaled->journal();
+  const resilience::WriteJournal& journal = slot.journaled.journal();
   if (!journal.active()) return 0;
   const uint64_t bytes = journal.bytes();
-  // Undo through the UN-journaled inner interface: the replay must not
-  // journal itself or pass through fault hooks (and must not be aborted
-  // by a pending cross-CPU stop — the inner interface has no stop flag).
+  // The replay must not journal itself, pass through fault hooks or be
+  // aborted by a pending cross-CPU stop; SlotMemory::Rollback skips all
+  // three.
   size_t undone = 0;
   {
     KOP_SPAN(kJournalRollback, bytes);
-    undone = journal.Rollback(slot.journaled->inner());
+    undone = slot.journaled.Rollback();
   }
   KOP_TRACE(kModuleRollback, undone, bytes, static_cast<uint64_t>(reason));
   trace::GlobalMetrics().GetCounter("resilience.rollbacks")->Add();
@@ -793,7 +748,7 @@ void LoadedModule::CapturePostmortem(ModuleSlot& slot, const char* reason,
     }
   }
   bundle.vm = slot.engine->LastFaultState();
-  const resilience::WriteJournal& journal = slot.journaled->journal();
+  const resilience::WriteJournal& journal = slot.journaled.journal();
   bundle.journal_rollbacks = journal.total_rollbacks();
   bundle.journal_entries_recorded = journal.total_entries_recorded();
   bundle.journal_entries_undone = journal.total_entries_undone();

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,52 +28,33 @@ class MemoryInterface {
 };
 
 /// Resolves calls that leave the module (kernel exports and intrinsics).
+/// One call ABI serves both engines: each engine binds every callee
+/// once, when it is built, and every later call at that callee goes
+/// through Call with the handle, never re-examining the name.
 class ExternalResolver {
  public:
   virtual ~ExternalResolver() = default;
-  virtual Result<uint64_t> CallExternal(const std::string& name,
-                                        const std::vector<uint64_t>& args) = 0;
 
-  /// Variant carrying the call site's module-wide ordinal: the index of
-  /// this kCall among all kCall instructions in the module, in function /
-  /// block / instruction order. The loader uses it to attribute guard
-  /// calls to the exact injected site (the simulated return address).
-  /// Default forwards to the ordinal-less overload.
-  virtual Result<uint64_t> CallExternal(const std::string& name,
-                                        const std::vector<uint64_t>& args,
-                                        uint64_t call_ordinal) {
-    (void)call_ordinal;
-    return CallExternal(name, args);
-  }
+  /// Resolve `name` (symbol-table entry, intrinsic id, guard hook) to an
+  /// opaque handle. Never fails: a callee that cannot be resolved yet
+  /// gets a handle whose calls report the failure.
+  virtual uint64_t Bind(const std::string& name) = 0;
 
-  /// Compiled-engine fast path. A resolver that can pre-resolve `name`
-  /// (symbol-table entry, intrinsic id, guard hook) returns an opaque
-  /// handle here, bound ONCE when the engine is constructed; every later
-  /// call at that callee goes through CallBound with the handle and never
-  /// re-examines the name. nullopt means no binding is available and the
-  /// engine must use the name-keyed CallExternal path.
-  virtual std::optional<uint64_t> BindExternal(const std::string& name) {
-    (void)name;
-    return std::nullopt;
-  }
-
-  /// Invoke a callee previously bound with BindExternal. `call_ordinal`
-  /// carries the same site-attribution channel as the name-keyed variant.
-  virtual Result<uint64_t> CallBound(uint64_t handle,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t call_ordinal) {
-    (void)handle;
-    (void)args;
-    (void)call_ordinal;
-    return Internal("CallBound on a resolver without BindExternal");
-  }
+  /// Invoke a bound callee. `call_ordinal` is the call site's
+  /// module-wide ordinal: the index of this call among all call
+  /// instructions in the module, in function / block / instruction
+  /// order. The loader uses it to attribute guard calls to the exact
+  /// injected site (the simulated return address).
+  virtual Result<uint64_t> Call(uint64_t handle,
+                                const std::vector<uint64_t>& args,
+                                uint64_t call_ordinal) = 0;
 
   // Inline-guard fast path (DESIGN.md §15). An engine asks for each
   // guard's site token and the CFI rebase once, at construction, pins at
   // every outermost Call, and runs recognised guard calls through the
   // guard core (kop/guard/pinned.hpp) on the pinned slot. A deopt falls
-  // back to CallExternal / CallBound, which own violation semantics. A
-  // resolver that returns no slot keeps every guard on that slow path.
+  // back to Call, which owns violation semantics. A resolver that
+  // returns no slot keeps every guard on that slow path.
 
   /// Pin the calling CPU's policy frame for one outermost call and return
   /// its slot, or null when no fast path is available.

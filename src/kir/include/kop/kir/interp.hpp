@@ -76,13 +76,18 @@ class Interpreter : public ExecutionEngine {
   /// export) — only the outermost Call re-arms the watchdog deadline.
   uint32_t entry_depth_ = 0;
   /// Module-wide ordinal of each call instruction (function / block /
-  /// instruction order) and its guard-site token, precomputed so the hot
-  /// path is one hash lookup.
+  /// instruction order), its guard-site token and, for a direct external
+  /// call, the callee's resolver handle, precomputed so the hot path is
+  /// one hash lookup.
   struct CallSite {
     uint64_t ordinal = 0;
     uint64_t site = 0;
+    uint64_t handle = 0;
   };
   std::unordered_map<const Instruction*, CallSite> call_sites_;
+  /// Resolver handle of each external function by function index (the
+  /// callee of an indirect call); unused for defined functions.
+  std::vector<uint64_t> function_handles_;
 };
 
 }  // namespace kop::kir

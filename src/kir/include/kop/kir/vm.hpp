@@ -1,7 +1,7 @@
 // The bytecode VM: the register-based execution engine the module loader
 // uses by default. Construction binds the compiled module against its
 // environment — global addresses patched into frame templates, external
-// callees bound once through ExternalResolver::BindExternal — so the
+// callees bound once through ExternalResolver::Bind — so the
 // execute loop is a flat dispatch over pre-decoded instructions with no
 // hash lookups, no string compares and no per-call allocation.
 //
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,8 +27,8 @@ class VM : public ExecutionEngine {
  public:
   /// Bind `bytecode` to its runtime environment. Patches each global
   /// fixup with the loader-assigned address (fails like the interpreter
-  /// does, but once, here, instead of on first use) and pre-binds every
-  /// external callee the resolver offers a handle for.
+  /// does, but once, here, instead of on first use) and binds every
+  /// external callee once.
   static Result<std::unique_ptr<VM>> Create(
       BytecodeModule bytecode, MemoryInterface& memory,
       ExternalResolver& resolver,
@@ -82,9 +81,8 @@ class VM : public ExecutionEngine {
   /// outermost Call re-arms the watchdog deadline.
   uint32_t entry_depth_ = 0;
 
-  /// Per-extern-id resolver handle from BindExternal; nullopt falls back
-  /// to the name-keyed CallExternal path.
-  std::vector<std::optional<uint64_t>> bindings_;
+  /// Per-extern-id resolver handle from ExternalResolver::Bind.
+  std::vector<uint64_t> bindings_;
 
   /// Register arena: frames stack up at reg_top_; a frame re-fetches its
   /// base pointer after any call because growth reallocates.

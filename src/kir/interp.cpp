@@ -40,14 +40,29 @@ Interpreter::Interpreter(
       global_addresses_(std::move(global_addresses)),
       config_(config),
       cfi_base_(resolver.CfiSetBase()) {
+  // Bind every external callee once: declared externals (also the
+  // targets of indirect calls) and undeclared direct callees.
+  std::unordered_map<std::string, uint64_t> handles;
+  auto bind = [&](const std::string& name) {
+    auto [it, fresh] = handles.try_emplace(name, 0);
+    if (fresh) it->second = resolver.Bind(name);
+    return it->second;
+  };
+  for (const auto& fn : module_.functions()) {
+    function_handles_.push_back(fn->is_external() ? bind(fn->name()) : 0);
+  }
   uint64_t ordinal = 0;
   for (const auto& fn : module_.functions()) {
     for (const auto& block : fn->blocks()) {
       for (const auto& inst : *block) {
         if (inst->opcode() == Opcode::kCall ||
             inst->opcode() == Opcode::kCallIndirect) {
+          const Function* callee = module_.FindFunction(inst->callee());
+          const bool external = inst->opcode() == Opcode::kCall &&
+                                (callee == nullptr || callee->is_external());
           call_sites_[inst.get()] =
-              CallSite{ordinal, resolver.GuardSiteToken(ordinal)};
+              CallSite{ordinal, resolver.GuardSiteToken(ordinal),
+                       external ? bind(inst->callee()) : 0};
           ++ordinal;
         }
       }
@@ -389,9 +404,7 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
             result = Execute(*callee, call_args, depth + 1, sp);
           } else {
             ++stats_.calls_external;
-            auto found = call_sites_.find(&inst);
-            const CallSite call =
-                found == call_sites_.end() ? CallSite{} : found->second;
+            const CallSite& call = call_sites_.at(&inst);
             // Inline-guard fast path first; a deopt falls back to the
             // ordinary external-call path. The external call count
             // advanced either way, so InterpStats parity with the VM
@@ -400,8 +413,7 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
                                               call.site, cfi_base_)) {
               result = uint64_t{1};
             } else {
-              result = resolver_.CallExternal(inst.callee(), call_args,
-                                              call.ordinal);
+              result = resolver_.Call(call.handle, call_args, call.ordinal);
             }
           }
           if (!result.ok()) return result.status();
@@ -441,10 +453,8 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
             result = Execute(*callee, call_args, depth + 1, sp);
           } else {
             ++stats_.calls_external;
-            auto found = call_sites_.find(&inst);
-            const uint64_t ordinal =
-                found == call_sites_.end() ? 0 : found->second.ordinal;
-            result = resolver_.CallExternal(callee->name(), call_args, ordinal);
+            result = resolver_.Call(function_handles_[index], call_args,
+                                    call_sites_.at(&inst).ordinal);
           }
           if (!result.ok()) return result.status();
           if (inst.type() != Type::kVoid) {

@@ -107,7 +107,7 @@ Result<std::unique_ptr<VM>> VM::Create(
   vm->cfi_base_ = resolver.CfiSetBase();
   vm->bindings_.reserve(vm->bytecode_.externs.size());
   for (const BcExtern& ext : vm->bytecode_.externs) {
-    vm->bindings_.push_back(resolver.BindExternal(ext.name));
+    vm->bindings_.push_back(resolver.Bind(ext.name));
   }
   return vm;
 }
@@ -528,12 +528,8 @@ dispatch:
       }
       ++stats_.calls_external;
       stats_.steps = steps;
-      const std::optional<uint64_t>& handle = bindings_[entry.index];
       Result<uint64_t> result =
-          handle.has_value()
-              ? resolver_.CallBound(*handle, call_args, ip->imm2)
-              : resolver_.CallExternal(bytecode_.externs[entry.index].name,
-                                       call_args, ip->imm2);
+          resolver_.Call(bindings_[entry.index], call_args, ip->imm2);
       if (!result.ok()) return result.status();
       steps = stats_.steps;
       regs = reg_stack_.data() + base;
@@ -553,12 +549,8 @@ dispatch:
       }
       ++stats_.calls_external;
       stats_.steps = steps;
-      const std::optional<uint64_t>& handle = bindings_[ip->aux];
       Result<uint64_t> result =
-          handle.has_value()
-              ? resolver_.CallBound(*handle, call_args, ip->imm2)
-              : resolver_.CallExternal(bytecode_.externs[ip->aux].name,
-                                       call_args, ip->imm2);
+          resolver_.Call(bindings_[ip->aux], call_args, ip->imm2);
       if (!result.ok()) return result.status();
       steps = stats_.steps;             // ...and may have run more code
       regs = reg_stack_.data() + base;  // resolver may re-enter the VM

@@ -86,14 +86,12 @@ class RawMemOps {
 
   Result<uint64_t> Load(uint64_t addr, uint32_t size) {
     ++stats_.Mine().loads;
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    return kernel_->mem().Load(addr, size);
+    return kernel_->ChargedLoad(addr, size);
   }
 
   Status Store(uint64_t addr, uint64_t value, uint32_t size) {
     ++stats_.Mine().stores;
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    return kernel_->mem().Store(addr, value, size);
+    return kernel_->ChargedStore(addr, value, size);
   }
 
   Result<uint32_t> MmioRead32(uint64_t addr) {

@@ -12,44 +12,4 @@ std::string_view RollbackReasonName(RollbackReason reason) {
   return "?";
 }
 
-size_t WriteJournal::Rollback(kir::MemoryInterface& memory) {
-  const size_t undone = entries_.size();
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    (void)memory.Store(it->addr, it->old_value, it->size);
-  }
-  entries_.clear();
-  active_ = false;
-  ++total_rollbacks_;
-  total_entries_undone_ += undone;
-  return undone;
-}
-
-Result<uint64_t> JournaledMemory::Load(uint64_t addr, uint32_t size) {
-  if (Stopped()) return Interrupted("module stopped by cross-CPU request");
-  const uint64_t ordinal = ++op_count_;
-  auto value = inner_->Load(addr, size);
-  if (value.ok() && fault_hook_) {
-    return fault_hook_(/*is_store=*/false, ordinal, addr, *value, size);
-  }
-  return value;
-}
-
-Status JournaledMemory::Store(uint64_t addr, uint64_t value, uint32_t size) {
-  if (Stopped()) return Interrupted("module stopped by cross-CPU request");
-  const uint64_t ordinal = ++op_count_;
-  if (fault_hook_) {
-    value = fault_hook_(/*is_store=*/true, ordinal, addr, value, size);
-  }
-  if (journal_.active() && ram_probe_ && ram_probe_(addr, size)) {
-    // Capture-before-write. The read is charged through the inner
-    // interface so journaling cost shows up on the virtual clock the
-    // same way in both engines.
-    auto old_value = inner_->Load(addr, size);
-    if (old_value.ok()) {
-      journal_.RecordStore(addr, *old_value, size);
-    }
-  }
-  return inner_->Store(addr, value, size);
-}
-
 }  // namespace kop::resilience

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -31,6 +30,7 @@
 #include "kop/policy/policy_module.hpp"
 #include "kop/policy/region_table.hpp"
 #include "kop/signing/signer.hpp"
+#include "kop/smp/cpu.hpp"
 #include "kop/transform/attestation.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/transform/guard_sites.hpp"
@@ -95,51 +95,26 @@ struct CallRecord {
 };
 
 /// Records every external call with its ordinal and returns a
-/// deterministic per-call value (so result clamping is exercised). When
-/// `offer_bindings` is true it hands out handles through BindExternal, so
-/// a VM run through it covers the bound fast path; when false the VM must
-/// take the name-keyed fallback. Either way the recorded sequence must
-/// match the interpreter's.
+/// deterministic per-call value (so result clamping is exercised). Each
+/// bound callee gets its own handle, so the recorded name shows which
+/// handle each engine called through.
 class RecordingResolver : public kir::ExternalResolver {
  public:
-  explicit RecordingResolver(bool offer_bindings)
-      : offer_bindings_(offer_bindings) {}
-
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args) override {
-    return Record(name, args, 0);
-  }
-
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args,
-                                uint64_t call_ordinal) override {
-    return Record(name, args, call_ordinal);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (!offer_bindings_) return std::nullopt;
+  uint64_t Bind(const std::string& name) override {
     bound_names_.push_back(name);
     return bound_names_.size() - 1;
   }
 
-  Result<uint64_t> CallBound(uint64_t handle,
-                             const std::vector<uint64_t>& args,
-                             uint64_t call_ordinal) override {
-    return Record(bound_names_[handle], args, call_ordinal);
+  Result<uint64_t> Call(uint64_t handle, const std::vector<uint64_t>& args,
+                        uint64_t call_ordinal) override {
+    calls.push_back({bound_names_[handle], args, call_ordinal});
+    ++sequence_;
+    return sequence_ * 0x9e3779b97f4a7c15ull;  // deterministic, full 64 bits
   }
 
   std::vector<CallRecord> calls;
 
  private:
-  Result<uint64_t> Record(const std::string& name,
-                          const std::vector<uint64_t>& args,
-                          uint64_t ordinal) {
-    calls.push_back({name, args, ordinal});
-    ++sequence_;
-    return sequence_ * 0x9e3779b97f4a7c15ull;  // deterministic, full 64 bits
-  }
-
-  bool offer_bindings_;
   uint64_t sequence_ = 0;
   std::vector<std::string> bound_names_;
 };
@@ -156,7 +131,7 @@ constexpr uint64_t kGlobalBase = FlatMemory::kBase + 0x5000;
 constexpr uint64_t kStackBase = FlatMemory::kBase + 0xc000;
 constexpr uint64_t kStackSize = 0x4000;
 
-enum class EngineKind { kInterp, kVmBound, kVmUnbound };
+enum class EngineKind { kInterp, kVm };
 
 /// One engine instance with everything it runs against.
 struct EngineRun {
@@ -173,8 +148,7 @@ EngineRun MakeRun(const std::string& text, EngineKind kind,
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   run.module = std::move(*parsed);
   run.memory = std::make_unique<FlatMemory>();
-  run.resolver =
-      std::make_unique<RecordingResolver>(kind == EngineKind::kVmBound);
+  run.resolver = std::make_unique<RecordingResolver>();
 
   // Deterministic global layout, identical across engines; initializers
   // written straight into the flat memory the way the loader would.
@@ -218,70 +192,44 @@ void ExpectStatsEqual(const InterpStats& a, const InterpStats& b,
   EXPECT_EQ(a.calls_external, b.calls_external) << label;
 }
 
-/// Per-call observations ("value" or status string) keyed by run tag, so
-/// the two VM variants can be compared against each other as well as
-/// against the oracle.
-std::map<std::string, std::vector<std::string>> results_by_tag_;
-
-/// Drive the script through the interpreter and through the VM (once with
-/// pre-bound externs, once over the name fallback) and require the three
-/// to be observationally identical.
+/// Drive the script through the interpreter and through the VM and
+/// require the two to be observationally identical.
 void RunDifferential(const std::string& text,
                      const std::vector<ScriptCall>& script,
                      const std::string& label,
                      const InterpConfig& config = InterpConfig()) {
   EngineRun oracle = MakeRun(text, EngineKind::kInterp, config);
-  for (EngineKind kind : {EngineKind::kVmBound, EngineKind::kVmUnbound}) {
-    EngineRun vm = MakeRun(text, kind, config);
-    const std::string tag =
-        label + (kind == EngineKind::kVmBound ? " [bound]" : " [unbound]");
-    ASSERT_NE(vm.engine, nullptr) << tag;
-    EXPECT_EQ(vm.engine->engine_name(), "bytecode");
+  EngineRun vm = MakeRun(text, EngineKind::kVm, config);
+  ASSERT_NE(vm.engine, nullptr) << label;
+  EXPECT_EQ(vm.engine->engine_name(), "bytecode");
 
-    for (size_t i = 0; i < script.size(); ++i) {
-      // Re-running the oracle per VM variant would double-count its
-      // stats; run it only alongside the first variant and replay its
-      // recorded observations for the second.
-      auto expected = (kind == EngineKind::kVmBound)
-                          ? oracle.engine->Call(script[i].function,
-                                                script[i].args)
-                          : Result<uint64_t>(uint64_t{0});
-      auto actual = vm.engine->Call(script[i].function, script[i].args);
-      if (kind == EngineKind::kVmBound) {
-        ASSERT_EQ(expected.ok(), actual.ok())
-            << tag << " call " << i << " @" << script[i].function << ": "
-            << (expected.ok() ? actual.status().ToString()
-                              : expected.status().ToString());
-        if (expected.ok()) {
-          EXPECT_EQ(*expected, *actual)
-              << tag << " call " << i << " @" << script[i].function;
-        } else {
-          EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
-              << tag << " call " << i;
-        }
-      }
-      results_by_tag_[tag].push_back(
-          actual.ok() ? std::to_string(*actual) : actual.status().ToString());
+  for (size_t i = 0; i < script.size(); ++i) {
+    auto expected = oracle.engine->Call(script[i].function, script[i].args);
+    auto actual = vm.engine->Call(script[i].function, script[i].args);
+    ASSERT_EQ(expected.ok(), actual.ok())
+        << label << " call " << i << " @" << script[i].function << ": "
+        << (expected.ok() ? actual.status().ToString()
+                          : expected.status().ToString());
+    if (expected.ok()) {
+      EXPECT_EQ(*expected, *actual)
+          << label << " call " << i << " @" << script[i].function;
+    } else {
+      EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+          << label << " call " << i;
     }
-
-    EXPECT_EQ(oracle.memory->bytes(), vm.memory->bytes()) << tag;
-    EXPECT_EQ(oracle.resolver->calls.size(), vm.resolver->calls.size()) << tag;
-    const size_t n =
-        std::min(oracle.resolver->calls.size(), vm.resolver->calls.size());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(oracle.resolver->calls[i], vm.resolver->calls[i])
-          << tag << " external call " << i << " ("
-          << oracle.resolver->calls[i].name << " vs "
-          << vm.resolver->calls[i].name << ")";
-    }
-    ExpectStatsEqual(oracle.engine->stats(), vm.engine->stats(), tag);
   }
-  // The two VM variants must agree with each other too (the unbound one
-  // was not compared against the oracle call-by-call above).
-  EXPECT_EQ(results_by_tag_[label + " [bound]"],
-            results_by_tag_[label + " [unbound]"])
-      << label;
-  results_by_tag_.clear();
+
+  EXPECT_EQ(oracle.memory->bytes(), vm.memory->bytes()) << label;
+  EXPECT_EQ(oracle.resolver->calls.size(), vm.resolver->calls.size()) << label;
+  const size_t n =
+      std::min(oracle.resolver->calls.size(), vm.resolver->calls.size());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(oracle.resolver->calls[i], vm.resolver->calls[i])
+        << label << " external call " << i << " ("
+        << oracle.resolver->calls[i].name << " vs "
+        << vm.resolver->calls[i].name << ")";
+  }
+  ExpectStatsEqual(oracle.engine->stats(), vm.engine->stats(), label);
 }
 
 /// Per-corpus-module call scripts. Addresses are within the flat test
@@ -510,7 +458,7 @@ entry:
   script.insert(script.end(), 50, ScriptCall{"count", {14}});
   script.push_back({"spin", {}});
   RunDifferential(text, script, "errors", config);
-  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kVmBound}) {
+  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kVm}) {
     EngineRun run = MakeRun(text, kind, config);
     for (int i = 0; i < 50; ++i) {
       auto result = run.engine->Call("count", {14});
@@ -797,6 +745,77 @@ TEST(EngineLoaderDifferentialTest,
     EXPECT_EQ(hits, push_guards);
   }
   EXPECT_EQ(deopts->value(), deopts_before);
+}
+
+TEST(EngineLoaderDifferentialTest,
+     SlotBuiltWhileExportsAreGoneBindsAndRecoversIdentically) {
+  // A CPU slot built while the policy module and a provider module are
+  // out binds carat_guard and the provider's export while both are
+  // unexported. Each call on that CPU fails with the same status on both
+  // engines until the symbol it needs is exported again.
+  const std::string provider = R"(module "kop_provider"
+func @answer(i64 %x) -> i64 {
+entry:
+  %r = add i64 %x, 40
+  ret i64 %r
+}
+)";
+  const std::string client = R"(module "kop_client"
+global @last size 8 rw
+extern func @kop_provider.answer(i64) -> i64
+func @ask(i64 %x) -> i64 {
+entry:
+  store i64 %x, @last
+  %r = call i64 @kop_provider.answer(i64 %x)
+  ret i64 %r
+}
+)";
+  const signing::SignedModule provider_image = CompileAndSign(provider);
+  const signing::SignedModule client_image = CompileAndSign(client);
+  Stack interp(kernel::ExecEngine::kInterp);
+  Stack bytecode(kernel::ExecEngine::kBytecode);
+  std::vector<std::pair<Stack*, kernel::LoadedModule*>> legs;
+  for (Stack* stack : {&interp, &bytecode}) {
+    ASSERT_TRUE(stack->loader.Insmod(provider_image).ok());
+    auto loaded = stack->loader.Insmod(client_image);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    stack->policy.reset();  // unexports carat_guard
+    ASSERT_TRUE(stack->loader.Rmmod("kop_provider").ok());
+    ASSERT_TRUE((*loaded)->PrepareCpus(2).ok());
+    legs.emplace_back(stack, *loaded);
+  }
+  auto ask_on_cpu1 = [&] {
+    smp::ScopedCpu cpu(1);
+    std::vector<Result<uint64_t>> out;
+    for (const auto& leg : legs) out.push_back(leg.second->Call("ask", {2}));
+    EXPECT_EQ(out[0].ok(), out[1].ok());
+    EXPECT_EQ(out[0].status().ToString(), out[1].status().ToString());
+    return out[0];
+  };
+
+  Result<uint64_t> asked = ask_on_cpu1();
+  EXPECT_EQ(asked.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(asked.status().message(), "undefined kernel symbol: carat_guard");
+
+  for (const auto& leg : legs) {
+    auto inserted = policy::PolicyModule::Insert(
+        &leg.first->kernel, nullptr, policy::PolicyMode::kDefaultAllow);
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    leg.first->policy = std::move(*inserted);
+  }
+  asked = ask_on_cpu1();
+  EXPECT_EQ(asked.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(asked.status().message(),
+            "undefined kernel symbol: kop_provider.answer");
+
+  for (const auto& leg : legs) {
+    ASSERT_TRUE(leg.first->loader.Insmod(provider_image).ok());
+  }
+  asked = ask_on_cpu1();
+  ASSERT_TRUE(asked.ok()) << asked.status().ToString();
+  EXPECT_EQ(*asked, 42u);
+  EXPECT_EQ(interp.policy->engine().stats().guard_calls,
+            bytecode.policy->engine().stats().guard_calls);
 }
 
 // ---------------------------------------------------------------------------

@@ -357,11 +357,16 @@ class FlatMemory : public MemoryInterface {
 
 class RecordingResolver : public ExternalResolver {
  public:
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args) override {
-    calls.emplace_back(name, args);
+  uint64_t Bind(const std::string& name) override {
+    names.push_back(name);
+    return names.size() - 1;
+  }
+  Result<uint64_t> Call(uint64_t handle, const std::vector<uint64_t>& args,
+                        uint64_t /*call_ordinal*/) override {
+    calls.emplace_back(names[handle], args);
     return uint64_t{0};
   }
+  std::vector<std::string> names;
   std::vector<std::pair<std::string, std::vector<uint64_t>>> calls;
 };
 

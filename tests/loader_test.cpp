@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
+#include "kop/kernel/memory_map.hpp"
 #include "kop/kernel/procfs.hpp"
 #include "kop/kirmods/corpus.hpp"
 #include "kop/kir/parser.hpp"
@@ -404,6 +408,171 @@ TEST(LoaderStaticVerifyTest, VerifyModeNamesAndDefault) {
   EXPECT_EQ(kernel::VerifyModeName(kernel::VerifyMode::kAttest), "attest");
   EXPECT_EQ(kernel::VerifyModeName(kernel::VerifyMode::kStatic), "static");
   EXPECT_EQ(kernel::VerifyModeName(kernel::VerifyMode::kBoth), "both");
+}
+
+// ------------------------------------------------------------ slot memory --
+
+/// MMIO window that counts the writes it sees.
+class WriteCountingMmio : public kernel::MmioDevice {
+ public:
+  uint64_t MmioRead(uint64_t, uint32_t) override { return 0; }
+  void MmioWrite(uint64_t, uint64_t value, uint32_t) override {
+    ++writes;
+    last = value;
+  }
+  int writes = 0;
+  uint64_t last = 0;
+};
+
+/// One bare slot from the loader's slot builder, a heap word preset to
+/// kOld and an MMIO window. Reads and writes cost distinct cycle counts,
+/// so the clock tells which kind each charge was.
+struct SlotRig {
+  static constexpr uint64_t kOld = 0x1111111111111111ULL;
+  static constexpr double kRead = 3;
+  static constexpr double kWrite = 5;
+
+  SlotRig() {
+    sim::MachineModel machine = kernel.machine();
+    machine.mem_read_cycles = kRead;
+    machine.mem_write_cycles = kWrite;
+    kernel.SetMachine(machine);
+    auto parsed = kir::ParseModule("module \"m\"\n");
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ir = std::move(*parsed);
+    kernel::SlotRecipe recipe;
+    recipe.ir = ir.get();
+    recipe.engine = kernel::ExecEngine::kInterp;
+    recipe.stop_flag = &stop;
+    auto built = kernel::BuildModuleSlot(&kernel, recipe, &allocations);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    slot = std::move(*built);
+    auto addr = kernel.heap().Kmalloc(64, 8);
+    EXPECT_TRUE(addr.ok());
+    ram = *addr;
+    EXPECT_TRUE(kernel.mem().Store(ram, kOld, 8).ok());
+    EXPECT_TRUE(kernel.mem().MapMmio("slot-test", kernel::kVmallocBase,
+                                     0x1000, &device)
+                    .ok());
+  }
+
+  kernel::SlotMemory& mem() { return slot->journaled; }
+  uint64_t Peek(uint64_t addr) { return *kernel.mem().Load(addr, 8); }
+  double Cycles() { return kernel.clock().NowCycles(); }
+
+  Kernel kernel{SmallKernel(1ull << 20)};
+  WriteCountingMmio device;
+  std::atomic<bool> stop{false};
+  std::unique_ptr<kir::Module> ir;
+  std::vector<uint64_t> allocations;
+  std::unique_ptr<kernel::ModuleSlot> slot;
+  uint64_t ram = 0;
+};
+
+TEST(SlotMemoryTest, RamStoresInATransactionRollBackNewestFirst) {
+  SlotRig rig;
+  rig.mem().journal().Begin();
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 0x2222, 8).ok());
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 0x33, 1).ok());
+  EXPECT_EQ(rig.Peek(rig.ram), 0x2233u);
+  EXPECT_EQ(rig.mem().journal().bytes(), 9u);
+  EXPECT_EQ(rig.mem().Rollback(), 2u);
+  EXPECT_EQ(rig.Peek(rig.ram), SlotRig::kOld);
+  EXPECT_FALSE(rig.mem().journal().active());
+  EXPECT_EQ(rig.mem().journal().total_entries_undone(), 2u);
+
+  // Outside a transaction nothing is recorded.
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 0x44, 8).ok());
+  EXPECT_EQ(rig.mem().journal().total_entries_recorded(), 2u);
+}
+
+TEST(SlotMemoryTest, CaptureChargesAReadAndEachUndoAWrite) {
+  SlotRig rig;
+  double t = rig.Cycles();
+  ASSERT_TRUE(rig.mem().Load(rig.ram, 8).ok());
+  EXPECT_EQ(rig.Cycles() - t, SlotRig::kRead);
+  t = rig.Cycles();
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 1, 8).ok());
+  EXPECT_EQ(rig.Cycles() - t, SlotRig::kWrite);  // no transaction: no capture
+
+  rig.mem().journal().Begin();
+  t = rig.Cycles();
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 2, 8).ok());
+  ASSERT_TRUE(rig.mem().Store(rig.ram + 8, 3, 4).ok());
+  EXPECT_EQ(rig.Cycles() - t, 2 * (SlotRig::kRead + SlotRig::kWrite));
+  t = rig.Cycles();
+  EXPECT_EQ(rig.mem().Rollback(), 2u);
+  EXPECT_EQ(rig.Cycles() - t, 2 * SlotRig::kWrite);
+}
+
+TEST(SlotMemoryTest, MmioStoresAreNotJournaled) {
+  SlotRig rig;
+  rig.mem().journal().Begin();
+  const double t = rig.Cycles();
+  ASSERT_TRUE(rig.mem().Store(kernel::kVmallocBase + 0x10, 0xabcd, 4).ok());
+  EXPECT_EQ(rig.Cycles() - t, SlotRig::kWrite);  // no capture read
+  EXPECT_EQ(rig.device.writes, 1);
+  EXPECT_EQ(rig.device.last, 0xabcdu);
+  EXPECT_EQ(rig.mem().journal().bytes(), 0u);
+  EXPECT_EQ(rig.mem().Rollback(), 0u);
+  EXPECT_EQ(rig.device.writes, 1);
+}
+
+TEST(SlotMemoryTest, StopFlagInterruptsAccessesButNotRollback) {
+  SlotRig rig;
+  rig.mem().journal().Begin();
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 0x2222, 8).ok());
+  rig.stop.store(true);
+  const double t = rig.Cycles();
+  EXPECT_EQ(rig.mem().Load(rig.ram, 8).status().code(),
+            ErrorCode::kInterrupted);
+  EXPECT_EQ(rig.mem().Store(rig.ram, 0x3333, 8).code(),
+            ErrorCode::kInterrupted);
+  EXPECT_EQ(rig.mem().Store(kernel::kVmallocBase, 1, 4).code(),
+            ErrorCode::kInterrupted);
+  EXPECT_EQ(rig.Cycles(), t);
+  EXPECT_EQ(rig.Peek(rig.ram), 0x2222u);
+  EXPECT_EQ(rig.device.writes, 0);
+  EXPECT_EQ(rig.mem().Rollback(), 1u);
+  EXPECT_EQ(rig.Peek(rig.ram), SlotRig::kOld);
+}
+
+TEST(SlotMemoryTest, FaultHookSeesOneOrdinalPerAccess) {
+  SlotRig rig;
+  struct Seen {
+    bool is_store;
+    uint64_t ordinal;
+    uint64_t value;
+  };
+  std::vector<Seen> seen;
+  rig.mem().SetFaultHook([&](bool is_store, uint64_t ordinal, uint64_t,
+                             uint64_t value, uint32_t) {
+    seen.push_back({is_store, ordinal, value});
+    return value ^ 1;  // perturb every access
+  });
+  rig.mem().journal().Begin();
+  EXPECT_EQ(*rig.mem().Load(rig.ram, 8), SlotRig::kOld ^ 1);
+  ASSERT_TRUE(rig.mem().Store(rig.ram, 0x10, 8).ok());  // journaled
+  EXPECT_EQ(rig.Peek(rig.ram), 0x11u);
+  rig.stop.store(true);
+  EXPECT_FALSE(rig.mem().Load(rig.ram, 8).ok());  // takes no ordinal
+  rig.stop.store(false);
+  ASSERT_TRUE(rig.mem().Store(kernel::kVmallocBase, 0x20, 4).ok());
+  EXPECT_EQ(rig.device.last, 0x21u);
+  EXPECT_EQ(rig.mem().Rollback(), 1u);  // bypasses the hook
+  EXPECT_EQ(rig.Peek(rig.ram), SlotRig::kOld);
+  rig.mem().ClearFaultHook();
+  EXPECT_EQ(*rig.mem().Load(rig.ram, 8), SlotRig::kOld);
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_FALSE(seen[0].is_store);
+  EXPECT_EQ(seen[0].ordinal, 1u);
+  EXPECT_EQ(seen[0].value, SlotRig::kOld);
+  EXPECT_TRUE(seen[1].is_store);
+  EXPECT_EQ(seen[1].ordinal, 2u);
+  EXPECT_EQ(seen[1].value, 0x10u);
+  EXPECT_TRUE(seen[2].is_store);
+  EXPECT_EQ(seen[2].ordinal, 3u);
 }
 
 }  // namespace

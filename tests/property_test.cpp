@@ -109,8 +109,9 @@ class NullMemory : public kir::MemoryInterface {
 
 class NullResolver : public kir::ExternalResolver {
  public:
-  Result<uint64_t> CallExternal(const std::string&,
-                                const std::vector<uint64_t>&) override {
+  uint64_t Bind(const std::string&) override { return 0; }
+  Result<uint64_t> Call(uint64_t, const std::vector<uint64_t>&,
+                        uint64_t) override {
     return Internal("no externals");
   }
 };
