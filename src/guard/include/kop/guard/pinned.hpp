@@ -2,11 +2,13 @@
 // in one header-only layer below every engine (it depends on util, smp
 // and trace only). Native drivers (modrt::GuardedMemOps via
 // PolicyEngine::FastGuard) and both KIR engines compile the allow path
-// into their own code, so an allowed access makes no call. A pin holds
-// the calling CPU's RCU read section and the published PolicyFrame for a
-// whole outermost call; an allow's counters and histogram sums are
-// batched in the pin until FlushAllows (at every unpin and before every
-// out-of-line decision). Anything else deopts (returns false) to the
+// into their own code. A pin holds the calling CPU's RCU read section and
+// the published PolicyFrame for a whole outermost call, and caches its
+// last region decision as a verdict window: an allowed access inside the
+// region or gap the window names makes no call and no frame search (one
+// outside it calls RefillWindow). An allow's counters and histogram sums
+// are batched in the pin until FlushAllows (at every unpin and before
+// every out-of-line decision). Anything else deopts (returns false) to the
 // out-of-line PolicyEngine::Guard()/GuardRange()/CfiCheck(). Those open
 // or nest in the same pin and decide through the same DecideGuard /
 // DecideCfi; a denial is accounted here too (AccountDenial), and the
@@ -81,22 +83,51 @@ inline bool EndHolds(uint64_t end, uint64_t addr, uint64_t span) {
 }
 }  // namespace detail
 
+/// An address range [lo, hi) in which FrameLookup decides every access
+/// that lies wholly inside alike; lo == hi holds nothing. The top byte
+/// 2^64 - 1 is never inside a window (hi cannot be 2^64), so an access
+/// that reaches it always searches.
+struct AddrWindow {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  /// Two compares: addr in [lo, hi), then the access ends by hi (size 0
+  /// checks one byte, which addr < hi already holds).
+  bool Holds(uint64_t addr, uint64_t size) const {
+    return addr - lo < hi - lo && hi - addr >= size;
+  }
+};
+
 /// First match over the frame's base-sorted index: the matching region's
 /// protection flags, or nullopt on a miss. `depth` is the paper's scan
 /// depth: the match's position in table order (index + 1), or the region
-/// count on a miss — not the number of entries probed.
+/// count on a miss — not the number of entries probed. `window` receives
+/// the range every access wholly inside of which gets this same answer:
+/// on a match the matched region, if no other region overlaps it (a
+/// previous entry's running max end and the next entry's base tell); on
+/// a miss the gap around the searched position, from one entry's running
+/// max end to the next entry's base. Otherwise it is empty.
 [[gnu::always_inline]] inline std::optional<uint32_t> FrameLookup(
-    const PolicyFrame& frame, uint64_t addr, uint64_t size, uint64_t* depth) {
+    const PolicyFrame& frame, uint64_t addr, uint64_t size, uint64_t* depth,
+    AddrWindow* window) {
   using detail::EndHolds;
   constexpr uint32_t kNoMatch = ~uint32_t{0};
+  constexpr uint64_t kTop = ~uint64_t{0};
   const IndexedRegion* const entries = frame.regions.entries.get();
   const size_t n = frame.regions.size;
   *depth = n;
   const uint64_t span = size == 0 ? 1 : size;
   // Outside [lowest base, highest end) nothing can contain the access:
-  // a miss without searching.
-  if (n == 0 || addr < entries[0].base ||
-      !EndHolds(entries[n - 1].max_end, addr, span)) {
+  // a miss without searching, in the gap below or above every region.
+  if (n == 0) {
+    *window = AddrWindow{0, kTop};
+    return std::nullopt;
+  }
+  if (addr < entries[0].base) {
+    *window = AddrWindow{0, entries[0].base};
+    return std::nullopt;
+  }
+  if (!EndHolds(entries[n - 1].max_end, addr, span)) {
+    *window = AddrWindow{entries[n - 1].max_end, kTop};
     return std::nullopt;
   }
   // Branch-free binary search for the last region based at or below
@@ -113,19 +144,30 @@ inline bool EndHolds(uint64_t end, uint64_t addr, uint64_t span) {
   // the access. Every container is in that stretch; the first match is
   // the container earliest in table order, wherever its base sits.
   uint32_t first = kNoMatch;
-  uint32_t prot = 0;
+  const IndexedRegion* match = nullptr;
   for (; below > 0 && EndHolds(entries[below - 1].max_end, addr, span);
        --below) {
     const IndexedRegion& entry = entries[below - 1];
     if (entry.index < first && EndHolds(entry.end, addr, span)) {
       first = entry.index;
-      prot = entry.prot;
+      match = &entry;
     }
   }
-  if (first == kNoMatch) return std::nullopt;
+  if (match == nullptr) {
+    // Every entry up to `last` ends by its running max end, every later
+    // one starts at or after the next base: between them is no region.
+    const uint64_t lo = last->max_end;
+    const uint64_t hi = last + 1 < entries + n ? last[1].base : kTop;
+    *window = AddrWindow{lo, std::max(lo, hi)};
+    return std::nullopt;
+  }
+  const size_t at = static_cast<size_t>(match - entries);
+  const bool alone = (at == 0 || entries[at - 1].max_end <= match->base) &&
+                     (at + 1 == n || entries[at + 1].base >= match->end);
+  *window = alone ? AddrWindow{match->base, match->end} : AddrWindow{};
   // The paper's scan depth: the match's position in table order.
   *depth = first + 1;
-  return prot;
+  return match->prot;
 }
 
 /// One simulated CPU's guard counters, folded on read.
@@ -185,6 +227,20 @@ struct EngineCells {
 
 class PinSource;
 
+/// A pin's cached decision (DESIGN.md §15): FrameLookup's answer for
+/// every access wholly inside `range`, in frames of store generation
+/// `generation`. Frames of one store generation hold the same regions,
+/// so the window outlives pins and config-only republishes; RefreshPin
+/// keeps `generation` equal to the pinned frame's and empties the window
+/// when it moves.
+struct VerdictWindow {
+  AddrWindow range;
+  uint64_t depth = 0;
+  uint32_t prot = 0;
+  bool match = false;
+  uint64_t generation = 0;
+};
+
 /// One CPU's frame pin. `rcu` holds the read section open for the
 /// whole outermost module call or driver entry so `frame` stays valid;
 /// the captured mutation clock tells the allow path when the pinned frame
@@ -193,7 +249,9 @@ class PinSource;
 /// first pin (they are this CPU's for good) so the inline path runs no
 /// per-guard CPU-slot lookups; `default_allow`
 /// may go stale only together with `mutation_gen` (SetMode bumps it),
-/// which deopts the guard first.
+/// which deopts the guard first. `window` caches the last region
+/// decision, so a guard inside the region or gap it named skips the
+/// search.
 ///
 /// The batches hold what allowed decisions, inline or out of line, owe
 /// this CPU's stats and histograms; FlushAllows folds them at the
@@ -208,6 +266,7 @@ struct PinSlot {
   std::optional<smp::RcuDomain::ReadGuard> rcu;
   const PolicyFrame* frame = nullptr;
   uint64_t mutation_gen = 0;
+  VerdictWindow window;
   double guard_cycles = 0.0;
   bool default_allow = false;
   const EngineCells* cells = nullptr;
@@ -352,13 +411,31 @@ inline void Unpin(PinSlot*& pin) {
 }
 
 /// Charge one decision's guard cost to the virtual clock (its
-/// guard.latency_cycles observation is batched with the decision).
-[[gnu::always_inline]] inline void ChargePinned(PinSlot& pin) {
+/// guard.latency_cycles observation is batched with the decision), then
+/// `access_cycles` of the access it guards, in one update of the clock
+/// cell: (now + guard) + access, bit for bit what a guard charge and a
+/// separate access charge leave.
+[[gnu::always_inline]] inline void ChargePinned(PinSlot& pin,
+                                                double access_cycles = 0.0) {
+  double cycles = pin.clock_cell->load(std::memory_order_relaxed);
   if (pin.cells->charge_cycles.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
+    cycles += pin.guard_cycles;
   }
+  pin.clock_cell->store(cycles + access_cycles, std::memory_order_relaxed);
+}
+
+/// Search the pinned frame for an access its window does not hold and
+/// cache the answer, with the window FrameLookup reports for it, as the
+/// pin's new window. The window's fields are then this access's verdict
+/// even when its range cannot hold the access (a straddle, an
+/// overlapped region).
+[[gnu::noinline]] inline void RefillWindow(PinSlot& pin, uint64_t addr,
+                                           uint64_t size) {
+  VerdictWindow& window = pin.window;
+  const std::optional<uint32_t> prot =
+      FrameLookup(*pin.frame, addr, size, &window.depth, &window.range);
+  window.prot = prot.value_or(0);
+  window.match = prot.has_value();
 }
 
 /// True when an inline check may decide against `pin`. False (a deopt,
@@ -393,20 +470,28 @@ inline void Unpin(PinSlot*& pin) {
 // check, which is none of these, keeps its own).
 
 /// carat_guard / carat_guard_range (elided = 0 for a single access)
-/// against the pinned frame; `depth` receives the lookup depth. True =
-/// allowed and accounted, batched in the pin (see FlushAllows). False =
-/// denied, or `veto`ed by fault injection, and not accounted. A cover's
-/// `elided` members count as elided, not as guard calls: guard_calls +
-/// elided is what an unelided build would have reported.
+/// against the pinned frame; `depth` receives the lookup depth. The
+/// pin's verdict window answers an access it holds with two compares;
+/// any other access searches the frame (RefillWindow). True = allowed
+/// and accounted, batched in the pin (see FlushAllows), with
+/// `access_cycles` of the guarded access charged in the same clock
+/// update. False = denied, or `veto`ed by fault injection, and not
+/// accounted. A cover's `elided` members count as elided, not as guard
+/// calls: guard_calls + elided is what an unelided build would have
+/// reported.
 [[gnu::always_inline]] inline bool DecideGuard(PinSlot& pin, uint64_t addr,
                                                uint64_t size,
                                                uint64_t access_flags,
                                                uint64_t elided, uint64_t site,
-                                               bool veto, uint64_t* depth) {
-  const std::optional<uint32_t> prot =
-      FrameLookup(*pin.frame, addr, size, depth);
-  const bool allowed = prot.has_value()
-                           ? (*prot & access_flags) == access_flags
+                                               bool veto, uint64_t* depth,
+                                               double access_cycles = 0.0) {
+  const VerdictWindow& window = pin.window;
+  if (!window.range.Holds(addr, size)) [[unlikely]] {
+    RefillWindow(pin, addr, size);
+  }
+  *depth = window.depth;
+  const bool allowed = window.match
+                           ? (window.prot & access_flags) == access_flags
                            : pin.default_allow;
   // Two tests, not one `||`: joined, GCC lays out the inline callers'
   // allow path (veto = false) differently, and layout alone has moved the
@@ -421,7 +506,7 @@ inline void Unpin(PinSlot*& pin) {
     BumpRelaxed(pin.stats->elided, elided);
     pin.elided_batch += elided;
   }
-  ChargePinned(pin);
+  ChargePinned(pin, access_cycles);
   return true;
 }
 
@@ -467,19 +552,21 @@ inline void Unpin(PinSlot*& pin) {
 }
 
 /// An inline carat_guard / carat_guard_range. True = allowed and
-/// accounted. False = deopt: not pinned, frame generation moved (the pin
-/// is refreshed so later guards in the call are fast again), the
-/// fault-injection forced-deny is armed, or the check failed; the
-/// out-of-line decision then accounts it.
+/// accounted, and `access_cycles` of the access it guards charged with
+/// the guard (DecideGuard). False = deopt: not pinned, frame generation
+/// moved (the pin is refreshed so later guards in the call are fast
+/// again), the fault-injection forced-deny is armed, or the check
+/// failed; the out-of-line decision then accounts it, and nothing is
+/// charged here.
 [[gnu::always_inline]] inline bool PinnedGuard(PinSlot& pin, uint64_t addr,
                                                uint64_t size,
                                                uint64_t access_flags,
-                                               uint64_t elided,
-                                               uint64_t site) {
+                                               uint64_t elided, uint64_t site,
+                                               double access_cycles = 0.0) {
   if (!PinForInline(pin, site)) return false;
   uint64_t depth = 0;
   if (!DecideGuard(pin, addr, size, access_flags, elided, site,
-                   /*veto=*/false, &depth)) [[unlikely]] {
+                   /*veto=*/false, &depth, access_cycles)) [[unlikely]] {
     CountDeopt(pin);
     return false;  // slow path re-decides with full violation semantics
   }

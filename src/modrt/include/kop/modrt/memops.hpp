@@ -15,14 +15,16 @@
 // on the calling CPU once, and every access inside decides inline against
 // that frame (PolicyEngine::FastGuard). The engine is held as a
 // PolicyEngine*, so that allow path compiles straight into each access
-// here: an allowed access makes no out-of-line policy call. Anything but
-// a proven allow — no pin, a stale frame, fault injection, a denial —
+// here: an allowed access makes no out-of-line policy call, and charges
+// the guard and the access in one update of the pin's clock cell. Anything
+// but a proven allow — no pin, a stale frame, fault injection, a denial —
 // re-decides out of line in PolicyEngine::Guard, which owns violation,
-// panic and quarantine semantics. Either way the guard charges the
-// machine's guard cost.
+// panic and quarantine semantics, and charges the access after it. Either
+// way the clock sees the guard's cost, then the access's.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/policy/engine.hpp"
@@ -97,9 +99,7 @@ class RawMemOps {
   Result<uint32_t> MmioRead32(uint64_t addr) {
     ++stats_.Mine().mmio_reads;
     kernel_->clock().Advance(kernel_->machine().mmio_read_cycles);
-    auto value = kernel_->mem().Load(addr, 4);
-    if (!value.ok()) return value.status();
-    return static_cast<uint32_t>(*value);
+    return Narrow32(kernel_->mem().Load(addr, 4));
   }
 
   Status MmioWrite32(uint64_t addr, uint32_t value) {
@@ -155,6 +155,11 @@ class RawMemOps {
   }
 
  protected:
+  static Result<uint32_t> Narrow32(Result<uint64_t> value) {
+    if (!value.ok()) return value.status();
+    return static_cast<uint32_t>(*value);
+  }
+
   kernel::Kernel* kernel_;
   smp::PerCpu<MemOpsStats> stats_;
 };
@@ -166,8 +171,15 @@ class GuardedMemOps : public RawMemOps {
  public:
   static constexpr bool kGuarded = true;
 
+  /// `engine` must guard `kernel`: an inline allow charges the access to
+  /// the clock of the engine's pins.
   GuardedMemOps(kernel::Kernel* kernel, policy::PolicyEngine* engine)
-      : RawMemOps(kernel), engine_(engine), sites_(&NativeCategorySites()) {}
+      : RawMemOps(kernel), engine_(engine), sites_(&NativeCategorySites()) {
+    if (engine->kernel() != kernel) {
+      throw std::invalid_argument(
+          "GuardedMemOps: the policy engine guards another kernel");
+    }
+  }
 
   /// Pin the policy frame on the calling CPU for one driver entry (pins
   /// nest). Balanced by UnpinFrame; EntryPin does both.
@@ -175,33 +187,45 @@ class GuardedMemOps : public RawMemOps {
   void UnpinFrame() { engine_->UnpinFrame(); }
 
   Result<uint64_t> Load(uint64_t addr, uint32_t size) {
-    GuardAccess(addr, size, kGuardAccessRead, sites_->load);
-    return RawMemOps::Load(addr, size);
+    GuardAccess(addr, size, kGuardAccessRead, sites_->load,
+                kernel_->machine().mem_read_cycles);
+    ++stats_.Mine().loads;
+    return kernel_->mem().Load(addr, size);
   }
 
   Status Store(uint64_t addr, uint64_t value, uint32_t size) {
-    GuardAccess(addr, size, kGuardAccessWrite, sites_->store);
-    return RawMemOps::Store(addr, value, size);
+    GuardAccess(addr, size, kGuardAccessWrite, sites_->store,
+                kernel_->machine().mem_write_cycles);
+    ++stats_.Mine().stores;
+    return kernel_->mem().Store(addr, value, size);
   }
 
   Result<uint32_t> MmioRead32(uint64_t addr) {
-    GuardAccess(addr, 4, kGuardAccessRead, sites_->mmio_read);
-    return RawMemOps::MmioRead32(addr);
+    GuardAccess(addr, 4, kGuardAccessRead, sites_->mmio_read,
+                kernel_->machine().mmio_read_cycles);
+    ++stats_.Mine().mmio_reads;
+    return Narrow32(kernel_->mem().Load(addr, 4));
   }
 
   Status MmioWrite32(uint64_t addr, uint32_t value) {
-    GuardAccess(addr, 4, kGuardAccessWrite, sites_->mmio_write);
-    return RawMemOps::MmioWrite32(addr, value);
+    GuardAccess(addr, 4, kGuardAccessWrite, sites_->mmio_write,
+                kernel_->machine().mmio_write_cycles);
+    ++stats_.Mine().mmio_writes;
+    return kernel_->mem().Store(addr, value, 4);
   }
 
   Result<uint64_t> MmioRead64(uint64_t addr) {
-    GuardAccess(addr, 8, kGuardAccessRead, sites_->mmio_read);
-    return RawMemOps::MmioRead64(addr);
+    GuardAccess(addr, 8, kGuardAccessRead, sites_->mmio_read,
+                kernel_->machine().mmio_read_cycles);
+    ++stats_.Mine().mmio_reads;
+    return kernel_->mem().Load(addr, 8);
   }
 
   Status MmioWrite64(uint64_t addr, uint64_t value) {
-    GuardAccess(addr, 8, kGuardAccessWrite, sites_->mmio_write);
-    return RawMemOps::MmioWrite64(addr, value);
+    GuardAccess(addr, 8, kGuardAccessWrite, sites_->mmio_write,
+                kernel_->machine().mmio_write_cycles);
+    ++stats_.Mine().mmio_writes;
+    return kernel_->mem().Store(addr, value, 8);
   }
 
   Status StoreSlowPath(uint64_t addr, uint64_t value, uint32_t size) {
@@ -219,16 +243,25 @@ class GuardedMemOps : public RawMemOps {
   policy::PolicyEngine* engine() { return engine_; }
 
  private:
-  /// The one access path: decide inline against the pinned frame; on a
-  /// deopt, re-decide out of line with the category's site pinned for
+  /// The one access path: the guard, then `access_cycles` of the access
+  /// it guards, on the virtual clock. Decided inline against the pinned
+  /// frame, an allow charges both in one update of the pin's clock cell;
+  /// a deopt re-decides out of line with the category's site pinned for
   /// attribution (panics or throws on a violation, per the engine's
-  /// ViolationAction). Always inlined, so each access method carries the
-  /// allow path itself.
+  /// ViolationAction) and then charges the access. Always inlined, so
+  /// each access method carries the allow path itself.
   [[gnu::always_inline]] void GuardAccess(uint64_t addr, uint64_t size,
-                                          uint64_t flags, uint64_t site) {
-    if (engine_->FastGuard(addr, size, flags, site)) [[likely]] return;
-    trace::ScopedGuardSite scope(site);
-    engine_->Guard(addr, size, flags);
+                                          uint64_t flags, uint64_t site,
+                                          double access_cycles) {
+    if (engine_->FastGuard(addr, size, flags, site, access_cycles))
+        [[likely]] {
+      return;
+    }
+    {
+      trace::ScopedGuardSite scope(site);
+      engine_->Guard(addr, size, flags);
+    }
+    kernel_->clock().Advance(access_cycles);
   }
 
   policy::PolicyEngine* engine_;

@@ -52,8 +52,10 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   }
 
   auto* fresh = new PolicyFrame;
-  fresh->regions = table_.Index();
-  fresh->store_generation = store_gen;
+  // Tagged with the generation Index() read under the table lock, not
+  // store_gen: a mutation since store_gen was read is in these regions,
+  // and verdict windows trust that one tag means one region set.
+  fresh->regions = table_.Index(&fresh->store_generation);
   fresh->config_generation = config_gen;
   fresh->intrinsic_allowed.assign(intrinsic_allowed_.begin(),
                                   intrinsic_allowed_.end());
@@ -103,8 +105,9 @@ bool PolicyEngine::Check(uint64_t addr, uint64_t size,
   smp::RcuDomain::ReadGuard rcu(rcu_);
   const PolicyFrame* frame = CurrentFrame();
   uint64_t depth = 0;
+  guard::AddrWindow window;
   const std::optional<uint32_t> prot =
-      guard::FrameLookup(*frame, addr, size, &depth);
+      guard::FrameLookup(*frame, addr, size, &depth, &window);
   if (prot.has_value()) {
     return (*prot & access_flags) == access_flags;
   }
@@ -290,6 +293,12 @@ void PolicyEngine::RefreshPin(guard::PinSlot& pin) {
   // valid for the remainder of the pin even if another CPU republishes.
   const PolicyFrame* frame = CurrentFrame();
   pin.frame = frame;
+  // A window found in a frame of the same store generation holds for
+  // this one (same regions); any other is emptied and retagged.
+  if (pin.window.generation != frame->store_generation) {
+    pin.window = guard::VerdictWindow{};
+    pin.window.generation = frame->store_generation;
+  }
   pin.guard_cycles = kernel_->machine().GuardCycles(
       static_cast<uint32_t>(frame->regions.size));
   // Mode is config: SetMode bumps the mutation clock, so this snapshot

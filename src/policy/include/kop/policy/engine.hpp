@@ -252,18 +252,22 @@ class PolicyEngine final : public guard::PinSource {
 
   /// Open (or nest) the calling CPU's frame pin and return its slot.
   guard::PinSlot* PinCpu() override;
+  /// The kernel whose virtual clock the pins charge.
+  kernel::Kernel* kernel() const { return kernel_; }
   /// PinCpu for callers that hold the engine. Always succeeds.
   bool PinFrame() { return PinCpu() != nullptr; }
   /// Close one nesting level; outermost close leaves the read section.
   void UnpinFrame() override;
   /// True = allowed against the calling CPU's pinned frame and fully
-  /// accounted. False = deopt (see guard::PinnedGuard); the caller
+  /// accounted, with the guard's cost and then `access_cycles` of the
+  /// access the caller makes next charged in one clock update. False =
+  /// deopt (see guard::PinnedGuard), nothing charged; the caller
   /// re-decides in Guard(). Always inlined.
   [[gnu::always_inline]] bool FastGuard(uint64_t addr, uint64_t size,
-                                        uint64_t access_flags,
-                                        uint64_t site) {
+                                        uint64_t access_flags, uint64_t site,
+                                        double access_cycles = 0.0) {
     return guard::PinnedGuard(pin_slots_.Mine(), addr, size, access_flags, 0,
-                              site);
+                              site, access_cycles);
   }
   [[gnu::always_inline]] bool FastGuardRange(uint64_t addr, uint64_t size,
                                              uint64_t access_flags,

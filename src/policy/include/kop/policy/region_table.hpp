@@ -60,7 +60,9 @@ class RegionTable64 {
   std::vector<Region> Snapshot() const;
   /// All regions sorted by base (equal bases in table order), with
   /// max_end filled in: the index the engine publishes for guards.
-  RegionIndex Index() const;
+  /// `generation` receives the generation() of exactly these regions,
+  /// read under the table lock.
+  RegionIndex Index(uint64_t* generation) const;
 
   /// Monotonic mutation counter. A policy frame published at generation G
   /// is current while generation() == G; guards republish on mismatch.

@@ -84,8 +84,9 @@ std::vector<Region> RegionTable64::Snapshot() const {
   return std::vector<Region>(regions_.begin(), regions_.begin() + count_);
 }
 
-RegionIndex RegionTable64::Index() const {
+RegionIndex RegionTable64::Index(uint64_t* generation) const {
   std::lock_guard<Spinlock> guard(lock_);
+  *generation = generation_.load(std::memory_order_relaxed);
   RegionIndex index{
       std::unique_ptr<IndexedRegion[]>(new IndexedRegion[count_]), count_};
   uint64_t max_end = 0;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "kop/e1000e/driver.hpp"
 #include "kop/kernel/kernel.hpp"
@@ -281,6 +285,228 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
   EXPECT_GT(cap_hits, 0u);
   EXPECT_GT(overlapped_checks, 100u);
   EXPECT_GT(deep_matches, 100u);
+}
+
+// ------------------------------------------- pinned verdict windows --
+
+/// The paper's linear first-match scan over `regions` (table order): the
+/// match's position + 1 and its protection, or the region count and no
+/// protection on a miss.
+struct FirstMatch {
+  uint64_t depth = 0;
+  std::optional<uint32_t> prot;
+};
+FirstMatch FirstMatchDepth(const std::vector<policy::Region>& regions,
+                           uint64_t addr, uint64_t size) {
+  for (size_t i = 0; i < regions.size(); ++i) {
+    if (regions[i].Contains(addr, size)) return {i + 1, regions[i].prot};
+  }
+  return {regions.size(), std::nullopt};
+}
+
+TEST(PolicyWindowProperty, PinnedDecisionsMatchFirstMatchAcrossWindows) {
+  // Random tables — disjoint, overlapping, nested, equal-base and
+  // top-of-space regions — and random access streams inside long pins:
+  // repeats, region and gap edges, straddles, size 0 and 8. Tables and
+  // the mode change between pins and mid-pin. Every decision, inline or
+  // re-decided out of line after a deopt, must give the reference
+  // verdict and depth and account exactly one decision (stats, site row,
+  // both histograms; pending batches included); Check must agree.
+  kernel::Kernel kernel;
+  policy::PolicyEngine engine(&kernel);
+  engine.SetViolationAction(policy::ViolationAction::kLogOnly);
+  trace::Log2Histogram* depth_hist =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  trace::Log2Histogram* latency_hist =
+      trace::GlobalMetrics().GetHistogram("guard.latency_cycles");
+  trace::SiteInfo info;
+  info.module_name = "window_property";
+  info.function = "probe";
+  const uint64_t site = trace::GlobalSites().Register(info);
+  constexpr uint64_t kLow = 0x100000;
+  constexpr uint64_t kTop = ~uint64_t{0};
+  std::vector<policy::Region> reference;
+  Xoshiro256 rng(4242);
+
+  auto random_region = [&]() -> policy::Region {
+    const uint32_t prot = static_cast<uint32_t>(rng.NextBelow(4));
+    switch (rng.NextBelow(reference.empty() ? 2 : 5)) {
+      case 0:  // a grid slot: disjoint from every other grid slot
+        return {kLow + rng.NextBelow(64) * 0x1000, 0x800, prot};
+      case 1:  // anywhere in the low zone: overlaps are common
+        return {kLow + rng.NextBelow(0x40000), 1 + rng.NextBelow(0x1000),
+                prot};
+      case 2: {  // nested inside an existing region
+        const policy::Region& outer =
+            reference[rng.NextBelow(reference.size())];
+        const uint64_t off = rng.NextBelow(outer.len);
+        return {outer.base + off, 1 + rng.NextBelow(outer.len - off), prot};
+      }
+      case 3: {  // an existing region's base, another length
+        const uint64_t base = reference[rng.NextBelow(reference.size())].base;
+        return {base, 1 + rng.NextBelow(std::min<uint64_t>(0x2000, kTop - base)),
+                prot};
+      }
+      default: {  // near or right at 2^64 - 1 (2^64 would wrap)
+        const uint64_t base = kTop - 1 - rng.NextBelow(0x8000);
+        const uint64_t room = kTop - base;
+        return {base,
+                rng.NextBelow(4) == 0
+                    ? room
+                    : 1 + rng.NextBelow(std::min<uint64_t>(0x800, room)),
+                prot};
+      }
+    }
+  };
+  auto mutate = [&] {
+    if (rng.NextBelow(2) != 0 || reference.empty()) {
+      const policy::Region region = random_region();
+      ErrorCode expected = ErrorCode::kOk;
+      if (reference.size() == policy::RegionTable64::kMaxRegions) {
+        expected = ErrorCode::kNoSpace;
+      } else {
+        for (const policy::Region& have : reference) {
+          if (have.base == region.base && have.len == region.len) {
+            expected = ErrorCode::kAlreadyExists;
+          }
+        }
+      }
+      ASSERT_EQ(engine.store().Add(region).code(), expected);
+      if (expected == ErrorCode::kOk) reference.push_back(region);
+    } else {
+      const uint64_t base = reference[rng.NextBelow(reference.size())].base;
+      ASSERT_TRUE(engine.store().Remove(base).ok());
+      reference.erase(std::find_if(
+          reference.begin(), reference.end(),
+          [base](const policy::Region& r) { return r.base == base; }));
+    }
+  };
+  auto flip_mode = [&] {
+    engine.SetMode(engine.mode() == policy::PolicyMode::kDefaultDeny
+                       ? policy::PolicyMode::kDefaultAllow
+                       : policy::PolicyMode::kDefaultDeny);
+  };
+
+  uint64_t prev_addr = kLow;
+  uint64_t prev_size = 8;
+  auto next_probe = [&](uint64_t* addr, uint64_t* size) {
+    static constexpr uint64_t kSizes[] = {0, 1, 8, 8, 8, 64, 0x1000};
+    *size = kSizes[rng.NextBelow(std::size(kSizes))];
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < 50) {  // the same access or a near one
+      *addr = prev_addr + rng.NextBelow(16) - 8;
+      if (roll < 35) *size = prev_size;
+    } else if (roll < 80 && !reference.empty()) {
+      // At, just inside, just past or straddling a region's edges, which
+      // are its gaps' edges too.
+      const policy::Region& r = reference[rng.NextBelow(reference.size())];
+      const uint64_t end = r.base + r.len;
+      const uint64_t span = *size == 0 ? 1 : *size;
+      const uint64_t edges[] = {r.base - 1, r.base, r.base - span + 1,
+                                end - span, end - span + 1, end - 1, end};
+      *addr = edges[rng.NextBelow(std::size(edges))];
+    } else if (roll < 90) {
+      *addr = kLow - 0x1000 + rng.NextBelow(0x42000);
+    } else if (roll < 98) {
+      *addr = kTop - rng.NextBelow(0x9000);
+    } else {
+      *addr = rng.Next();
+    }
+    prev_addr = *addr;
+    prev_size = *size;
+  };
+
+  uint64_t decisions = 0;
+  uint64_t allows = 0;
+  uint64_t denials = 0;
+  uint64_t window_hits[2] = {0, 0};  // [gap, region]
+  const policy::GuardStats stats0 = engine.stats();
+  const uint64_t latency0 = latency_hist->count();
+  const uint64_t depth_count0 = depth_hist->count();
+  const double depth_sum0 = depth_hist->sum();
+  double depth_total = 0;
+  auto site_row = [&]() {
+    for (const policy::HotSite& row : engine.HotSites()) {
+      if (row.site == site) return row;
+    }
+    return policy::HotSite{};
+  };
+
+  for (int round = 0; round < 400; ++round) {
+    for (uint64_t k = rng.NextBelow(4); k > 0; --k) mutate();
+    if (rng.NextBelow(8) == 0) flip_mode();
+    guard::PinSlot* pin = engine.PinCpu();
+    for (int step = 0; step < 80; ++step) {
+      const uint64_t roll = rng.NextBelow(100);
+      if (roll < 3) mutate();
+      if (roll == 3) flip_mode();
+      uint64_t addr = 0;
+      uint64_t size = 0;
+      uint64_t flags = 1 + rng.NextBelow(3);
+      next_probe(&addr, &size);
+      const FirstMatch want = FirstMatchDepth(reference, addr, size);
+      const bool want_allowed =
+          want.prot.has_value()
+              ? (*want.prot & flags) == flags
+              : engine.mode() == policy::PolicyMode::kDefaultAllow;
+      // Counts how often the window, as the pin left it, would answer.
+      if (pin->window.range.Holds(addr, size) &&
+          pin->window.generation ==
+              pin->frame->store_generation) {
+        ++window_hits[pin->window.match ? 1 : 0];
+      }
+      const size_t bucket = std::min<size_t>(std::bit_width(want.depth),
+                                             trace::Log2Buckets::kBuckets - 1);
+      const uint64_t bucket0 = depth_hist->bucket(bucket);
+      const double owed0 =
+          depth_hist->sum() + static_cast<double>(pin->depth_sum);
+
+      bool allowed = engine.FastGuard(addr, size, flags, site);
+      if (!allowed) {
+        trace::ScopedGuardSite scope(site);
+        allowed = engine.Guard(addr, size, flags);
+      }
+      ++decisions;
+      ++(allowed ? allows : denials);
+      depth_total += static_cast<double>(want.depth);
+      const std::string where = "round " + std::to_string(round) +
+                                " step " + std::to_string(step) +
+                                " addr " + std::to_string(addr) + " size " +
+                                std::to_string(size);
+      ASSERT_EQ(allowed, want_allowed) << where;
+      ASSERT_EQ(engine.Check(addr, size, flags), want_allowed) << where;
+      ASSERT_EQ(depth_hist->bucket(bucket), bucket0 + 1) << where;
+      ASSERT_EQ(depth_hist->sum() + static_cast<double>(pin->depth_sum) -
+                    owed0,
+                static_cast<double>(want.depth))
+          << where;
+      const policy::GuardStats stats = engine.stats();
+      ASSERT_EQ(stats.guard_calls + pin->allowed_batch - stats0.guard_calls,
+                decisions)
+          << where;
+      ASSERT_EQ(stats.allowed + pin->allowed_batch - stats0.allowed, allows)
+          << where;
+      ASSERT_EQ(stats.denied - stats0.denied, denials) << where;
+      ASSERT_EQ(latency_hist->count() + pin->allowed_batch - latency0,
+                decisions)
+          << where;
+      const policy::HotSite row = site_row();
+      ASSERT_EQ(row.hits, decisions) << where;
+      ASSERT_EQ(row.denied, denials) << where;
+    }
+    engine.UnpinFrame();
+    // Unpinned, nothing is owed: the folded values are exact.
+    const policy::GuardStats stats = engine.stats();
+    ASSERT_EQ(stats.guard_calls - stats0.guard_calls, decisions);
+    ASSERT_EQ(stats.allowed - stats0.allowed, allows);
+    ASSERT_EQ(latency_hist->count() - latency0, decisions);
+    ASSERT_EQ(depth_hist->count() - depth_count0, decisions);
+    ASSERT_EQ(depth_hist->sum() - depth_sum0, depth_total);
+  }
+  // The stream must lean on both kinds of window, and deny as well.
+  EXPECT_GT(window_hits[0], 2000u);
+  EXPECT_GT(window_hits[1], 500u);
+  EXPECT_GT(denials, 1000u);
 }
 
 // -------------------------------------------------- kmalloc invariants --

@@ -864,6 +864,141 @@ TEST(SmpTest, PinnedAllowBatchesFoldExactlyUnderRegionChurn) {
   EXPECT_EQ(hits, total);
 }
 
+// Verdict windows under a concurrent writer (DESIGN.md §15). CPUs 1–3
+// guard pinned addresses inside one gap window while CPU 0 adds and
+// removes a kProtNone region over one of them. Once the add has ticked
+// the mutation clock, no CPU may allow that address: a window cached
+// before the add must not answer after it. After the join every folded
+// counter equals the decisions the workers counted themselves.
+TEST(SmpTest, GapWindowNeverAllowsARegionAddedOverIt) {
+  constexpr uint32_t kWorkers = 3;
+  constexpr int kCycles = 40;
+  constexpr int kGuardsPerCall = 16;
+  constexpr uint64_t kTarget = 0x24000;
+  Kernel kernel(SmallKernel());
+  policy::PolicyEngine engine(&kernel, policy::PolicyMode::kDefaultAllow);
+  engine.SetViolationAction(policy::ViolationAction::kLogOnly);
+  // The gap [0x18000, 0x30000) between two regions holds every address
+  // the workers guard.
+  ASSERT_TRUE(
+      engine.store().Add(policy::Region{0x10000, 0x8000, policy::kProtRW}).ok());
+  ASSERT_TRUE(
+      engine.store().Add(policy::Region{0x30000, 0x8000, policy::kProtRW}).ok());
+  trace::SiteInfo info;
+  info.module_name = "smp_window";
+  info.function = "gap";
+  const uint64_t site = trace::GlobalSites().Register(info);
+  const trace::Log2Histogram* latency =
+      trace::GlobalMetrics().GetHistogram("guard.latency_cycles");
+  const trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
+  const uint64_t latency0 = latency->count();
+  const uint64_t depth0 = depth->count();
+  // Odd while the kProtNone region is in the table: bumped after the
+  // add returns and before the remove starts.
+  std::atomic<uint64_t> phase{0};
+  std::atomic<uint32_t> warm{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> target_denials{0};
+  std::atomic<uint64_t> target_allows{0};
+  std::atomic<uint64_t> stale_allows{0};
+  std::array<uint64_t, kWorkers + 1> allowed{};
+  std::array<uint64_t, kWorkers + 1> denied{};
+  // Also gives up once a stale allow is counted, which fails the test.
+  auto wait_for_change = [&](const std::atomic<uint64_t>& counter,
+                             uint64_t seen) {
+    while (counter.load(std::memory_order_acquire) == seen &&
+           stale_allows.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+  };
+
+  smp::RunOnCpus(kWorkers + 1, [&](uint32_t cpu) {
+    if (cpu == 0) {
+      // Ends the workers' loop on every way out, a failed ASSERT's early
+      // return included.
+      struct EndWorkers {
+        std::atomic<bool>& done;
+        ~EndWorkers() { done.store(true, std::memory_order_release); }
+      } end_workers{done};
+      // Every add finds the workers' windows filled over the whole gap.
+      while (warm.load(std::memory_order_acquire) != kWorkers) {
+        std::this_thread::yield();
+      }
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        // Keep the region until a worker is denied by it, then leave it
+        // out until a worker is allowed the address again.
+        const uint64_t denials = target_denials.load();
+        ASSERT_TRUE(engine.store()
+                        .Add(policy::Region{kTarget, 0x100, policy::kProtNone})
+                        .ok());
+        phase.fetch_add(1, std::memory_order_acq_rel);
+        wait_for_change(target_denials, denials);
+        const uint64_t allows = target_allows.load();
+        phase.fetch_add(1, std::memory_order_acq_rel);
+        ASSERT_TRUE(engine.store().Remove(kTarget).ok());
+        wait_for_change(target_allows, allows);
+      }
+      return;
+    }
+    auto guarded_call = [&] {
+      ASSERT_TRUE(engine.PinFrame());
+      for (int g = 0; g < kGuardsPerCall; ++g) {
+        const uint64_t addr =
+            g % 2 == 0 ? kTarget : 0x20000 + cpu * 0x100 + uint64_t(g) * 8;
+        const uint64_t before = phase.load(std::memory_order_acquire);
+        bool ok = engine.FastGuard(addr, 8, kGuardAccessRead, site);
+        if (!ok) {
+          trace::ScopedGuardSite scope(site);
+          ok = engine.Guard(addr, 8, kGuardAccessRead);
+        }
+        const uint64_t after = phase.load(std::memory_order_acquire);
+        ++(ok ? allowed : denied)[cpu];
+        if (addr != kTarget) {
+          EXPECT_TRUE(ok);
+        } else if (!ok) {
+          target_denials.fetch_add(1, std::memory_order_acq_rel);
+        } else {
+          target_allows.fetch_add(1, std::memory_order_acq_rel);
+          // The region was in the table for the whole decision.
+          if (before % 2 == 1 && before == after) {
+            stale_allows.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      engine.UnpinFrame();
+    };
+    guarded_call();
+    warm.fetch_add(1, std::memory_order_acq_rel);
+    while (!done.load(std::memory_order_acquire)) guarded_call();
+  });
+
+  EXPECT_EQ(stale_allows.load(), 0u);
+  uint64_t allows = 0;
+  uint64_t denials = 0;
+  for (uint32_t cpu = 1; cpu <= kWorkers; ++cpu) {
+    allows += allowed[cpu];
+    denials += denied[cpu];
+  }
+  EXPECT_GE(denials, uint64_t{kCycles});  // a denial in every cycle
+  EXPECT_EQ(denials, target_denials.load());
+  const uint64_t total = allows + denials;
+  const policy::GuardStats stats = engine.stats();
+  EXPECT_EQ(stats.guard_calls, total);
+  EXPECT_EQ(stats.allowed, allows);
+  EXPECT_EQ(stats.denied, denials);
+  uint64_t hits = 0;
+  uint64_t site_denied = 0;
+  for (const policy::HotSite& row : engine.HotSites()) {
+    hits += row.hits;
+    site_denied += row.denied;
+  }
+  EXPECT_EQ(hits, total);
+  EXPECT_EQ(site_denied, denials);
+  EXPECT_EQ(latency->count() - latency0, total);
+  EXPECT_EQ(depth->count() - depth0, total);
+}
+
 // CPU 1 holds a pin with pending inline allows while CPU 0 resets the
 // stats. The reset's epoch drops that batch from the counters at CPU 1's
 // next flush, so guard_calls counts exactly the guards whose site hits
