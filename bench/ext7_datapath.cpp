@@ -39,7 +39,6 @@
 #include "kop/net/frame.hpp"
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/policy_module.hpp"
-#include "kop/smp/affinity.hpp"
 #include "kop/smp/executor.hpp"
 #include "kop/trace/span.hpp"
 

@@ -10,190 +10,269 @@ namespace kop::e1000e {
 
 using nic::kTxDescBytes;
 
+namespace {
+
+/// One queue's simulated allocations while it is set up: freed when this
+/// goes out of scope (a failed step, an unwind) unless Keep() hands them
+/// over to the queue's adapter block.
+class QueueAllocations {
+ public:
+  explicit QueueAllocations(kernel::Kernel* kernel) : kernel_(kernel) {}
+  ~QueueAllocations() {
+    for (uint32_t i = 0; i < count_; ++i) {
+      (void)kernel_->heap().Kfree(blocks_[i]);
+    }
+  }
+  QueueAllocations(const QueueAllocations&) = delete;
+  QueueAllocations& operator=(const QueueAllocations&) = delete;
+
+  Result<uint64_t> Kmalloc(uint64_t size, uint64_t alignment) {
+    KOP_ASSIGN_OR_RETURN(blocks_[count_],
+                         kernel_->heap().Kmalloc(size, alignment));
+    return blocks_[count_++];
+  }
+  void Keep() { count_ = 0; }
+
+ private:
+  kernel::Kernel* kernel_;
+  uint64_t blocks_[6] = {};
+  uint32_t count_ = 0;
+};
+
+}  // namespace
+
 template <typename Ops>
 Result<Driver<Ops>> Driver<Ops>::Probe(Ops ops, uint64_t mmio_base,
                                        uint32_t ring_entries) {
   if (ring_entries < 8 || !IsPowerOfTwo(ring_entries)) {
     return InvalidArgument("ring_entries must be a power of two >= 8");
   }
-  kernel::Kernel* kernel = ops.kernel();
+  Driver driver(ops, ring_entries);
+  return driver.Probed(driver.BringUp(mmio_base));
+}
+
+template <typename Ops>
+Result<Driver<Ops>> Driver<Ops>::ProbeMq(Ops ops, uint64_t mmio_base,
+                                         uint32_t ring_entries,
+                                         uint32_t num_queues,
+                                         uint32_t itr_cycles) {
+  if (num_queues == 0 || num_queues > nic::kMaxQueues) {
+    return InvalidArgument("num_queues must be 1..8");
+  }
+  KOP_ASSIGN_OR_RETURN(Driver driver, Probe(ops, mmio_base, ring_entries));
+  return driver.Probed(driver.BringUpMq(mmio_base, num_queues, itr_cycles));
+}
+
+template <typename Ops>
+Result<Driver<Ops>> Driver<Ops>::Probed(Status status) {
+  if (!status.ok()) {
+    (void)FreeQueues();
+    return status;
+  }
+  return *this;
+}
+
+template <typename Ops>
+Result<typename Driver<Ops>::QueueRings> Driver<Ops>::SetUpQueue(
+    uint64_t mmio_base) {
+  kernel::Kernel* kernel = ops_.kernel();
+  const uint32_t q = num_queues_;
+  const uint64_t n = ring_entries_;
 
   // Allocate adapter state, descriptor ring (16-byte aligned, length a
   // multiple of 128 as the hardware requires), buffer_info array and the
   // short-frame bounce buffer — all in simulated kernel memory.
-  KOP_ASSIGN_OR_RETURN(uint64_t adapter,
-                       kernel->heap().Kmalloc(adapter::kSize, 64));
-  KOP_ASSIGN_OR_RETURN(
-      uint64_t ring,
-      kernel->heap().Kmalloc(uint64_t{ring_entries} * kTxDescBytes, 128));
-  KOP_ASSIGN_OR_RETURN(
-      uint64_t bufinfo_base,
-      kernel->heap().Kmalloc(uint64_t{ring_entries} * bufinfo::kStride, 64));
-  KOP_ASSIGN_OR_RETURN(uint64_t bounce,
-                       kernel->heap().Kmalloc(kBounceBytes, 64));
-  KOP_ASSIGN_OR_RETURN(
-      uint64_t rx_ring,
-      kernel->heap().Kmalloc(uint64_t{ring_entries} * nic::kRxDescBytes,
-                             128));
-  KOP_ASSIGN_OR_RETURN(
-      uint64_t rx_buffers,
-      kernel->heap().Kmalloc(uint64_t{ring_entries} * kRxBufferBytes, 64));
+  QueueAllocations blocks(kernel);
+  KOP_ASSIGN_OR_RETURN(const uint64_t qadapter,
+                       blocks.Kmalloc(adapter::kSize, 64));
+  KOP_ASSIGN_OR_RETURN(const uint64_t ring,
+                       blocks.Kmalloc(n * kTxDescBytes, 128));
+  KOP_ASSIGN_OR_RETURN(const uint64_t bufinfo_base,
+                       blocks.Kmalloc(n * bufinfo::kStride, 64));
+  KOP_ASSIGN_OR_RETURN(const uint64_t bounce,
+                       blocks.Kmalloc(kBounceBytes, 64));
+  KOP_ASSIGN_OR_RETURN(const uint64_t rx_ring,
+                       blocks.Kmalloc(n * nic::kRxDescBytes, 128));
+  KOP_ASSIGN_OR_RETURN(const uint64_t rx_buffers,
+                       blocks.Kmalloc(n * kRxBufferBytes, 64));
 
-  Driver driver(ops, adapter, ring_entries);
-  Ops& o = driver.ops_;
-
-  // Zero the ring (unguarded init-time memset in the real driver happens
+  // Zero the rings (unguarded init-time memset in the real driver happens
   // via dma_alloc_coherent which returns zeroed memory).
-  KOP_RETURN_IF_ERROR(kernel->mem().Memset(
-      ring, 0, uint64_t{ring_entries} * kTxDescBytes));
-  KOP_RETURN_IF_ERROR(kernel->mem().Memset(
-      bufinfo_base, 0, uint64_t{ring_entries} * bufinfo::kStride));
-  KOP_RETURN_IF_ERROR(kernel->mem().Memset(
-      rx_ring, 0, uint64_t{ring_entries} * nic::kRxDescBytes));
+  KOP_RETURN_IF_ERROR(kernel->mem().Memset(ring, 0, n * kTxDescBytes));
+  KOP_RETURN_IF_ERROR(
+      kernel->mem().Memset(bufinfo_base, 0, n * bufinfo::kStride));
+  KOP_RETURN_IF_ERROR(kernel->mem().Memset(rx_ring, 0, n * nic::kRxDescBytes));
 
   // Populate adapter fields (guarded stores on the carat build — module
   // init is transformed like everything else).
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kMmioBase, mmio_base, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kTxRingBase, ring, 8));
+  Ops& o = ops_;
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kMmioBase, mmio_base, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxRingBase, ring, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxRingCount, n, 4));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kNextToUse, 0, 4));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kNextToClean, 0, 4));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kFlags, q, 4));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxPackets, 0, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxBytes, 0, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxBusy, 0, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxCleaned, 0, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kBounceBuf, bounce, 8));
   KOP_RETURN_IF_ERROR(
-      o.Store(adapter + adapter::kTxRingCount, ring_entries, 4));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kNextToUse, 0, 4));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kNextToClean, 0, 4));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kFlags, 0, 4));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kTxPackets, 0, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kTxBytes, 0, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kTxBusy, 0, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kTxCleaned, 0, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kBounceBuf, bounce, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kBufferInfo, bufinfo_base, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kWatchdogStamp, 0, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kRxRingBase, rx_ring, 8));
-  KOP_RETURN_IF_ERROR(
-      o.Store(adapter + adapter::kRxRingCount, ring_entries, 4));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kRxNextToClean, 0, 4));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kRxBuffers, rx_buffers, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kRxPackets, 0, 8));
-  KOP_RETURN_IF_ERROR(o.Store(adapter + adapter::kRxBytes, 0, 8));
+      o.Store(qadapter + adapter::kBufferInfo, bufinfo_base, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kWatchdogStamp, 0, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxRingBase, rx_ring, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxRingCount, n, 4));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxNextToClean, 0, 4));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxBuffers, rx_buffers, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxPackets, 0, 8));
+  KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxBytes, 0, 8));
 
   // Arm every RX descriptor with its buffer (guarded stores).
-  for (uint32_t i = 0; i < ring_entries; ++i) {
-    const uint64_t desc = rx_ring + uint64_t{i} * nic::kRxDescBytes;
-    KOP_RETURN_IF_ERROR(
-        o.Store(desc + 0, rx_buffers + uint64_t{i} * kRxBufferBytes, 8));
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t desc = rx_ring + i * nic::kRxDescBytes;
+    KOP_RETURN_IF_ERROR(o.Store(desc + 0, rx_buffers + i * kRxBufferBytes, 8));
     KOP_RETURN_IF_ERROR(o.Store(desc + 12, 0, 1));  // status = 0
   }
 
+  blocks.Keep();
+  queue_adapter_[q] = qadapter;
+  ++num_queues_;
+  return QueueRings{ring, rx_ring};
+}
+
+template <typename Ops>
+Status Driver<Ops>::BringUp(uint64_t mmio_base) {
+  KOP_ASSIGN_OR_RETURN(const QueueRings rings, SetUpQueue(mmio_base));
+  const uint64_t ring = rings.tx;
+  const uint64_t rx_ring = rings.rx;
+
   // Device bring-up: reset, link up, program the ring, enable transmit.
   using namespace nic;
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_CTRL, CTRL_RST));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_CTRL, CTRL_SLU));
-  KOP_ASSIGN_OR_RETURN(uint32_t status, driver.Er32(mmio_base, REG_STATUS));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_CTRL, CTRL_RST));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_CTRL, CTRL_SLU));
+  KOP_ASSIGN_OR_RETURN(uint32_t status, Er32(mmio_base, REG_STATUS));
   if ((status & STATUS_LU) == 0) {
     return Internal("e1000e: link did not come up after CTRL.SLU");
   }
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_TDBAL, static_cast<uint32_t>(ring)));
   KOP_RETURN_IF_ERROR(
-      driver.Ew32(mmio_base, REG_TDBAL, static_cast<uint32_t>(ring)));
-  KOP_RETURN_IF_ERROR(
-      driver.Ew32(mmio_base, REG_TDBAH, static_cast<uint32_t>(ring >> 32)));
-  KOP_RETURN_IF_ERROR(
-      driver.Ew32(mmio_base, REG_TDLEN, ring_entries * kTxDescBytes));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_TDH, 0));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_TDT, 0));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_TIPG, 0x00602006));
-  KOP_RETURN_IF_ERROR(
-      driver.Ew32(mmio_base, REG_TCTL, TCTL_EN | TCTL_PSP));
+      Ew32(mmio_base, REG_TDBAH, static_cast<uint32_t>(ring >> 32)));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_TDLEN, ring_entries_ * kTxDescBytes));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_TDH, 0));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_TDT, 0));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_TIPG, 0x00602006));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_TCTL, TCTL_EN | TCTL_PSP));
 
   // Read the factory MAC from the NVM word by word through EERD and
   // program the receive-address registers (e1000_read_mac_addr).
   uint32_t mac_words[3] = {0, 0, 0};
   for (uint32_t word = 0; word < 3; ++word) {
-    KOP_RETURN_IF_ERROR(driver.Ew32(
-        mmio_base, REG_EERD, EERD_START | (word << EERD_ADDR_SHIFT)));
-    KOP_ASSIGN_OR_RETURN(uint32_t eerd, driver.Er32(mmio_base, REG_EERD));
+    KOP_RETURN_IF_ERROR(
+        Ew32(mmio_base, REG_EERD, EERD_START | (word << EERD_ADDR_SHIFT)));
+    KOP_ASSIGN_OR_RETURN(uint32_t eerd, Er32(mmio_base, REG_EERD));
     if ((eerd & EERD_DONE) == 0) {
       return Internal("e1000e: EEPROM read did not complete");
     }
     mac_words[word] = eerd >> EERD_DATA_SHIFT;
   }
-  KOP_RETURN_IF_ERROR(driver.Ew32(
-      mmio_base, REG_RAL0, mac_words[0] | (mac_words[1] << 16)));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_RAH0, mac_words[2]));
+  KOP_RETURN_IF_ERROR(
+      Ew32(mmio_base, REG_RAL0, mac_words[0] | (mac_words[1] << 16)));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_RAH0, mac_words[2]));
 
   // Receive side: program the RX ring, leave the classic one-slot gap
   // (RDT = count-1 hands descriptors 0..count-2 to hardware).
   KOP_RETURN_IF_ERROR(
-      driver.Ew32(mmio_base, REG_RDBAL, static_cast<uint32_t>(rx_ring)));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_RDBAH,
-                                  static_cast<uint32_t>(rx_ring >> 32)));
+      Ew32(mmio_base, REG_RDBAL, static_cast<uint32_t>(rx_ring)));
   KOP_RETURN_IF_ERROR(
-      driver.Ew32(mmio_base, REG_RDLEN, ring_entries * nic::kRxDescBytes));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_RDH, 0));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_RDT, ring_entries - 1));
-  KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, REG_RCTL, RCTL_EN | RCTL_BAM));
+      Ew32(mmio_base, REG_RDBAH, static_cast<uint32_t>(rx_ring >> 32)));
+  KOP_RETURN_IF_ERROR(
+      Ew32(mmio_base, REG_RDLEN, ring_entries_ * nic::kRxDescBytes));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_RDH, 0));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_RDT, ring_entries_ - 1));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_RCTL, RCTL_EN | RCTL_BAM));
 
-  KOP_RETURN_IF_ERROR(driver.Ew32(
-      mmio_base, REG_IMS, ICR_TXDW | ICR_LSC | ICR_RXT0 | ICR_RXO));
-
-  return driver;
+  return Ew32(mmio_base, REG_IMS, ICR_TXDW | ICR_LSC | ICR_RXT0 | ICR_RXO);
 }
 
 template <typename Ops>
-Status Driver<Ops>::Remove() {
-  kernel::Kernel* kernel = ops_.kernel();
-  KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
-                       ops_.Load(adapter_ + adapter::kMmioBase, 8));
-  KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::REG_TCTL, 0));
-  KOP_ASSIGN_OR_RETURN(uint64_t ring,
-                       ops_.Load(adapter_ + adapter::kTxRingBase, 8));
-  KOP_ASSIGN_OR_RETURN(uint64_t bounce,
-                       ops_.Load(adapter_ + adapter::kBounceBuf, 8));
-  KOP_ASSIGN_OR_RETURN(uint64_t bufinfo_base,
-                       ops_.Load(adapter_ + adapter::kBufferInfo, 8));
-  KOP_ASSIGN_OR_RETURN(uint64_t rx_ring,
-                       ops_.Load(adapter_ + adapter::kRxRingBase, 8));
-  KOP_ASSIGN_OR_RETURN(uint64_t rx_buffers,
-                       ops_.Load(adapter_ + adapter::kRxBuffers, 8));
-  KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::REG_RCTL, 0));
-  KOP_RETURN_IF_ERROR(kernel->heap().Kfree(ring));
-  KOP_RETURN_IF_ERROR(kernel->heap().Kfree(bounce));
-  KOP_RETURN_IF_ERROR(kernel->heap().Kfree(bufinfo_base));
-  KOP_RETURN_IF_ERROR(kernel->heap().Kfree(rx_ring));
-  KOP_RETURN_IF_ERROR(kernel->heap().Kfree(rx_buffers));
-  // Extra queues from ProbeMq: each block records its own allocations.
-  for (uint32_t q = 1; q < num_queues_; ++q) {
-    const uint64_t qa = queue_adapter_[q];
-    KOP_ASSIGN_OR_RETURN(uint64_t q_ring,
-                         ops_.Load(qa + adapter::kTxRingBase, 8));
-    KOP_ASSIGN_OR_RETURN(uint64_t q_bounce,
-                         ops_.Load(qa + adapter::kBounceBuf, 8));
-    KOP_ASSIGN_OR_RETURN(uint64_t q_bufinfo,
-                         ops_.Load(qa + adapter::kBufferInfo, 8));
-    KOP_ASSIGN_OR_RETURN(uint64_t q_rx_ring,
-                         ops_.Load(qa + adapter::kRxRingBase, 8));
-    KOP_ASSIGN_OR_RETURN(uint64_t q_rx_buffers,
-                         ops_.Load(qa + adapter::kRxBuffers, 8));
-    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(q_ring));
-    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(q_bounce));
-    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(q_bufinfo));
-    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(q_rx_ring));
-    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(q_rx_buffers));
-    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(qa));
-    queue_adapter_[q] = 0;
+Status Driver<Ops>::BringUpMq(uint64_t mmio_base, uint32_t num_queues,
+                              uint32_t itr_cycles) {
+  using namespace nic;
+  while (num_queues_ < num_queues) {
+    const uint32_t q = num_queues_;
+    KOP_ASSIGN_OR_RETURN(const QueueRings rings, SetUpQueue(mmio_base));
+    // Program the queue's TX/RX register blocks at the 0x100 stride.
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_TDBAL, q),
+                             static_cast<uint32_t>(rings.tx)));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_TDBAH, q),
+                             static_cast<uint32_t>(rings.tx >> 32)));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_TDLEN, q),
+                             ring_entries_ * kTxDescBytes));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_TDH, q), 0));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_TDT, q), 0));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_RDBAL, q),
+                             static_cast<uint32_t>(rings.rx)));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_RDBAH, q),
+                             static_cast<uint32_t>(rings.rx >> 32)));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_RDLEN, q),
+                             ring_entries_ * nic::kRxDescBytes));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, QReg(REG_RDH, q), 0));
+    KOP_RETURN_IF_ERROR(
+        Ew32(mmio_base, QReg(REG_RDT, q), ring_entries_ - 1));
   }
-  num_queues_ = 1;
-  KOP_RETURN_IF_ERROR(kernel->heap().Kfree(adapter_));
-  adapter_ = 0;
+
+  // MSI-X routing: TX queue q fires vector q, RX queue q fires vector
+  // q+8. EITR programs the per-vector mitigation window; EIMS unmasks.
+  for (uint32_t q = 0; q < num_queues; ++q) {
+    const uint32_t tx_vec = IVAR_VALID | q;
+    const uint32_t rx_vec = IVAR_VALID | (q + 8);
+    KOP_RETURN_IF_ERROR(
+        Ew32(mmio_base, IVAR(q), (tx_vec << IVAR_TX_SHIFT) | rx_vec));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, EITR(q), itr_cycles));
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, EITR(q + 8), itr_cycles));
+    KOP_RETURN_IF_ERROR(
+        Ew32(mmio_base, REG_EIMS, (1u << q) | (1u << (q + 8))));
+  }
+  if (num_queues > 1) {
+    KOP_RETURN_IF_ERROR(Ew32(mmio_base, REG_MRQC,
+                             MRQC_ENABLE | (num_queues << MRQC_QUEUES_SHIFT)));
+  }
   return OkStatus();
 }
 
 template <typename Ops>
-Result<uint32_t> Driver<Ops>::CleanTxRing() {
-  return CleanTxOn(adapter_);
+Status Driver<Ops>::Remove() {
+  KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
+                       ops_.Load(queue_adapter_[0] + adapter::kMmioBase, 8));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::REG_TCTL, 0));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::REG_RCTL, 0));
+  return FreeQueues();
 }
 
 template <typename Ops>
-Result<uint32_t> Driver<Ops>::CleanTxOn(uint64_t qadapter) {
+Status Driver<Ops>::FreeQueues() {
+  kernel::Kernel* kernel = ops_.kernel();
+  // Each adapter block records its own queue's allocations.
+  static constexpr uint64_t kBlocks[] = {
+      adapter::kTxRingBase, adapter::kBounceBuf, adapter::kBufferInfo,
+      adapter::kRxRingBase, adapter::kRxBuffers};
+  for (; num_queues_ > 0; --num_queues_) {
+    uint64_t& qadapter = queue_adapter_[num_queues_ - 1];
+    for (const uint64_t field : kBlocks) {
+      KOP_ASSIGN_OR_RETURN(uint64_t block, ops_.Load(qadapter + field, 8));
+      KOP_RETURN_IF_ERROR(kernel->heap().Kfree(block));
+    }
+    KOP_RETURN_IF_ERROR(kernel->heap().Kfree(qadapter));
+    qadapter = 0;
+  }
+  return OkStatus();
+}
+
+template <typename Ops>
+Result<uint32_t> Driver<Ops>::CleanTxRing(uint32_t queue) {
+  if (queue >= num_queues_) return InvalidArgument("no such queue");
   EntryPin<Ops> pin(ops_);
+  const uint64_t qadapter = queue_adapter_[queue];
   // e1000_clean_tx_irq: walk from next_to_clean, reclaim DD descriptors.
   KOP_ASSIGN_OR_RETURN(uint64_t ring,
                        ops_.Load(qadapter + adapter::kTxRingBase, 8));
@@ -231,21 +310,17 @@ Result<uint32_t> Driver<Ops>::CleanTxOn(uint64_t qadapter) {
   return cleaned;
 }
 
+// Every queue runs the legacy body: queue 0's guarded access sequence is
+// the pre-multi-queue one (pinned at 17 per packet).
 template <typename Ops>
-Status Driver<Ops>::XmitFrame(uint64_t frame_addr, uint32_t len) {
-  return XmitOn(adapter_, nic::REG_TDT, frame_addr, len);
-}
-
-// The body of the legacy XmitFrame, verbatim, parameterized only by the
-// queue's adapter block and tail register: queue 0 compiles to the exact
-// pre-multi-queue guarded access sequence (pinned at 17 per packet).
-template <typename Ops>
-Status Driver<Ops>::XmitOn(uint64_t qadapter, uint64_t tdt_reg,
-                           uint64_t frame_addr, uint32_t len) {
+Status Driver<Ops>::XmitFrame(uint64_t frame_addr, uint32_t len,
+                              uint32_t queue) {
+  if (queue >= num_queues_) return InvalidArgument("no such queue");
   EntryPin<Ops> pin(ops_);
   if (len == 0 || len > kEthFrameLen) {
     return InvalidArgument("frame length out of range");
   }
+  const uint64_t qadapter = queue_adapter_[queue];
 
   // Load the hot adapter fields (e1000_xmit_frame prologue).
   KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
@@ -266,7 +341,7 @@ Status Driver<Ops>::XmitOn(uint64_t qadapter, uint64_t tdt_reg,
 
   // Ring-full check; try to reclaim once before reporting BUSY.
   if (((ntu + 1) & (count - 1)) == ntc) {
-    KOP_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanTxOn(qadapter));
+    KOP_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanTxRing(queue));
     if (reclaimed == 0) {
       KOP_ASSIGN_OR_RETURN(uint64_t busy,
                            ops_.Load(qadapter + adapter::kTxBusy, 8));
@@ -332,19 +407,16 @@ Status Driver<Ops>::XmitOn(uint64_t qadapter, uint64_t tdt_reg,
 
   // Kick the hardware: posted MMIO write to the tail register.
   KOP_TRACE(kXmitFrame, dma_len, ntu);
-  KOP_RETURN_IF_ERROR(Ew32(mmio_base, tdt_reg, ntu));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::QReg(nic::REG_TDT, queue), ntu));
   return OkStatus();
 }
 
 template <typename Ops>
-Result<bool> Driver<Ops>::ReceiveFrame(std::vector<uint8_t>* out) {
-  return ReceiveOn(adapter_, nic::REG_RDT, out);
-}
-
-template <typename Ops>
-Result<bool> Driver<Ops>::ReceiveOn(uint64_t qadapter, uint64_t rdt_reg,
-                                    std::vector<uint8_t>* out) {
+Result<bool> Driver<Ops>::ReceiveFrame(std::vector<uint8_t>* out,
+                                       uint32_t queue) {
+  if (queue >= num_queues_) return InvalidArgument("no such queue");
   EntryPin<Ops> pin(ops_);
+  const uint64_t qadapter = queue_adapter_[queue];
   KOP_ASSIGN_OR_RETURN(uint64_t rx_ring,
                        ops_.Load(qadapter + adapter::kRxRingBase, 8));
   KOP_ASSIGN_OR_RETURN(uint64_t count64,
@@ -377,7 +449,7 @@ Result<bool> Driver<Ops>::ReceiveOn(uint64_t qadapter, uint64_t rdt_reg,
                  (ntc + 1) & (count - 1), 4));
   KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
                        ops_.Load(qadapter + adapter::kMmioBase, 8));
-  KOP_RETURN_IF_ERROR(Ew32(mmio_base, rdt_reg, ntc));
+  KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::QReg(nic::REG_RDT, queue), ntc));
 
   // Netdev RX counters.
   KOP_ASSIGN_OR_RETURN(uint64_t packets,
@@ -420,146 +492,9 @@ Result<DriverCounters> Driver<Ops>::CountersOn(uint32_t queue) {
 template <typename Ops>
 Result<uint64_t> Driver<Ops>::HwGoodPacketsTransmitted() {
   KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
-                       ops_.Load(adapter_ + adapter::kMmioBase, 8));
+                       ops_.Load(queue_adapter_[0] + adapter::kMmioBase, 8));
   KOP_ASSIGN_OR_RETURN(uint32_t gptc, Er32(mmio_base, nic::REG_GPTC));
   return uint64_t{gptc};
-}
-
-// --------------------------------------------------------- multi-queue --
-
-template <typename Ops>
-Result<Driver<Ops>> Driver<Ops>::ProbeMq(Ops ops, uint64_t mmio_base,
-                                         uint32_t ring_entries,
-                                         uint32_t num_queues,
-                                         uint32_t itr_cycles) {
-  if (num_queues == 0 || num_queues > nic::kMaxQueues) {
-    return InvalidArgument("num_queues must be 1..8");
-  }
-  KOP_ASSIGN_OR_RETURN(Driver driver, Probe(ops, mmio_base, ring_entries));
-  kernel::Kernel* kernel = driver.ops_.kernel();
-  Ops& o = driver.ops_;
-  using namespace nic;
-
-  for (uint32_t q = 1; q < num_queues; ++q) {
-    KOP_ASSIGN_OR_RETURN(uint64_t qadapter,
-                         kernel->heap().Kmalloc(adapter::kSize, 64));
-    KOP_ASSIGN_OR_RETURN(
-        uint64_t ring,
-        kernel->heap().Kmalloc(uint64_t{ring_entries} * kTxDescBytes, 128));
-    KOP_ASSIGN_OR_RETURN(
-        uint64_t bufinfo_base,
-        kernel->heap().Kmalloc(uint64_t{ring_entries} * bufinfo::kStride,
-                               64));
-    KOP_ASSIGN_OR_RETURN(uint64_t bounce,
-                         kernel->heap().Kmalloc(kBounceBytes, 64));
-    KOP_ASSIGN_OR_RETURN(
-        uint64_t rx_ring,
-        kernel->heap().Kmalloc(uint64_t{ring_entries} * nic::kRxDescBytes,
-                               128));
-    KOP_ASSIGN_OR_RETURN(
-        uint64_t rx_buffers,
-        kernel->heap().Kmalloc(uint64_t{ring_entries} * kRxBufferBytes, 64));
-
-    KOP_RETURN_IF_ERROR(kernel->mem().Memset(
-        ring, 0, uint64_t{ring_entries} * kTxDescBytes));
-    KOP_RETURN_IF_ERROR(kernel->mem().Memset(
-        bufinfo_base, 0, uint64_t{ring_entries} * bufinfo::kStride));
-    KOP_RETURN_IF_ERROR(kernel->mem().Memset(
-        rx_ring, 0, uint64_t{ring_entries} * nic::kRxDescBytes));
-
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kMmioBase, mmio_base, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxRingBase, ring, 8));
-    KOP_RETURN_IF_ERROR(
-        o.Store(qadapter + adapter::kTxRingCount, ring_entries, 4));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kNextToUse, 0, 4));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kNextToClean, 0, 4));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kFlags, q, 4));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxPackets, 0, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxBytes, 0, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxBusy, 0, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kTxCleaned, 0, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kBounceBuf, bounce, 8));
-    KOP_RETURN_IF_ERROR(
-        o.Store(qadapter + adapter::kBufferInfo, bufinfo_base, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kWatchdogStamp, 0, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxRingBase, rx_ring, 8));
-    KOP_RETURN_IF_ERROR(
-        o.Store(qadapter + adapter::kRxRingCount, ring_entries, 4));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxNextToClean, 0, 4));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxBuffers, rx_buffers, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxPackets, 0, 8));
-    KOP_RETURN_IF_ERROR(o.Store(qadapter + adapter::kRxBytes, 0, 8));
-
-    for (uint32_t i = 0; i < ring_entries; ++i) {
-      const uint64_t desc = rx_ring + uint64_t{i} * nic::kRxDescBytes;
-      KOP_RETURN_IF_ERROR(
-          o.Store(desc + 0, rx_buffers + uint64_t{i} * kRxBufferBytes, 8));
-      KOP_RETURN_IF_ERROR(o.Store(desc + 12, 0, 1));  // status = 0
-    }
-
-    // Program the queue's TX/RX register blocks at the 0x100 stride.
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_TDBAL, q),
-                                    static_cast<uint32_t>(ring)));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_TDBAH, q),
-                                    static_cast<uint32_t>(ring >> 32)));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_TDLEN, q),
-                                    ring_entries * kTxDescBytes));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_TDH, q), 0));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_TDT, q), 0));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_RDBAL, q),
-                                    static_cast<uint32_t>(rx_ring)));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_RDBAH, q),
-                                    static_cast<uint32_t>(rx_ring >> 32)));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_RDLEN, q),
-                                    ring_entries * nic::kRxDescBytes));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, QReg(REG_RDH, q), 0));
-    KOP_RETURN_IF_ERROR(
-        driver.Ew32(mmio_base, QReg(REG_RDT, q), ring_entries - 1));
-
-    driver.queue_adapter_[q] = qadapter;
-  }
-
-  // MSI-X routing: TX queue q fires vector q, RX queue q fires vector
-  // q+8. EITR programs the per-vector mitigation window; EIMS unmasks.
-  for (uint32_t q = 0; q < num_queues; ++q) {
-    const uint32_t tx_vec = IVAR_VALID | q;
-    const uint32_t rx_vec = IVAR_VALID | (q + 8);
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, IVAR(q),
-                                    (tx_vec << IVAR_TX_SHIFT) | rx_vec));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, EITR(q), itr_cycles));
-    KOP_RETURN_IF_ERROR(driver.Ew32(mmio_base, EITR(q + 8), itr_cycles));
-    KOP_RETURN_IF_ERROR(driver.Ew32(
-        mmio_base, REG_EIMS, (1u << q) | (1u << (q + 8))));
-  }
-  if (num_queues > 1) {
-    KOP_RETURN_IF_ERROR(driver.Ew32(
-        mmio_base, REG_MRQC,
-        MRQC_ENABLE | (num_queues << MRQC_QUEUES_SHIFT)));
-  }
-  driver.num_queues_ = num_queues;
-  return driver;
-}
-
-template <typename Ops>
-Status Driver<Ops>::XmitFrameOn(uint32_t queue, uint64_t frame_addr,
-                                uint32_t len) {
-  if (queue >= num_queues_) return InvalidArgument("no such queue");
-  return XmitOn(queue_adapter_[queue], nic::QReg(nic::REG_TDT, queue),
-                frame_addr, len);
-}
-
-template <typename Ops>
-Result<uint32_t> Driver<Ops>::CleanTxRingOn(uint32_t queue) {
-  if (queue >= num_queues_) return InvalidArgument("no such queue");
-  return CleanTxOn(queue_adapter_[queue]);
-}
-
-template <typename Ops>
-Result<bool> Driver<Ops>::ReceiveFrameFrom(uint32_t queue,
-                                           std::vector<uint8_t>* out) {
-  if (queue >= num_queues_) return InvalidArgument("no such queue");
-  return ReceiveOn(queue_adapter_[queue], nic::QReg(nic::REG_RDT, queue),
-                   out);
 }
 
 template <typename Ops>
@@ -605,7 +540,7 @@ Status Driver<Ops>::XmitBatch(uint32_t queue, const TxFrame* frames,
     if (((ntu + 1) & (ring_count - 1)) == ntc) {
       // Ring full mid-batch: flush what we have with one doorbell, try
       // one reclaim, and stop if the ring is still full.
-      KOP_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanTxOn(qadapter));
+      KOP_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanTxRing(queue));
       if (reclaimed == 0) break;
       KOP_ASSIGN_OR_RETURN(uint64_t ntc_reload,
                            ops_.Load(qadapter + adapter::kNextToClean, 4));
@@ -665,7 +600,7 @@ Result<uint32_t> Driver<Ops>::NapiPoll(uint32_t queue, uint32_t budget,
   KOP_RETURN_IF_ERROR(Ew32(mmio_base, nic::REG_EIMC, vector_mask));
 
   // TX side: batch-reclaim completed descriptors.
-  KOP_ASSIGN_OR_RETURN(uint32_t cleaned, CleanTxOn(qadapter));
+  KOP_ASSIGN_OR_RETURN(uint32_t cleaned, CleanTxRing(queue));
 
   // RX side: drain up to `budget` completed frames with the hot fields
   // held in registers and a single RDT/counter update at the end.

@@ -89,7 +89,7 @@ class Driver {
  public:
   /// Probe: allocate adapter state + ring + bounce buffer in simulated
   /// kernel memory, reset and bring up the device. `ops` is copied; it is
-  /// cheap (two pointers).
+  /// cheap (three pointers). A probe that fails frees what it allocated.
   static Result<Driver> Probe(Ops ops, uint64_t mmio_base,
                               uint32_t ring_entries = 256);
 
@@ -102,18 +102,20 @@ class Driver {
                                 uint32_t ring_entries, uint32_t num_queues,
                                 uint32_t itr_cycles = 0);
 
-  /// Tear down: disable the transmitter and free simulated allocations
-  /// (all queues' when probed multi-queue).
+  /// Tear down: disable the transmitter and free every queue's simulated
+  /// allocations.
   Status Remove();
 
   /// The hot path (e1000_xmit_frame): queue one frame whose payload
-  /// already sits in simulated memory at `frame_addr`. kBusy when the
-  /// ring is full even after reclaim — the caller (socket layer) blocks.
-  Status XmitFrame(uint64_t frame_addr, uint32_t len);
+  /// already sits in simulated memory at `frame_addr` on TX queue
+  /// `queue`. kBusy when the ring is full even after reclaim — the
+  /// caller (socket layer) blocks. Queue 0 uses the legacy registers
+  /// (QReg(reg, 0) == reg), so the legacy probe's datapath is queue 0's.
+  Status XmitFrame(uint64_t frame_addr, uint32_t len, uint32_t queue = 0);
 
   /// Reclaim completed descriptors (e1000_clean_tx_irq). Returns the
   /// number reclaimed.
-  Result<uint32_t> CleanTxRing();
+  Result<uint32_t> CleanTxRing(uint32_t queue = 0);
 
   /// Poll the RX ring for one completed frame (e1000_clean_rx_irq, one
   /// iteration). True when `out` was filled with a received frame; false
@@ -121,7 +123,7 @@ class Driver {
   /// unguarded core-kernel copy, as on real Linux; the driver's own
   /// descriptor/counter accesses go through Ops and are guarded on the
   /// carat build.
-  Result<bool> ReceiveFrame(std::vector<uint8_t>* out);
+  Result<bool> ReceiveFrame(std::vector<uint8_t>* out, uint32_t queue = 0);
 
   /// Netdev counters, read from adapter memory (guarded on carat builds).
   /// Queue 0's for the legacy probe; one queue's via CountersOn.
@@ -134,15 +136,6 @@ class Driver {
   Result<uint64_t> HwGoodPacketsTransmitted();
 
   // ------------------------------------------------------ multi-queue --
-
-  /// XmitFrame on a specific TX queue (queue 0 == XmitFrame exactly).
-  Status XmitFrameOn(uint32_t queue, uint64_t frame_addr, uint32_t len);
-
-  /// CleanTxRing on a specific queue.
-  Result<uint32_t> CleanTxRingOn(uint32_t queue);
-
-  /// ReceiveFrame from a specific RX queue.
-  Result<bool> ReceiveFrameFrom(uint32_t queue, std::vector<uint8_t>* out);
 
   /// Doorbell batching: stage up to `count` descriptors on `queue` and
   /// ring TDT once for the whole batch — the hot fields are loaded once
@@ -163,41 +156,52 @@ class Driver {
   Result<uint32_t> NapiPoll(uint32_t queue, uint32_t budget,
                             std::vector<std::vector<uint8_t>>* frames);
 
-  uint64_t adapter_addr() const { return adapter_; }
+  uint64_t adapter_addr() const { return queue_adapter_[0]; }
   uint32_t ring_entries() const { return ring_entries_; }
   uint32_t num_queues() const { return num_queues_; }
   Ops& ops() { return ops_; }
 
  private:
-  Driver(Ops ops, uint64_t adapter, uint32_t ring_entries)
-      : ops_(ops), adapter_(adapter), ring_entries_(ring_entries) {
-    queue_adapter_[0] = adapter;
-  }
+  Driver(Ops ops, uint32_t ring_entries)
+      : ops_(ops), ring_entries_(ring_entries) {}
 
   // Register helpers (er32/ew32 in the real driver).
   Result<uint32_t> Er32(uint64_t mmio_base, uint64_t reg) {
-    return ops_.MmioRead32(mmio_base + reg);
+    KOP_ASSIGN_OR_RETURN(uint64_t value, ops_.MmioRead(mmio_base + reg, 4));
+    return static_cast<uint32_t>(value);
   }
   Status Ew32(uint64_t mmio_base, uint64_t reg, uint32_t value) {
-    return ops_.MmioWrite32(mmio_base + reg, value);
+    return ops_.MmioWrite(mmio_base + reg, value, 4);
   }
 
-  // The single-queue entry points delegate to these with queue 0's
-  // adapter block and the legacy register offsets, so the guarded access
-  // sequence of the legacy datapath is unchanged by the refactor.
-  Status XmitOn(uint64_t qadapter, uint64_t tdt_reg, uint64_t frame_addr,
-                uint32_t len);
-  Result<uint32_t> CleanTxOn(uint64_t qadapter);
-  Result<bool> ReceiveOn(uint64_t qadapter, uint64_t rdt_reg,
-                         std::vector<uint8_t>* out);
+  /// Probe's device bring-up on queue 0, and ProbeMq's extra queues and
+  /// interrupt routing.
+  Status BringUp(uint64_t mmio_base);
+  Status BringUpMq(uint64_t mmio_base, uint32_t num_queues,
+                   uint32_t itr_cycles);
+  /// Allocate, zero and initialise queue `num_queues_`'s adapter block,
+  /// rings and buffers and arm its RX descriptors, then count the queue
+  /// and report its rings for the register programming. On failure it
+  /// frees what it had allocated.
+  struct QueueRings {
+    uint64_t tx = 0;
+    uint64_t rx = 0;
+  };
+  Result<QueueRings> SetUpQueue(uint64_t mmio_base);
+  /// Free every set-up queue's allocations (recorded in its adapter
+  /// block) and the block itself.
+  Status FreeQueues();
+  /// The probe's result: this driver, or — after freeing everything it
+  /// had allocated — why the probe failed.
+  Result<Driver> Probed(Status status);
 
   Ops ops_;
-  uint64_t adapter_ = 0;
   uint32_t ring_entries_ = 0;
-  uint32_t num_queues_ = 1;
-  /// Per-queue adapter block addresses ([0] == adapter_). Host-side
-  /// bookkeeping only, like adapter_ itself: all the state behind the
-  /// addresses lives in simulated memory and is accessed through Ops.
+  /// Queues set up so far: 1 after Probe, n after ProbeMq.
+  uint32_t num_queues_ = 0;
+  /// Per-queue adapter block addresses. Host-side bookkeeping only: all
+  /// the state behind the addresses lives in simulated memory and is
+  /// accessed through Ops.
   uint64_t queue_adapter_[nic::kMaxQueues] = {};
 };
 

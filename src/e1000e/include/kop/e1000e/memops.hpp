@@ -8,6 +8,5 @@
 namespace kop::e1000e {
 using modrt::EntryPin;
 using modrt::GuardedMemOps;
-using modrt::MemOpsStats;
 using modrt::RawMemOps;
 }  // namespace kop::e1000e

@@ -218,7 +218,6 @@ struct EngineCells {
   // a pinned guard validates its frame with ONE generation load.
   std::atomic<uint64_t> mutation_gen{0};
   std::atomic<uint64_t> force_deny_site{kNoForcedSite};
-  std::atomic<bool> charge_cycles{true};
   trace::Counter* deopt = nullptr;  // guard.deopt
   // Bumped by every ResetStats: a pin captured under an older epoch
   // holds decisions that predate the reset (see FlushAllows).
@@ -417,10 +416,8 @@ inline void Unpin(PinSlot*& pin) {
 /// separate access charge leave.
 [[gnu::always_inline]] inline void ChargePinned(PinSlot& pin,
                                                 double access_cycles = 0.0) {
-  double cycles = pin.clock_cell->load(std::memory_order_relaxed);
-  if (pin.cells->charge_cycles.load(std::memory_order_relaxed)) {
-    cycles += pin.guard_cycles;
-  }
+  const double cycles =
+      pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles;
   pin.clock_cell->store(cycles + access_cycles, std::memory_order_relaxed);
 }
 

@@ -23,12 +23,12 @@ Result<HeartbeatModule<Ops>> HeartbeatModule<Ops>::Probe(
   // Program the timer: zero the counter, arm timer 0 periodic with
   // interrupts, then enable the main counter. All guarded MMIO on the
   // carat build.
-  KOP_RETURN_IF_ERROR(o.MmioWrite32(mmio_base + REG_CONFIG, 0));
-  KOP_RETURN_IF_ERROR(o.MmioWrite64(mmio_base + REG_COUNTER, 0));
+  KOP_RETURN_IF_ERROR(o.MmioWrite(mmio_base + REG_CONFIG, 0, 4));
+  KOP_RETURN_IF_ERROR(o.MmioWrite(mmio_base + REG_COUNTER, 0, 8));
   KOP_RETURN_IF_ERROR(
-      o.MmioWrite32(mmio_base + REG_T0_CONFIG, T0_INT_ENB | T0_PERIODIC));
-  KOP_RETURN_IF_ERROR(o.MmioWrite64(mmio_base + REG_T0_CMP, period_ticks));
-  KOP_RETURN_IF_ERROR(o.MmioWrite32(mmio_base + REG_CONFIG, CONFIG_ENABLE));
+      o.MmioWrite(mmio_base + REG_T0_CONFIG, T0_INT_ENB | T0_PERIODIC, 4));
+  KOP_RETURN_IF_ERROR(o.MmioWrite(mmio_base + REG_T0_CMP, period_ticks, 8));
+  KOP_RETURN_IF_ERROR(o.MmioWrite(mmio_base + REG_CONFIG, CONFIG_ENABLE, 4));
   return module;
 }
 
@@ -36,8 +36,8 @@ template <typename Ops>
 Status HeartbeatModule<Ops>::Remove() {
   KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
                        ops_.Load(state_ + hb::kTimerBase, 8));
-  KOP_RETURN_IF_ERROR(ops_.MmioWrite32(mmio_base + REG_CONFIG, 0));
-  KOP_RETURN_IF_ERROR(ops_.MmioWrite32(mmio_base + REG_T0_CONFIG, 0));
+  KOP_RETURN_IF_ERROR(ops_.MmioWrite(mmio_base + REG_CONFIG, 0, 4));
+  KOP_RETURN_IF_ERROR(ops_.MmioWrite(mmio_base + REG_T0_CONFIG, 0, 4));
   KOP_RETURN_IF_ERROR(ops_.kernel()->heap().Kfree(state_));
   state_ = 0;
   return OkStatus();
@@ -50,8 +50,8 @@ Status HeartbeatModule<Ops>::Isr() {
   modrt::EntryPin<Ops> pin(ops_);
   KOP_ASSIGN_OR_RETURN(uint64_t mmio_base,
                        ops_.Load(state_ + hb::kTimerBase, 8));
-  KOP_RETURN_IF_ERROR(ops_.MmioWrite32(mmio_base + REG_ISR, ISR_T0));
-  KOP_ASSIGN_OR_RETURN(uint64_t now, ops_.MmioRead64(mmio_base + REG_COUNTER));
+  KOP_RETURN_IF_ERROR(ops_.MmioWrite(mmio_base + REG_ISR, ISR_T0, 4));
+  KOP_ASSIGN_OR_RETURN(uint64_t now, ops_.MmioRead(mmio_base + REG_COUNTER, 8));
 
   KOP_ASSIGN_OR_RETURN(uint64_t period, ops_.Load(state_ + hb::kPeriod, 8));
   KOP_ASSIGN_OR_RETURN(uint64_t deadline,

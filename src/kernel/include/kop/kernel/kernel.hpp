@@ -63,10 +63,10 @@ class Kernel {
 
   /// The one charged module access: the machine model's load (store)
   /// cost on the calling CPU's virtual clock, then the address space.
-  /// Native modules (modrt::RawMemOps) and KIR module slots
-  /// (SlotMemory) both reach memory through these two. A guarded native
-  /// access charges the same cost right after its guard's instead
-  /// (modrt::GuardedMemOps), in one clock update when allowed inline.
+  /// KIR module slots (SlotMemory) reach memory through these two. A
+  /// native module's access (modrt::MemOps) charges the same cost in the
+  /// same order, right after its guard's on the guarded build, in one
+  /// clock update when allowed inline.
   Result<uint64_t> ChargedLoad(uint64_t addr, uint32_t size) {
     clock_.Advance(config_.machine.mem_read_cycles);
     return mem_.Load(addr, size);

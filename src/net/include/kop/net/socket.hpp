@@ -5,14 +5,12 @@
 // space into the skb, then handing the skb to the bound net device.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
-#include "kop/smp/affinity.hpp"
 #include "kop/util/rng.hpp"
 #include "kop/util/status.hpp"
 
@@ -59,46 +57,6 @@ class DriverNetDevice final : public NetDevice {
  private:
   DriverT* driver_;
   bool down_ = false;
-};
-
-/// NetDevice over a multi-queue driver (ProbeMq): every Xmit lands on
-/// the TX queue the *calling CPU* owns under the round-robin affinity,
-/// so concurrent senders on different CPUs never share ring state — the
-/// wiring that turns per-CPU guard scaling into aggregate packets/sec.
-/// CleanTx likewise reclaims only the calling CPU's queue.
-template <typename DriverT>
-class MqDriverNetDevice final : public NetDevice {
- public:
-  explicit MqDriverNetDevice(DriverT* driver) : driver_(driver) {}
-  Status Xmit(uint64_t frame_addr, uint32_t len) override {
-    if (down_.load(std::memory_order_acquire)) {
-      return PermissionDenied("netdev down: driver contained");
-    }
-    const uint32_t queue = smp::MyQueue(driver_->num_queues());
-    try {
-      return driver_->XmitFrameOn(queue, frame_addr, len);
-    } catch (const kernel::GuardViolation&) {
-      down_.store(true, std::memory_order_release);
-      return PermissionDenied("netdev down: driver contained during xmit");
-    }
-  }
-  Status CleanTx() override {
-    if (down_.load(std::memory_order_acquire)) {
-      return PermissionDenied("netdev down: driver contained");
-    }
-    const uint32_t queue = smp::MyQueue(driver_->num_queues());
-    try {
-      auto cleaned = driver_->CleanTxRingOn(queue);
-      return cleaned.ok() ? OkStatus() : cleaned.status();
-    } catch (const kernel::GuardViolation&) {
-      down_.store(true, std::memory_order_release);
-      return PermissionDenied("netdev down: driver contained during tx clean");
-    }
-  }
-
- private:
-  DriverT* driver_;
-  std::atomic<bool> down_{false};
 };
 
 /// NetDevice over a loaded (guarded) KIR driver module, e.g. kop_knic.

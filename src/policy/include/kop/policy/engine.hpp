@@ -209,13 +209,6 @@ class PolicyEngine final : public guard::PinSource {
   /// drivers without site context).
   std::vector<HotSite> HotSites() const;
 
-  /// When false, no guard or CFI decision, inline or out of line, charges
-  /// the virtual clock (used by benches that account guard cost
-  /// themselves).
-  void SetChargeCycles(bool charge) {
-    cells_.charge_cycles.store(charge, std::memory_order_release);
-  }
-
   /// Fault-injection hook (kop::fault): guards firing from this
   /// trace-site token deny unconditionally — a spurious violation, as a
   /// corrupted guard table would produce. kNoForcedSite disarms.

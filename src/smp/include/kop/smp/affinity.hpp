@@ -2,14 +2,11 @@
 // TX/RX queue pair per core so the per-CPU guard machinery (clock slots,
 // policy-stat shards, trace rings) is the only state a queue's datapath
 // touches — that is what turns kop::smp's per-CPU guard scaling into
-// end-to-end packets/sec. The mapping is the standard round-robin both
-// directions: with fewer CPUs than queues, a CPU services every queue
-// congruent to it; with fewer queues than CPUs, CPUs share queues.
+// end-to-end packets/sec. The mapping is the standard round-robin: with
+// fewer queues than CPUs, CPUs share queues.
 #pragma once
 
 #include <cstdint>
-
-#include "kop/smp/cpu.hpp"
 
 namespace kop::smp {
 
@@ -17,25 +14,6 @@ namespace kop::smp {
 /// over `num_cpus` CPUs (netif_set_xps_queue's default spreading).
 constexpr uint32_t QueueForCpu(uint32_t cpu, uint32_t num_queues) {
   return num_queues == 0 ? 0 : cpu % num_queues;
-}
-
-/// The CPU that owns `queue` — the inverse spreading (irqbalance's
-/// round-robin of queue vectors over cores).
-constexpr uint32_t CpuForQueue(uint32_t queue, uint32_t num_cpus) {
-  return num_cpus == 0 ? 0 : queue % num_cpus;
-}
-
-/// True when `queue` is one of the queues `cpu` services: every queue
-/// whose owning CPU is `cpu`. The per-CPU NAPI loop polls exactly its
-/// owned set so no two CPUs ever touch one queue's ring state.
-constexpr bool CpuOwnsQueue(uint32_t cpu, uint32_t queue,
-                            uint32_t num_cpus) {
-  return CpuForQueue(queue, num_cpus) == cpu;
-}
-
-/// The queue the calling CPU owns (bind with ScopedCpu first).
-inline uint32_t MyQueue(uint32_t num_queues) {
-  return QueueForCpu(CurrentCpu(), num_queues);
 }
 
 }  // namespace kop::smp

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -302,17 +303,22 @@ TEST_F(DriverTest, GuardedBuildChargesMoreCycles) {
               19.0 * kernel_.machine().GuardCycles(0), 3.0);
 }
 
-TEST_F(DriverTest, MemOpsStatsDistinguishMmio) {
-  auto driver = BaselineDriver::Probe(RawMemOps(&kernel_), kMmio);
+TEST_F(DriverTest, HotSitesDistinguishMmio) {
+  policy::PolicyEngine& engine = policy_->engine();
+  auto driver = CaratDriver::Probe(GuardedMemOps(&kernel_, &engine), kMmio);
   ASSERT_TRUE(driver.ok());
-  driver->ops().ResetStats();
+  engine.ResetStats();
   const uint64_t frame = StageFrame(256);
   ASSERT_TRUE(driver->XmitFrame(frame, 256).ok());
-  const MemOpsStats& stats = driver->ops().stats();
-  EXPECT_EQ(stats.mmio_writes, 1u);  // the TDT kick
-  EXPECT_EQ(stats.mmio_reads, 0u);   // hot path never reads MMIO
-  EXPECT_GT(stats.loads, 5u);
-  EXPECT_GT(stats.stores, 5u);
+  std::map<uint64_t, uint64_t> hits;
+  for (const policy::HotSite& row : engine.HotSites()) {
+    hits[row.site] = row.hits;
+  }
+  const modrt::NativeSites& sites = modrt::NativeCategorySites();
+  EXPECT_EQ(hits[sites.mmio_write], 1u);        // the TDT kick
+  EXPECT_EQ(hits.count(sites.mmio_read), 0u);  // hot path never reads MMIO
+  EXPECT_GT(hits[sites.load], 5u);
+  EXPECT_GT(hits[sites.store], 5u);
 }
 
 TEST_F(DriverTest, ProbeReadsMacFromNvm) {
@@ -416,15 +422,46 @@ TEST_F(DriverTest, ProbeMqRejectsBadQueueCounts) {
   EXPECT_FALSE(BaselineDriver::ProbeMq(RawMemOps(&kernel_), kMmio, 16, 9).ok());
 }
 
-TEST_F(DriverTest, XmitFrameOnKeepsQueuesIndependent) {
+TEST_F(DriverTest, FailedProbeFreesWhatItAllocated) {
+  // Eight queues of 4096 entries need more heap than the kernel has: the
+  // probe runs out part-way through its last queues, and must hand back
+  // every block it had allocated, on both builds.
+  auto probe_out_of_heap = [this](auto ops) {
+    const kernel::KmallocStats before = kernel_.heap().Stats();
+    auto driver = Driver<decltype(ops)>::ProbeMq(ops, kMmio, 4096, 8);
+    ASSERT_FALSE(driver.ok());
+    EXPECT_EQ(driver.status().code(), ErrorCode::kOutOfMemory);
+    const kernel::KmallocStats after = kernel_.heap().Stats();
+    EXPECT_EQ(after.allocation_count, before.allocation_count);
+    EXPECT_EQ(after.free_bytes, before.free_bytes);
+  };
+  probe_out_of_heap(RawMemOps(&kernel_));
+  probe_out_of_heap(GuardedMemOps(&kernel_, &policy_->engine()));
+  // The heap is whole again: a probe that fits still comes up.
+  auto driver = BaselineDriver::ProbeMq(RawMemOps(&kernel_), kMmio, 16, 8);
+  ASSERT_TRUE(driver.ok()) << driver.status().ToString();
+  ASSERT_TRUE(driver->Remove().ok());
+}
+
+TEST_F(DriverTest, GuardedOpsRequireTheKernelsOwnEngine) {
+  EXPECT_THROW((void)GuardedMemOps(&kernel_, nullptr), std::invalid_argument);
+  kernel::Kernel other;
+  auto other_policy = policy::PolicyModule::Insert(
+      &other, nullptr, policy::PolicyMode::kDefaultAllow);
+  ASSERT_TRUE(other_policy.ok());
+  EXPECT_THROW((void)GuardedMemOps(&kernel_, &(*other_policy)->engine()),
+               std::invalid_argument);
+}
+
+TEST_F(DriverTest, XmitFrameKeepsQueuesIndependent) {
   auto driver =
       BaselineDriver::ProbeMq(RawMemOps(&kernel_), kMmio, 16, 4);
   ASSERT_TRUE(driver.ok());
   const uint64_t frame = StageFrame(300);
-  ASSERT_TRUE(driver->XmitFrameOn(0, frame, 300).ok());
-  ASSERT_TRUE(driver->XmitFrameOn(2, frame, 300).ok());
-  ASSERT_TRUE(driver->XmitFrameOn(2, frame, 300).ok());
-  ASSERT_TRUE(driver->XmitFrameOn(3, frame, 300).ok());
+  ASSERT_TRUE(driver->XmitFrame(frame, 300, 0).ok());
+  ASSERT_TRUE(driver->XmitFrame(frame, 300, 2).ok());
+  ASSERT_TRUE(driver->XmitFrame(frame, 300, 2).ok());
+  ASSERT_TRUE(driver->XmitFrame(frame, 300, 3).ok());
   EXPECT_EQ(sink_.packets(), 4u);
   auto c0 = driver->CountersOn(0);
   auto c2 = driver->CountersOn(2);
@@ -438,17 +475,17 @@ TEST_F(DriverTest, XmitFrameOnKeepsQueuesIndependent) {
   auto hw = driver->HwGoodPacketsTransmitted();
   ASSERT_TRUE(hw.ok());
   EXPECT_EQ(*hw, 4u);
-  EXPECT_FALSE(driver->XmitFrameOn(4, frame, 300).ok());
+  EXPECT_FALSE(driver->XmitFrame(frame, 300, 4).ok());
 }
 
 TEST_F(DriverTest, QueueZeroEntryPointsMatchLegacy) {
-  // XmitFrameOn(0)/CleanTxRingOn(0)/ReceiveFrameFrom(0) are the legacy
-  // entry points exactly — same counters, same wire bytes.
+  // Queue 0 of a multi-queue probe is the legacy datapath exactly — same
+  // counters, same wire bytes.
   auto driver =
       BaselineDriver::ProbeMq(RawMemOps(&kernel_), kMmio, 16, 2);
   ASSERT_TRUE(driver.ok());
   const uint64_t frame = StageFrame(200);
-  ASSERT_TRUE(driver->XmitFrameOn(0, frame, 200).ok());
+  ASSERT_TRUE(driver->XmitFrame(frame, 200, 0).ok());
   auto legacy = driver->Counters();
   auto q0 = driver->CountersOn(0);
   ASSERT_TRUE(legacy.ok() && q0.ok());
@@ -456,7 +493,7 @@ TEST_F(DriverTest, QueueZeroEntryPointsMatchLegacy) {
   EXPECT_EQ(legacy->tx_bytes, q0->tx_bytes);
   device_.ReceiveFrameOn(0, std::vector<uint8_t>(128, 0x5a));
   std::vector<uint8_t> got;
-  auto r = driver->ReceiveFrameFrom(0, &got);
+  auto r = driver->ReceiveFrame(&got, 0);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(*r);
   EXPECT_EQ(got.size(), 128u);

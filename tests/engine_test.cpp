@@ -984,7 +984,6 @@ TEST(ElisionDifferentialTest, ContainmentRollbackIdenticalWithElision) {
 TEST(ElisionDeoptTest, StoreMutationUnderPinDeoptsOnceThenRecovers) {
   kernel::Kernel kernel;
   policy::PolicyEngine engine(&kernel, policy::PolicyMode::kDefaultAllow);
-  engine.SetChargeCycles(false);
   trace::Counter* deopts = trace::GlobalMetrics().GetCounter("guard.deopt");
   const uint64_t before = deopts->value();
 

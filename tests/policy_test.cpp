@@ -783,7 +783,6 @@ TEST_F(EngineTest, ConcurrentGuardsAndMutationsStaySane) {
   // Hammer the engine from reader threads while a writer churns the
   // table; counts must add up and nothing may crash or deadlock.
   engine_.SetMode(PolicyMode::kDefaultAllow);
-  engine_.SetChargeCycles(false);  // the virtual clock is not the SUT here
   constexpr int kReaders = 3;
   constexpr int kGuardsPerReader = 20000;
   std::atomic<bool> stop{false};

@@ -192,7 +192,6 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
   // and the inline decision under a frame pin (FastGuard).
   kernel::Kernel kernel;
   policy::PolicyEngine engine(&kernel);
-  engine.SetChargeCycles(false);
   engine.SetViolationAction(policy::ViolationAction::kLogOnly);
   const trace::Log2Histogram* depth_hist =
       trace::GlobalMetrics().GetHistogram("policy.lookup_depth");

@@ -333,7 +333,6 @@ TEST(SmpTest, ConcurrentPolicyRewritePublishesFullyOldOrFullyNew) {
   Kernel kernel(SmallKernel());
   policy::PolicyEngine engine(&kernel);
   engine.SetMode(policy::PolicyMode::kDefaultDeny);
-  engine.SetChargeCycles(false);
 
   const policy::Region a1{0x1000, 0x100, policy::kProtRW};
   const policy::Region a2{0x2000, 0x100, policy::kProtRW};
